@@ -8,15 +8,38 @@ accumulate into .grad, so backpropagating several losses that share a
 forward pass sums their gradients exactly. The op set is what the
 scoring models need: broadcast arithmetic, batched matmul, shape ops,
 softmax, layer norm, GELU/ReLU, 3x3 convolution and max pooling.
+
+Inside a no_grad() block ops record nothing, so scoring passes hold
+only the activations they are still using.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+# Per thread, so a scoring thread never switches recording off for another.
+_grad_mode = threading.local()
+
+
+@contextmanager
+def no_grad():
+    """Record no autograd graph inside the block: op results get no
+    parents or backward closures and do not require grad. The previous
+    mode is restored on exit, also when the block raises."""
+    previous = getattr(_grad_mode, "enabled", True)
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -59,7 +82,7 @@ class Tensor:
 
     def _make(self, data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if getattr(_grad_mode, "enabled", True) and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -135,7 +158,7 @@ class Tensor:
     def __getitem__(self, idx):
         def backward(g):
             full = np.zeros_like(self.data)
-            full[idx] = g
+            np.add.at(full, idx, g)  # a repeated index receives the sum of its gradients
             return (full,)
 
         return self._make(self.data[idx], (self,), backward)

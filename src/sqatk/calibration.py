@@ -1,7 +1,8 @@
 """Third-order polynomial score calibration with a monotonicity guard.
 
-A cubic y = a0 + a1*x + a2*x^2 + a3*x^3 is fit by least squares via the
-normal equations on a column-scaled Vandermonde system. If the
+A cubic y = a0 + a1*x + a2*x^2 + a3*x^3 is fit by least squares on the
+abscissa centred and scaled onto [-1, 1], then mapped back to raw
+coefficients, so predictions spanning a narrow range stay solvable. If the
 unconstrained fit is not monotone non-decreasing over the fitted
 prediction range, the quadratic and cubic coefficients are shrunk
 toward zero on a fixed grid, refitting intercept and slope at each
@@ -12,6 +13,7 @@ constant map at the mean rating. Applied outputs are clipped to [1, 5].
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,16 +53,25 @@ def _monotone_on(coeffs, domain) -> bool:
     return bool((deriv >= -1e-12).all())
 
 
-def _solve_scaled_normal(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    scales = np.abs(design).max(axis=0)
-    scales[scales == 0.0] = 1.0
-    scaled = design / scales
-    gram = scaled.T @ scaled
-    try:
-        coeffs = np.linalg.solve(gram, scaled.T @ target)
-    except np.linalg.LinAlgError as exc:
-        raise CalibrationError(f"rank-deficient calibration system: {exc}") from exc
-    return coeffs / scales
+def _fit_poly(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
+    """Least-squares polynomial coefficients (a0, a1, ...) in raw x.
+
+    The Vandermonde system is built on u = (x - centre) / half_span in
+    [-1, 1] and solved with lstsq; the raw coefficients follow from
+    expanding each u^k in powers of x."""
+    centre = 0.5 * (float(x.max()) + float(x.min()))
+    half = 0.5 * (float(x.max()) - float(x.min()))
+    design = np.vander((x - centre) / half, degree + 1, increasing=True)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank <= degree:
+        raise CalibrationError(
+            f"rank-deficient calibration system: rank {rank} for {degree + 1} coefficients"
+        )
+    raw = np.zeros(degree + 1)
+    for k, c in enumerate(coeffs):
+        for j in range(k + 1):
+            raw[j] += c * math.comb(k, j) * (-centre) ** (k - j) / half**k
+    return raw
 
 
 def fit_calibration(pred, subj) -> CalibrationMap:
@@ -75,17 +86,17 @@ def fit_calibration(pred, subj) -> CalibrationMap:
         raise CalibrationError("predictions are (nearly) constant; cannot calibrate")
 
     domain = (float(pred.min()), float(pred.max()))
-    vander = np.stack([np.ones_like(pred), pred, pred**2, pred**3], axis=1)
-    full = _solve_scaled_normal(vander, subj)
+    full = _fit_poly(pred, subj, 3)
     if _monotone_on(full, domain):
         return CalibrationMap(tuple(float(c) for c in full), domain)
 
-    linear_design = vander[:, :2]
+    # The intercept and slope refit is linear in its target, so refitting
+    # subj minus the shrunk cubic terms gives base - s * shift.
+    base = _fit_poly(pred, subj, 1)
+    shift = _fit_poly(pred, full[2] * pred**2 + full[3] * pred**3, 1)
     for s in np.linspace(1.0, 0.0, SHRINK_STEPS)[1:]:
-        a2, a3 = s * full[2], s * full[3]
-        residual = subj - (a2 * pred**2 + a3 * pred**3)
-        a0, a1 = _solve_scaled_normal(linear_design, residual)
-        candidate = (float(a0), float(a1), float(a2), float(a3))
+        a0, a1 = base - s * shift
+        candidate = (float(a0), float(a1), float(s * full[2]), float(s * full[3]))
         if _monotone_on(candidate, domain):
             return CalibrationMap(candidate, domain)
 
@@ -127,8 +138,14 @@ def load_calibration_maps(path) -> dict[tuple[str, str], CalibrationMap]:
         for row in reader:
             if not row:
                 continue
-            group, dim, a0, a1, a2, a3, lo, hi = row
-            maps[(group, dim)] = CalibrationMap(
-                (float(a0), float(a1), float(a2), float(a3)), (float(lo), float(hi))
-            )
+            if len(row) != len(_HEADER):
+                raise CalibrationError(
+                    f"{path}: line {reader.line_num}: {len(row)} fields, expected {len(_HEADER)}"
+                )
+            group, dim, *numbers = row
+            try:
+                a0, a1, a2, a3, lo, hi = (float(v) for v in numbers)
+            except ValueError as exc:
+                raise CalibrationError(f"{path}: line {reader.line_num}: {exc}") from exc
+            maps[(group, dim)] = CalibrationMap((a0, a1, a2, a3), (lo, hi))
     return maps

@@ -119,7 +119,10 @@ def build_train_config(kind: str, config: dict[str, str]) -> TrainConfig:
         picked.setdefault("learning_rate", 1e-6)
     env_seed = os.environ.get("SQA_SEED")
     if env_seed is not None:
-        picked["seed"] = int(env_seed)
+        try:
+            picked["seed"] = int(env_seed)
+        except ValueError as exc:
+            raise CliError(f"SQA_SEED: {exc}") from exc
     return TrainConfig(**picked)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, conv2d, maxpool2d, uniform_init, zeros_param
-from .quality import TASKS, QualityScores, clip_score
-from .training import TrainConfig, fit
+from .quality import TASKS
+from .training import Scorer, TrainConfig, fit
 from .transformer import PAD_LOG_VALUE, ModelError
 
 
@@ -110,13 +110,7 @@ def cnn_forward_batch(
     return out
 
 
-def cnn_forward(values: np.ndarray, params: dict[str, Tensor], config: CnnConfig) -> QualityScores:
-    """Score one (frames, mels) feature matrix; outputs clipped to [1, 5]."""
-    raw = cnn_forward_batch(pad_to_max_frames(values, config)[None], params, config)
-    return QualityScores(**{t: clip_score(raw[t].data[0]) for t in config.tasks})
-
-
-class ConvBaseline:
+class ConvBaseline(Scorer):
     """Training-loop adapter mirroring SpectrogramTransformer's surface."""
 
     kind = "cnn"
@@ -133,10 +127,6 @@ class ConvBaseline:
 
     def forward_batch(self, batch: np.ndarray) -> dict[str, Tensor]:
         return cnn_forward_batch(batch, self.params, self.config)
-
-    def predict_scores(self, values: np.ndarray) -> QualityScores:
-        raw = self.forward_batch(self.collate([self.prepare(values)]))
-        return QualityScores(**{t: clip_score(raw[t].data[0]) for t in self.config.tasks})
 
     def config_echo(self) -> dict[str, str]:
         cfg = self.config

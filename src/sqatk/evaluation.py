@@ -238,13 +238,20 @@ def read_predictions(path) -> list[PredictionRow]:
         for rec in reader:
             if not rec:
                 continue
+            if len(rec) != len(expected):
+                raise MetricError(
+                    f"{path}: line {reader.line_num}: {len(rec)} fields, expected {len(expected)}"
+                )
             values = dict(zip(expected, rec))
-            pred = QualityScores(
-                **{d: float(values[f"pred_{d}"]) if values[f"pred_{d}"] else None for d in DIM_ORDER}
-            )
-            label = QualityScores(
-                **{d: float(values[f"label_{d}"]) if values[f"label_{d}"] else None for d in DIM_ORDER}
-            )
+            try:
+                pred = QualityScores(
+                    **{d: float(values[f"pred_{d}"]) if values[f"pred_{d}"] else None for d in DIM_ORDER}
+                )
+                label = QualityScores(
+                    **{d: float(values[f"label_{d}"]) if values[f"label_{d}"] else None for d in DIM_ORDER}
+                )
+            except ValueError as exc:
+                raise MetricError(f"{path}: line {reader.line_num}: {exc}") from exc
             rows.append(
                 PredictionRow(values["sample_id"], values["language"], values["provenance"], pred, label)
             )

@@ -119,30 +119,33 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     m = np.array([True, False, True, True, False, True])
     results["mse"] = check_function(lambda: mse_loss(mse_pred, target, m), {"pred": mse_pred})
 
+    # Row gather with repeated indices, as in the packed positional lookup.
+    table = _rand(rng, (4, 3))
+    rows = np.array([[1, 1, 2], [0, 2, 2]])
+    gather_probe = Tensor(rng.normal(size=(2, 3, 3)))
+    results["gather"] = check_function(lambda: (table[rows] * gather_probe).sum(), {"table": table})
+
     return results
 
 
 def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4) -> float:
-    """FD check of the complete 2-layer desk transformer loss."""
+    """FD check of the complete 2-layer desk transformer loss on a packed
+    batch of two clips of different lengths."""
     config = tf_mod.desk_config(max_duration_s=0.6)
     params = tf_mod.init_params(config, seed=seed)
     rng = np.random.default_rng(seed + 1)
 
+    model = tf_mod.SpectrogramTransformer(config, params)
     batch = 2
     frames = rng.integers(30, config.max_frames, size=batch)
-    inputs = []
-    for n in frames:
-        values = rng.normal(-5.0, 2.0, size=(int(n), config.n_mels))
-        spec = tf_mod.LogMelSpectrogram(values, config.n_mels, config.frame_hop_s, 0.025)
-        seq = tf_mod.extract_patches(spec, config)
-        inputs.append((seq.patches, seq.valid))
-    patches = np.stack([p for p, _ in inputs])
-    valid = np.stack([v for _, v in inputs])
+    packed = model.collate(
+        [model.prepare(rng.normal(-5.0, 2.0, size=(int(n), config.n_mels))) for n in frames]
+    )
     labels = {t: rng.uniform(1.0, 5.0, size=batch) for t in TASKS}
     mask = np.ones(batch, dtype=bool)
 
     def build_loss():
-        preds = tf_mod.forward_scores(patches, valid, params, config)
+        preds = model.forward_batch(packed)
         total = None
         for t in TASKS:
             loss = mse_loss(preds[t], labels[t], mask)

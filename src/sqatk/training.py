@@ -2,6 +2,9 @@
 validation monitor (MOS PCC minus MOS RMSE), and learning-rate patience
 with halving. The shuffle permutation for each epoch is derived from
 (seed, epoch) only, so runs are reproducible batch for batch.
+
+Every scoring pass, validation and prediction alike, goes through
+predict_raw: batch_size clips at a time with no autograd graph.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .evaluation import UndefinedCorrelationError, pearson, rmse
-from .quality import SCORE_MAX, SCORE_MIN, TASKS
+from .quality import SCORE_MAX, SCORE_MIN, TASKS, QualityScores, clip_score
 
 
 class TrainingError(ValueError):
@@ -173,16 +176,37 @@ def _batch_losses(model, samples: list[TrainSample]) -> tuple[Tensor | None, dic
     return total, per_task
 
 
-def _validation_mos(model, samples: list[TrainSample]) -> tuple[float, float, float]:
+def predict_raw(model, inputs: list, batch_size: int) -> dict[str, np.ndarray]:
+    """Raw per-task scores of prepared model inputs, batch_size clips at a
+    time under no_grad, so memory follows the batch size and not the
+    number of inputs."""
+    chunks = []
+    with no_grad():
+        for start in range(0, len(inputs), batch_size):
+            preds = model.forward_batch(model.collate(inputs[start : start + batch_size]))
+            chunks.append({task: pred.data for task, pred in preds.items()})
+    return {task: np.concatenate([c[task] for c in chunks]) for task in chunks[0]}
+
+
+class Scorer:
+    """Clip scoring shared by the model adapters, which provide
+    config.tasks, prepare, collate and forward_batch."""
+
+    def predict_scores(self, values: np.ndarray) -> QualityScores:
+        """Score one (frames, mels) feature matrix; values clipped to [1, 5]."""
+        raw = predict_raw(self, [self.prepare(values)], batch_size=1)
+        return QualityScores(**{t: clip_score(raw[t][0]) for t in self.config.tasks})
+
+
+def _validation_mos(model, samples: list[TrainSample], batch_size: int) -> tuple[float, float, float]:
     """Clipped MOS predictions vs labels; returns (pcc, rmse, monitor).
     An undefined correlation is recorded as the worst monitor value."""
-    batch = model.collate([s.inputs for s in samples])
-    preds = model.forward_batch(batch)
     mos_idx = TASKS.index("mos")
     have = np.array([s.label_mask[mos_idx] for s in samples])
     if not have.any():
         raise TrainingError("validation set has no MOS labels")
-    pred = np.clip(preds["mos"].data[have], SCORE_MIN, SCORE_MAX)
+    preds = predict_raw(model, [s.inputs for s in samples], batch_size)["mos"]
+    pred = np.clip(preds[have], SCORE_MIN, SCORE_MAX)
     ref = np.array([s.labels[mos_idx] for s in samples])[have]
     err = rmse(pred, ref)
     try:
@@ -232,7 +256,7 @@ def fit(
                 sums[task] = sums.get(task, 0.0) + value
                 counts[task] = counts.get(task, 0) + 1
 
-        pcc, err, monitor = _validation_mos(model, val_samples)
+        pcc, err, monitor = _validation_mos(model, val_samples, config.batch_size)
         if monitor > best_monitor:
             best_monitor = monitor
             best_epoch = epoch

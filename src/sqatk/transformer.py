@@ -18,7 +18,8 @@ import numpy as np
 
 from .autodiff import Tensor, concat, layer_norm, uniform_init, zeros_param
 from .frontend import LogMelSpectrogram
-from .quality import TASKS, QualityScores, clip_score
+from .quality import TASKS
+from .training import Scorer
 
 PAD_LOG_VALUE = math.log(1e-10)  # matches the front end's log floor
 
@@ -166,22 +167,32 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
 
 def embed_batch(
-    patches: np.ndarray, valid: np.ndarray, params: dict[str, Tensor], config: ModelConfig
+    patches: np.ndarray,
+    valid: np.ndarray,
+    params: dict[str, Tensor],
+    config: ModelConfig,
+    positions: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Project patches, prepend CLS, add positions. Returns (B,N,D) tokens
-    and the (B,N) token mask with the CLS position always valid."""
+    and the (B,N) token mask with the CLS position always valid.
+
+    positions[b, i] is the flat (freq, time) grid index of patch i of
+    clip b, so a clip can carry only its valid patches; None means every
+    clip carries the full grid in order."""
     batch, n_patches, patch_dim = patches.shape
     if patch_dim != params["proj_w"].shape[0]:
         raise ModelError(
             f"patch width {patch_dim} does not match projection input {params['proj_w'].shape[0]}"
         )
-    if n_patches != config.n_patches:
+    if positions is None and n_patches != config.n_patches:
         raise ModelError(f"{n_patches} patches, config expects {config.n_patches}")
+    if positions is not None and positions.shape != (batch, n_patches):
+        raise ModelError(f"positions shape {positions.shape} != patches {(batch, n_patches)}")
     d = config.embed_dim
 
     x = Tensor(patches) @ params["proj_w"] + params["proj_b"]
-    pos = params["pos_grid"].reshape((n_patches, d))
-    x = x + pos
+    grid = params["pos_grid"].reshape((config.n_patches, d))
+    x = x + (grid if positions is None else grid[positions])
     cls_tok = (params["cls"] + params["pos_cls"]).reshape((1, 1, d)).broadcast_to((batch, 1, d))
     tokens = concat([cls_tok, x], axis=1)
 
@@ -189,15 +200,7 @@ def embed_batch(
     return tokens, mask
 
 
-def embed(
-    seq: PatchSequence, params: dict[str, Tensor], config: ModelConfig
-) -> tuple[Tensor, np.ndarray]:
-    """Single-clip embedding; returns (N, D) tokens and the (N,) mask."""
-    tokens, mask = embed_batch(seq.patches[None], seq.valid[None], params, config)
-    return tokens.reshape((seq.patches.shape[0] + 1, config.embed_dim)), mask[0]
-
-
-def _attention(x: Tensor, bias: np.ndarray, params, prefix: str, config: ModelConfig) -> Tensor:
+def _attention(x: Tensor, bias: np.ndarray | None, params, prefix: str, config: ModelConfig) -> Tensor:
     batch, n, d = x.shape
     heads = config.n_heads
     dh = d // heads
@@ -210,7 +213,9 @@ def _attention(x: Tensor, bias: np.ndarray, params, prefix: str, config: ModelCo
     k = split(x @ params[prefix + "wk"] + params[prefix + "bk"])
     v = split(x @ params[prefix + "wv"] + params[prefix + "bv"])
 
-    scores = (q @ k.transpose((0, 1, 3, 2))) * scale + Tensor(bias)
+    scores = (q @ k.transpose((0, 1, 3, 2))) * scale
+    if bias is not None:
+        scores = scores + Tensor(bias)
     attn = scores.softmax()
     ctx = (attn @ v).transpose((0, 2, 1, 3)).reshape((batch, n, d))
     return ctx @ params[prefix + "wo"] + params[prefix + "bo"]
@@ -221,7 +226,8 @@ def encoder_forward(
 ) -> Tensor:
     """Pre-norm transformer stack over (B,N,D) tokens (or (N,D) for one
     clip). Masked positions contribute -inf attention logits as keys, so
-    no valid token attends to padding. n_layers == 0 is the identity."""
+    no valid token attends to padding; a fully valid mask needs no bias.
+    n_layers == 0 is the identity."""
     single = tokens.ndim == 2
     if single:
         tokens = tokens.reshape((1,) + tuple(tokens.shape))
@@ -231,7 +237,7 @@ def encoder_forward(
     if not mask[:, 0].all():
         raise ModelError("CLS position must be valid in the attention mask")
 
-    bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]  # (B,1,1,N) over keys
+    bias = None if mask.all() else np.where(mask, 0.0, -np.inf)[:, None, None, :]  # (B,1,1,N) keys
     x = tokens
     for i in range(config.n_layers):
         pre = f"layer{i}_"
@@ -257,29 +263,29 @@ def head_outputs(cls_state: Tensor, params: dict[str, Tensor], config: ModelConf
 
 
 def forward_scores(
-    patches: np.ndarray, valid: np.ndarray, params: dict[str, Tensor], config: ModelConfig
+    patches: np.ndarray,
+    valid: np.ndarray,
+    params: dict[str, Tensor],
+    config: ModelConfig,
+    positions: np.ndarray | None = None,
 ) -> dict[str, Tensor]:
     """Full batched forward pass: (B,P,patch^2) patches to raw per-task
-    scores, unclipped so training gradients are unimpeded."""
-    tokens, mask = embed_batch(patches, valid, params, config)
+    scores, unclipped so training gradients are unimpeded. positions is
+    as in embed_batch."""
+    tokens, mask = embed_batch(patches, valid, params, config, positions)
     encoded = encoder_forward(tokens, mask, params, config)
     return head_outputs(encoded[:, 0, :], params, config)
-
-
-def predict(
-    spec: LogMelSpectrogram, params: dict[str, Tensor], config: ModelConfig
-) -> QualityScores:
-    """Score one clip; reported values are clipped to [1, 5]."""
-    seq = extract_patches(spec, config)
-    raw = forward_scores(seq.patches[None], seq.valid[None], params, config)
-    return QualityScores(**{t: clip_score(raw[t].data[0]) for t in config.tasks})
 
 
 # ------------------------------------------------------------ model facade
 
 
-class SpectrogramTransformer:
-    """Bundles config + parameters and adapts them to the training loop."""
+class SpectrogramTransformer(Scorer):
+    """Bundles config + parameters and adapts them to the training loop.
+
+    Only valid patches enter the encoder. All-padding patches are masked
+    out as keys, so they never reach the CLS state and dropping them
+    leaves every score unchanged."""
 
     kind = "ast"
 
@@ -288,7 +294,8 @@ class SpectrogramTransformer:
         self.params = params if params is not None else init_params(config, seed)
 
     def prepare(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Turn a (frames, mels) feature matrix into per-clip model input."""
+        """Turn a (frames, mels) feature matrix into the clip's valid
+        patches and their flat grid positions."""
         spec = LogMelSpectrogram(
             values=values,
             n_mels=values.shape[1],
@@ -296,21 +303,24 @@ class SpectrogramTransformer:
             frame_len_s=0.025,
         )
         seq = extract_patches(spec, self.config)
-        return seq.patches, seq.valid
+        return seq.patches[seq.valid], np.flatnonzero(seq.valid)
 
     def collate(self, inputs: list[tuple[np.ndarray, np.ndarray]]):
-        patches = np.stack([p for p, _ in inputs])
-        valid = np.stack([v for _, v in inputs])
-        return patches, valid
+        """Pad a batch up to its longest clip; the mask hides the padding."""
+        longest = max(len(pos) for _, pos in inputs)
+        patches = np.zeros((len(inputs), longest, self.config.patch_size**2))
+        positions = np.zeros((len(inputs), longest), dtype=np.intp)
+        valid = np.zeros((len(inputs), longest), dtype=bool)
+        for i, (clip_patches, clip_positions) in enumerate(inputs):
+            n = len(clip_positions)
+            patches[i, :n] = clip_patches
+            positions[i, :n] = clip_positions
+            valid[i, :n] = True
+        return patches, positions, valid
 
     def forward_batch(self, batch) -> dict[str, Tensor]:
-        patches, valid = batch
-        return forward_scores(patches, valid, self.params, self.config)
-
-    def predict_scores(self, values: np.ndarray) -> QualityScores:
-        inputs = self.prepare(values)
-        raw = self.forward_batch(self.collate([inputs]))
-        return QualityScores(**{t: clip_score(raw[t].data[0]) for t in self.config.tasks})
+        patches, positions, valid = batch
+        return forward_scores(patches, valid, self.params, self.config, positions)
 
     def config_echo(self) -> dict[str, str]:
         cfg = self.config

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from sqatk.autodiff import Tensor, concat, conv2d, layer_norm, maxpool2d
+import threading
+
+from sqatk.autodiff import Tensor, concat, conv2d, layer_norm, maxpool2d, no_grad
 from sqatk.gradcheck import check_function, primitive_checks, relative_error
 
 TOL = 1e-3
@@ -13,7 +15,7 @@ def test_primitive_suite_passes():
     results = primitive_checks(seed=0)
     assert set(results) >= {
         "linear", "softmax", "layer_norm", "gelu", "relu", "attention",
-        "conv2d", "maxpool", "mse",
+        "conv2d", "maxpool", "mse", "gather",
     }
     for name, err in results.items():
         assert err < TOL, f"{name}: {err:.3e}"
@@ -122,3 +124,42 @@ def test_relative_error_scales():
     assert relative_error(1.0, 1.0) == 0.0
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(2.0, 1.0) == pytest.approx(0.5)
+
+
+def test_repeated_fancy_index_accumulates():
+    p = Tensor(np.zeros(4), requires_grad=True)
+    p[np.array([1, 1, 2])].sum().backward()
+    np.testing.assert_array_equal(p.grad, [0.0, 2.0, 1.0, 0.0])
+
+
+def test_no_grad_records_no_graph():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with no_grad():
+        y = (p * p).sum()
+        with no_grad():
+            pass
+        z = p * 2.0  # still off after a nested block exits
+    for t in (y, z):
+        assert t._parents == () and t._backward is None and not t.requires_grad
+    w = (p * p).sum()
+    assert w._parents and w.requires_grad
+
+
+def test_no_grad_restores_state_after_exception():
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    (p * 3.0).sum().backward()
+    np.testing.assert_array_equal(p.grad, [3.0])
+
+
+def test_no_grad_is_per_thread():
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    seen = []
+    with no_grad():
+        worker = threading.Thread(target=lambda: seen.append((p * 2.0).requires_grad))
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [True]

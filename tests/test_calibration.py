@@ -133,3 +133,27 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_text("nope\n1,2\n")
     with pytest.raises(CalibrationError, match="header"):
         load_calibration_maps(path)
+
+
+def test_narrow_prediction_span_fits():
+    """Predictions spanning about 0.02 around 3 once made the normal
+    equations singular (45 of these 600 fits raised)."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            x = 3.0 + 0.012 * rng.uniform(-1.0, 1.0, size=8)
+            y = np.clip(rng.normal(3.0, 1.0, size=8), 1.0, 5.0)
+            mapping = fit_calibration(x, y)
+            assert np.isfinite(mapping.coefficients).all() and mapping.is_monotone()
+            assert rmse(mapping.poly(x), y) <= rmse(np.full(8, y.mean()), y) + 1e-9
+
+
+def test_narrow_span_affine_target_recovers():
+    x = np.linspace(2.988, 3.012, 8)
+    subj = 2.0 + 50.0 * (x - 3.0)
+    assert rmse(fit_calibration(x, subj).poly(x), subj) < 1e-9
+
+
+def test_too_few_distinct_predictions_rejected():
+    with pytest.raises(CalibrationError, match="rank-deficient"):
+        fit_calibration([1.0, 1.0, 2.0, 2.0, 3.0, 3.0], [1.0, 2.0, 2.0, 3.0, 3.0, 4.0])

@@ -281,3 +281,59 @@ def test_evaluate_reproduces_published_range_row(tmp_path, capsys):
     pcc_table = out.split("\n\n")[0]
     range_line = [l for l in pcc_table.splitlines() if l.startswith("Range")][0]
     assert range_line == "Range,0.18,0.12,0.26,0.16,0.29"
+
+
+def _exact_predictions(corpus, path):
+    """Predictions CSV whose predictions equal the manifest labels."""
+    from sqatk.evaluation import PredictionRow, write_predictions
+
+    rows = [
+        PredictionRow(e.sample_id, e.language, e.provenance, e.scores, e.scores)
+        for e in load_manifest(corpus).entries
+    ]
+    write_predictions(path, rows)
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda row: row.split(",")[0],  # short row
+        lambda row: row.replace(row.split(",")[3], "abc", 1),  # non-numeric pred_mos
+    ],
+    ids=["short_row", "non_numeric"],
+)
+def test_bad_prediction_row_is_a_typed_error(corpus, tmp_path, capsys, mutate):
+    pred = _exact_predictions(corpus, tmp_path / "pred.csv")
+    lines = pred.read_text().splitlines()
+    lines[2] = mutate(lines[2])
+    pred.write_text("\n".join(lines) + "\n")
+    code = main(["calibrate", "--pred", str(pred), "--labels", str(corpus), "--out", str(tmp_path / "m.csv")])
+    assert code == 1
+    assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["ENG,mos,0.0,1.0,0.0", "ENG,mos,0.0,one,0.0,0.0,1.0,5.0"],
+    ids=["column_count", "non_numeric"],
+)
+def test_bad_calibration_map_is_a_typed_error(corpus, tmp_path, capsys, row):
+    maps = tmp_path / "maps.csv"
+    maps.write_text(f"group,dim,a0,a1,a2,a3,domain_lo,domain_hi\n{row}\n")
+    pred = _exact_predictions(corpus, tmp_path / "pred.csv")
+    code = main(["evaluate", "--pred", str(pred), "--labels", str(corpus),
+                 "--calibration", str(maps), "--out", "-"])
+    assert code == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_non_integer_env_seed_is_a_typed_error(corpus, workdir, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "seeded.cfg"
+    config.write_text(DESK_CONFIG)
+    monkeypatch.setenv("SQA_SEED", "abc")
+    code = main(["train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(tmp_path / "x.ckpt")])
+    assert code == 1
+    assert "SQA_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()

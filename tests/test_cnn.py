@@ -10,7 +10,7 @@ from sqatk import cnn as cnn_mod
 from sqatk import frontend as fe
 from sqatk import transformer as tf
 from sqatk.gradcheck import full_cnn_check
-from sqatk.quality import TASKS
+from sqatk.quality import TASKS, clip_score
 
 SR = 48000
 
@@ -37,7 +37,7 @@ def test_zero_params_give_clipped_bias(rng):
     params["head_mos_b"].data[:] = 2.25
     params["head_noi_b"].data[:] = -3.0
     values = rng.normal(-5, 2, size=(150, 128))
-    scores = cnn_mod.cnn_forward(values, params, config)
+    scores = cnn_mod.ConvBaseline(config, params).predict_scores(values)
     assert scores.mos == pytest.approx(2.25)
     assert scores.noi == 1.0  # clipped up from -3
     assert scores.col == 1.0
@@ -47,7 +47,7 @@ def test_forward_finite_on_desk_input(rng):
     config = cnn_mod.desk_cnn_config()
     params = cnn_mod.init_cnn_params(config, seed=1)
     values = rng.normal(-5, 2, size=(1200, 128))  # longer than max: truncated
-    scores = cnn_mod.cnn_forward(values, params, config)
+    scores = cnn_mod.ConvBaseline(config, params).predict_scores(values)
     for t in TASKS:
         v = scores.get(t)
         assert v is not None and np.isfinite(v) and 1.0 <= v <= 5.0
@@ -112,9 +112,10 @@ def test_predict_scores_matches_cnn_forward(rng):
     config = cnn_mod.desk_cnn_config(max_duration_s=1.0)
     model = cnn_mod.ConvBaseline(config, seed=3)
     values = rng.normal(-5, 2, size=(80, 128))
-    a = model.predict_scores(values)
-    b = cnn_mod.cnn_forward(values, model.params, config)
-    assert a == b
+    scores = model.predict_scores(values)
+    raw = cnn_mod.cnn_forward_batch(cnn_mod.pad_to_max_frames(values, config)[None], model.params, config)
+    for t in TASKS:
+        assert scores.get(t) == clip_score(raw[t].data[0])
 
 
 def test_identical_seeds_identical_checkpoints(tmp_path):

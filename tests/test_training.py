@@ -19,6 +19,7 @@ from sqatk.training import (
     fit,
     make_sample,
     mse_loss,
+    predict_raw,
 )
 
 # ------------------------------------------------------------------- loss
@@ -327,3 +328,28 @@ def test_loss_trend_non_increasing_over_50_steps():
         if end <= start + 1e-12:
             passed += 1
     assert passed / trials >= 0.95
+
+
+def test_training_step_after_predict_gets_gradients(rng):
+    config = tf.desk_config(n_layers=1, max_duration_s=0.5)
+    model = tf.SpectrogramTransformer(config, seed=12)
+    clips = [rng.normal(-5, 2, size=(n, 128)) for n in (30, 45)]
+    model.predict_scores(clips[0])
+    samples = [
+        make_sample(model.prepare(v), QualityScores(**{t: label for t in TASKS}))
+        for v, label in zip(clips, (2.0, 4.0))
+    ]
+    fit(model, samples, samples, TrainConfig(max_epochs=1, batch_size=2))
+    for name, p in model.params.items():
+        assert p.grad is not None and np.abs(p.grad).max() > 0, f"{name} got no gradient"
+
+
+def test_validation_scores_in_batches_match_one_batch(rng):
+    config = tf.desk_config(n_layers=1, max_duration_s=0.5)
+    model = tf.SpectrogramTransformer(config, seed=13)
+    inputs = [model.prepare(rng.normal(-5, 2, size=(n, 128))) for n in (20, 50, 35, 50, 8)]
+    whole = predict_raw(model, inputs, batch_size=len(inputs))
+    chunked = predict_raw(model, inputs, batch_size=2)
+    for t in TASKS:
+        assert chunked[t].shape == (5,)
+        np.testing.assert_allclose(chunked[t], whole[t], rtol=0, atol=1e-12)

@@ -123,22 +123,34 @@ def test_embed_zero_patches_equals_positions():
     config = tf.desk_config(max_duration_s=0.5)
     params = tf.init_params(config, seed=3)
     n = config.n_patches
-    seq = tf.PatchSequence(np.zeros((n, 256)), np.ones(n, dtype=bool), config.grid if hasattr(config, "grid") else (config.n_freq_patches, config.n_time_patches))
-    tokens, mask = tf.embed(seq, params, config)
-    assert tokens.shape == (n + 1, config.embed_dim)
-    assert mask[0] and mask.all()
+    tokens, mask = tf.embed_batch(np.zeros((1, n, 256)), np.ones((1, n), dtype=bool), params, config)
+    assert tokens.shape == (1, n + 1, config.embed_dim)
+    assert mask[0, 0] and mask.all()
     pos = params["pos_grid"].data.reshape(n, config.embed_dim)
-    np.testing.assert_array_equal(tokens.data[1:], pos)
-    np.testing.assert_array_equal(tokens.data[0], params["pos_cls"].data)  # CLS init zeros
+    np.testing.assert_array_equal(tokens.data[0, 1:], pos)
+    np.testing.assert_array_equal(tokens.data[0, 0], params["pos_cls"].data)  # CLS init zeros
+
+
+def test_embed_gathers_positions_of_packed_patches():
+    config = tf.desk_config(max_duration_s=0.5)
+    params = tf.init_params(config, seed=3)
+    positions = np.array([[0, 5, 7], [2, 2, 0]])
+    valid = np.array([[True, True, True], [True, False, False]])
+    tokens, mask = tf.embed_batch(np.zeros((2, 3, 256)), valid, params, config, positions)
+    pos = params["pos_grid"].data.reshape(config.n_patches, config.embed_dim)
+    np.testing.assert_array_equal(tokens.data[:, 1:], pos[positions])
+    np.testing.assert_array_equal(mask[:, 1:], valid)
+    with pytest.raises(tf.ModelError, match="positions shape"):
+        tf.embed_batch(np.zeros((2, 3, 256)), valid, params, config, positions[:, :2])
 
 
 def test_embed_full_scale_shape(rng):
     config = tf.ModelConfig(embed_dim=768, n_heads=12, n_layers=0, max_duration_s=12.0)
     params = tf.init_params(config, seed=0)
     seq = tf.extract_patches(make_spec(1200, rng=rng), config)
-    tokens, mask = tf.embed(seq, params, config)
-    assert tokens.shape == (1429, 768)
-    assert mask.shape == (1429,)
+    tokens, mask = tf.embed_batch(seq.patches[None], seq.valid[None], params, config)
+    assert tokens.shape == (1, 1429, 768)
+    assert mask.shape == (1, 1429)
 
 
 def test_embed_shape_mismatch_rejected(rng):
@@ -193,7 +205,7 @@ def test_constant_heads_give_clipped_bias(rng):
     for task, b in biases.items():
         params[f"head_{task}_w"].data[:] = 0.0
         params[f"head_{task}_b"].data[:] = b
-    scores = tf.predict(make_spec(40, rng=rng), params, config)
+    scores = tf.SpectrogramTransformer(config, params).predict_scores(make_spec(40, rng=rng).values)
     assert scores.mos == 3.5
     assert scores.col == 1.0  # clipped up
     assert scores.dis == 5.0  # clipped down
@@ -205,10 +217,9 @@ def test_constant_heads_give_clipped_bias(rng):
 def test_predict_deterministic(rng):
     config = tf.desk_config(max_duration_s=0.5)
     params = tf.init_params(config, seed=1)
-    spec = make_spec(45, rng=rng)
-    a = tf.predict(spec, params, config)
-    b = tf.predict(LogMelSpectrogram(spec.values.copy(), 128, HOP, 0.025), params, config)
-    assert a == b
+    values = make_spec(45, rng=rng).values
+    model = tf.SpectrogramTransformer(config, params)
+    assert model.predict_scores(values) == model.predict_scores(values.copy())
 
 
 def test_invalid_patch_content_is_ignored(rng):
@@ -238,6 +249,66 @@ def test_permuting_valid_patches_changes_output(rng):
     other = tf.forward_scores(swapped[None], seq.valid[None], params, config)
     diffs = [abs(base[t].data[0] - other[t].data[0]) for t in TASKS]
     assert max(diffs) > 1e-8  # positional embeddings make order matter
+
+
+@pytest.mark.parametrize("frames", [5, 100, 300, 400, 500], ids=lambda n: f"{n}_frames")
+def test_packed_scores_equal_dense_scores(rng, frames):
+    """Valid patches alone give the dense full-window head outputs: clips
+    shorter than a patch, of 1 s and 3 s, exactly max_frames (4 s) and
+    longer than the window."""
+    config = tf.desk_config(max_duration_s=4.0)
+    model = tf.SpectrogramTransformer(config, seed=8)
+    values = make_spec(frames, rng=rng).values
+    seq = tf.extract_patches(LogMelSpectrogram(values, 128, HOP, 0.025), config)
+    dense = tf.forward_scores(seq.patches[None], seq.valid[None], model.params, config)
+
+    patches, positions, valid = model.collate([model.prepare(values)])
+    assert valid.all() and patches.shape[1] == seq.valid.sum()  # no padding at all
+    packed = model.forward_batch((patches, positions, valid))
+    for t in TASKS:
+        assert abs(packed[t].data[0] - dense[t].data[0]) <= 1e-12
+
+
+def test_mixed_length_batch_equals_per_clip_scoring(rng):
+    config = tf.desk_config(max_duration_s=2.0)
+    model = tf.SpectrogramTransformer(config, seed=9)
+    inputs = [model.prepare(make_spec(n, rng=rng).values) for n in (30, 200, 90, 7)]
+    patches, positions, valid = model.collate(inputs)
+    assert patches.shape[1] == max(len(pos) for _, pos in inputs)
+    assert valid.sum() == sum(len(pos) for _, pos in inputs)
+
+    batched = model.forward_batch((patches, positions, valid))
+    for i, clip in enumerate(inputs):
+        alone = model.forward_batch(model.collate([clip]))
+        for t in TASKS:
+            assert abs(batched[t].data[i] - alone[t].data[0]) <= 1e-12
+
+
+def test_packed_batch_gradients_equal_dense(rng):
+    """Clips sharing grid positions accumulate into the same pos_grid rows."""
+    config = tf.desk_config(max_duration_s=1.0)
+    params = tf.init_params(config, seed=10)
+    model = tf.SpectrogramTransformer(config, params)
+    specs = [make_spec(n, rng=rng) for n in (40, 100, 70)]
+    labels = rng.uniform(1, 5, size=3)
+
+    def grads(preds):
+        for p in params.values():
+            p.zero_grad()
+        total = None
+        for t in TASKS:
+            loss = mse_loss(preds[t], labels, np.ones(3, bool))
+            total = loss if total is None else total + loss
+        total.backward()
+        return {name: p.grad.copy() for name, p in params.items()}
+
+    seqs = [tf.extract_patches(s, config) for s in specs]
+    dense = grads(tf.forward_scores(
+        np.stack([s.patches for s in seqs]), np.stack([s.valid for s in seqs]), params, config
+    ))
+    packed = grads(model.forward_batch(model.collate([model.prepare(s.values) for s in specs])))
+    for name in params:
+        np.testing.assert_allclose(packed[name], dense[name], rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 # ---------------------------------------------------------- mask invariance
