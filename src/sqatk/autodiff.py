@@ -9,6 +9,13 @@ forward pass sums their gradients exactly. The op set is what the
 scoring models need: broadcast arithmetic, batched matmul, shape ops,
 softmax, layer norm, GELU/ReLU, 3x3 convolution and max pooling.
 
+conv2d lowers to one GEMM over a channel-major im2col matrix of shape
+(C*kh*kw, B*H*W), whose copies run along the contiguous time axis, and
+returns its NCHW output as a transposed view of an (O, B, H, W) array;
+its input gradient is the GEMM's transpose scattered back by col2im.
+maxpool2d keeps that layout and routes each window's gradient to the
+first slot, in scan order, that holds the max.
+
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
 """
@@ -297,73 +304,79 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
-    """2-D convolution, stride 1, via im2col + GEMM.
-    x: (B,C,H,W), w: (O,C,K,K), b: (O,)."""
+    """2-D convolution, stride 1, via channel-major im2col + GEMM.
+    x: (B,C,H,W), w: (O,C,kh,kw), b: (O,).
+
+    The input is padded as (C, B, H+2p, W+2p) and unrolled into cols of
+    shape (C*kh*kw, B*out_h*out_w), one shifted copy per kernel tap, each
+    running along the contiguous time axis. w_mat @ cols gives the output
+    as (O, B, out_h, out_w), returned as its NCHW transposed view with no
+    copy; a following conv2d reads that view channel-major for free. The
+    backward takes dw = g_mat @ cols.T and scatters dcols = w_mat.T @ g_mat
+    back onto the padded input with kh*kw shifted adds (col2im)."""
     batch, in_ch, height, width = x.data.shape
     out_ch, w_in_ch, kh, kw = w.data.shape
     if w_in_ch != in_ch:
         raise ValueError(f"conv2d channel mismatch: input {in_ch}, weight {w_in_ch}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     out_h = height + 2 * padding - kh + 1
     out_w = width + 2 * padding - kw + 1
+    padded = (in_ch, batch, height + 2 * padding, width + 2 * padding)
+    inner = (slice(None), slice(None), slice(padding, padding + height), slice(padding, padding + width))
+    taps = [(u, v) for u in range(kh) for v in range(kw)]
 
-    # (B,C,out_h,out_w,kh,kw) view -> (B*out_h*out_w, C*kh*kw) matrix
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        batch * out_h * out_w, in_ch * kh * kw
-    )
+    xp = np.zeros(padded)
+    xp[inner] = x.data.transpose(1, 0, 2, 3)
+    cols = np.empty((in_ch, kh * kw, batch, out_h, out_w))
+    for t, (u, v) in enumerate(taps):
+        cols[:, t] = xp[:, :, u : u + out_h, v : v + out_w]
+    del xp  # free the padded copy before the GEMM allocates its output
+    cols = cols.reshape(in_ch * kh * kw, batch * out_h * out_w)
     w_mat = w.data.reshape(out_ch, in_ch * kh * kw)
-    out_data = (cols @ w_mat.T + b.data).reshape(batch, out_h, out_w, out_ch)
-    out_data = out_data.transpose(0, 3, 1, 2)
+    out_data = (w_mat @ cols + b.data[:, None]).reshape(out_ch, batch, out_h, out_w)
 
     def backward(g):
-        g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, out_ch)
-        dw = (g_mat.T @ cols).reshape(w.data.shape) if w.requires_grad else None
+        g_mat = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * out_h * out_w)
+        dw = (g_mat @ cols.T).reshape(w.data.shape) if w.requires_grad else None
         dx = None
         if x.requires_grad:
-            # transposed convolution as a second im2col GEMM: correlate the
-            # output gradient with the spatially flipped kernel
-            gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - padding,) * 2, (kw - 1 - padding,) * 2))
-            g_view = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
-            g_cols = np.ascontiguousarray(g_view.transpose(0, 2, 3, 1, 4, 5)).reshape(
-                batch * height * width, out_ch * kh * kw
-            )
-            w_flip = w.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(
-                out_ch * kh * kw, in_ch
-            )
-            dx = (g_cols @ w_flip).reshape(batch, height, width, in_ch).transpose(0, 3, 1, 2)
+            dcols = (w_mat.T @ g_mat).reshape(in_ch, kh * kw, batch, out_h, out_w)
+            dxp = np.zeros(padded)
+            for t, (u, v) in enumerate(taps):
+                dxp[:, :, u : u + out_h, v : v + out_w] += dcols[:, t]
+            dx = dxp[inner].transpose(1, 0, 2, 3)
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    return x._make(out_data, (x, w, b), backward)
+    return x._make(out_data.transpose(1, 0, 2, 3), (x, w, b), backward)
 
 
 def maxpool2d(x: Tensor, factor: int) -> Tensor:
     """Non-overlapping max pooling by `factor` along both spatial axes.
 
-    Trailing rows/columns that do not fill a full window are dropped.
-    Ties resolve to the first occurrence in window scan order.
+    The max is a running np.maximum over the factor**2 strided slices,
+    one per window slot, so the output keeps the input's memory layout.
+    Trailing rows/columns that do not fill a full window are dropped and
+    get zero gradient. Ties (common after ReLU zeros) route the whole
+    gradient to the first slot in window scan order (row-major) that
+    holds the max; the other slots get 0.
     """
-    batch, ch, height, width = x.data.shape
-    out_h, out_w = height // factor, width // factor
-    cropped = x.data[:, :, : out_h * factor, : out_w * factor]
-    windows = (
-        cropped.reshape(batch, ch, out_h, factor, out_w, factor)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(batch, ch, out_h, out_w, factor * factor)
-    )
-    arg = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    out_h, out_w = x.data.shape[2] // factor, x.data.shape[3] // factor
+    slots = [
+        (slice(None), slice(None), slice(i, out_h * factor, factor), slice(j, out_w * factor, factor))
+        for i in range(factor)
+        for j in range(factor)
+    ]
+    out_data = x.data[slots[0]].copy(order="K")
+    for slot in slots[1:]:
+        np.maximum(out_data, x.data[slot], out=out_data)
 
     def backward(g):
-        dwin = np.zeros_like(windows)
-        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
-        dcrop = (
-            dwin.reshape(batch, ch, out_h, out_w, factor, factor)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(batch, ch, out_h * factor, out_w * factor)
-        )
         full = np.zeros_like(x.data)
-        full[:, :, : out_h * factor, : out_w * factor] = dcrop
+        unclaimed = np.ones(out_data.shape, dtype=bool)
+        for slot in slots:
+            hit = x.data[slot] == out_data
+            hit &= unclaimed
+            np.copyto(full[slot], g, where=hit)
+            unclaimed ^= hit
         return (full,)
 
     return x._make(out_data, (x,), backward)

@@ -437,7 +437,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ManifestError, ModelError, TrainingError, CheckpointError,
             cal.CalibrationError, ev.MetricError, fe.AudioError, fe.FeatureError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor, conv2d, maxpool2d, uniform_init, zeros_param
 from .quality import TASKS
-from .training import Scorer, TrainConfig, fit
+from .training import Scorer
 from .transformer import PAD_LOG_VALUE, ModelError
 
 
@@ -150,18 +150,3 @@ class ConvBaseline(Scorer):
             max_duration_s=float(echo["model.max_duration_s"]),
             frame_hop_s=float(echo["model.frame_hop_s"]),
         )
-
-
-def baseline_train_config(**overrides) -> TrainConfig:
-    """Training protocol defaults for the baseline: lr 0.001, up to 500
-    epochs, early stop 20, LR patience 15, batch size 100."""
-    base = dict(
-        learning_rate=0.001, max_epochs=500, early_stop_patience=20, lr_patience=15, batch_size=100
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
-
-
-def train_baseline(model: ConvBaseline, train_samples, val_samples, config: TrainConfig | None = None, history_path=None):
-    """Train the baseline with the standard protocol (see baseline_train_config)."""
-    return fit(model, train_samples, val_samples, config or baseline_train_config(), history_path)

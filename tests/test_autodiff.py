@@ -112,6 +112,141 @@ def test_maxpool_values(rng):
     np.testing.assert_array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
 
 
+def test_maxpool_ties_route_to_first_slot_in_scan_order():
+    """Each window's gradient goes whole to the first slot, row-major,
+    that holds the max; the other slots get exactly 0."""
+    windows = np.array([
+        [[1.5, 1.5], [1.5, 1.5]],  # all equal: slot 0
+        np.maximum([[-1.0, -2.0], [-0.5, -3.0]], 0.0),  # ReLU zeros: slot 0
+        [[0.2, 0.9], [0.4, 0.9]],  # tie at slots 1 and 3: slot 1
+    ])
+    x = Tensor(windows[None], requires_grad=True)
+    out = maxpool2d(x, 2)
+    np.testing.assert_array_equal(out.data.reshape(-1), [1.5, 0.0, 0.9])
+    out.backward(np.array([2.0, -3.0, 0.5]).reshape(1, 3, 1, 1))
+    expected = np.zeros((3, 2, 2))
+    expected[0, 0, 0] = 2.0
+    expected[1, 0, 0] = -3.0
+    expected[2, 0, 1] = 0.5
+    np.testing.assert_array_equal(x.grad[0], expected)
+    assert not np.signbit(x.grad[0][expected == 0.0]).any()
+
+
+def test_maxpool_odd_plane_drops_trailing_row_and_column(rng):
+    x = Tensor(rng.normal(size=(2, 3, 5, 7)), requires_grad=True)
+    out = maxpool2d(x, 2)
+    assert out.shape == (2, 3, 2, 3)
+    windows = x.data[:, :, :4, :6].reshape(2, 3, 2, 2, 3, 2)
+    np.testing.assert_array_equal(out.data, windows.max(axis=(3, 5)))
+    out.backward(rng.normal(size=out.shape))
+    assert not x.grad[:, :, 4, :].any()
+    assert not x.grad[:, :, :, 6].any()
+    # one nonzero slot per window, holding that window's gradient
+    assert np.count_nonzero(x.grad) == out.data.size
+
+
+def _conv2d_loops(x, w, b, g, padding):
+    """Direct nested-loop convolution: forward plus dx, dw, db for the
+    upstream gradient g."""
+    batch, in_ch, height, width = x.shape
+    out_ch, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h, out_w = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((batch, out_ch, out_h, out_w))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for n in range(batch):
+        for o in range(out_ch):
+            for i in range(out_h):
+                for j in range(out_w):
+                    patch = xp[n, :, i : i + kh, j : j + kw]
+                    out[n, o, i, j] = (patch * w[o]).sum() + b[o]
+                    dw[o] += g[n, o, i, j] * patch
+                    dxp[n, :, i : i + kh, j : j + kw] += g[n, o, i, j] * w[o]
+    dx = dxp[:, :, padding : padding + height, padding : padding + width]
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_matches_nested_loop_reference(rng, padding):
+    x = Tensor(rng.normal(size=(2, 3, 5, 7)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    out = conv2d(x, w, b, padding=padding)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    ref_out, ref_dx, ref_dw, ref_db = _conv2d_loops(x.data, w.data, b.data, g, padding)
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x.grad, ref_dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.grad, ref_dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, ref_db, rtol=0, atol=1e-12)
+
+
+def test_conv2d_non_contiguous_input_is_bit_equal(rng):
+    """A channel-major view, the layout conv2d itself returns, gives the
+    same bits as its contiguous copy, forward and backward."""
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    b = Tensor(rng.normal(size=4))
+    view = rng.normal(size=(3, 2, 5, 7)).transpose(1, 0, 2, 3)
+    assert not view.flags.c_contiguous
+    g = rng.normal(size=(2, 4, 5, 7))
+    results = []
+    for data in (view, np.ascontiguousarray(view)):
+        x = Tensor(data, requires_grad=True)
+        out = conv2d(x, w, b)
+        out.backward(g)
+        results.append((out.data, x.grad))
+    np.testing.assert_array_equal(results[0][0], results[1][0])
+    np.testing.assert_array_equal(results[0][1], results[1][1])
+
+
+def _conv2d_batch_major(x, w, b, g, padding):
+    """The earlier batch-major im2col conv2d, kept as the reference for
+    the channel-major one: forward plus dx, dw, db for upstream g."""
+    batch, in_ch, height, width = x.shape
+    out_ch, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = height + 2 * padding - kh + 1
+    out_w = width + 2 * padding - kw + 1
+    view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        batch * out_h * out_w, in_ch * kh * kw
+    )
+    w_mat = w.reshape(out_ch, in_ch * kh * kw)
+    out = (cols @ w_mat.T + b).reshape(batch, out_h, out_w, out_ch).transpose(0, 3, 1, 2)
+    g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, out_ch)
+    dw = (g_mat.T @ cols).reshape(w.shape)
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - padding,) * 2, (kw - 1 - padding,) * 2))
+    g_view = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
+    g_cols = np.ascontiguousarray(g_view.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        batch * height * width, out_ch * kh * kw
+    )
+    w_flip = w[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(out_ch * kh * kw, in_ch)
+    dx = (g_cols @ w_flip).reshape(batch, height, width, in_ch).transpose(0, 3, 1, 2)
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "in_ch,out_ch,height,width",
+    [(1, 16, 128, 200), (16, 32, 64, 100), (32, 64, 32, 50), (64, 64, 16, 25)],
+)
+def test_conv2d_matches_batch_major_im2col_on_desk_layers(rng, in_ch, out_ch, height, width):
+    """The desk CNN's four layer shapes at batch 8; deeper layers get a
+    channel-major input, as the previous stage hands them."""
+    batch = 8
+    data = rng.normal(size=(in_ch, batch, height, width)).transpose(1, 0, 2, 3)
+    x = Tensor(data, requires_grad=True)
+    w = Tensor(rng.normal(size=(out_ch, in_ch, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=out_ch), requires_grad=True)
+    out = conv2d(x, w, b)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    ref_out, ref_dx, ref_dw, ref_db = _conv2d_batch_major(x.data, w.data, b.data, g, 1)
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+    for got, ref in ((x.grad, ref_dx), (w.grad, ref_dw), (b.grad, ref_db)):
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_double_backward_accumulates():
     # backward on two separate losses accumulates into the same grads
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)

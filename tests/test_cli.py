@@ -125,10 +125,18 @@ def test_predict_jobs_deterministic(corpus, workdir, tmp_path):
 
 
 def test_calibrate_then_evaluate(corpus, workdir, tmp_path):
+    pred = tmp_path / "pred.csv"
+    assert (
+        main([
+            "predict", "--ckpt", str(workdir / "ast.ckpt"), "--manifest", str(corpus),
+            "--features", str(workdir / "feats"), "--out", str(pred),
+        ])
+        == 0
+    )
     maps = tmp_path / "maps.csv"
     assert (
         main([
-            "calibrate", "--pred", str(workdir / "pred.csv"), "--labels", str(corpus),
+            "calibrate", "--pred", str(pred), "--labels", str(corpus),
             "--group", "language", "--out", str(maps),
         ])
         == 0
@@ -140,7 +148,7 @@ def test_calibrate_then_evaluate(corpus, workdir, tmp_path):
     out = tmp_path / "calibrated.md"
     assert (
         main([
-            "evaluate", "--pred", str(workdir / "pred.csv"), "--labels", str(corpus),
+            "evaluate", "--pred", str(pred), "--labels", str(corpus),
             "--calibration", str(maps), "--reference", "ENG", "--out", str(out),
         ])
         == 0
@@ -208,6 +216,15 @@ def test_unreadable_input_fails_cleanly(tmp_path, capsys):
     code = main(["predict", "--ckpt", str(tmp_path / "missing.ckpt"),
                  "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv")])
     assert code != 0
+    assert "error:" in capsys.readouterr().err
+
+
+def test_output_path_that_is_a_directory_fails_cleanly(corpus, workdir, tmp_path, capsys):
+    code = main([
+        "predict", "--ckpt", str(workdir / "ast.ckpt"), "--manifest", str(corpus),
+        "--features", str(workdir / "feats"), "--out", str(tmp_path),
+    ])
+    assert code == 1
     assert "error:" in capsys.readouterr().err
 
 

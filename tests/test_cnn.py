@@ -121,7 +121,7 @@ def test_predict_scores_matches_cnn_forward(rng):
 def test_identical_seeds_identical_checkpoints(tmp_path):
     from sqatk.checkpoint import load_checkpoint, save_checkpoint
     from sqatk.quality import QualityScores
-    from sqatk.training import make_sample
+    from sqatk.training import TrainConfig, fit, make_sample
 
     config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), n_mels=32, max_duration_s=0.3)
 
@@ -135,10 +135,7 @@ def test_identical_seeds_identical_checkpoints(tmp_path):
             )
             for _ in range(4)
         ]
-        result = cnn_mod.train_baseline(
-            model, samples, samples,
-            cnn_mod.baseline_train_config(max_epochs=4, batch_size=4, seed=8),
-        )
+        result = fit(model, samples, samples, TrainConfig(max_epochs=4, batch_size=4, seed=8))
         save_checkpoint(path, model.kind, model.config_echo(), result.params)
 
     run(tmp_path / "a.ckpt")
