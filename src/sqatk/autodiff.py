@@ -7,7 +7,14 @@ tensors (parameters and inputs created with requires_grad=True)
 accumulate into .grad, so backpropagating several losses that share a
 forward pass sums their gradients exactly. The op set is what the
 scoring models need: broadcast arithmetic, batched matmul, shape ops,
-softmax, layer norm, GELU/ReLU, 3x3 convolution and max pooling.
+softmax, layer norm, GELU/ReLU, scaled dot-product attention, 3x3
+convolution and max pooling.
+
+attention is one op with a hand-written backward. It holds one N x N
+buffer per call: the score GEMM's output, turned into the softmax
+probabilities in place, which is all its backward keeps. It runs the
+same elementwise steps in the same order as the composed ops, so its
+outputs and gradients are bit-equal to theirs.
 
 conv2d lowers to one GEMM over a channel-major im2col matrix of shape
 (C*kh*kw, B*H*W), whose copies run along the contiguous time axis, and
@@ -284,6 +291,42 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
 
     return x._make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention over (B,H,N,dh) heads:
+    softmax(q @ k^T / sqrt(dh) + bias) @ v.
+
+    bias, if given, broadcasts against the (B,H,N,N) scores; -inf
+    entries get exactly zero probability. The GEMM writes the scores into
+    one buffer, and the scale, the bias, the max shift, the exponential
+    and the row normalization run on it in place, leaving the
+    probabilities P, the only N x N array the backward keeps. The
+    backward turns dP = g @ v^T into the score gradient in place. Each
+    elementwise step runs in the same order as in the composed
+    matmul/scale/bias/softmax/matmul ops, so outputs and gradients are
+    bit-equal to theirs."""
+    scale = 1.0 / np.sqrt(q.data.shape[-1])
+    probs = q.data @ k.data.swapaxes(-1, -2)
+    probs *= scale
+    if bias is not None:
+        probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dv = probs.swapaxes(-1, -2) @ g
+        ds = g @ v.data.swapaxes(-1, -2)
+        inner = (ds * probs).sum(axis=-1, keepdims=True)
+        ds -= inner
+        ds *= probs
+        ds *= scale
+        dq = ds @ k.data
+        dk = (q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        return dq, dk, dv
+
+    return q._make(probs @ v.data, (q, k, v), backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

@@ -13,12 +13,14 @@ constant map at the mean rating. Applied outputs are clipped to [1, 5].
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .quality import SCORE_MAX, SCORE_MIN
 
 MONOTONE_GRID_POINTS = 1001
@@ -119,13 +121,14 @@ _HEADER = ["group", "dim", "a0", "a1", "a2", "a3", "domain_lo", "domain_hi"]
 
 
 def save_calibration_maps(path, maps: dict[tuple[str, str], CalibrationMap]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for (group, dim), mapping in sorted(maps.items()):
-            a0, a1, a2, a3 = mapping.coefficients
-            lo, hi = mapping.fit_domain
-            writer.writerow([group, dim, repr(a0), repr(a1), repr(a2), repr(a3), repr(lo), repr(hi)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(_HEADER)
+    for (group, dim), mapping in sorted(maps.items()):
+        a0, a1, a2, a3 = mapping.coefficients
+        lo, hi = mapping.fit_domain
+        writer.writerow([group, dim, repr(a0), repr(a1), repr(a2), repr(a3), repr(lo), repr(hi)])
+    atomic_write(path, buf.getvalue())
 
 
 def load_calibration_maps(path) -> dict[tuple[str, str], CalibrationMap]:

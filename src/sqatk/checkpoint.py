@@ -12,12 +12,12 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_write
 
 MAGIC = b"SQCKPT01"
 
@@ -61,16 +61,7 @@ def save_checkpoint(path, kind: str, config_echo: dict[str, str], tensors: dict[
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
 
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(b"".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, str], dict[str, np.ndarray]]:

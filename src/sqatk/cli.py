@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from . import calibration as cal
 from . import evaluation as ev
 from . import frontend as fe
 from . import training as tr
+from .atomic import atomic_write
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .cnn import ConvBaseline, CnnConfig, init_cnn_params
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
@@ -36,18 +36,6 @@ class CliError(Exception):
 
 
 # ------------------------------------------------------------- utilities
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -167,7 +155,7 @@ def cmd_featurize(args) -> int:
     if args.normalize:
         mean, std = fe.corpus_normalization([v for _, v in computed])
         computed = [(sid, (v - mean) / std) for sid, v in computed]
-        _atomic_write_text(out_dir / "normalization.txt", f"mean={mean!r}\nstd={std!r}\n")
+        atomic_write(out_dir / "normalization.txt", f"mean={mean!r}\nstd={std!r}\n")
 
     for sample_id, values in computed:
         fe.save_features(feature_path(out_dir, sample_id), values)
@@ -258,17 +246,8 @@ def cmd_predict(args) -> int:
     else:
         rows = [score(e) for e in manifest.entries]
 
-    out = Path(args.out)
-    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        ev.write_predictions(tmp, rows)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    print(f"predicted {len(rows)} clips -> {out}")
+    ev.write_predictions(args.out, rows)
+    print(f"predicted {len(rows)} clips -> {args.out}")
     return 0
 
 
@@ -314,17 +293,8 @@ def cmd_calibrate(args) -> int:
             subj = np.array([s for _, s in pairs])
             maps[(group, dim)] = cal.fit_calibration(pred, subj)
 
-    out = Path(args.out)
-    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        cal.save_calibration_maps(tmp, maps)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    print(f"fit {len(maps)} calibration map(s) -> {out}")
+    cal.save_calibration_maps(args.out, maps)
+    print(f"fit {len(maps)} calibration map(s) -> {args.out}")
     return 0
 
 
@@ -337,6 +307,12 @@ def cmd_evaluate(args) -> int:
 
     if args.calibration:
         maps = cal.load_calibration_maps(args.calibration)
+        unmapped = sorted(
+            {(r.language, dim) for r in rows for dim in TASKS if r.label.present(dim)} - set(maps)
+        )
+        if unmapped:
+            names = ", ".join(f"{language}/{dim}" for language, dim in unmapped)
+            print(f"warning: no calibration map for {names}; left uncalibrated", file=sys.stderr)
         calibrated = []
         for row in rows:
             pred = row.pred.as_dict()
@@ -360,7 +336,7 @@ def cmd_evaluate(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        _atomic_write_text(Path(args.out), text)
+        atomic_write(args.out, text)
         print(f"evaluated {len(rows)} samples -> {args.out}")
     return 0
 

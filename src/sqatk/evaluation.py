@@ -9,11 +9,13 @@ rounding half away from zero at display time only.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
+from .atomic import atomic_write
 from .quality import TASK_DISPLAY, QualityScores
 
 DIM_ORDER = ("col", "dis", "loud", "mos", "noi")
@@ -206,19 +208,20 @@ def write_predictions(path, rows: list[PredictionRow]) -> None:
     five pred_* and five label_* columns; empty field means absent."""
     import csv
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["sample_id", "language", "provenance"]
+        + [f"pred_{d}" for d in DIM_ORDER]
+        + [f"label_{d}" for d in DIM_ORDER]
+    )
+    for row in rows:
         writer.writerow(
-            ["sample_id", "language", "provenance"]
-            + [f"pred_{d}" for d in DIM_ORDER]
-            + [f"label_{d}" for d in DIM_ORDER]
+            [row.sample_id, row.language, row.provenance]
+            + ["" if row.pred.get(d) is None else f"{row.pred.get(d):.6f}" for d in DIM_ORDER]
+            + ["" if row.label.get(d) is None else f"{row.label.get(d):g}" for d in DIM_ORDER]
         )
-        for row in rows:
-            writer.writerow(
-                [row.sample_id, row.language, row.provenance]
-                + ["" if row.pred.get(d) is None else f"{row.pred.get(d):.6f}" for d in DIM_ORDER]
-                + ["" if row.label.get(d) is None else f"{row.label.get(d):g}" for d in DIM_ORDER]
-            )
+    atomic_write(path, buf.getvalue())
 
 
 def read_predictions(path) -> list[PredictionRow]:

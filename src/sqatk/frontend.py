@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_write
 
 
 class AudioError(ValueError):
@@ -296,18 +297,8 @@ def log_mel_spectrogram(
 
 def save_features(path: str | os.PathLike, values: np.ndarray) -> None:
     """Write one clip's feature matrix atomically (temp file + rename)."""
-    path = Path(path)
     frames, mels = values.shape
-    payload = struct.pack("<II", frames, mels) + values.astype("<f4").tobytes()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, struct.pack("<II", frames, mels) + values.astype("<f4").tobytes())
 
 
 def load_features(path: str | os.PathLike) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import transformer as tf_mod
-from .autodiff import Tensor, conv2d, layer_norm, maxpool2d
+from .autodiff import Tensor, attention, conv2d, layer_norm, maxpool2d
 from .quality import TASKS
 from .training import mse_loss
 
@@ -86,17 +86,16 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     r_probe = Tensor(rng.normal(size=(5, 5)))
     results["relu"] = check_function(lambda: (r.relu() * r_probe).sum(), {"r": r})
 
-    # Attention: q/k/v projections, masked scores, softmax, value mix.
+    # Attention: q/k/v projections into one head, masked keys, fused op.
     att_x = _rand(rng, (2, 5, 8))
     wq, wk, wv = (_rand(rng, (8, 8)) for _ in range(3))
     mask = np.array([[True, True, True, True, False], [True, True, True, False, False]])
-    bias = np.where(mask, 0.0, -np.inf)[:, None, :]
+    bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
     att_probe = Tensor(rng.normal(size=(2, 5, 8)))
 
     def attention_loss():
-        q, k, v = att_x @ wq, att_x @ wk, att_x @ wv
-        scores = (q @ k.transpose((0, 2, 1))) * (1.0 / np.sqrt(8)) + Tensor(bias)
-        return ((scores.softmax() @ v) * att_probe).sum()
+        q, k, v = ((att_x @ w).reshape((2, 1, 5, 8)) for w in (wq, wk, wv))
+        return (attention(q, k, v, bias).reshape((2, 5, 8)) * att_probe).sum()
 
     results["attention"] = check_function(attention_loss, {"x": att_x, "wq": wq, "wk": wk, "wv": wv})
 

@@ -10,9 +10,11 @@ Audio paths are resolved relative to the manifest file.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import atomic_write
 from .quality import TASKS, QualityScores
 
 VERSION_TAG = "# manifest-v1"
@@ -142,20 +144,21 @@ def load_manifest(path, require_audio: bool = True) -> Manifest:
 
 def write_manifest(path, entries: list[ManifestEntry]) -> None:
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(VERSION_TAG + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for e in entries:
-            audio = e.audio
-            try:
-                audio = Path(audio).resolve().relative_to(path.parent.resolve())
-            except ValueError:
-                pass
-            writer.writerow(
-                [e.sample_id, str(audio), e.language, e.condition, e.split, e.provenance]
-                + ["" if e.scores.get(t) is None else f"{e.scores.get(t):g}" for t in TASKS]
-            )
+    buf = io.StringIO()
+    buf.write(VERSION_TAG + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(COLUMNS)
+    for e in entries:
+        audio = e.audio
+        try:
+            audio = Path(audio).resolve().relative_to(path.parent.resolve())
+        except ValueError:
+            pass
+        writer.writerow(
+            [e.sample_id, str(audio), e.language, e.condition, e.split, e.provenance]
+            + ["" if e.scores.get(t) is None else f"{e.scores.get(t):g}" for t in TASKS]
+        )
+    atomic_write(path, buf.getvalue())
 
 
 @dataclass

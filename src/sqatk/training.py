@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Tensor, no_grad
 from .evaluation import UndefinedCorrelationError, pearson, rmse
 from .quality import SCORE_MAX, SCORE_MIN, TASKS, QualityScores, clip_score
@@ -296,13 +294,4 @@ def write_history(path, history: list[EpochRecord]) -> None:
             + [f"{rec.task_losses[t]:.10g}" if t in rec.task_losses else "" for t in TASKS]
             + [f"{rec.val_pcc_mos:.10g}", f"{rec.val_rmse_mos:.10g}", f"{rec.lr:.10g}", f"{rec.monitor:.10g}"]
         )
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, buf.getvalue())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, layer_norm, uniform_init, zeros_param
+from .autodiff import Tensor, attention, concat, layer_norm, uniform_init, zeros_param
 from .frontend import LogMelSpectrogram
 from .quality import TASKS
 from .training import Scorer
@@ -204,7 +204,6 @@ def _attention(x: Tensor, bias: np.ndarray | None, params, prefix: str, config: 
     batch, n, d = x.shape
     heads = config.n_heads
     dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
 
     def split(t):  # (B,N,D) -> (B,H,N,dh)
         return t.reshape((batch, n, heads, dh)).transpose((0, 2, 1, 3))
@@ -213,11 +212,7 @@ def _attention(x: Tensor, bias: np.ndarray | None, params, prefix: str, config: 
     k = split(x @ params[prefix + "wk"] + params[prefix + "bk"])
     v = split(x @ params[prefix + "wv"] + params[prefix + "bv"])
 
-    scores = (q @ k.transpose((0, 1, 3, 2))) * scale
-    if bias is not None:
-        scores = scores + Tensor(bias)
-    attn = scores.softmax()
-    ctx = (attn @ v).transpose((0, 2, 1, 3)).reshape((batch, n, d))
+    ctx = attention(q, k, v, bias).transpose((0, 2, 1, 3)).reshape((batch, n, d))
     return ctx @ params[prefix + "wo"] + params[prefix + "bo"]
 
 

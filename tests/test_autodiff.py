@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import threading
+import tracemalloc
 
-from sqatk.autodiff import Tensor, concat, conv2d, layer_norm, maxpool2d, no_grad
+from sqatk import transformer as tf
+from sqatk.autodiff import Tensor, attention, concat, conv2d, layer_norm, maxpool2d, no_grad
 from sqatk.gradcheck import check_function, primitive_checks, relative_error
 
 TOL = 1e-3
@@ -298,3 +300,59 @@ def test_no_grad_is_per_thread():
         worker.join(timeout=10)
     assert not worker.is_alive()
     assert seen == [True]
+
+
+def _attention_composed(q, k, v, bias):
+    """The matmul/scale/bias/softmax/matmul chain the fused op replaced,
+    kept as its reference."""
+    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    return scores.softmax() @ v
+
+
+@pytest.mark.parametrize("dh", [16, 12])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_bit_equal_to_composed_ops(rng, dh, masked):
+    """Output, dq, dk and dv equal the composed ops' exactly, on heads
+    split out of (B,N,H,dh) as the encoder does, with and without -inf
+    key bias."""
+    batch, n, heads = 3, 23, 4
+    data = [rng.normal(size=(batch, n, heads, dh)) for _ in range(3)]
+    bias = None
+    if masked:
+        valid = np.arange(n)[None, :] < np.array([[n], [9], [17]])
+        bias = np.where(valid, 0.0, -np.inf)[:, None, None, :]
+    g = rng.normal(size=(batch, heads, n, dh))
+    results = []
+    for op in (attention, _attention_composed):
+        leaves = [Tensor(d, requires_grad=True) for d in data]
+        q, k, v = (t.transpose((0, 2, 1, 3)) for t in leaves)
+        out = op(q, k, v, bias)
+        out.backward(g)
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, ref in zip(*results):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_attention_under_no_grad_records_no_parents(rng):
+    q, k, v = (Tensor(rng.normal(size=(1, 2, 5, 4)), requires_grad=True) for _ in range(3))
+    with no_grad():
+        out = attention(q, k, v)
+    assert out._parents == () and out._backward is None and not out.requires_grad
+
+
+def test_attention_scores_a_12s_clip_in_one_score_buffer_per_layer():
+    """A no-grad forward of a 12 s desk clip (1429 tokens, 4 heads) holds
+    one 62 MiB probability buffer at a time; the composed ops peaked at
+    256 MiB."""
+    model = tf.SpectrogramTransformer(tf.desk_config(max_duration_s=12.0), seed=0)
+    values = np.random.default_rng(0).normal(-5.0, 2.0, size=(1200, model.config.n_mels))
+    tracemalloc.start()
+    try:
+        with no_grad():
+            model.forward_batch(model.collate([model.prepare(values)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -354,3 +354,28 @@ def test_non_integer_env_seed_is_a_typed_error(corpus, workdir, tmp_path, monkey
     assert code == 1
     assert "SQA_SEED" in capsys.readouterr().err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_evaluate_warns_once_about_every_unmapped_labeled_pair(corpus, tmp_path, capsys):
+    from sqatk.quality import TASKS
+
+    pred = _exact_predictions(corpus, tmp_path / "pred.csv")
+    labeled = {
+        (e.language, dim) for e in load_manifest(corpus).entries for dim in TASKS if e.scores.present(dim)
+    }
+    assert ("ENG", "mos") in labeled and len(labeled) > 1
+    maps = tmp_path / "maps.csv"
+    header = "group,dim,a0,a1,a2,a3,domain_lo,domain_hi\n"
+    maps.write_text(header + "ENG,mos,0.0,1.0,0.0,0.0,1.0,5.0\n")
+    args = ["evaluate", "--pred", str(pred), "--labels", str(corpus),
+            "--calibration", str(maps), "--out", "-"]
+    assert main(args) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    named = {tuple(pair.split("/")) for pair in
+             warnings[0].split("no calibration map for ")[1].split(";")[0].split(", ")}
+    assert named == labeled - {("ENG", "mos")}
+
+    maps.write_text(header + "".join(f"{lang},{dim},0.0,1.0,0.0,0.0,1.0,5.0\n" for lang, dim in sorted(labeled)))
+    assert main(args) == 0
+    assert "warning" not in capsys.readouterr().err
