@@ -10,11 +10,11 @@ scoring models need: broadcast arithmetic, batched matmul, shape ops,
 softmax, layer norm, GELU/ReLU, scaled dot-product attention, 3x3
 convolution and max pooling.
 
-attention is one op with a hand-written backward. It holds one N x N
-buffer per call: the score GEMM's output, turned into the softmax
-probabilities in place, which is all its backward keeps. It runs the
-same elementwise steps in the same order as the composed ops, so its
-outputs and gradients are bit-equal to theirs.
+attention is one op with a hand-written backward. It holds one Nq x N
+buffer per call (Nq queries over N keys): the score GEMM's output,
+turned into the softmax probabilities in place, which is all its
+backward keeps. It runs the same elementwise steps in the same order as
+the composed ops, so its outputs and gradients are bit-equal to theirs.
 
 conv2d lowers to one GEMM over a channel-major im2col matrix of shape
 (C*kh*kw, B*H*W), whose copies run along the contiguous time axis, and
@@ -294,14 +294,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention over (B,H,N,dh) heads:
-    softmax(q @ k^T / sqrt(dh) + bias) @ v.
+    """Scaled dot-product attention of (B,H,Nq,dh) query heads over
+    (B,H,N,dh) key and value heads: softmax(q @ k^T / sqrt(dh) + bias) @ v.
+    Nq and N may differ; the encoder's last block passes one query row.
 
-    bias, if given, broadcasts against the (B,H,N,N) scores; -inf
+    bias, if given, broadcasts against the (B,H,Nq,N) scores; -inf
     entries get exactly zero probability. The GEMM writes the scores into
     one buffer, and the scale, the bias, the max shift, the exponential
     and the row normalization run on it in place, leaving the
-    probabilities P, the only N x N array the backward keeps. The
+    probabilities P, the only Nq x N array the backward keeps. The
     backward turns dP = g @ v^T into the score gradient in place. Each
     elementwise step runs in the same order as in the composed
     matmul/scale/bias/softmax/matmul ops, so outputs and gradients are

@@ -1,7 +1,8 @@
 """Compact convolutional baseline over the same log-mel features.
 
-Four conv(3x3) + ReLU + max-pool stages, global average pooling over
-time, and the same five affine heads as the transformer. This is a
+Four conv(3x3) + max-pool + ReLU stages, global average pooling over
+time, and the same five affine heads as the transformer. Max pooling
+and ReLU commute, so each stage pools before its ReLU. This is a
 stand-in architecture for training-protocol experiments; it is not a
 reproduction of any published CNN scorer.
 """
@@ -98,8 +99,8 @@ def cnn_forward_batch(
         raise ModelError(f"input plane {x.shape[2:]} != ({config.n_mels}, {config.max_frames})")
     h = Tensor(x)
     for i, factor in enumerate(config.pool):
-        h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], padding=1).relu()
-        h = maxpool2d(h, factor)
+        h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], padding=1)
+        h = maxpool2d(h, factor).relu()  # ReLU on 1/factor**2 of the cells
     pooled = h.mean(axis=3)  # global average over time
     batch = x.shape[0]
     feats = pooled.reshape((batch, config.derived_head_input))

@@ -99,6 +99,16 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
 
     results["attention"] = check_function(attention_loss, {"x": att_x, "wq": wq, "wk": wk, "wv": wv})
 
+    # One query row, as in the CLS-only last encoder block, against the same masked keys.
+    def attention_cls_loss():
+        q = (att_x[:, :1] @ wq).reshape((2, 1, 1, 8))
+        k, v = ((att_x @ w).reshape((2, 1, 5, 8)) for w in (wk, wv))
+        return (attention(q, k, v, bias).reshape((2, 8)) * att_probe[:, 0]).sum()
+
+    results["attention_cls"] = check_function(
+        attention_cls_loss, {"x": att_x, "wq": wq, "wk": wk, "wv": wv}
+    )
+
     cx = _rand(rng, (2, 3, 6, 7))
     cw = _rand(rng, (4, 3, 3, 3))
     cb = _rand(rng, (4,))

@@ -1,7 +1,9 @@
 """Spectrogram transformer scorer: overlapping 16x16 patches over the
 log-mel plane, a CLS token, learned positional embeddings, pre-norm
 encoder blocks with attention masking for padded frames, and five
-affine heads (mos, col, dis, loud, noi) reading the CLS state.
+affine heads (mos, col, dis, loud, noi) reading the CLS state. Since
+nothing else reads the encoder's output, its last block computes only
+the CLS state: the CLS token is its one query, over every valid key.
 
 Positional embeddings are stored as a (freq, time) grid plus a CLS
 vector, so a model configured for a longer maximum duration extends the
@@ -200,19 +202,24 @@ def embed_batch(
     return tokens, mask
 
 
-def _attention(x: Tensor, bias: np.ndarray | None, params, prefix: str, config: ModelConfig) -> Tensor:
-    batch, n, d = x.shape
+def _attention(
+    queries: Tensor, tokens: Tensor, bias: np.ndarray | None, params, prefix: str, config: ModelConfig
+) -> Tensor:
+    """Multi-head attention of (B,Nq,D) query tokens over (B,N,D) key and
+    value tokens; bias broadcasts against the (B,H,Nq,N) scores."""
+    batch, _, d = tokens.shape
+    n_queries = queries.shape[1]
     heads = config.n_heads
     dh = d // heads
 
-    def split(t):  # (B,N,D) -> (B,H,N,dh)
-        return t.reshape((batch, n, heads, dh)).transpose((0, 2, 1, 3))
+    def split(t):  # (B,n,D) -> (B,H,n,dh)
+        return t.reshape((batch, t.shape[1], heads, dh)).transpose((0, 2, 1, 3))
 
-    q = split(x @ params[prefix + "wq"] + params[prefix + "bq"])
-    k = split(x @ params[prefix + "wk"] + params[prefix + "bk"])
-    v = split(x @ params[prefix + "wv"] + params[prefix + "bv"])
+    q = split(queries @ params[prefix + "wq"] + params[prefix + "bq"])
+    k = split(tokens @ params[prefix + "wk"] + params[prefix + "bk"])
+    v = split(tokens @ params[prefix + "wv"] + params[prefix + "bv"])
 
-    ctx = attention(q, k, v, bias).transpose((0, 2, 1, 3)).reshape((batch, n, d))
+    ctx = attention(q, k, v, bias).transpose((0, 2, 1, 3)).reshape((batch, n_queries, d))
     return ctx @ params[prefix + "wo"] + params[prefix + "bo"]
 
 
@@ -220,9 +227,15 @@ def encoder_forward(
     tokens: Tensor, mask: np.ndarray, params: dict[str, Tensor], config: ModelConfig
 ) -> Tensor:
     """Pre-norm transformer stack over (B,N,D) tokens (or (N,D) for one
-    clip). Masked positions contribute -inf attention logits as keys, so
-    no valid token attends to padding; a fully valid mask needs no bias.
-    n_layers == 0 is the identity."""
+    clip), returning the (B,D) (or (D,)) CLS state the heads read.
+    Masked positions contribute -inf attention logits as keys, so no
+    valid token attends to padding; a fully valid mask needs no bias.
+
+    Nothing after the stack reads any other token, so the last block
+    runs its queries, output projection, residual, LN2 and MLP on the
+    CLS token alone; its LN1, keys and values still cover every token,
+    which leaves the CLS state unchanged. n_layers == 0 returns the CLS
+    token as given."""
     single = tokens.ndim == 2
     if single:
         tokens = tokens.reshape((1,) + tuple(tokens.shape))
@@ -237,14 +250,18 @@ def encoder_forward(
     for i in range(config.n_layers):
         pre = f"layer{i}_"
         h = layer_norm(x, params[pre + "ln1_gamma"], params[pre + "ln1_beta"])
-        x = x + _attention(h, bias, params, pre, config)
+        queries = h
+        if i == config.n_layers - 1:
+            x, queries = x[:, :1], h[:, :1]
+        x = x + _attention(queries, h, bias, params, pre, config)
         h = layer_norm(x, params[pre + "ln2_gamma"], params[pre + "ln2_beta"])
         h = (h @ params[pre + "mlp_w1"] + params[pre + "mlp_b1"]).gelu()
         x = x + (h @ params[pre + "mlp_w2"] + params[pre + "mlp_b2"])
 
-    if not np.isfinite(x.data).all():
+    cls_state = x[0, 0] if single else x[:, 0]
+    if not np.isfinite(cls_state.data).all():
         raise NonFiniteError("non-finite encoder activations")
-    return x.reshape(tuple(x.shape[1:])) if single else x
+    return cls_state
 
 
 def head_outputs(cls_state: Tensor, params: dict[str, Tensor], config: ModelConfig) -> dict[str, Tensor]:
@@ -268,8 +285,7 @@ def forward_scores(
     scores, unclipped so training gradients are unimpeded. positions is
     as in embed_batch."""
     tokens, mask = embed_batch(patches, valid, params, config, positions)
-    encoded = encoder_forward(tokens, mask, params, config)
-    return head_outputs(encoded[:, 0, :], params, config)
+    return head_outputs(encoder_forward(tokens, mask, params, config), params, config)
 
 
 # ------------------------------------------------------------ model facade

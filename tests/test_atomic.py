@@ -91,3 +91,14 @@ def test_every_artifact_writer_is_atomic(tmp_path, monkeypatch):
         write(path)
         assert path.read_bytes() != EARLIER, path.name
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_artifacts_get_the_mode_the_umask_allows(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        for path, write in _write_each_artifact(tmp_path):
+            write(path)
+            assert path.stat().st_mode & 0o777 == mode, path.name
+    finally:
+        os.umask(previous)

@@ -17,7 +17,7 @@ def test_primitive_suite_passes():
     results = primitive_checks(seed=0)
     assert set(results) >= {
         "linear", "softmax", "layer_norm", "gelu", "relu", "attention",
-        "conv2d", "maxpool", "mse", "gather",
+        "attention_cls", "conv2d", "maxpool", "mse", "gather",
     }
     for name, err in results.items():
         assert err < TOL, f"{name}: {err:.3e}"

@@ -9,6 +9,7 @@ import pytest
 from sqatk import cnn as cnn_mod
 from sqatk import frontend as fe
 from sqatk import transformer as tf
+from sqatk.autodiff import Tensor, conv2d, maxpool2d, no_grad
 from sqatk.gradcheck import full_cnn_check
 from sqatk.quality import TASKS, clip_score
 
@@ -143,3 +144,63 @@ def test_identical_seeds_identical_checkpoints(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
     kind, _, _ = load_checkpoint(tmp_path / "a.ckpt")
     assert kind == "cnn"
+
+
+def _forward_relu_then_pool(x, params, config):
+    """The stage order before pooling moved ahead of ReLU, kept as its
+    reference."""
+    h = Tensor(x)
+    for i, factor in enumerate(config.pool):
+        h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], padding=1).relu()
+        h = maxpool2d(h, factor)
+    batch = x.shape[0]
+    feats = h.mean(axis=3).reshape((batch, config.derived_head_input))
+    heads = {t: feats @ params[f"head_{t}_w"] + params[f"head_{t}_b"] for t in TASKS}
+    return {t: raw.reshape((batch,)) for t, raw in heads.items()}
+
+
+def test_pool_then_relu_is_bit_equal_to_relu_then_pool(rng):
+    """Outputs and every parameter gradient are equal, on conv outputs
+    with all-negative windows (channel 1), all-zero windows that tie
+    after ReLU (channel 0) and constant windows over the padding."""
+    config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), n_mels=32, max_duration_s=0.3)
+    params = cnn_mod.init_cnn_params(config, seed=4)
+    params["conv0_w"].data[:2] = 0.0
+    params["conv0_b"].data[:2] = (0.0, -1.0)
+    clips = [rng.normal(-5, 2, size=(n, 32)) for n in (30, 12)]
+    x = np.stack([cnn_mod.pad_to_max_frames(values, config) for values in clips])
+    with no_grad():
+        first = maxpool2d(conv2d(Tensor(x), params["conv0_w"], params["conv0_b"]), 2).data
+    assert (first[:, 0] == 0.0).all() and (first[:, 1] < 0.0).all()
+    labels = rng.uniform(1, 5, size=2)
+
+    def run(forward):
+        for p in params.values():
+            p.zero_grad()
+        preds = forward(x, params, config)
+        total = None
+        for t in TASKS:
+            loss = ((preds[t] - labels) * (preds[t] - labels)).sum()
+            total = loss if total is None else total + loss
+        total.backward()
+        return [preds[t].data for t in TASKS], {name: p.grad.copy() for name, p in params.items()}
+
+    preds, grads = run(cnn_mod.cnn_forward_batch)
+    ref_preds, ref_grads = run(_forward_relu_then_pool)
+    for got, ref in zip(preds, ref_preds):
+        np.testing.assert_array_equal(got, ref)
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+
+def test_raw_score_of_a_short_clip_depends_on_the_window():
+    """Global average pooling averages over the padding too, so the same
+    1 s clip scores differently in a 2 s and a 4 s window. This pins the
+    behaviour; the CNN has no mask-invariance guarantee."""
+    values = np.random.default_rng(0).normal(-5, 2, size=(100, 128))
+    raw = []
+    for seconds in (2.0, 4.0):
+        model = cnn_mod.ConvBaseline(cnn_mod.desk_cnn_config(max_duration_s=seconds), seed=0)
+        with no_grad():
+            raw.append(model.forward_batch(model.collate([model.prepare(values)]))["mos"].data[0])
+    assert raw == [pytest.approx(-0.4954, abs=1e-4), pytest.approx(-0.5471, abs=1e-4)]

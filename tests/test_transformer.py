@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqatk import transformer as tf
-from sqatk.autodiff import Tensor
+from sqatk.autodiff import Tensor, layer_norm
 from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS
 from sqatk.training import mse_loss
@@ -165,10 +165,11 @@ def test_embed_shape_mismatch_rejected(rng):
 
 
 def test_zero_layers_is_identity(rng):
+    """With no blocks the CLS token passes through unchanged."""
     config = tf.desk_config(n_layers=0, max_duration_s=0.5)
     tokens = Tensor(rng.normal(size=(7, config.embed_dim)))
     out = tf.encoder_forward(tokens, np.ones(7, bool), tf.init_params(config, 0), config)
-    np.testing.assert_array_equal(out.data, tokens.data)
+    np.testing.assert_array_equal(out.data, tokens.data[0])
 
 
 def test_encoder_requires_valid_cls(rng):
@@ -181,18 +182,79 @@ def test_encoder_requires_valid_cls(rng):
 
 
 def test_appending_invalid_tokens_preserves_valid_outputs(rng):
-    config = tf.desk_config(max_duration_s=0.5)
-    params = tf.init_params(config, seed=5)
-    n = 9
-    tokens = rng.normal(size=(n, config.embed_dim))
-    mask = np.ones(n, bool)
-    out_short = tf.encoder_forward(Tensor(tokens), mask, params, config).data
+    """Masked tokens leave the CLS state alone. From two layers on, a
+    leak into any valid token of an earlier layer would reach it too."""
+    for n_layers in (1, 2, 3):
+        config = tf.desk_config(n_layers=n_layers, max_duration_s=0.5)
+        params = tf.init_params(config, seed=5)
+        n = 9
+        tokens = rng.normal(size=(n, config.embed_dim))
+        mask = np.ones(n, bool)
+        out_short = tf.encoder_forward(Tensor(tokens), mask, params, config).data
 
-    extra = rng.normal(size=(4, config.embed_dim))
-    tokens_long = np.concatenate([tokens, extra])
-    mask_long = np.concatenate([mask, np.zeros(4, bool)])
-    out_long = tf.encoder_forward(Tensor(tokens_long), mask_long, params, config).data
-    assert np.abs(out_long[:n] - out_short).max() < 1e-5
+        extra = rng.normal(size=(4, config.embed_dim))
+        tokens_long = np.concatenate([tokens, extra])
+        mask_long = np.concatenate([mask, np.zeros(4, bool)])
+        out_long = tf.encoder_forward(Tensor(tokens_long), mask_long, params, config).data
+        assert out_short.shape == (config.embed_dim,)
+        assert np.abs(out_long - out_short).max() < 1e-5, n_layers
+
+
+def _encoder_all_tokens(tokens, mask, params, config):
+    """Every block over every token, then the CLS row: the stack whose
+    last block the CLS-only one replaced, kept as its reference."""
+    bias = None if mask.all() else np.where(mask, 0.0, -np.inf)[:, None, None, :]
+    x = tokens
+    for i in range(config.n_layers):
+        pre = f"layer{i}_"
+        h = layer_norm(x, params[pre + "ln1_gamma"], params[pre + "ln1_beta"])
+        x = x + tf._attention(h, h, bias, params, pre, config)
+        h = layer_norm(x, params[pre + "ln2_gamma"], params[pre + "ln2_beta"])
+        h = (h @ params[pre + "mlp_w1"] + params[pre + "mlp_b1"]).gelu()
+        x = x + (h @ params[pre + "mlp_w2"] + params[pre + "mlp_b2"])
+    return x[:, 0]
+
+
+@pytest.mark.parametrize("frames", [(70,), (70, 100, 25)], ids=["one_clip", "mixed_batch"])
+@pytest.mark.parametrize("packed", [False, True], ids=["dense", "packed"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_cls_only_last_block_equals_full_token_stack(rng, n_layers, packed, frames):
+    """CLS states within 1e-12 and every parameter gradient within 1e-12
+    of the largest one. The bound is global, not per parameter: the key
+    biases have an analytically zero gradient, so theirs is rounding
+    noise."""
+    config = tf.desk_config(n_layers=n_layers, max_duration_s=1.0)
+    model = tf.SpectrogramTransformer(config, seed=12)
+    specs = [make_spec(n, rng=rng) for n in frames]
+    if packed:
+        patches, positions, valid = model.collate([model.prepare(s.values) for s in specs])
+    else:
+        seqs = [tf.extract_patches(s, config) for s in specs]
+        patches, positions = np.stack([s.patches for s in seqs]), None
+        valid = np.stack([s.valid for s in seqs])
+    assert len(frames) == 1 or not valid.all()  # the batch masks some keys
+    labels = rng.uniform(1, 5, size=len(frames))
+
+    def run(encoder):
+        for p in model.params.values():
+            p.zero_grad()
+        tokens, mask = tf.embed_batch(patches, valid, model.params, config, positions)
+        cls_state = encoder(tokens, mask, model.params, config)
+        preds = tf.head_outputs(cls_state, model.params, config)
+        total = None
+        for t in TASKS:
+            loss = mse_loss(preds[t], labels, np.ones(len(frames), bool))
+            total = loss if total is None else total + loss
+        total.backward()
+        return cls_state.data, {name: p.grad.copy() for name, p in model.params.items()}
+
+    cls_state, grads = run(tf.encoder_forward)
+    ref_state, ref_grads = run(_encoder_all_tokens)
+    assert cls_state.shape == (len(frames), config.embed_dim)
+    assert np.abs(cls_state - ref_state).max() <= 1e-12
+    largest = max(np.abs(g).max() for g in ref_grads.values())
+    for name in grads:
+        assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12 * largest, name
 
 
 # ------------------------------------------------------------- prediction
