@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray and records the operations applied to
-it. backward() on a result walks the recorded graph in reverse
+A Tensor wraps a float32 or float64 ndarray and records the operations
+applied to it. backward() on a result walks the recorded graph in reverse
 topological order, routing gradients through a per-call map; leaf
 tensors (parameters and inputs created with requires_grad=True)
 accumulate into .grad, so backpropagating several losses that share a
@@ -25,19 +25,35 @@ first slot, in scan order, that holds the max.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
+
+The dtype follows the data: every op computes in its inputs' dtype, so a
+model with float32 parameters runs float32 end to end and one with
+float64 parameters float64, on the same code. A Tensor keeps float32
+and float64 arrays as given and casts any other input to float64; a
+non-Tensor operand takes the dtype of the Tensor it meets. Under NumPy
+2's promotion rules a Python float keeps an array's dtype but a NumPy
+float64 scalar or 0-d array promotes float32 to float64, so constants
+here are Python floats, and every buffer an op allocates takes its
+input's dtype.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: a NumPy float64 scalar would promote float32 arrays.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+
+# Parameter name -> (shape, init): init is "zeros", "ones", or the fan-in of
+# a uniform +/-1/sqrt(fan_in) draw. Each model's spec lists its parameters.
+ParamSpec = dict[str, tuple[tuple[int, ...], int | str]]
 
 # Per thread, so a scoring thread never switches recording off for another.
 _grad_mode = threading.local()
@@ -71,7 +87,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype != np.float32:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -94,6 +113,12 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
+    def _lift(self, other) -> Tensor:
+        """other as a Tensor; a non-Tensor operand takes this dtype."""
+        if isinstance(other, Tensor):
+            return other
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
+
     def _make(self, data, parents, backward):
         out = Tensor(data)
         if getattr(_grad_mode, "enabled", True) and any(p.requires_grad for p in parents):
@@ -105,7 +130,7 @@ class Tensor:
     # --------------------------------------------------------- arithmetic
 
     def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._lift(other)
 
         def backward(g):
             return _unbroadcast(g, self.data.shape), _unbroadcast(g, other.data.shape)
@@ -118,18 +143,18 @@ class Tensor:
         return self._make(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._lift(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        return Tensor(other) + (-self)
+        return self._lift(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             scale = float(other)
             return self._make(self.data * scale, (self,), lambda g: (g * scale,))
 
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._lift(other)
 
         def backward(g):
             return (
@@ -142,7 +167,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._lift(other)
         a, b = self.data, other.data
 
         def backward(g):
@@ -235,7 +260,7 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.asarray(grad, dtype=self.data.dtype)
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -307,7 +332,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     elementwise step runs in the same order as in the composed
     matmul/scale/bias/softmax/matmul ops, so outputs and gradients are
     bit-equal to theirs."""
-    scale = 1.0 / np.sqrt(q.data.shape[-1])
+    scale = 1.0 / math.sqrt(q.data.shape[-1])  # a Python float keeps float32 scores float32
     probs = q.data @ k.data.swapaxes(-1, -2)
     probs *= scale
     if bias is not None:
@@ -368,9 +393,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
     inner = (slice(None), slice(None), slice(padding, padding + height), slice(padding, padding + width))
     taps = [(u, v) for u in range(kh) for v in range(kw)]
 
-    xp = np.zeros(padded)
+    xp = np.zeros(padded, dtype=x.data.dtype)
     xp[inner] = x.data.transpose(1, 0, 2, 3)
-    cols = np.empty((in_ch, kh * kw, batch, out_h, out_w))
+    cols = np.empty((in_ch, kh * kw, batch, out_h, out_w), dtype=x.data.dtype)
     for t, (u, v) in enumerate(taps):
         cols[:, t] = xp[:, :, u : u + out_h, v : v + out_w]
     del xp  # free the padded copy before the GEMM allocates its output
@@ -384,7 +409,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
         dx = None
         if x.requires_grad:
             dcols = (w_mat.T @ g_mat).reshape(in_ch, kh * kw, batch, out_h, out_w)
-            dxp = np.zeros(padded)
+            dxp = np.zeros(padded, dtype=x.data.dtype)
             for t, (u, v) in enumerate(taps):
                 dxp[:, :, u : u + out_h, v : v + out_w] += dcols[:, t]
             dx = dxp[inner].transpose(1, 0, 2, 3)
@@ -426,11 +451,18 @@ def maxpool2d(x: Tensor, factor: int) -> Tensor:
     return x._make(out_data, (x,), backward)
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    """Uniform init in +/- 1/sqrt(fan_in)."""
-    limit = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
-
-def zeros_param(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+def init_from_spec(spec: ParamSpec, seed: int) -> dict[str, Tensor]:
+    """float64 parameters in spec order, the uniform draws from one
+    generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, (shape, init) in spec.items():
+        if init == "zeros":
+            data = np.zeros(shape)
+        elif init == "ones":
+            data = np.ones(shape)
+        else:
+            limit = 1.0 / np.sqrt(init)
+            data = rng.uniform(-limit, limit, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params

@@ -65,12 +65,14 @@ def save_checkpoint(path, kind: str, config_echo: dict[str, str], tensors: dict[
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, str], dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
+    """(kind, config echo, name -> tensor). Tensors come back as the
+    stored float32, each its own writable array, with no upcast."""
+    raw = memoryview(Path(path).read_bytes())
     if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     pos = len(MAGIC)
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:  # a view: tensor data is copied once, by astype
         nonlocal pos
         if pos + n > len(raw):
             raise CheckpointError(f"{path}: truncated checkpoint")
@@ -79,19 +81,19 @@ def load_checkpoint(path) -> tuple[str, dict[str, str], dict[str, np.ndarray]]:
         return chunk
 
     (kind_len,) = struct.unpack("<B", take(1))
-    kind = take(kind_len).decode("ascii")
+    kind = bytes(take(kind_len)).decode("ascii")
     (config_len,) = struct.unpack("<I", take(4))
-    config = decode_config(take(config_len).decode("utf-8"))
+    config = decode_config(bytes(take(config_len)).decode("utf-8"))
     (n_tensors,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = bytes(take(name_len)).decode("utf-8")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         count = int(np.prod(dims)) if ndim else 1
         data = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
-        tensors[name] = data.astype(np.float64)
+        tensors[name] = data.astype(np.float32)
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
     return kind, config, tensors

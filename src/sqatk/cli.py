@@ -22,13 +22,14 @@ from . import evaluation as ev
 from . import frontend as fe
 from . import training as tr
 from .atomic import atomic_write
+from .autodiff import Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .cnn import ConvBaseline, CnnConfig, init_cnn_params
+from .cnn import ConvBaseline, CnnConfig, cnn_param_spec
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .manifest import Manifest, ManifestError, format_summary, load_manifest, summarize
 from .quality import TASKS
 from .training import TrainConfig, TrainingError, fit, make_sample
-from .transformer import ModelConfig, ModelError, SpectrogramTransformer, init_params
+from .transformer import ModelConfig, ModelError, SpectrogramTransformer, param_spec
 
 
 class CliError(Exception):
@@ -91,6 +92,10 @@ def _pick(config: dict[str, str], keys: dict) -> dict:
             except ValueError as exc:
                 raise CliError(f"config key {key}: {exc}") from exc
     return out
+
+
+# Checkpoint kind -> (adapter, its parameter spec).
+_MODEL_KINDS = {"ast": (SpectrogramTransformer, param_spec), "cnn": (ConvBaseline, cnn_param_spec)}
 
 
 def build_model(kind: str, config: dict[str, str], seed: int = 0):
@@ -205,24 +210,20 @@ def cmd_train(args) -> int:
 
 
 def load_model(path):
+    """The checkpoint's model, holding its float32 tensors as parameters."""
     kind, echo, tensors = load_checkpoint(path)
-    if kind == "ast":
-        config = SpectrogramTransformer.config_from_echo(echo)
-        model = SpectrogramTransformer(config, params=init_params(config, seed=0))
-    elif kind == "cnn":
-        config = ConvBaseline.config_from_echo(echo)
-        model = ConvBaseline(config, params=init_cnn_params(config, seed=0))
-    else:
+    if kind not in _MODEL_KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    for name, param in model.params.items():
+    adapter, spec = _MODEL_KINDS[kind]
+    config = adapter.config_from_echo(echo)
+    params = {}
+    for name, (shape, _) in spec(config).items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
-        if tensors[name].shape != param.data.shape:
-            raise CheckpointError(
-                f"tensor {name!r} shape {tensors[name].shape} != expected {param.data.shape}"
-            )
-        param.data = tensors[name]
-    return model
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"tensor {name!r} shape {tensors[name].shape} != expected {shape}")
+        params[name] = Tensor(tensors[name], requires_grad=True)
+    return adapter(config, params=params)
 
 
 def cmd_predict(args) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv2d, maxpool2d, uniform_init, zeros_param
+from .autodiff import ParamSpec, Tensor, conv2d, init_from_spec, maxpool2d
 from .quality import TASKS
 from .training import Scorer
 from .transformer import PAD_LOG_VALUE, ModelError
@@ -66,27 +66,31 @@ def desk_cnn_config(**overrides) -> CnnConfig:
     return CnnConfig(**base)
 
 
-def init_cnn_params(config: CnnConfig, seed: int = 0) -> dict[str, Tensor]:
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+def cnn_param_spec(config: CnnConfig) -> ParamSpec:
+    """Every parameter's shape and init, in init order: uniform conv and
+    head weights, zero biases."""
+    spec: ParamSpec = {}
     in_ch = 1
     for i, out_ch in enumerate(config.channels):
-        fan_in = in_ch * config.kernel**2
-        params[f"conv{i}_w"] = uniform_init(rng, (out_ch, in_ch, config.kernel, config.kernel), fan_in)
-        params[f"conv{i}_b"] = zeros_param((out_ch,))
+        spec[f"conv{i}_w"] = ((out_ch, in_ch, config.kernel, config.kernel), in_ch * config.kernel**2)
+        spec[f"conv{i}_b"] = ((out_ch,), "zeros")
         in_ch = out_ch
     width = config.derived_head_input
     for task in config.tasks:
-        params[f"head_{task}_w"] = uniform_init(rng, (width, 1), width)
-        params[f"head_{task}_b"] = zeros_param((1,))
-    return params
+        spec[f"head_{task}_w"] = ((width, 1), width)
+        spec[f"head_{task}_b"] = ((1,), "zeros")
+    return spec
+
+
+def init_cnn_params(config: CnnConfig, seed: int = 0) -> dict[str, Tensor]:
+    return init_from_spec(cnn_param_spec(config), seed)
 
 
 def pad_to_max_frames(values: np.ndarray, config: CnnConfig) -> np.ndarray:
     """(frames, mels) -> (1, mels, max_frames) plane, floor-padded."""
     plane = values.T
     n_real = min(plane.shape[1], config.max_frames)
-    padded = np.full((config.n_mels, config.max_frames), config.pad_log_value)
+    padded = np.full((config.n_mels, config.max_frames), config.pad_log_value, dtype=plane.dtype)
     padded[:, :n_real] = plane[:, :n_real]
     return padded[None]
 
@@ -121,7 +125,7 @@ class ConvBaseline(Scorer):
         self.params = params if params is not None else init_cnn_params(config, seed)
 
     def prepare(self, values: np.ndarray) -> np.ndarray:
-        return pad_to_max_frames(values, self.config)
+        return pad_to_max_frames(np.asarray(values, dtype=self.dtype), self.config)
 
     def collate(self, inputs: list[np.ndarray]) -> np.ndarray:
         return np.stack(inputs)

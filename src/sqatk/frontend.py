@@ -302,6 +302,8 @@ def save_features(path: str | os.PathLike, values: np.ndarray) -> None:
 
 
 def load_features(path: str | os.PathLike) -> np.ndarray:
+    """Read one clip's (frames, mels) feature matrix as the stored
+    float32, with no upcast; the model casts it to its own dtype."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise FeatureError(f"{path}: truncated feature file")
@@ -309,8 +311,8 @@ def load_features(path: str | os.PathLike) -> np.ndarray:
     expected = 8 + 4 * frames * mels
     if len(raw) != expected:
         raise FeatureError(f"{path}: size {len(raw)} != expected {expected}")
-    values = np.frombuffer(raw[8:], dtype="<f4").reshape(frames, mels)
-    return values.astype(np.float64)
+    values = np.frombuffer(raw, dtype="<f4", offset=8).reshape(frames, mels)
+    return values.astype(np.float32)
 
 
 def corpus_normalization(feature_list: list[np.ndarray]) -> tuple[float, float]:

@@ -52,52 +52,57 @@ def check_function(build_loss, tensors: dict[str, Tensor], h: float = 1e-5,
     return worst
 
 
-def _rand(rng, shape):
-    return Tensor(rng.normal(0.0, 1.0, size=shape), requires_grad=True)
-
-
-def primitive_checks(seed: int = 0) -> dict[str, float]:
-    """Max relative FD error for each primitive on small random tensors."""
+def primitive_cases(seed: int = 0, dtype=np.float64) -> dict[str, tuple]:
+    """name -> (build_loss, tensors) for each primitive on small random
+    tensors in dtype. The random draws do not depend on dtype."""
     rng = np.random.default_rng(seed)
-    results: dict[str, float] = {}
 
-    x = _rand(rng, (3, 5))
-    w = _rand(rng, (5, 4))
-    b = _rand(rng, (4,))
-    results["linear"] = check_function(lambda: ((x @ w + b) * (x @ w + b)).sum(), {"x": x, "w": w, "b": b})
+    def leaf(shape, loc=0.0, scale=1.0):
+        return Tensor(rng.normal(loc, scale, size=shape).astype(dtype), requires_grad=True)
 
-    s = _rand(rng, (4, 6))
-    probe = Tensor(rng.normal(size=(4, 6)))
-    results["softmax"] = check_function(lambda: (s.softmax() * probe).sum(), {"s": s})
+    def probe(shape):
+        return Tensor(rng.normal(size=shape).astype(dtype))
 
-    ln_x = _rand(rng, (3, 8))
-    gamma = Tensor(rng.normal(1.0, 0.2, size=(8,)), requires_grad=True)
-    beta = _rand(rng, (8,))
-    ln_probe = Tensor(rng.normal(size=(3, 8)))
-    results["layer_norm"] = check_function(
+    cases: dict[str, tuple] = {}
+
+    x = leaf((3, 5))
+    w = leaf((5, 4))
+    b = leaf((4,))
+    cases["linear"] = (lambda: ((x @ w + b) * (x @ w + b)).sum(), {"x": x, "w": w, "b": b})
+
+    s = leaf((4, 6))
+    s_probe = probe((4, 6))
+    cases["softmax"] = (lambda: (s.softmax() * s_probe).sum(), {"s": s})
+
+    ln_x = leaf((3, 8))
+    gamma = leaf((8,), 1.0, 0.2)
+    beta = leaf((8,))
+    ln_probe = probe((3, 8))
+    cases["layer_norm"] = (
         lambda: (layer_norm(ln_x, gamma, beta) * ln_probe).sum(),
         {"x": ln_x, "gamma": gamma, "beta": beta},
     )
 
-    g = _rand(rng, (5, 5))
-    results["gelu"] = check_function(lambda: (g.gelu() * g.gelu()).sum(), {"g": g})
+    g = leaf((5, 5))
+    cases["gelu"] = (lambda: (g.gelu() * g.gelu()).sum(), {"g": g})
 
-    r = _rand(rng, (5, 5))
-    r_probe = Tensor(rng.normal(size=(5, 5)))
-    results["relu"] = check_function(lambda: (r.relu() * r_probe).sum(), {"r": r})
+    r = leaf((5, 5))
+    r_probe = probe((5, 5))
+    cases["relu"] = (lambda: (r.relu() * r_probe).sum(), {"r": r})
 
     # Attention: q/k/v projections into one head, masked keys, fused op.
-    att_x = _rand(rng, (2, 5, 8))
-    wq, wk, wv = (_rand(rng, (8, 8)) for _ in range(3))
+    att_x = leaf((2, 5, 8))
+    wq, wk, wv = (leaf((8, 8)) for _ in range(3))
     mask = np.array([[True, True, True, True, False], [True, True, True, False, False]])
-    bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
-    att_probe = Tensor(rng.normal(size=(2, 5, 8)))
+    bias = np.where(mask, 0.0, -np.inf).astype(dtype)[:, None, None, :]
+    att_probe = probe((2, 5, 8))
 
     def attention_loss():
         q, k, v = ((att_x @ w).reshape((2, 1, 5, 8)) for w in (wq, wk, wv))
         return (attention(q, k, v, bias).reshape((2, 5, 8)) * att_probe).sum()
 
-    results["attention"] = check_function(attention_loss, {"x": att_x, "wq": wq, "wk": wk, "wv": wv})
+    att_tensors = {"x": att_x, "wq": wq, "wk": wk, "wv": wv}
+    cases["attention"] = (attention_loss, att_tensors)
 
     # One query row, as in the CLS-only last encoder block, against the same masked keys.
     def attention_cls_loss():
@@ -105,36 +110,37 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
         k, v = ((att_x @ w).reshape((2, 1, 5, 8)) for w in (wk, wv))
         return (attention(q, k, v, bias).reshape((2, 8)) * att_probe[:, 0]).sum()
 
-    results["attention_cls"] = check_function(
-        attention_cls_loss, {"x": att_x, "wq": wq, "wk": wk, "wv": wv}
-    )
+    cases["attention_cls"] = (attention_cls_loss, att_tensors)
 
-    cx = _rand(rng, (2, 3, 6, 7))
-    cw = _rand(rng, (4, 3, 3, 3))
-    cb = _rand(rng, (4,))
-    c_probe = Tensor(rng.normal(size=(2, 4, 6, 7)))
-    results["conv2d"] = check_function(
-        lambda: (conv2d(cx, cw, cb) * c_probe).sum(), {"x": cx, "w": cw, "b": cb}
-    )
+    cx = leaf((2, 3, 6, 7))
+    cw = leaf((4, 3, 3, 3))
+    cb = leaf((4,))
+    c_probe = probe((2, 4, 6, 7))
+    cases["conv2d"] = (lambda: (conv2d(cx, cw, cb) * c_probe).sum(), {"x": cx, "w": cw, "b": cb})
 
     # Max pooling away from ties: distinct values guaranteed by arange jitter.
     base = np.arange(2 * 2 * 6 * 6, dtype=np.float64).reshape(2, 2, 6, 6)
-    mp = Tensor(base + rng.uniform(0.0, 0.3, size=base.shape), requires_grad=True)
-    mp_probe = Tensor(rng.normal(size=(2, 2, 3, 3)))
-    results["maxpool"] = check_function(lambda: (maxpool2d(mp, 2) * mp_probe).sum(), {"x": mp})
+    mp = Tensor((base + rng.uniform(0.0, 0.3, size=base.shape)).astype(dtype), requires_grad=True)
+    mp_probe = probe((2, 2, 3, 3))
+    cases["maxpool"] = (lambda: (maxpool2d(mp, 2) * mp_probe).sum(), {"x": mp})
 
-    mse_pred = _rand(rng, (6,))
+    mse_pred = leaf((6,))
     target = rng.normal(size=6)
     m = np.array([True, False, True, True, False, True])
-    results["mse"] = check_function(lambda: mse_loss(mse_pred, target, m), {"pred": mse_pred})
+    cases["mse"] = (lambda: mse_loss(mse_pred, target, m), {"pred": mse_pred})
 
     # Row gather with repeated indices, as in the packed positional lookup.
-    table = _rand(rng, (4, 3))
+    table = leaf((4, 3))
     rows = np.array([[1, 1, 2], [0, 2, 2]])
-    gather_probe = Tensor(rng.normal(size=(2, 3, 3)))
-    results["gather"] = check_function(lambda: (table[rows] * gather_probe).sum(), {"table": table})
+    gather_probe = probe((2, 3, 3))
+    cases["gather"] = (lambda: (table[rows] * gather_probe).sum(), {"table": table})
 
-    return results
+    return cases
+
+
+def primitive_checks(seed: int = 0) -> dict[str, float]:
+    """Max relative FD error for each primitive, in float64."""
+    return {name: check_function(loss, tensors) for name, (loss, tensors) in primitive_cases(seed).items()}
 
 
 def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4) -> float:

@@ -56,7 +56,8 @@ def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     count = int(mask.sum())
     if count == 0:
         raise TrainingError("mse_loss needs at least one masked-in entry")
-    diff = (pred - Tensor(np.where(mask, target, 0.0))) * Tensor(mask.astype(np.float64))
+    dtype = pred.data.dtype
+    diff = (pred - Tensor(np.where(mask, target, 0.0).astype(dtype))) * Tensor(mask.astype(dtype))
     return (diff * diff).sum() * (1.0 / count)
 
 
@@ -187,8 +188,15 @@ def predict_raw(model, inputs: list, batch_size: int) -> dict[str, np.ndarray]:
 
 
 class Scorer:
-    """Clip scoring shared by the model adapters, which provide
-    config.tasks, prepare, collate and forward_batch."""
+    """Clip scoring shared by the model adapters, which provide params,
+    config.tasks, prepare, collate and forward_batch. prepare casts its
+    input to dtype once, so the model computes in its parameters' dtype:
+    float32 when loaded from a checkpoint, float64 when freshly
+    initialised for training."""
+
+    @property
+    def dtype(self) -> np.dtype:
+        return next(iter(self.params.values())).data.dtype
 
     def predict_scores(self, values: np.ndarray) -> QualityScores:
         """Score one (frames, mels) feature matrix; values clipped to [1, 5]."""

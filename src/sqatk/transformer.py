@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, attention, concat, layer_norm, uniform_init, zeros_param
+from .autodiff import ParamSpec, Tensor, attention, concat, init_from_spec, layer_norm
 from .frontend import LogMelSpectrogram
 from .quality import TASKS
 from .training import Scorer
@@ -115,7 +115,7 @@ def extract_patches(spec: LogMelSpectrogram, config: ModelConfig) -> PatchSequen
 
     plane = spec.values.T  # (n_mels, frames)
     n_real = min(plane.shape[1], config.max_frames)
-    padded = np.full((config.n_mels, config.max_frames), config.pad_log_value)
+    padded = np.full((config.n_mels, config.max_frames), config.pad_log_value, dtype=plane.dtype)
     padded[:, :n_real] = plane[:, :n_real]
 
     windows = np.lib.stride_tricks.sliding_window_view(padded, (p, p))[
@@ -132,37 +132,43 @@ def extract_patches(spec: LogMelSpectrogram, config: ModelConfig) -> PatchSequen
 # ------------------------------------------------------------- parameters
 
 
-def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Deterministic parameter init: uniform +/-1/sqrt(fan_in) weights,
-    zero biases, zero CLS token, ones/zeros layer-norm scales."""
-    rng = np.random.default_rng(seed)
+def param_spec(config: ModelConfig) -> ParamSpec:
+    """Every parameter's shape and init, in init order: uniform weights,
+    positions and heads; zero biases and CLS token; unit layer-norm
+    scales."""
     d = config.embed_dim
     p2 = config.patch_size**2
-    params: dict[str, Tensor] = {
-        "proj_w": uniform_init(rng, (p2, d), p2),
-        "proj_b": zeros_param((d,)),
-        "cls": zeros_param((d,)),
-        "pos_cls": uniform_init(rng, (d,), d),
-        "pos_grid": uniform_init(rng, (config.n_freq_patches, config.n_time_patches, d), d),
+    hidden = config.mlp_hidden
+    spec: ParamSpec = {
+        "proj_w": ((p2, d), p2),
+        "proj_b": ((d,), "zeros"),
+        "cls": ((d,), "zeros"),
+        "pos_cls": ((d,), d),
+        "pos_grid": ((config.n_freq_patches, config.n_time_patches, d), d),
     }
     for i in range(config.n_layers):
         pre = f"layer{i}_"
-        params[pre + "ln1_gamma"] = Tensor(np.ones(d), requires_grad=True)
-        params[pre + "ln1_beta"] = zeros_param((d,))
+        spec[pre + "ln1_gamma"] = ((d,), "ones")
+        spec[pre + "ln1_beta"] = ((d,), "zeros")
         for name in ("wq", "wk", "wv", "wo"):
-            params[pre + name] = uniform_init(rng, (d, d), d)
+            spec[pre + name] = ((d, d), d)
         for name in ("bq", "bk", "bv", "bo"):
-            params[pre + name] = zeros_param((d,))
-        params[pre + "ln2_gamma"] = Tensor(np.ones(d), requires_grad=True)
-        params[pre + "ln2_beta"] = zeros_param((d,))
-        params[pre + "mlp_w1"] = uniform_init(rng, (d, config.mlp_hidden), d)
-        params[pre + "mlp_b1"] = zeros_param((config.mlp_hidden,))
-        params[pre + "mlp_w2"] = uniform_init(rng, (config.mlp_hidden, d), config.mlp_hidden)
-        params[pre + "mlp_b2"] = zeros_param((d,))
+            spec[pre + name] = ((d,), "zeros")
+        spec[pre + "ln2_gamma"] = ((d,), "ones")
+        spec[pre + "ln2_beta"] = ((d,), "zeros")
+        spec[pre + "mlp_w1"] = ((d, hidden), d)
+        spec[pre + "mlp_b1"] = ((hidden,), "zeros")
+        spec[pre + "mlp_w2"] = ((hidden, d), hidden)
+        spec[pre + "mlp_b2"] = ((d,), "zeros")
     for task in config.tasks:
-        params[f"head_{task}_w"] = uniform_init(rng, (d, 1), d)
-        params[f"head_{task}_b"] = zeros_param((1,))
-    return params
+        spec[f"head_{task}_w"] = ((d, 1), d)
+        spec[f"head_{task}_b"] = ((1,), "zeros")
+    return spec
+
+
+def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
+    """Deterministic float64 init of param_spec(config) from seed."""
+    return init_from_spec(param_spec(config), seed)
 
 
 # ----------------------------------------------------------------- forward
@@ -245,7 +251,9 @@ def encoder_forward(
     if not mask[:, 0].all():
         raise ModelError("CLS position must be valid in the attention mask")
 
-    bias = None if mask.all() else np.where(mask, 0.0, -np.inf)[:, None, None, :]  # (B,1,1,N) keys
+    bias = None  # (B,1,1,N) over the keys, in the tokens' dtype
+    if not mask.all():
+        bias = np.where(mask, 0.0, -np.inf).astype(tokens.data.dtype)[:, None, None, :]
     x = tokens
     for i in range(config.n_layers):
         pre = f"layer{i}_"
@@ -306,9 +314,9 @@ class SpectrogramTransformer(Scorer):
 
     def prepare(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Turn a (frames, mels) feature matrix into the clip's valid
-        patches and their flat grid positions."""
+        patches, in the parameters' dtype, and their flat grid positions."""
         spec = LogMelSpectrogram(
-            values=values,
+            values=np.asarray(values, dtype=self.dtype),
             n_mels=values.shape[1],
             frame_hop_s=self.config.frame_hop_s,
             frame_len_s=0.025,
@@ -319,7 +327,7 @@ class SpectrogramTransformer(Scorer):
     def collate(self, inputs: list[tuple[np.ndarray, np.ndarray]]):
         """Pad a batch up to its longest clip; the mask hides the padding."""
         longest = max(len(pos) for _, pos in inputs)
-        patches = np.zeros((len(inputs), longest, self.config.patch_size**2))
+        patches = np.zeros((len(inputs), longest, self.config.patch_size**2), dtype=inputs[0][0].dtype)
         positions = np.zeros((len(inputs), longest), dtype=np.intp)
         valid = np.zeros((len(inputs), longest), dtype=bool)
         for i, (clip_patches, clip_positions) in enumerate(inputs):

@@ -8,7 +8,7 @@ import tracemalloc
 
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, attention, concat, conv2d, layer_norm, maxpool2d, no_grad
-from sqatk.gradcheck import check_function, primitive_checks, relative_error
+from sqatk.gradcheck import check_function, primitive_cases, primitive_checks, relative_error
 
 TOL = 1e-3
 
@@ -21,6 +21,70 @@ def test_primitive_suite_passes():
     }
     for name, err in results.items():
         assert err < TOL, f"{name}: {err:.3e}"
+
+
+def _graph_dtypes(root):
+    """Wrap every backward closure under root to record the dtype of each
+    gradient it returns; returns (forward dtypes, gradient dtypes), the
+    second filled in by root.backward()."""
+    forward, grads = set(), set()
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        forward.add(node.data.dtype)
+        if node._backward is not None:
+            def recording(g, inner=node._backward):
+                out = inner(g)
+                grads.update(pg.dtype for pg in out if pg is not None)
+                return out
+
+            node._backward = recording
+        stack.extend(node._parents)
+    return forward, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(primitive_cases()))
+def test_primitive_keeps_its_input_dtype(name, dtype):
+    """Each gradcheck primitive computes in its inputs' dtype: every
+    forward value, every intermediate gradient and every leaf gradient.
+    float64 inputs stay float64 throughout, so the FD gradcheck still
+    checks the float64 code."""
+    build_loss, tensors = primitive_cases(seed=0, dtype=dtype)[name]
+    loss = build_loss()
+    forward, grads = _graph_dtypes(loss)
+    loss.backward()
+    assert forward == {np.dtype(dtype)}
+    assert grads == {np.dtype(dtype)}
+    for leaf in tensors.values():
+        assert leaf.grad.dtype == dtype
+
+
+def test_backward_seed_follows_the_output_dtype():
+    x = Tensor(np.arange(3, dtype=np.float32), requires_grad=True)
+    y = x * x
+    _, grads = _graph_dtypes(y)
+    y.backward(grad=[1.0, 1.0, 1.0])
+    assert grads == {np.dtype(np.float32)}
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
+
+
+def test_tensor_keeps_float32_and_float64_and_casts_the_rest():
+    for dtype in (np.float32, np.float64):
+        data = np.ones(2, dtype=dtype)
+        assert Tensor(data).data is data
+    for data in ([1, 2], np.arange(2), np.ones(2, dtype=np.float16), 3.0, np.array([True])):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def test_python_and_array_operands_take_the_tensor_dtype():
+    x = Tensor(np.ones(3, dtype=np.float32))
+    for out in (x + 1.0, 1.0 - x, x * np.float64(2.0), x * np.ones(3), x @ np.ones((3, 2)), x.mean()):
+        assert out.data.dtype == np.float32
 
 
 def test_sum_of_params_gradient_all_ones():
@@ -311,19 +375,14 @@ def _attention_composed(q, k, v, bias):
     return scores.softmax() @ v
 
 
-@pytest.mark.parametrize("dh", [16, 12])
-@pytest.mark.parametrize("masked", [False, True])
-def test_attention_bit_equal_to_composed_ops(rng, dh, masked):
-    """Output, dq, dk and dv equal the composed ops' exactly, on heads
-    split out of (B,N,H,dh) as the encoder does, with and without -inf
-    key bias."""
+def _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, dtype):
     batch, n, heads = 3, 23, 4
-    data = [rng.normal(size=(batch, n, heads, dh)) for _ in range(3)]
+    data = [rng.normal(size=(batch, n, heads, dh)).astype(dtype) for _ in range(3)]
     bias = None
     if masked:
         valid = np.arange(n)[None, :] < np.array([[n], [9], [17]])
-        bias = np.where(valid, 0.0, -np.inf)[:, None, None, :]
-    g = rng.normal(size=(batch, heads, n, dh))
+        bias = np.where(valid, 0.0, -np.inf).astype(dtype)[:, None, None, :]
+    g = rng.normal(size=(batch, heads, n, dh)).astype(dtype)
     results = []
     for op in (attention, _attention_composed):
         leaves = [Tensor(d, requires_grad=True) for d in data]
@@ -332,7 +391,25 @@ def test_attention_bit_equal_to_composed_ops(rng, dh, masked):
         out.backward(g)
         results.append([out.data] + [t.grad for t in leaves])
     for got, ref in zip(*results):
+        assert got.dtype == ref.dtype == dtype
         np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dh", [16, 12])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_bit_equal_to_composed_ops(rng, dh, masked):
+    """Output, dq, dk and dv equal the composed ops' exactly, on heads
+    split out of (B,N,H,dh) as the encoder does, with and without -inf
+    key bias."""
+    _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, np.float64)
+
+
+@pytest.mark.parametrize("dh", [16, 12])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_bit_equal_to_composed_ops_in_float32(rng, dh, masked):
+    """The same in float32: the scale is a Python float in both, so
+    neither computes a step in float64."""
+    _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, np.float32)
 
 
 def test_attention_under_no_grad_records_no_parents(rng):

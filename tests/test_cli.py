@@ -4,10 +4,12 @@ predict, calibrate, evaluate, gradcheck, plus the error contract."""
 import numpy as np
 import pytest
 
-from sqatk.cli import main
+from sqatk.checkpoint import load_checkpoint, save_checkpoint
+from sqatk.cli import build_model, load_config_file, load_model, main
 from sqatk.evaluation import parse_report, read_predictions
 from sqatk.manifest import load_manifest
 from sqatk.synth import generate_corpus
+from sqatk.training import predict_raw
 
 DESK_CONFIG = """
 # desk-scale transformer
@@ -122,6 +124,52 @@ def test_predict_jobs_deterministic(corpus, workdir, tmp_path):
     assert main(base + ["--out", str(a), "--jobs", "1"]) == 0
     assert main(base + ["--out", str(b), "--jobs", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("kind, config_text", [("ast", DESK_CONFIG), ("cnn", CNN_CONFIG)], ids=["ast", "cnn"])
+def test_loaded_model_holds_the_saved_float32_values(tmp_path, kind, config_text):
+    """build_model gives float64 parameters for training; load_model gives
+    the checkpoint's <f4 values, bit for bit, as float32 parameters."""
+    config = tmp_path / "model.cfg"
+    config.write_text(config_text)
+    fresh = build_model(kind, load_config_file(config), seed=7)
+    assert all(p.data.dtype == np.float64 for p in fresh.params.values())
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, kind, fresh.config_echo(), {k: p.data for k, p in fresh.params.items()})
+
+    loaded = load_model(ckpt)
+    assert loaded.dtype == np.float32
+    assert list(loaded.params) == list(fresh.params)
+    for name, param in loaded.params.items():
+        assert param.data.dtype == np.float32
+        assert param.data.tobytes() == fresh.params[name].data.astype("<f4").tobytes(), name
+    values = np.random.default_rng(0).normal(-5.0, 2.0, size=(60, 128))  # float64, as the front end gives
+    raw = predict_raw(loaded, [loaded.prepare(values)], batch_size=1)
+    assert all(scores.dtype == np.float32 for scores in raw.values())
+
+
+def test_predict_from_audio_writes_the_bytes_of_predict_from_the_cache(corpus, workdir, tmp_path):
+    """The float64 log-mel computed on the fly and the float32 cache meet
+    at the same cast to the model's float32 in prepare."""
+    from_audio, from_cache = tmp_path / "audio.csv", tmp_path / "cache.csv"
+    base = ["predict", "--ckpt", str(workdir / "ast.ckpt"), "--manifest", str(corpus)]
+    assert main(base + ["--out", str(from_audio)]) == 0
+    assert main(base + ["--features", str(workdir / "feats"), "--out", str(from_cache)]) == 0
+    assert from_audio.read_bytes() == from_cache.read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["missing", "reshaped"])
+def test_checkpoint_without_a_model_tensor_is_a_typed_error(corpus, workdir, tmp_path, capsys, damage):
+    kind, echo, tensors = load_checkpoint(workdir / "ast.ckpt")
+    if damage == "missing":
+        del tensors["layer0_wq"]
+    else:
+        tensors["layer0_wq"] = tensors["layer0_wq"].reshape(-1)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, kind, echo, tensors)
+    assert main(["predict", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(tmp_path / "p.csv")]) == 1
+    assert "layer0_wq" in capsys.readouterr().err
 
 
 def test_calibrate_then_evaluate(corpus, workdir, tmp_path):

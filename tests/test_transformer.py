@@ -10,7 +10,7 @@ from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, layer_norm
 from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS
-from sqatk.training import mse_loss
+from sqatk.training import mse_loss, predict_raw
 
 HOP = 0.010
 
@@ -394,6 +394,23 @@ def test_mask_invariance_under_extended_padding(rng):
         out_l = tf.forward_scores(seq_l.patches[None], seq_l.valid[None], params_long, long_cfg)
         for t in TASKS:
             assert abs(out_s[t].data[0] - out_l[t].data[0]) < 1e-5
+
+
+def test_float32_batch_with_masked_keys_scores_as_each_clip_alone(rng):
+    """A model with float32 parameters, as loaded from a checkpoint,
+    scores clips of 1 to 15 s in one padded batch as it scores each alone,
+    within criterion 4's 1e-5."""
+    config = tf.desk_config(max_duration_s=15.0, n_heads=2)  # 2 heads: half the 1789^2 score buffers
+    params = {k: Tensor(p.data.astype(np.float32)) for k, p in tf.init_params(config, seed=12).items()}
+    model = tf.SpectrogramTransformer(config, params)
+    inputs = [model.prepare(make_spec(n, rng=rng).values) for n in (100, 350, 700, 1500)]
+    assert inputs[0][0].dtype == np.float32
+
+    batched = predict_raw(model, inputs, batch_size=len(inputs))
+    alone = predict_raw(model, inputs, batch_size=1)
+    for t in TASKS:
+        assert batched[t].dtype == np.float32
+        assert np.abs(batched[t] - alone[t]).max() < 1e-5, t
 
 
 # ------------------------------------------------------------ grad patterns
