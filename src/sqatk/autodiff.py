@@ -28,7 +28,10 @@ only the activations they are still using.
 
 The dtype follows the data: every op computes in its inputs' dtype, so a
 model with float32 parameters runs float32 end to end and one with
-float64 parameters float64, on the same code. A Tensor keeps float32
+float64 parameters float64, on the same code. init_from_spec gives
+float32 parameters, the dtype a checkpoint stores, so training and
+scoring both run in float32; float64 runs only where a caller casts to
+it, as the finite-difference gradient checks do. A Tensor keeps float32
 and float64 arrays as given and casts any other input to float64; a
 non-Tensor operand takes the dtype of the Tensor it meets. Under NumPy
 2's promotion rules a Python float keeps an array's dtype but a NumPy
@@ -452,17 +455,18 @@ def maxpool2d(x: Tensor, factor: int) -> Tensor:
 
 
 def init_from_spec(spec: ParamSpec, seed: int) -> dict[str, Tensor]:
-    """float64 parameters in spec order, the uniform draws from one
-    generator seeded with seed."""
+    """float32 parameters in spec order, the dtype a checkpoint stores.
+    The uniform draws are float64 from one generator seeded with seed,
+    then rounded, so the random stream does not depend on the dtype."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, (shape, init) in spec.items():
         if init == "zeros":
-            data = np.zeros(shape)
+            data = np.zeros(shape, dtype=np.float32)
         elif init == "ones":
-            data = np.ones(shape)
+            data = np.ones(shape, dtype=np.float32)
         else:
             limit = 1.0 / np.sqrt(init)
-            data = rng.uniform(-limit, limit, size=shape)
+            data = rng.uniform(-limit, limit, size=shape).astype(np.float32)
         params[name] = Tensor(data, requires_grad=True)
     return params

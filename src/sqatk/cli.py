@@ -188,6 +188,11 @@ def cmd_train(args) -> int:
 
     history_path = Path(args.history) if args.history else Path(str(args.out) + ".history.csv")
     result = fit(model, train_samples, val_samples, train_config, history_path=history_path)
+    if result.best_epoch == 0:
+        raise TrainingError(
+            f"no validation MOS correlation was defined in any of {result.epochs_run} epoch(s), "
+            f"so no epoch can be picked; history -> {history_path}, no checkpoint written"
+        )
 
     echo = model.config_echo()
     echo.update(
@@ -215,7 +220,12 @@ def load_model(path):
     if kind not in _MODEL_KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     adapter, spec = _MODEL_KINDS[kind]
-    config = adapter.config_from_echo(echo)
+    try:
+        config = adapter.config_from_echo(echo)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: model config echo has no {exc.args[0]} key") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad model config echo: {exc}") from exc
     params = {}
     for name, (shape, _) in spec(config).items():
         if name not in tensors:

@@ -83,6 +83,7 @@ def cnn_param_spec(config: CnnConfig) -> ParamSpec:
 
 
 def init_cnn_params(config: CnnConfig, seed: int = 0) -> dict[str, Tensor]:
+    """Deterministic float32 init of cnn_param_spec(config) from seed."""
     return init_from_spec(cnn_param_spec(config), seed)
 
 

@@ -143,11 +143,17 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     return {name: check_function(loss, tensors) for name, (loss, tensors) in primitive_cases(seed).items()}
 
 
+def _float64(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """float64 copies of freshly initialised (float32) parameters: central
+    differences with these steps need float64's resolution."""
+    return {k: Tensor(p.data.astype(np.float64), requires_grad=True) for k, p in params.items()}
+
+
 def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4) -> float:
     """FD check of the complete 2-layer desk transformer loss on a packed
-    batch of two clips of different lengths."""
+    batch of two clips of different lengths, in float64."""
     config = tf_mod.desk_config(max_duration_s=0.6)
-    params = tf_mod.init_params(config, seed=seed)
+    params = _float64(tf_mod.init_params(config, seed=seed))
     rng = np.random.default_rng(seed + 1)
 
     model = tf_mod.SpectrogramTransformer(config, params)
@@ -174,9 +180,10 @@ def full_cnn_check(seed: int = 0, h: float = 1e-4, coords_per_tensor: int = 4) -
     """FD check of the CNN baseline loss on a small input plane.
 
     The network is piecewise linear (ReLU + max pool), so the step is
-    smaller than the transformer's to stay away from kink crossings."""
+    smaller than the transformer's to stay away from kink crossings.
+    Runs in float64, like full_model_check."""
     config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), n_mels=32, max_duration_s=0.4)
-    params = cnn_mod.init_cnn_params(config, seed=seed)
+    params = _float64(cnn_mod.init_cnn_params(config, seed=seed))
     rng = np.random.default_rng(seed + 1)
     batch = 2
     x = rng.normal(-5.0, 2.0, size=(batch, 1, config.n_mels, config.max_frames))

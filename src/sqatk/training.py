@@ -191,8 +191,8 @@ class Scorer:
     """Clip scoring shared by the model adapters, which provide params,
     config.tasks, prepare, collate and forward_batch. prepare casts its
     input to dtype once, so the model computes in its parameters' dtype:
-    float32 when loaded from a checkpoint, float64 when freshly
-    initialised for training."""
+    float32, whether freshly initialised for training or loaded from a
+    checkpoint."""
 
     @property
     def dtype(self) -> np.dtype:
@@ -230,7 +230,9 @@ def fit(
     history_path=None,
 ) -> FitResult:
     """Train until early stopping or max_epochs; returns the checkpoint
-    with the best validation monitor and the per-epoch history."""
+    with the best validation monitor and the per-epoch history. If no
+    epoch had a defined monitor, best_epoch is 0 and params are the
+    initial ones."""
     if config.max_epochs < 1:
         raise TrainingError("no training performed: max_epochs is 0")
     if not train_samples or not val_samples:

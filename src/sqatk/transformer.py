@@ -167,7 +167,7 @@ def param_spec(config: ModelConfig) -> ParamSpec:
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Deterministic float64 init of param_spec(config) from seed."""
+    """Deterministic float32 init of param_spec(config) from seed."""
     return init_from_spec(param_spec(config), seed)
 
 
@@ -372,22 +372,3 @@ class SpectrogramTransformer(Scorer):
             frame_hop_s=float(echo["model.frame_hop_s"]),
         )
 
-
-def widen_max_duration(
-    params: dict[str, Tensor], old: ModelConfig, new: ModelConfig, seed: int = 0
-) -> dict[str, Tensor]:
-    """Carry parameters to a config with a longer max duration: the
-    positional grid keeps existing (freq, time) entries and appends
-    freshly initialized columns for the new time positions."""
-    if new.n_time_patches < old.n_time_patches or new.n_freq_patches != old.n_freq_patches:
-        raise ModelError("target config must extend the time axis only")
-    fresh = init_params(new, seed)
-    out = {}
-    for name, tensor in fresh.items():
-        if name == "pos_grid":
-            grid = tensor.data.copy()
-            grid[:, : old.n_time_patches, :] = params["pos_grid"].data
-            out[name] = Tensor(grid, requires_grad=True)
-        else:
-            out[name] = Tensor(params[name].data.copy(), requires_grad=True)
-    return out

@@ -25,6 +25,7 @@ from sqatk.quality import TASKS
 from sqatk.synth import generate_corpus
 from sqatk.training import Adam, PatienceController, mse_loss
 
+from model_fixtures import widen_max_duration
 from table_fixtures import ALL_TABLES, CNN_PCC
 from test_frontend import naive_log_mel
 
@@ -108,7 +109,8 @@ def test_criterion_3_overfit_transformer(overfit_corpus):
     start = time.monotonic()
     config = tf.desk_config(max_duration_s=1.0)  # embed 64, 2 layers
     params = tf.init_params(config, seed=0)
-    seqs = [tf.extract_patches(tf.LogMelSpectrogram(v, 128, 0.010, 0.025), config)
+    dtype = params["proj_w"].data.dtype  # float32: cast the features as prepare does
+    seqs = [tf.extract_patches(tf.LogMelSpectrogram(v.astype(dtype), 128, 0.010, 0.025), config)
             for v in features]
     patches = np.stack([s.patches for s in seqs])
     valid = np.stack([s.valid for s in seqs])
@@ -134,7 +136,8 @@ def test_criterion_3_overfit_cnn(overfit_corpus):
     start = time.monotonic()
     config = cnn_mod.desk_cnn_config(max_duration_s=1.0)
     params = cnn_mod.init_cnn_params(config, seed=0)
-    planes = np.stack([cnn_mod.pad_to_max_frames(v, config) for v in features])
+    dtype = params["conv0_w"].data.dtype  # float32: cast the features as prepare does
+    planes = np.stack([cnn_mod.pad_to_max_frames(v.astype(dtype), config) for v in features])
 
     steps, per_task, max_dev = overfit_full_batch(
         lambda: cnn_mod.cnn_forward_batch(planes, params, config), params, labels
@@ -159,7 +162,8 @@ def test_criterion_4_mask_invariance():
     short_cfg = tf.desk_config(max_duration_s=1.0)
     long_cfg = tf.desk_config(max_duration_s=1.5)
     params_short = tf.init_params(short_cfg, seed=21)
-    params_long = tf.widen_max_duration(params_short, short_cfg, long_cfg, seed=22)
+    params_long = widen_max_duration(params_short, short_cfg, long_cfg, seed=22)
+    dtype = params_short["proj_w"].data.dtype  # float32, the dtype a model computes in
     rng = np.random.default_rng(23)
     # clip content must end inside the patch coverage shared by both grids
     max_frames = short_cfg.n_time_patches * short_cfg.patch_stride_time
@@ -172,9 +176,10 @@ def test_criterion_4_mask_invariance():
         spec = fe.log_mel_spectrogram(clip)
         seq_s = tf.extract_patches(spec, short_cfg)
         seq_l = tf.extract_patches(spec, long_cfg)
-        out_s = tf.forward_scores(seq_s.patches[None], seq_s.valid[None], params_short, short_cfg)
-        out_l = tf.forward_scores(seq_l.patches[None], seq_l.valid[None], params_long, long_cfg)
+        out_s = tf.forward_scores(seq_s.patches[None].astype(dtype), seq_s.valid[None], params_short, short_cfg)
+        out_l = tf.forward_scores(seq_l.patches[None].astype(dtype), seq_l.valid[None], params_long, long_cfg)
         for t in TASKS:
+            assert out_s[t].data.dtype == out_l[t].data.dtype == dtype
             worst = max(worst, abs(float(out_s[t].data[0]) - float(out_l[t].data[0])))
     print(f"criterion 4: max head output change under extended padding {worst:.3e} (< 1e-5)")
     assert worst < 1e-5

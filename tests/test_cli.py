@@ -1,15 +1,19 @@
 """End-to-end CLI tests over a synthetic corpus: featurize, train,
 predict, calibrate, evaluate, gradcheck, plus the error contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sqatk import cli
 from sqatk.checkpoint import load_checkpoint, save_checkpoint
 from sqatk.cli import build_model, load_config_file, load_model, main
 from sqatk.evaluation import parse_report, read_predictions
-from sqatk.manifest import load_manifest
+from sqatk.manifest import load_manifest, write_manifest
+from sqatk.quality import TASKS, QualityScores
 from sqatk.synth import generate_corpus
-from sqatk.training import predict_raw
+from sqatk.training import Adam, _batch_losses, make_sample, predict_raw
 
 DESK_CONFIG = """
 # desk-scale transformer
@@ -127,25 +131,88 @@ def test_predict_jobs_deterministic(corpus, workdir, tmp_path):
 
 
 @pytest.mark.parametrize("kind, config_text", [("ast", DESK_CONFIG), ("cnn", CNN_CONFIG)], ids=["ast", "cnn"])
-def test_loaded_model_holds_the_saved_float32_values(tmp_path, kind, config_text):
-    """build_model gives float64 parameters for training; load_model gives
-    the checkpoint's <f4 values, bit for bit, as float32 parameters."""
+def test_loaded_model_holds_the_saved_float32_values(corpus, workdir, tmp_path, monkeypatch, kind, config_text):
+    """build_model gives float32 parameters; train writes the tensors of
+    the epoch fit picked, bit for bit; load_model returns them bit for
+    bit as float32 parameters. So the model that was validated is the
+    model that predict scores with."""
     config = tmp_path / "model.cfg"
     config.write_text(config_text)
     fresh = build_model(kind, load_config_file(config), seed=7)
-    assert all(p.data.dtype == np.float64 for p in fresh.params.values())
-    ckpt = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, kind, fresh.config_echo(), {k: p.data for k, p in fresh.params.items()})
+    assert all(p.data.dtype == np.float32 for p in fresh.params.values())
 
+    results, real_fit = [], cli.fit
+
+    def recording_fit(*args, **kwargs):
+        results.append(real_fit(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "fit", recording_fit)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--model", kind, "--config", str(config), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(ckpt)]) == 0
+    (result,) = results
+    _, _, written = load_checkpoint(ckpt)
     loaded = load_model(ckpt)
     assert loaded.dtype == np.float32
-    assert list(loaded.params) == list(fresh.params)
-    for name, param in loaded.params.items():
-        assert param.data.dtype == np.float32
-        assert param.data.tobytes() == fresh.params[name].data.astype("<f4").tobytes(), name
+    assert list(written) == list(loaded.params) == list(result.params) == list(fresh.params)
+    for name, best in result.params.items():
+        assert best.dtype == np.float32, name
+        assert written[name].tobytes() == best.tobytes(), name
+        assert loaded.params[name].data.tobytes() == best.tobytes(), name
     values = np.random.default_rng(0).normal(-5.0, 2.0, size=(60, 128))  # float64, as the front end gives
     raw = predict_raw(loaded, [loaded.prepare(values)], batch_size=1)
     assert all(scores.dtype == np.float32 for scores in raw.values())
+
+
+@pytest.mark.parametrize("kind, config_text", [("ast", DESK_CONFIG), ("cnn", CNN_CONFIG)], ids=["ast", "cnn"])
+def test_training_step_keeps_float32(tmp_path, kind, config_text):
+    """One step of train's loop on a build_model model, from float64
+    features as the front end gives them: every parameter, gradient and
+    ADAM moment, and the loss, stay float32."""
+    config = tmp_path / "model.cfg"
+    config.write_text(config_text)
+    model = build_model(kind, load_config_file(config), seed=7)
+    rng = np.random.default_rng(1)
+    samples = [
+        make_sample(model.prepare(rng.normal(-5.0, 2.0, size=(n, 128))),
+                    QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
+        for n in (60, 100, 80)
+    ]
+    optimizer = Adam(model.params)
+    total, _ = _batch_losses(model, samples)
+    total.backward()
+    optimizer.step(1e-3)
+    assert total.data.dtype == np.float32
+    for name, p in model.params.items():
+        assert p.data.dtype == np.float32, name
+        assert p.grad is not None and p.grad.dtype == np.float32, name
+        assert optimizer.m[name].dtype == np.float32, name
+        assert optimizer.v[name].dtype == np.float32, name
+
+
+def test_train_without_a_defined_validation_monitor_is_a_typed_error(corpus, workdir, tmp_path, capsys):
+    """Constant validation MOS labels leave the correlation undefined in
+    every epoch: train writes the history, then fails with exit 1 and
+    writes no checkpoint."""
+    entries = [
+        replace(e, scores=replace(e.scores, mos=3.0)) if e.split == "val" else e
+        for e in load_manifest(corpus).entries
+    ]
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(manifest, entries)
+    config = tmp_path / "desk.cfg"
+    config.write_text(DESK_CONFIG)
+    ckpt = tmp_path / "model.ckpt"
+    code = main(["train", "--model", "ast", "--config", str(config), "--manifest", str(manifest),
+                 "--features", str(workdir / "feats"), "--out", str(ckpt)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "no validation MOS correlation" in err and "3 epoch(s)" in err
+    assert not ckpt.exists()
+    history = (tmp_path / "model.ckpt.history.csv").read_text().splitlines()
+    assert len(history) == 1 + 3
+    assert all(line.endswith(",-inf") for line in history[1:])
 
 
 def test_predict_from_audio_writes_the_bytes_of_predict_from_the_cache(corpus, workdir, tmp_path):
@@ -170,6 +237,23 @@ def test_checkpoint_without_a_model_tensor_is_a_typed_error(corpus, workdir, tmp
     assert main(["predict", "--ckpt", str(ckpt), "--manifest", str(corpus),
                  "--features", str(workdir / "feats"), "--out", str(tmp_path / "p.csv")]) == 1
     assert "layer0_wq" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage, named", [("missing", "model.n_heads"), ("non_numeric", "'two'")])
+def test_checkpoint_with_a_bad_model_config_echo_is_a_typed_error(corpus, workdir, tmp_path, capsys,
+                                                                   damage, named):
+    kind, echo, tensors = load_checkpoint(workdir / "ast.ckpt")
+    if damage == "missing":
+        del echo["model.n_heads"]
+    else:
+        echo["model.n_heads"] = "two"
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, kind, echo, tensors)
+    assert main(["predict", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_calibrate_then_evaluate(corpus, workdir, tmp_path):
@@ -227,8 +311,12 @@ def test_cnn_train_checkpoint_echoes_protocol(corpus, workdir, tmp_path):
 
 
 def test_cnn_default_protocol_echo(corpus, workdir, tmp_path):
+    # One stage: the untrained MOS outputs already fall inside [1, 5], so
+    # the one epoch at the default learning rate has a defined validation
+    # correlation and train picks it. Deeper desk CNNs start near 0, where
+    # every clipped prediction is 1 and train rightly writes no checkpoint.
     config = tmp_path / "cnn_default.cfg"
-    config.write_text("channels=8,16\npool=2,2\nmax_duration_s=1.0\nmax_epochs=1\n")
+    config.write_text("channels=8\npool=2\nmax_duration_s=1.0\nmax_epochs=1\n")
     ckpt = tmp_path / "cnn_default.ckpt"
     assert (
         main([
@@ -246,6 +334,7 @@ def test_cnn_default_protocol_echo(corpus, workdir, tmp_path):
     assert echo["train.lr_patience"] == "15"
     assert echo["train.batch_size"] == "100"
     assert echo["train.max_epochs"] == "1"
+    assert echo["train.best_epoch"] == "1"
 
 
 def test_train_zero_epochs_fails(corpus, workdir, tmp_path, capsys):

@@ -22,6 +22,8 @@ from sqatk.training import (
     predict_raw,
 )
 
+from model_fixtures import float64
+
 # ------------------------------------------------------------------- loss
 
 
@@ -110,7 +112,7 @@ def test_accumulated_task_gradients_equal_summed_loss(rng):
     mask = np.ones(1, bool)
 
     def grads_from(run):
-        params = tf.init_params(config, seed=9)
+        params = float64(tf.init_params(config, seed=9))
         run(params)
         return {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
 
@@ -346,7 +348,7 @@ def test_training_step_after_predict_gets_gradients(rng):
 
 def test_validation_scores_in_batches_match_one_batch(rng):
     config = tf.desk_config(n_layers=1, max_duration_s=0.5)
-    model = tf.SpectrogramTransformer(config, seed=13)
+    model = tf.SpectrogramTransformer(config, float64(tf.init_params(config, seed=13)))
     inputs = [model.prepare(rng.normal(-5, 2, size=(n, 128))) for n in (20, 50, 35, 50, 8)]
     whole = predict_raw(model, inputs, batch_size=len(inputs))
     chunked = predict_raw(model, inputs, batch_size=2)

@@ -12,6 +12,8 @@ from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS
 from sqatk.training import mse_loss, predict_raw
 
+from model_fixtures import float64, widen_max_duration
+
 HOP = 0.010
 
 
@@ -224,7 +226,7 @@ def test_cls_only_last_block_equals_full_token_stack(rng, n_layers, packed, fram
     biases have an analytically zero gradient, so theirs is rounding
     noise."""
     config = tf.desk_config(n_layers=n_layers, max_duration_s=1.0)
-    model = tf.SpectrogramTransformer(config, seed=12)
+    model = tf.SpectrogramTransformer(config, float64(tf.init_params(config, seed=12)))
     specs = [make_spec(n, rng=rng) for n in frames]
     if packed:
         patches, positions, valid = model.collate([model.prepare(s.values) for s in specs])
@@ -319,7 +321,7 @@ def test_packed_scores_equal_dense_scores(rng, frames):
     shorter than a patch, of 1 s and 3 s, exactly max_frames (4 s) and
     longer than the window."""
     config = tf.desk_config(max_duration_s=4.0)
-    model = tf.SpectrogramTransformer(config, seed=8)
+    model = tf.SpectrogramTransformer(config, float64(tf.init_params(config, seed=8)))
     values = make_spec(frames, rng=rng).values
     seq = tf.extract_patches(LogMelSpectrogram(values, 128, HOP, 0.025), config)
     dense = tf.forward_scores(seq.patches[None], seq.valid[None], model.params, config)
@@ -333,7 +335,7 @@ def test_packed_scores_equal_dense_scores(rng, frames):
 
 def test_mixed_length_batch_equals_per_clip_scoring(rng):
     config = tf.desk_config(max_duration_s=2.0)
-    model = tf.SpectrogramTransformer(config, seed=9)
+    model = tf.SpectrogramTransformer(config, float64(tf.init_params(config, seed=9)))
     inputs = [model.prepare(make_spec(n, rng=rng).values) for n in (30, 200, 90, 7)]
     patches, positions, valid = model.collate(inputs)
     assert patches.shape[1] == max(len(pos) for _, pos in inputs)
@@ -349,7 +351,7 @@ def test_mixed_length_batch_equals_per_clip_scoring(rng):
 def test_packed_batch_gradients_equal_dense(rng):
     """Clips sharing grid positions accumulate into the same pos_grid rows."""
     config = tf.desk_config(max_duration_s=1.0)
-    params = tf.init_params(config, seed=10)
+    params = float64(tf.init_params(config, seed=10))
     model = tf.SpectrogramTransformer(config, params)
     specs = [make_spec(n, rng=rng) for n in (40, 100, 70)]
     labels = rng.uniform(1, 5, size=3)
@@ -380,7 +382,9 @@ def test_mask_invariance_under_extended_padding(rng):
     short_cfg = tf.desk_config(max_duration_s=1.0)
     long_cfg = tf.desk_config(max_duration_s=1.5)
     params_short = tf.init_params(short_cfg, seed=11)
-    params_long = tf.widen_max_duration(params_short, short_cfg, long_cfg, seed=99)
+    params_long = widen_max_duration(params_short, short_cfg, long_cfg, seed=99)
+    dtype = params_short["proj_w"].data.dtype  # float32, the dtype a model computes in
+    assert all(p.data.dtype == dtype for p in params_long.values())
 
     # content must end inside the patch coverage both grids share; a clip
     # reaching past n_time_short * stride would gain an extra valid patch
@@ -390,19 +394,19 @@ def test_mask_invariance_under_extended_padding(rng):
         spec = make_spec(int(rng.integers(30, max_real + 1)), rng=rng)
         seq_s = tf.extract_patches(spec, short_cfg)
         seq_l = tf.extract_patches(spec, long_cfg)
-        out_s = tf.forward_scores(seq_s.patches[None], seq_s.valid[None], params_short, short_cfg)
-        out_l = tf.forward_scores(seq_l.patches[None], seq_l.valid[None], params_long, long_cfg)
+        out_s = tf.forward_scores(seq_s.patches[None].astype(dtype), seq_s.valid[None], params_short, short_cfg)
+        out_l = tf.forward_scores(seq_l.patches[None].astype(dtype), seq_l.valid[None], params_long, long_cfg)
         for t in TASKS:
+            assert out_s[t].data.dtype == out_l[t].data.dtype == dtype
             assert abs(out_s[t].data[0] - out_l[t].data[0]) < 1e-5
 
 
 def test_float32_batch_with_masked_keys_scores_as_each_clip_alone(rng):
-    """A model with float32 parameters, as loaded from a checkpoint,
-    scores clips of 1 to 15 s in one padded batch as it scores each alone,
-    within criterion 4's 1e-5."""
+    """A model with float32 parameters, as trained and as loaded from a
+    checkpoint, scores clips of 1 to 15 s in one padded batch as it
+    scores each alone, within criterion 4's 1e-5."""
     config = tf.desk_config(max_duration_s=15.0, n_heads=2)  # 2 heads: half the 1789^2 score buffers
-    params = {k: Tensor(p.data.astype(np.float32)) for k, p in tf.init_params(config, seed=12).items()}
-    model = tf.SpectrogramTransformer(config, params)
+    model = tf.SpectrogramTransformer(config, seed=12)
     inputs = [model.prepare(make_spec(n, rng=rng).values) for n in (100, 350, 700, 1500)]
     assert inputs[0][0].dtype == np.float32
 
