@@ -7,8 +7,8 @@ tensors (parameters and inputs created with requires_grad=True)
 accumulate into .grad, so backpropagating several losses that share a
 forward pass sums their gradients exactly. The op set is what the
 scoring models need: broadcast arithmetic, batched matmul, shape ops,
-softmax, layer norm, GELU/ReLU, scaled dot-product attention, 3x3
-convolution and max pooling.
+layer norm, GELU/ReLU, scaled dot-product attention (whose softmax is
+fused into it), 3x3 convolution and max pooling.
 
 attention is one op with a hand-written backward. It holds one Nq x N
 buffer per call (Nq queries over N keys): the score GEMM's output,
@@ -18,10 +18,13 @@ the composed ops, so its outputs and gradients are bit-equal to theirs.
 
 conv2d lowers to one GEMM over a channel-major im2col matrix of shape
 (C*kh*kw, B*H*W), whose copies run along the contiguous time axis, and
-returns its NCHW output as a transposed view of an (O, B, H, W) array;
-its input gradient is the GEMM's transpose scattered back by col2im.
-maxpool2d keeps that layout and routes each window's gradient to the
-first slot, in scan order, that holds the max.
+returns its NCHW output as a transposed view of an (O, B, H, W) array.
+It keeps no columns for its backward, which rebuilds them from the
+input for the weight gradient; the input gradient is the GEMM's
+transpose scattered back by col2im. So a recorded convolution holds
+its output, not nine copies of its input. maxpool2d keeps that layout
+and routes each window's gradient to the first slot, in scan order,
+that holds the max, writing each slot of its gradient once.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
@@ -241,22 +244,6 @@ class Tensor:
 
         return self._make(x * cdf, (self,), backward)
 
-    def softmax(self):
-        """Numerically stable softmax over the last axis.
-
-        -inf logits are supported and yield exactly zero probability,
-        which is what the attention mask relies on.
-        """
-        shifted = self.data - self.data.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=-1, keepdims=True)
-
-        def backward(g):
-            inner = (g * out_data).sum(axis=-1, keepdims=True)
-            return ((g - inner) * out_data,)
-
-        return self._make(out_data, (self,), backward)
-
     # ------------------------------------------------------------ backward
 
     def backward(self, grad=None):
@@ -375,47 +362,72 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return tensors[0]._make(out_data, tuple(tensors), backward)
 
 
+def _overlap(offset: int, size: int, out_size: int) -> tuple[slice, slice]:
+    """For one kernel offset along one axis: the output positions i whose
+    input position i + offset lies in [0, size), and those input
+    positions. Outside that range a tap reads the zero padding."""
+    lo = max(0, -offset)
+    hi = max(lo, min(out_size, size - offset))
+    return slice(lo, hi), slice(lo + offset, hi + offset)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
     """2-D convolution, stride 1, via channel-major im2col + GEMM.
     x: (B,C,H,W), w: (O,C,kh,kw), b: (O,).
 
-    The input is padded as (C, B, H+2p, W+2p) and unrolled into cols of
-    shape (C*kh*kw, B*out_h*out_w), one shifted copy per kernel tap, each
-    running along the contiguous time axis. w_mat @ cols gives the output
+    cols, of shape (C*kh*kw, B*out_h*out_w), holds one shifted copy of
+    the (C, B, H, W) input per kernel tap, each running along the
+    contiguous time axis. Each tap copies the part of the input it
+    overlaps and zeroes only the border strips that fall on the padding,
+    so no padded copy of the input is made. w_mat @ cols gives the output
     as (O, B, out_h, out_w), returned as its NCHW transposed view with no
-    copy; a following conv2d reads that view channel-major for free. The
-    backward takes dw = g_mat @ cols.T and scatters dcols = w_mat.T @ g_mat
-    back onto the padded input with kh*kw shifted adds (col2im)."""
+    copy; a following conv2d reads that view channel-major for free.
+
+    The backward keeps no columns: it rebuilds them from x for
+    dw = g_mat @ cols.T, frees them, and scatters
+    dcols = w_mat.T @ g_mat straight onto an unpadded input gradient with
+    kh*kw shifted adds (col2im). The rebuilt columns are the forward's,
+    so the gradients are those of a kept copy, bit for bit."""
     batch, in_ch, height, width = x.data.shape
     out_ch, w_in_ch, kh, kw = w.data.shape
     if w_in_ch != in_ch:
         raise ValueError(f"conv2d channel mismatch: input {in_ch}, weight {w_in_ch}")
     out_h = height + 2 * padding - kh + 1
     out_w = width + 2 * padding - kw + 1
-    padded = (in_ch, batch, height + 2 * padding, width + 2 * padding)
-    inner = (slice(None), slice(None), slice(padding, padding + height), slice(padding, padding + width))
-    taps = [(u, v) for u in range(kh) for v in range(kw)]
+    dtype = x.data.dtype
+    # per kernel row u (column v): the output rows (columns) its taps fill
+    # from x, and the input rows (columns) they read
+    row_overlap = [_overlap(u - padding, height, out_h) for u in range(kh)]
+    col_overlap = [_overlap(v - padding, width, out_w) for v in range(kw)]
+    taps = [(u * kw + v, *row_overlap[u], *col_overlap[v]) for u in range(kh) for v in range(kw)]
 
-    xp = np.zeros(padded, dtype=x.data.dtype)
-    xp[inner] = x.data.transpose(1, 0, 2, 3)
-    cols = np.empty((in_ch, kh * kw, batch, out_h, out_w), dtype=x.data.dtype)
-    for t, (u, v) in enumerate(taps):
-        cols[:, t] = xp[:, :, u : u + out_h, v : v + out_w]
-    del xp  # free the padded copy before the GEMM allocates its output
-    cols = cols.reshape(in_ch * kh * kw, batch * out_h * out_w)
+    def im2col():
+        xt = x.data.transpose(1, 0, 2, 3)
+        cols = np.empty((in_ch, kh * kw, batch, out_h, out_w), dtype=dtype)
+        # the strips on the padding, zeroed for a whole kernel row or column of taps at once
+        for u, (rows, _) in enumerate(row_overlap):
+            cols[:, u * kw : (u + 1) * kw, :, : rows.start] = 0.0
+            cols[:, u * kw : (u + 1) * kw, :, rows.stop :] = 0.0
+        for v, (span, _) in enumerate(col_overlap):
+            cols[:, v::kw, :, :, : span.start] = 0.0
+            cols[:, v::kw, :, :, span.stop :] = 0.0
+        for t, rows, src_rows, span, src_span in taps:
+            cols[:, t, :, rows, span] = xt[:, :, src_rows, src_span]
+        return cols.reshape(in_ch * kh * kw, batch * out_h * out_w)
+
     w_mat = w.data.reshape(out_ch, in_ch * kh * kw)
-    out_data = (w_mat @ cols + b.data[:, None]).reshape(out_ch, batch, out_h, out_w)
+    out_data = (w_mat @ im2col() + b.data[:, None]).reshape(out_ch, batch, out_h, out_w)
 
     def backward(g):
         g_mat = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * out_h * out_w)
-        dw = (g_mat @ cols.T).reshape(w.data.shape) if w.requires_grad else None
+        dw = (g_mat @ im2col().T).reshape(w.data.shape) if w.requires_grad else None
         dx = None
         if x.requires_grad:
             dcols = (w_mat.T @ g_mat).reshape(in_ch, kh * kw, batch, out_h, out_w)
-            dxp = np.zeros(padded, dtype=x.data.dtype)
-            for t, (u, v) in enumerate(taps):
-                dxp[:, :, u : u + out_h, v : v + out_w] += dcols[:, t]
-            dx = dxp[inner].transpose(1, 0, 2, 3)
+            dxt = np.zeros((in_ch, batch, height, width), dtype=dtype)
+            for t, rows, src_rows, span, src_span in taps:
+                dxt[:, :, src_rows, src_span] += dcols[:, t, :, rows, span]
+            dx = dxt.transpose(1, 0, 2, 3)
         return dx, dw, g.sum(axis=(0, 2, 3))
 
     return x._make(out_data.transpose(1, 0, 2, 3), (x, w, b), backward)
@@ -429,7 +441,13 @@ def maxpool2d(x: Tensor, factor: int) -> Tensor:
     Trailing rows/columns that do not fill a full window are dropped and
     get zero gradient. Ties (common after ReLU zeros) route the whole
     gradient to the first slot in window scan order (row-major) that
-    holds the max; the other slots get 0.
+    holds the max; the other slots get +0.
+
+    The backward writes each slot of an uninitialised buffer once, by
+    multiplying the gradient's bits with that slot's 0/1 hit mask: a hit
+    slot gets the gradient exactly and a missed one +0 (a float product
+    would give -0 under a negative gradient). Only the trailing rows and
+    columns that no window covers are zeroed.
     """
     out_h, out_w = x.data.shape[2] // factor, x.data.shape[3] // factor
     slots = [
@@ -442,12 +460,15 @@ def maxpool2d(x: Tensor, factor: int) -> Tensor:
         np.maximum(out_data, x.data[slot], out=out_data)
 
     def backward(g):
-        full = np.zeros_like(x.data)
+        bits = np.dtype(f"u{x.data.dtype.itemsize}")
+        full = np.empty_like(x.data)
+        full[:, :, out_h * factor :] = 0.0
+        full[:, :, :, out_w * factor :] = 0.0
         unclaimed = np.ones(out_data.shape, dtype=bool)
         for slot in slots:
             hit = x.data[slot] == out_data
             hit &= unclaimed
-            np.copyto(full[slot], g, where=hit)
+            np.multiply(g.view(bits), hit, out=full[slot].view(bits))
             unclaimed ^= hit
         return (full,)
 

@@ -28,21 +28,27 @@ class CnnConfig:
     max_duration_s: float = 12.0
     frame_hop_s: float = 0.010
     tasks: tuple[str, ...] = TASKS
-    head_input: int = 0  # 0 means derived from the stages
     pad_log_value: float = PAD_LOG_VALUE
 
     def __post_init__(self):
         if len(self.channels) != len(self.pool):
             raise ModelError("channels and pool must have one entry per stage")
+        if min(self.channels + self.pool, default=1) < 1:
+            raise ModelError("channel counts and pool factors must be >= 1")
         if self.kernel != 3:
             raise ModelError("only 3x3 kernels are supported")
         if self.reduced_mels < 1:
             raise ModelError("pooling collapses the mel axis to nothing")
-        if self.head_input and self.head_input != self.derived_head_input:
+        if self._pooled(self.max_frames) < 1:
             raise ModelError(
-                f"head_input {self.head_input} does not match final feature "
-                f"width {self.derived_head_input}"
+                f"pooling collapses the time axis of max_duration_s {self.max_duration_s} "
+                f"({self.max_frames} frames) to nothing"
             )
+
+    def _pooled(self, size: int) -> int:
+        for p in self.pool:
+            size //= p
+        return size
 
     @property
     def max_frames(self) -> int:
@@ -50,20 +56,11 @@ class CnnConfig:
 
     @property
     def reduced_mels(self) -> int:
-        mels = self.n_mels
-        for p in self.pool:
-            mels //= p
-        return mels
+        return self._pooled(self.n_mels)
 
     @property
     def derived_head_input(self) -> int:
         return self.channels[-1] * self.reduced_mels
-
-
-def desk_cnn_config(**overrides) -> CnnConfig:
-    base = dict(max_duration_s=2.0)
-    base.update(overrides)
-    return CnnConfig(**base)
 
 
 def cnn_param_spec(config: CnnConfig) -> ParamSpec:
@@ -90,6 +87,8 @@ def init_cnn_params(config: CnnConfig, seed: int = 0) -> dict[str, Tensor]:
 def pad_to_max_frames(values: np.ndarray, config: CnnConfig) -> np.ndarray:
     """(frames, mels) -> (1, mels, max_frames) plane, floor-padded."""
     plane = values.T
+    if plane.shape[0] != config.n_mels:
+        raise ModelError(f"spectrogram has {plane.shape[0]} mel bins, config expects {config.n_mels}")
     n_real = min(plane.shape[1], config.max_frames)
     padded = np.full((config.n_mels, config.max_frames), config.pad_log_value, dtype=plane.dtype)
     padded[:, :n_real] = plane[:, :n_real]

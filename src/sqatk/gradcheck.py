@@ -70,9 +70,16 @@ def primitive_cases(seed: int = 0, dtype=np.float64) -> dict[str, tuple]:
     b = leaf((4,))
     cases["linear"] = (lambda: ((x @ w + b) * (x @ w + b)).sum(), {"x": x, "w": w, "b": b})
 
+    # Softmax through the fused attention op: one query of ones, dh=1
+    # (scale 1) and identity values make each output row softmax(s).
     s = leaf((4, 6))
     s_probe = probe((4, 6))
-    cases["softmax"] = (lambda: (s.softmax() * s_probe).sum(), {"s": s})
+    ones_q = Tensor(np.ones((4, 1, 1, 1), dtype=dtype))
+    eye_v = Tensor(np.eye(6, dtype=dtype))
+    cases["softmax"] = (
+        lambda: (attention(ones_q, s.reshape((4, 1, 6, 1)), eye_v).reshape((4, 6)) * s_probe).sum(),
+        {"s": s},
+    )
 
     ln_x = leaf((3, 8))
     gamma = leaf((8,), 1.0, 0.2)

@@ -3,13 +3,15 @@
 float64 gives freshly initialised (float32) parameters in float64, for
 tests that compare two code paths far below float32's resolution.
 widen_max_duration carries a transformer's parameters to a longer
-window, for the mask-invariance tests.
+window, for the mask-invariance tests. desk_cnn_config is the default
+CNN in a 2 s window.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from sqatk import cnn as cnn_mod
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor
 
@@ -17,6 +19,11 @@ from sqatk.autodiff import Tensor
 def float64(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """float64 copies of params, each a fresh leaf that requires grad."""
     return {k: Tensor(p.data.astype(np.float64), requires_grad=True) for k, p in params.items()}
+
+
+def desk_cnn_config(**overrides) -> cnn_mod.CnnConfig:
+    """The default CNN stages in a 2 s window, with overrides."""
+    return cnn_mod.CnnConfig(**{"max_duration_s": 2.0, **overrides})
 
 
 def widen_max_duration(

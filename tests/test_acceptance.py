@@ -25,7 +25,7 @@ from sqatk.quality import TASKS
 from sqatk.synth import generate_corpus
 from sqatk.training import Adam, PatienceController, mse_loss
 
-from model_fixtures import widen_max_duration
+from model_fixtures import desk_cnn_config, widen_max_duration
 from table_fixtures import ALL_TABLES, CNN_PCC
 from test_frontend import naive_log_mel
 
@@ -134,7 +134,7 @@ def test_criterion_3_overfit_transformer(overfit_corpus):
 def test_criterion_3_overfit_cnn(overfit_corpus):
     features, labels = overfit_corpus
     start = time.monotonic()
-    config = cnn_mod.desk_cnn_config(max_duration_s=1.0)
+    config = desk_cnn_config(max_duration_s=1.0)
     params = cnn_mod.init_cnn_params(config, seed=0)
     dtype = params["conv0_w"].data.dtype  # float32: cast the features as prepare does
     planes = np.stack([cnn_mod.pad_to_max_frames(v.astype(dtype), config) for v in features])

@@ -128,14 +128,29 @@ def test_getitem_and_concat_grads(rng):
     assert check_function(loss, {"a": a, "b": b}) < TOL
 
 
+def _softmax(x):
+    """Numerically stable softmax over the last axis, as a composed op:
+    the reference for the softmax fused into attention. -inf logits
+    yield exactly zero probability."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    out_data = exp / exp.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
+        return ((g - inner) * out_data,)
+
+    return x._make(out_data, (x,), backward)
+
+
 def test_softmax_rows_sum_to_one(rng):
     x = Tensor(rng.normal(size=(4, 7)))
-    np.testing.assert_allclose(x.softmax().data.sum(axis=-1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(_softmax(x).data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_softmax_handles_minus_inf():
     x = Tensor(np.array([[1.0, -np.inf, 2.0]]), requires_grad=True)
-    y = x.softmax()
+    y = _softmax(x)
     assert y.data[0, 1] == 0.0
     y.sum().backward()
     assert np.isfinite(x.grad).all()
@@ -145,10 +160,29 @@ def test_softmax_singleton_is_identity_weight():
     # attention over a single element returns exactly that value row
     q = Tensor(np.array([[[0.3]]]))
     v = Tensor(np.array([[[2.5, -1.0]]]))
-    attn = (q @ q.transpose((0, 2, 1))).softmax()
+    attn = _softmax(q @ q.transpose((0, 2, 1)))
     assert attn.data[0, 0, 0] == 1.0
     out = attn @ v
     np.testing.assert_array_equal(out.data, v.data)
+
+
+def test_attention_with_one_unit_query_and_identity_values_is_softmax(rng):
+    """The gradcheck softmax case: a query of ones with dh=1 and identity
+    values make attention's output softmax(keys), and its key gradient
+    the softmax gradient, bit for bit."""
+    logits = rng.normal(size=(4, 6))
+    g = rng.normal(size=(4, 6))
+    results = []
+    for op in (
+        lambda s: attention(Tensor(np.ones((4, 1, 1, 1))), s.reshape((4, 1, 6, 1)), Tensor(np.eye(6))),
+        _softmax,
+    ):
+        s = Tensor(logits.copy(), requires_grad=True)
+        out = op(s).reshape((4, 6))
+        out.backward(g)
+        results.append((out.data, s.grad))
+    for got, ref in zip(*results):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_layer_norm_normalizes(rng):
@@ -209,6 +243,45 @@ def test_maxpool_odd_plane_drops_trailing_row_and_column(rng):
     assert not x.grad[:, :, :, 6].any()
     # one nonzero slot per window, holding that window's gradient
     assert np.count_nonzero(x.grad) == out.data.size
+
+
+def _maxpool_copyto_backward(x, out, g, factor):
+    """The earlier max-pool backward, kept as the reference: a zeroed
+    buffer and a masked copy of g into each window slot, first hit in
+    scan order wins."""
+    out_h, out_w = out.shape[2:]
+    full = np.zeros_like(x)
+    unclaimed = np.ones(out.shape, dtype=bool)
+    for i in range(factor):
+        for j in range(factor):
+            slot = (slice(None), slice(None), slice(i, out_h * factor, factor), slice(j, out_w * factor, factor))
+            hit = x[slot] == out
+            hit &= unclaimed
+            np.copyto(full[slot], g, where=hit)
+            unclaimed ^= hit
+    return full
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("factor,height,width", [(2, 13, 21), (2, 16, 24), (3, 11, 17)])
+def test_maxpool_backward_is_bit_equal_to_copyto_routing(rng, dtype, factor, height, width):
+    """Every gradient bit, signed zeros included, equals the copyto
+    routing's, on a channel-major conv-output layout with constant
+    floor-padding windows (ties), ReLU zeros, odd planes and negative
+    and -0 upstream gradients."""
+    data = rng.normal(size=(3, 2, height, width))
+    data[:, :, :, width // 2 :] = -13.8  # constant padding windows: every slot ties
+    data[0] = np.maximum(data[0], 0.0)  # ReLU zeros tie too
+    x = Tensor(data.astype(dtype).transpose(1, 0, 2, 3), requires_grad=True)
+    out = maxpool2d(x, factor)
+    g = rng.normal(size=out.shape).astype(dtype)
+    g[:, :, ::2] = -np.abs(g[:, :, ::2])
+    g[:, 1, 0] = -0.0
+    (got,) = out._backward(g)  # the op's own gradient: a leaf's += would turn -0 into +0
+    ref = _maxpool_copyto_backward(x.data, out.data, g, factor)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _conv2d_loops(x, w, b, g, padding):
@@ -313,6 +386,24 @@ def test_conv2d_matches_batch_major_im2col_on_desk_layers(rng, in_ch, out_ch, he
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def test_recorded_conv2d_keeps_its_output_not_its_columns(rng):
+    """After a recorded forward of the desk CNN's second layer (16 -> 32
+    channels, batch 8, 64 x 100, float32), conv2d holds its 6.5 MB
+    output and no 29.5 MB im2col matrix: backward rebuilds the columns
+    from the input."""
+    x = Tensor(rng.normal(size=(16, 8, 64, 100)).astype(np.float32).transpose(1, 0, 2, 3), requires_grad=True)
+    w = Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, b)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and out.data.nbytes == 32 * 8 * 64 * 100 * 4
+    assert held < 1.25 * out.data.nbytes, f"held {held / 2**20:.1f} MiB"
+
+
 def test_double_backward_accumulates():
     # backward on two separate losses accumulates into the same grads
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -372,7 +463,7 @@ def _attention_composed(q, k, v, bias):
     scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[-1]))
     if bias is not None:
         scores = scores + Tensor(bias)
-    return scores.softmax() @ v
+    return _softmax(scores) @ v
 
 
 def _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, dtype):

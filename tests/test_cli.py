@@ -349,6 +349,23 @@ def test_train_zero_epochs_fails(corpus, workdir, tmp_path, capsys):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+def test_cnn_window_that_pools_time_away_is_a_typed_error(corpus, workdir, tmp_path, capsys):
+    """0.1 s is 10 frames, which the four default pools take to 0: train
+    exits 1 with a typed error, not a traceback, and writes nothing."""
+    config = tmp_path / "short.cfg"
+    config.write_text("max_duration_s=0.1\nmax_epochs=1\n")
+    ckpt = tmp_path / "short.ckpt"
+    code = main([
+        "train", "--model", "cnn", "--config", str(config), "--manifest", str(corpus),
+        "--features", str(workdir / "feats"), "--out", str(ckpt),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pooling collapses the time axis")
+    assert "Traceback" not in err
+    assert not ckpt.exists()
+
+
 def test_unreadable_input_fails_cleanly(tmp_path, capsys):
     code = main(["predict", "--ckpt", str(tmp_path / "missing.ckpt"),
                  "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv")])

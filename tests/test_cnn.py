@@ -13,6 +13,8 @@ from sqatk.autodiff import Tensor, conv2d, maxpool2d, no_grad
 from sqatk.gradcheck import full_cnn_check
 from sqatk.quality import TASKS, clip_score
 
+from model_fixtures import desk_cnn_config
+
 SR = 48000
 
 
@@ -20,9 +22,6 @@ def test_config_head_width():
     config = cnn_mod.CnnConfig()
     assert config.reduced_mels == 8
     assert config.derived_head_input == 64 * 8
-    cnn_mod.CnnConfig(head_input=512)  # explicit match accepted
-    with pytest.raises(tf.ModelError, match="head_input"):
-        cnn_mod.CnnConfig(head_input=100)
 
 
 def test_config_stage_mismatch():
@@ -30,8 +29,25 @@ def test_config_stage_mismatch():
         cnn_mod.CnnConfig(channels=(8, 16), pool=(2,))
 
 
+@pytest.mark.parametrize("seconds", [0.1, 0.15])
+def test_config_rejects_a_window_that_pools_time_away(seconds):
+    """0.1 s is 10 frames, pooled 10 -> 5 -> 2 -> 1 -> 0; 0.15 s pools
+    to 0 as well. 0.16 s keeps one frame."""
+    with pytest.raises(tf.ModelError, match="time axis"):
+        cnn_mod.CnnConfig(max_duration_s=seconds)
+    cnn_mod.CnnConfig(max_duration_s=0.16)
+
+
+@pytest.mark.parametrize("channels,pool", [((8, 0), (2, 2)), ((-1, 8), (2, 2)), ((8, 16), (2, 0))])
+def test_config_rejects_a_stage_below_one(channels, pool):
+    """An empty stage or a zero pool factor from a config file is a typed
+    error, not an OverflowError or ZeroDivisionError traceback."""
+    with pytest.raises(tf.ModelError, match="must be >= 1"):
+        cnn_mod.CnnConfig(channels=channels, pool=pool)
+
+
 def test_zero_params_give_clipped_bias(rng):
-    config = cnn_mod.desk_cnn_config()
+    config = desk_cnn_config()
     params = cnn_mod.init_cnn_params(config, seed=0)
     for name, p in params.items():
         p.data[:] = 0.0
@@ -45,7 +61,7 @@ def test_zero_params_give_clipped_bias(rng):
 
 
 def test_forward_finite_on_desk_input(rng):
-    config = cnn_mod.desk_cnn_config()
+    config = desk_cnn_config()
     params = cnn_mod.init_cnn_params(config, seed=1)
     values = rng.normal(-5, 2, size=(1200, 128))  # longer than max: truncated
     scores = cnn_mod.ConvBaseline(config, params).predict_scores(values)
@@ -55,16 +71,24 @@ def test_forward_finite_on_desk_input(rng):
 
 
 def test_forward_rejects_wrong_plane(rng):
-    config = cnn_mod.desk_cnn_config()
+    config = desk_cnn_config()
     params = cnn_mod.init_cnn_params(config, seed=1)
     with pytest.raises(tf.ModelError, match="plane"):
         cnn_mod.cnn_forward_batch(rng.normal(size=(1, 1, 64, 10)), params, config)
 
 
+def test_prepare_rejects_features_of_another_mel_count(rng):
+    """A 64-mel model on 128-mel features is a typed error, as for the
+    transformer, not a broadcast ValueError traceback."""
+    model = cnn_mod.ConvBaseline(desk_cnn_config(n_mels=64), seed=0)
+    with pytest.raises(tf.ModelError, match="128 mel bins, config expects 64"):
+        model.prepare(rng.normal(size=(50, 128)))
+
+
 def test_time_shift_by_pooling_period_barely_moves_features(rng):
     """Shifting a steady tone by one full pooling period (16 frames)
     leaves the global-average-pooled features nearly unchanged."""
-    config = cnn_mod.desk_cnn_config()
+    config = desk_cnn_config()
     params = cnn_mod.init_cnn_params(config, seed=0)
     freq = 32 * SR / 2048  # exact FFT bin center
     shift = 16 * 480
@@ -97,7 +121,7 @@ def test_shared_front_end_feature_hashes(tmp_path, rng):
     fe.save_features(path, values)
 
     ast_model = tf.SpectrogramTransformer(tf.desk_config(max_duration_s=1.0), seed=0)
-    cnn_model = cnn_mod.ConvBaseline(cnn_mod.desk_cnn_config(max_duration_s=1.0), seed=0)
+    cnn_model = cnn_mod.ConvBaseline(desk_cnn_config(max_duration_s=1.0), seed=0)
 
     loaded_for_ast = fe.load_features(path)
     loaded_for_cnn = fe.load_features(path)
@@ -110,7 +134,7 @@ def test_shared_front_end_feature_hashes(tmp_path, rng):
 
 
 def test_predict_scores_matches_cnn_forward(rng):
-    config = cnn_mod.desk_cnn_config(max_duration_s=1.0)
+    config = desk_cnn_config(max_duration_s=1.0)
     model = cnn_mod.ConvBaseline(config, seed=3)
     values = rng.normal(-5, 2, size=(80, 128))
     scores = model.predict_scores(values)
@@ -200,7 +224,7 @@ def test_raw_score_of_a_short_clip_depends_on_the_window():
     values = np.random.default_rng(0).normal(-5, 2, size=(100, 128))
     raw = []
     for seconds in (2.0, 4.0):
-        model = cnn_mod.ConvBaseline(cnn_mod.desk_cnn_config(max_duration_s=seconds), seed=0)
+        model = cnn_mod.ConvBaseline(desk_cnn_config(max_duration_s=seconds), seed=0)
         with no_grad():
             raw.append(model.forward_batch(model.collate([model.prepare(values)]))["mos"].data[0])
     assert raw == [pytest.approx(-0.4954, abs=1e-4), pytest.approx(-0.5471, abs=1e-4)]
