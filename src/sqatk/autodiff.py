@@ -4,17 +4,20 @@ A Tensor wraps a float32 or float64 ndarray and records the operations
 applied to it. backward() on a result walks the recorded graph in reverse
 topological order, routing gradients through a per-call map; leaf
 tensors (parameters and inputs created with requires_grad=True)
-accumulate into .grad, so backpropagating several losses that share a
+accumulate into .grad (the first gradient is stored as a copy, signed
+zeros included), so backpropagating several losses that share a
 forward pass sums their gradients exactly. The op set is what the
 scoring models need: broadcast arithmetic, batched matmul, shape ops,
 layer norm, GELU/ReLU, scaled dot-product attention (whose softmax is
 fused into it), 3x3 convolution and max pooling.
 
-attention is one op with a hand-written backward. It holds one Nq x N
-buffer per call (Nq queries over N keys): the score GEMM's output,
-turned into the softmax probabilities in place, which is all its
-backward keeps. It runs the same elementwise steps in the same order as
-the composed ops, so its outputs and gradients are bit-equal to theirs.
+attention is one op with a hand-written backward. It works through one
+(batch, head) slice at a time (Nq queries over N keys): the score GEMM's
+Nq x N output, turned into the softmax probabilities in place. A
+recorded call keeps every slice's probabilities, which is all its
+backward keeps; under no_grad one Nq x N buffer serves every slice. It
+runs the same elementwise steps in the same order as the composed ops,
+so its outputs and gradients are bit-equal to theirs.
 
 conv2d lowers to one GEMM over a channel-major im2col matrix of shape
 (C*kh*kw, B*H*W), whose copies run along the contiguous time axis, and
@@ -89,6 +92,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _records(parents) -> bool:
+    """Whether an op on these parents records its graph."""
+    return getattr(_grad_mode, "enabled", True) and any(p.requires_grad for p in parents)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -127,7 +135,7 @@ class Tensor:
 
     def _make(self, data, parents, backward):
         out = Tensor(data)
-        if getattr(_grad_mode, "enabled", True) and any(p.requires_grad for p in parents):
+        if _records(parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -273,9 +281,11 @@ class Tensor:
             if g is None:
                 continue
             if node._backward is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                if node.grad is None:  # a copy in the leaf's dtype and layout, -0 kept
+                    node.grad = np.empty_like(node.data)
+                    node.grad[...] = g
+                else:
+                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -312,24 +322,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     """Scaled dot-product attention of (B,H,Nq,dh) query heads over
     (B,H,N,dh) key and value heads: softmax(q @ k^T / sqrt(dh) + bias) @ v.
     Nq and N may differ; the encoder's last block passes one query row.
+    The leading axes broadcast as in matmul.
 
     bias, if given, broadcasts against the (B,H,Nq,N) scores; -inf
-    entries get exactly zero probability. The GEMM writes the scores into
-    one buffer, and the scale, the bias, the max shift, the exponential
-    and the row normalization run on it in place, leaving the
-    probabilities P, the only Nq x N array the backward keeps. The
-    backward turns dP = g @ v^T into the score gradient in place. Each
-    elementwise step runs in the same order as in the composed
-    matmul/scale/bias/softmax/matmul ops, so outputs and gradients are
-    bit-equal to theirs."""
+    entries get exactly zero probability. The op runs one (batch, head)
+    slice at a time: a GEMM writes the slice's scores into an Nq x N
+    buffer, and the scale, the bias, the max shift, the exponential and
+    the row normalization run on it in place, leaving the probabilities
+    P. A recorded call writes each slice into one (B,H,Nq,N) array, the
+    only Nq x N data its backward keeps; under no_grad every slice
+    reuses a single Nq x N buffer, so scoring holds one head's P at a
+    time. The backward turns dP = g @ v^T into the score gradient in
+    place. Each step runs in the same order as in the composed
+    matmul/scale/bias/softmax/matmul ops, slice by slice as their
+    batched GEMMs do, so outputs and gradients are bit-equal to theirs."""
     scale = 1.0 / math.sqrt(q.data.shape[-1])  # a Python float keeps float32 scores float32
-    probs = q.data @ k.data.swapaxes(-1, -2)
-    probs *= scale
+    lead = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2], v.data.shape[:-2])
+    n_q, n_k = q.data.shape[-2], k.data.shape[-2]
+    qs, ks, vs = (np.broadcast_to(t.data, lead + t.data.shape[-2:]) for t in (q, k, v))
+    score_dtype = np.result_type(q.data, k.data)
+    out = np.empty(lead + (n_q, v.data.shape[-1]), dtype=np.result_type(score_dtype, v.data))
+    records = _records((q, k, v))
+    # every slice's P for the backward, or one buffer that each slice reuses
+    probs = np.empty((lead if records else ()) + (n_q, n_k), dtype=score_dtype)
     if bias is not None:
-        probs += bias
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+        bias = np.broadcast_to(bias, lead + (n_q, n_k))
+    for idx in np.ndindex(*lead):
+        p = probs[idx] if records else probs
+        np.matmul(qs[idx], ks[idx].swapaxes(-1, -2), out=p)
+        p *= scale
+        if bias is not None:
+            p += bias[idx]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vs[idx], out=out[idx])
 
     def backward(g):
         dv = probs.swapaxes(-1, -2) @ g
@@ -342,7 +369,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
         dk = (q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
         return dq, dk, dv
 
-    return q._make(probs @ v.data, (q, k, v), backward)
+    return q._make(out, (q, k, v), backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

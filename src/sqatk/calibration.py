@@ -42,17 +42,13 @@ class CalibrationMap:
         x = np.asarray(x, dtype=np.float64)
         return a0 + x * (a1 + x * (a2 + x * a3))
 
-    def is_monotone(self) -> bool:
-        return _monotone_on(self.coefficients, self.fit_domain)
 
-
-def _monotone_on(coeffs, domain) -> bool:
-    """Derivative >= 0 on an evenly spaced grid over the domain."""
-    _, a1, a2, a3 = coeffs
-    lo, hi = domain
-    grid = np.linspace(lo, hi, MONOTONE_GRID_POINTS)
+def _monotone(a1, a2, a3, grid: np.ndarray) -> np.ndarray:
+    """Whether the derivative a1 + 2*a2*x + 3*a3*x^2 is >= 0 at every
+    grid point; one answer per row when the coefficients are (k, 1)
+    columns of candidates."""
     deriv = a1 + 2.0 * a2 * grid + 3.0 * a3 * grid * grid
-    return bool((deriv >= -1e-12).all())
+    return (deriv >= -1e-12).all(axis=-1)
 
 
 def _fit_poly(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
@@ -88,19 +84,25 @@ def fit_calibration(pred, subj) -> CalibrationMap:
         raise CalibrationError("predictions are (nearly) constant; cannot calibrate")
 
     domain = (float(pred.min()), float(pred.max()))
+    grid = np.linspace(domain[0], domain[1], MONOTONE_GRID_POINTS)
     full = _fit_poly(pred, subj, 3)
-    if _monotone_on(full, domain):
+    if _monotone(full[1], full[2], full[3], grid):
         return CalibrationMap(tuple(float(c) for c in full), domain)
 
     # The intercept and slope refit is linear in its target, so refitting
-    # subj minus the shrunk cubic terms gives base - s * shift.
+    # subj minus the shrunk cubic terms gives base - s * shift. Every
+    # shrink step is tested at once, one candidate per row.
     base = _fit_poly(pred, subj, 1)
     shift = _fit_poly(pred, full[2] * pred**2 + full[3] * pred**3, 1)
-    for s in np.linspace(1.0, 0.0, SHRINK_STEPS)[1:]:
-        a0, a1 = base - s * shift
-        candidate = (float(a0), float(a1), float(s * full[2]), float(s * full[3]))
-        if _monotone_on(candidate, domain):
-            return CalibrationMap(candidate, domain)
+    s = np.linspace(1.0, 0.0, SHRINK_STEPS)[1:, None]
+    lines = base - s * shift
+    a2, a3 = s * full[2], s * full[3]
+    ok = _monotone(lines[:, 1:], a2, a3, grid)
+    if ok.any():
+        i = int(ok.argmax())
+        return CalibrationMap(
+            (float(lines[i, 0]), float(lines[i, 1]), float(a2[i, 0]), float(a3[i, 0])), domain
+        )
 
     # Even the plain linear fit slopes downward: fall back to a constant.
     return CalibrationMap((float(subj.mean()), 0.0, 0.0, 0.0), domain)

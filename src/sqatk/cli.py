@@ -3,7 +3,8 @@ featurize, train, predict, calibrate, evaluate, gradcheck.
 
 Exit code 0 on success, nonzero with a diagnostic on stderr otherwise.
 Output files are written to a temp file and renamed, so failures never
-leave partial artifacts. The SQA_SEED environment variable overrides
+leave a partial file; featurize keeps the caches it finished before a
+clip failed. The SQA_SEED environment variable overrides
 the configured training seed.
 """
 
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -142,29 +145,54 @@ def build_samples(model, entries, features_dir: Path | None) -> list[tr.TrainSam
 
 
 def cmd_featurize(args) -> int:
+    """Write each clip's cache as soon as it is computed, so memory holds
+    one clip per job, not the corpus. --normalize needs the corpus sums
+    first: pass 1 adds each clip to them and spills its float64 log-mel
+    to a scratch directory under --out; pass 2 normalizes each spill into
+    its cache and deletes it. The scratch directory goes away also when
+    a clip fails."""
     manifest = load_manifest(args.manifest)
     print(format_summary(summarize(manifest)), end="")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def compute(entry):
-        clip = fe.decode_wav(entry.audio)
-        return entry.sample_id, fe.log_mel_spectrogram(clip).values
+    def for_each_clip(fn):
+        """[fn(i, entry)] over the manifest, in its order."""
+        items = list(enumerate(manifest.entries))
+        if args.jobs > 1:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                return list(pool.map(lambda item: fn(*item), items))
+        return [fn(*item) for item in items]
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            computed = list(pool.map(compute, manifest.entries))
+    def log_mel(entry):
+        return fe.log_mel_spectrogram(fe.decode_wav(entry.audio)).values
+
+    def save(entry, values):
+        fe.save_features(feature_path(out_dir, entry.sample_id), values)
+
+    if not args.normalize:
+        for_each_clip(lambda _, entry: save(entry, log_mel(entry)))
     else:
-        computed = [compute(e) for e in manifest.entries]
+        spill_dir = Path(tempfile.mkdtemp(prefix=".spill-", dir=out_dir))
+        try:
 
-    if args.normalize:
-        mean, std = fe.corpus_normalization([v for _, v in computed])
-        computed = [(sid, (v - mean) / std) for sid, v in computed]
+            def spill(i, entry):
+                values = log_mel(entry)
+                np.save(spill_dir / f"{i}.npy", values)
+                return fe.feature_moments(values)
+
+            def normalize(i, entry):
+                path = spill_dir / f"{i}.npy"
+                save(entry, (np.load(path) - mean) / std)
+                path.unlink()
+
+            mean, std = fe.corpus_normalization(for_each_clip(spill))
+            for_each_clip(normalize)
+        finally:
+            shutil.rmtree(spill_dir, ignore_errors=True)
         atomic_write(out_dir / "normalization.txt", f"mean={mean!r}\nstd={std!r}\n")
 
-    for sample_id, values in computed:
-        fe.save_features(feature_path(out_dir, sample_id), values)
-    print(f"featurized {len(computed)} clips -> {out_dir}")
+    print(f"featurized {len(manifest.entries)} clips -> {out_dir}")
     return 0
 
 

@@ -4,12 +4,19 @@ The feature geometry is fixed: 25 ms Hann windows, 10 ms hop, zero-padded
 2048-point FFT, 128 triangular mel filters (HTK scale, 0 Hz to Nyquist),
 natural log with a 1e-10 floor so digital silence maps to log(1e-10)
 rather than -inf. Input outside 48 kHz is rejected, never resampled.
+
+The spectrogram runs in float64, a block of frames at a time, so its
+memory beyond the clip and its output does not grow with the clip's
+length; its values are the bits of the whole-clip computation.
+Normalization statistics come from per-clip moments, so a corpus is
+normalized without holding its features.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -250,6 +257,14 @@ def hann_window(n: int) -> np.ndarray:
 # ------------------------------------------------------------ spectrogram
 
 
+# Frames per block of the spectrogram loop. On OpenBLAS the mel GEMM of
+# 8-256 rows gives each row the bits of the whole-clip product, but not
+# of 1-7 rows, so the last block takes the remainder: every block has
+# FRAME_BLOCK to 2 * FRAME_BLOCK - 1 frames, unless the whole clip is
+# shorter than one block.
+FRAME_BLOCK = 128
+
+
 def log_mel_spectrogram(
     clip: AudioClip, config: FrontendConfig = FrontendConfig()
 ) -> LogMelSpectrogram:
@@ -257,6 +272,12 @@ def log_mel_spectrogram(
 
     Per frame: Hann-windowed segment of window_samples, zero-padded to
     n_fft, power spectrum, mel filterbank, then log(max(energy, floor)).
+
+    The frames go through in blocks of FRAME_BLOCK or more, which reuse
+    one padded-frame, one spectrum and one power buffer, and each
+    block's mel energies go straight into the output. So the memory
+    beyond the clip and its output is one block's, whatever the clip's
+    length, and every value has the bits of the whole-clip computation.
     """
     clip.validate()
     if clip.sample_rate != config.sample_rate:
@@ -265,20 +286,35 @@ def log_mel_spectrogram(
         )
     win = config.window_samples
     hop = config.hop_samples
-    if len(clip.samples) < win:
+    n_frames = frame_count(len(clip.samples), win, hop)
+    if n_frames == 0:
         raise FeatureError(
             f"clip of {len(clip.samples)} samples shorter than one {win}-sample window"
         )
 
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
-    windowed = frames * hann_window(win)
-    spectrum = np.fft.rfft(windowed, n=config.n_fft, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
-    fb = mel_filterbank(
+    # rfft(x, n=n_fft) crops a longer window to n_fft samples
+    width = min(win, config.n_fft)
+    window = hann_window(win)[:width]
+    fb_t = mel_filterbank(
         config.n_mels, config.n_fft, config.sample_rate, config.fmin, config.fmax
-    )
-    energy = power @ fb.T
-    values = np.log(np.maximum(energy, config.log_floor))
+    ).T
+    bounds = [*range(0, max(n_frames - FRAME_BLOCK, 0) + 1, FRAME_BLOCK), n_frames]
+    widest = bounds[-1] - bounds[-2]  # the last block, which takes the remainder
+    padded = np.zeros((widest, config.n_fft))
+    spectrum = np.empty((widest, config.n_fft // 2 + 1), dtype=np.complex128)
+    power = np.empty(spectrum.shape)
+    values = np.empty((n_frames, config.n_mels))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = hi - lo
+        np.multiply(frames[lo:hi, :width], window, out=padded[:rows, :width])
+        np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
+        parts = spectrum[:rows].view(np.float64).reshape(rows, -1, 2)  # (re, im) pairs
+        np.square(parts, out=parts)
+        np.add(parts[..., 0], parts[..., 1], out=power[:rows])
+        np.matmul(power[:rows], fb_t, out=values[lo:hi])
+    np.maximum(values, config.log_floor, out=values)
+    np.log(values, out=values)
     if not np.isfinite(values).all():
         raise FeatureError("non-finite values in log-mel output (corrupt input?)")
     return LogMelSpectrogram(
@@ -315,15 +351,21 @@ def load_features(path: str | os.PathLike) -> np.ndarray:
     return values.astype(np.float32)
 
 
-def corpus_normalization(feature_list: list[np.ndarray]) -> tuple[float, float]:
-    """Scalar mean/std over every time-mel cell of a corpus."""
+def feature_moments(values: np.ndarray) -> tuple[float, float, int]:
+    """One clip's (sum, sum of squares, cell count), for corpus_normalization."""
+    return float(values.sum()), float((values**2).sum()), values.size
+
+
+def corpus_normalization(moments: Iterable[tuple[float, float, int]]) -> tuple[float, float]:
+    """Scalar mean/std over every time-mel cell of a corpus, from each
+    clip's feature_moments in corpus order."""
     total = 0.0
     total_sq = 0.0
     count = 0
-    for values in feature_list:
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
-        count += values.size
+    for clip_sum, clip_sum_sq, clip_count in moments:
+        total += clip_sum
+        total_sq += clip_sum_sq
+        count += clip_count
     if count == 0:
         raise FeatureError("cannot normalize an empty corpus")
     mean = total / count

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import math
 import threading
-import tracemalloc
 
+from memory import peak_traced_bytes
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, attention, concat, conv2d, layer_norm, maxpool2d, no_grad
 from sqatk.gradcheck import check_function, primitive_cases, primitive_checks, relative_error
@@ -277,11 +278,47 @@ def test_maxpool_backward_is_bit_equal_to_copyto_routing(rng, dtype, factor, hei
     g = rng.normal(size=out.shape).astype(dtype)
     g[:, :, ::2] = -np.abs(g[:, :, ::2])
     g[:, 1, 0] = -0.0
-    (got,) = out._backward(g)  # the op's own gradient: a leaf's += would turn -0 into +0
+    (got,) = out._backward(g)  # the op's own gradient
     ref = _maxpool_copyto_backward(x.data, out.data, g, factor)
     assert got.dtype == dtype
     np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaf_gradient_keeps_the_ops_negative_zeros(rng, dtype):
+    """A leaf's first gradient is stored as given: after one backward
+    through maxpool2d, x.grad holds the op's own gradient bit for bit,
+    its -0 entries included."""
+    x = Tensor(np.maximum(rng.normal(size=(2, 3, 8, 10)), 0.0).astype(dtype), requires_grad=True)
+    out = maxpool2d(x, 2)
+    g = rng.normal(size=out.shape).astype(dtype)
+    g[:, :, ::2] = -0.0
+    out.backward(g)
+    (ref,) = out._backward(g)
+    assert x.grad.dtype == dtype and np.signbit(x.grad[x.grad == 0.0]).any()
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    np.testing.assert_array_equal(x.grad.view(bits), ref.view(bits))
+
+
+def test_leaf_used_twice_accumulates_without_touching_the_upstream_gradient():
+    """A leaf used twice in one graph sums both uses, a second backward
+    adds to the first, and the array passed to backward stays as it
+    was."""
+    p = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    g = np.array([1.0, 1.0, -0.0])
+    (p * p + p).backward(g)
+    np.testing.assert_array_equal(p.grad, [3.0, -3.0, 0.0])
+    p.backward(g)  # a leaf as the root is handed g itself
+    np.testing.assert_array_equal(p.grad, [4.0, -2.0, 0.0])
+    np.testing.assert_array_equal(g, [1.0, 1.0, -0.0])
+    for dtype in (np.float64, np.float32):
+        q = Tensor(np.zeros(3, dtype=dtype), requires_grad=True)
+        q.backward(g)
+        q.backward(g)
+        assert q.grad.dtype == dtype
+        np.testing.assert_array_equal(q.grad, [2.0, 2.0, 0.0])
+        np.testing.assert_array_equal(g, [1.0, 1.0, -0.0])
 
 
 def _conv2d_loops(x, w, b, g, padding):
@@ -394,14 +431,15 @@ def test_recorded_conv2d_keeps_its_output_not_its_columns(rng):
     x = Tensor(rng.normal(size=(16, 8, 64, 100)).astype(np.float32).transpose(1, 0, 2, 3), requires_grad=True)
     w = Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32), requires_grad=True)
     b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
-    tracemalloc.start()
-    try:
+    out_bytes = 32 * 8 * 64 * 100 * 4
+
+    def forward():
         out = conv2d(x, w, b)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad and out.data.nbytes == 32 * 8 * 64 * 100 * 4
-    assert held < 1.25 * out.data.nbytes, f"held {held / 2**20:.1f} MiB"
+        assert out.requires_grad and out.data.nbytes == out_bytes
+        return out
+
+    _, held = peak_traced_bytes(forward)
+    assert held < 1.25 * out_bytes, f"held {held / 2**20:.1f} MiB"
 
 
 def test_double_backward_accumulates():
@@ -510,17 +548,128 @@ def test_attention_under_no_grad_records_no_parents(rng):
     assert out._parents == () and out._backward is None and not out.requires_grad
 
 
-def test_attention_scores_a_12s_clip_in_one_score_buffer_per_layer():
-    """A no-grad forward of a 12 s desk clip (1429 tokens, 4 heads) holds
-    one 62 MiB probability buffer at a time; the composed ops peaked at
-    256 MiB."""
+def _desk_forward_of_a_12s_clip():
+    """A no-grad forward of a 12 s clip (1429 tokens, 4 heads) through
+    the desk transformer, built outside the measured call."""
     model = tf.SpectrogramTransformer(tf.desk_config(max_duration_s=12.0), seed=0)
     values = np.random.default_rng(0).normal(-5.0, 2.0, size=(1200, model.config.n_mels))
-    tracemalloc.start()
-    try:
+
+    def forward():
         with no_grad():
             model.forward_batch(model.collate([model.prepare(values)]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    return forward
+
+
+def test_attention_scores_a_12s_clip_in_one_score_buffer_per_layer():
+    """A no-grad forward of a 12 s desk clip (1429 tokens, 4 heads) holds
+    at most one layer's 31 MiB of probabilities at a time; the composed
+    ops peaked at 256 MiB."""
+    peak, _ = peak_traced_bytes(_desk_forward_of_a_12s_clip())
     assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_attention_scores_a_12s_clip_one_head_at_a_time():
+    """The same forward holds one head's 8 MiB of probabilities at a
+    time; all four heads' at once were 31 MiB."""
+    peak, _ = peak_traced_bytes(_desk_forward_of_a_12s_clip())
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _attention_batched(q, k, v, bias=None):
+    """attention as it was before it ran one (batch, head) slice at a
+    time: every head's scores in one (B,H,Nq,N) buffer, under no_grad
+    too. The backward is the op's own."""
+    scale = 1.0 / math.sqrt(q.data.shape[-1])
+    probs = q.data @ k.data.swapaxes(-1, -2)
+    probs *= scale
+    if bias is not None:
+        probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dv = probs.swapaxes(-1, -2) @ g
+        ds = g @ v.data.swapaxes(-1, -2)
+        inner = (ds * probs).sum(axis=-1, keepdims=True)
+        ds -= inner
+        ds *= probs
+        ds *= scale
+        dq = ds @ k.data
+        dk = (q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        return dq, dk, dv
+
+    return q._make(probs @ v.data, (q, k, v), backward)
+
+
+def _bits(a):
+    return a.view(np.dtype(f"u{a.dtype.itemsize}"))
+
+
+def _run_attention(op, leaves, heads, bias, g, record):
+    """op's output and, when recorded, the leaves' gradients for an
+    upstream g, with heads split out of the leaves as the encoder does."""
+    for t in leaves:
+        t.zero_grad()
+    q, k, v = (heads(t) for t in leaves)
+    if not record:
+        with no_grad():
+            return [op(q, k, v, bias).data]
+    out = op(q, k, v, bias)
+    out.backward(g)
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("n_q", [29, 1])
+def test_per_head_attention_is_bit_equal_to_the_batched_op(rng, dtype, masked, record, n_q):
+    """Output and dq, dk, dv equal the batched op's bit for bit: float32
+    and float64, with and without a -inf key bias, recorded and under
+    no_grad, all queries and the last block's one CLS query."""
+    batch, n, heads, dh = 3, 29, 4, 16
+    data = [rng.normal(size=(batch, n, heads * dh)).astype(dtype) for _ in range(3)]
+    data[0] = data[0][:, :n_q]
+    bias = None
+    if masked:
+        valid = np.arange(n)[None, :] < np.array([[n], [11], [20]])
+        bias = np.where(valid, 0.0, -np.inf).astype(dtype)[:, None, None, :]
+    g = rng.normal(size=(batch, heads, n_q, dh)).astype(dtype)
+
+    def split(t):
+        return t.reshape((batch, t.shape[1], heads, dh)).transpose((0, 2, 1, 3))
+
+    leaves = [Tensor(d, requires_grad=True) for d in data]
+    got = _run_attention(attention, leaves, split, bias, g, record)
+    ref = _run_attention(_attention_batched, leaves, split, bias, g, record)
+    assert len(got) == (4 if record else 1)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("record", [True, False])
+def test_per_head_attention_broadcasts_as_the_batched_op(rng, dtype, record):
+    """The broadcast operands gradcheck and the softmax tests pass: a
+    (4,1,1,1) query, (4,1,6,1) keys and a 2-D identity value."""
+    logits = Tensor(rng.normal(size=(4, 6)).astype(dtype), requires_grad=True)
+    ones_q = Tensor(np.ones((4, 1, 1, 1), dtype=dtype))
+    eye_v = Tensor(np.eye(6, dtype=dtype))
+    g = rng.normal(size=(4, 1, 1, 6)).astype(dtype)
+    results = []
+    for op in (attention, _attention_batched):
+        logits.zero_grad()
+        k = logits.reshape((4, 1, 6, 1))
+        if record:
+            out = op(ones_q, k, eye_v)
+            out.backward(g)
+            results.append([out.data, logits.grad])
+        else:
+            with no_grad():
+                results.append([op(ones_q, k, eye_v).data])
+    for a, b in zip(*results):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        np.testing.assert_array_equal(_bits(a), _bits(b))

@@ -7,14 +7,46 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqatk.calibration import (
+    MONOTONE_GRID_POINTS,
+    SHRINK_STEPS,
     CalibrationError,
     CalibrationMap,
+    _fit_poly,
     apply_calibration,
     fit_calibration,
     load_calibration_maps,
     save_calibration_maps,
 )
 from sqatk.evaluation import rmse
+
+
+def _monotone_on(coeffs, domain) -> bool:
+    """Derivative >= 0 on an evenly spaced grid over the domain."""
+    _, a1, a2, a3 = coeffs
+    grid = np.linspace(domain[0], domain[1], MONOTONE_GRID_POINTS)
+    deriv = a1 + 2.0 * a2 * grid + 3.0 * a3 * grid * grid
+    return bool((deriv >= -1e-12).all())
+
+
+def _is_monotone(mapping: CalibrationMap) -> bool:
+    return _monotone_on(mapping.coefficients, mapping.fit_domain)
+
+
+def _fit_one_step_at_a_time(pred, subj) -> CalibrationMap:
+    """fit_calibration testing one shrink step per pass, with a fresh
+    grid each time, as it did before it tested them all at once."""
+    domain = (float(pred.min()), float(pred.max()))
+    full = _fit_poly(pred, subj, 3)
+    if _monotone_on(full, domain):
+        return CalibrationMap(tuple(float(c) for c in full), domain)
+    base = _fit_poly(pred, subj, 1)
+    shift = _fit_poly(pred, full[2] * pred**2 + full[3] * pred**3, 1)
+    for s in np.linspace(1.0, 0.0, SHRINK_STEPS)[1:]:
+        a0, a1 = base - s * shift
+        candidate = (float(a0), float(a1), float(s * full[2]), float(s * full[3]))
+        if _monotone_on(candidate, domain):
+            return CalibrationMap(candidate, domain)
+    return CalibrationMap((float(subj.mean()), 0.0, 0.0, 0.0), domain)
 
 
 def test_identity_recovery():
@@ -36,7 +68,7 @@ def test_fit_rmse_dominates_identity():
     pred = rng.uniform(1.0, 5.0, size=80)
     subj = np.clip(0.7 * pred + 0.9 + rng.normal(0, 0.2, size=80), 1, 5)
     mapping = fit_calibration(pred, subj)
-    if mapping.is_monotone():  # unconstrained fit kept
+    if _is_monotone(mapping):  # unconstrained fit kept
         fitted = mapping.poly(pred)
         assert rmse(fitted, subj) <= rmse(pred, subj) + 1e-12
 
@@ -70,14 +102,14 @@ def test_non_monotone_data_falls_back_to_monotone():
     pred = np.linspace(1.0, 5.0, 40)
     subj = 3.0 + 1.5 * np.sin(2.5 * pred)
     mapping = fit_calibration(pred, subj)
-    assert mapping.is_monotone()
+    assert _is_monotone(mapping)
 
 
 def test_anticorrelated_data_yields_constant():
     pred = np.linspace(1.0, 5.0, 30)
     subj = 6.0 - pred
     mapping = fit_calibration(pred, subj)
-    assert mapping.is_monotone()
+    assert _is_monotone(mapping)
     a0, a1, a2, a3 = mapping.coefficients
     assert (a1, a2, a3) == (0.0, 0.0, 0.0)
     assert a0 == pytest.approx(subj.mean())
@@ -104,7 +136,7 @@ def test_rank_preservation_random_monotone_fits(seed):
     c3 = rng.uniform(0.0, 0.05)
     subj = np.clip(0.3 + c1 * pred + c3 * pred**3, 1.0, 5.0)
     mapping = fit_calibration(pred, subj)
-    assert mapping.is_monotone()
+    assert _is_monotone(mapping)
     out = apply_calibration(mapping, pred)
     diffs = np.diff(out)
     assert (diffs >= -1e-12).all()
@@ -144,7 +176,7 @@ def test_narrow_prediction_span_fits():
             x = 3.0 + 0.012 * rng.uniform(-1.0, 1.0, size=8)
             y = np.clip(rng.normal(3.0, 1.0, size=8), 1.0, 5.0)
             mapping = fit_calibration(x, y)
-            assert np.isfinite(mapping.coefficients).all() and mapping.is_monotone()
+            assert np.isfinite(mapping.coefficients).all() and _is_monotone(mapping)
             assert rmse(mapping.poly(x), y) <= rmse(np.full(8, y.mean()), y) + 1e-9
 
 
@@ -157,3 +189,30 @@ def test_narrow_span_affine_target_recovers():
 def test_too_few_distinct_predictions_rejected():
     with pytest.raises(CalibrationError, match="rank-deficient"):
         fit_calibration([1.0, 1.0, 2.0, 2.0, 3.0, 3.0], [1.0, 2.0, 2.0, 3.0, 3.0, 4.0])
+
+
+def test_all_shrink_steps_at_once_pick_the_map_of_one_at_a_time():
+    """Testing every shrink step in one array gives, bit for bit, the
+    map of testing them one by one, on unconstrained, shrunk and
+    constant fits alike."""
+    rng = np.random.default_rng(5)
+    kinds = {"kept": 0, "shrunk": 0, "constant": 0}
+    for i in range(300):
+        n = int(rng.integers(4, 60))
+        pred = rng.normal(3.0, rng.uniform(0.01, 1.5), size=n)
+        if i % 3 == 0:
+            subj = rng.uniform(1.0, 5.0, size=n)
+        elif i % 3 == 1:
+            subj = np.clip(3.0 - 0.5 * (pred - 3.0) + rng.normal(0.0, 0.5, n), 1.0, 5.0)
+        else:
+            subj = np.clip(3.0 + rng.normal() * (pred - 3.0) ** 3 + rng.normal(0.0, 0.3, n), 1.0, 5.0)
+        mapping = fit_calibration(pred, subj)
+        assert repr(mapping) == repr(_fit_one_step_at_a_time(pred, subj))  # signed zeros too
+        full = tuple(float(c) for c in _fit_poly(pred, subj, 3))
+        if mapping.coefficients == full:
+            kinds["kept"] += 1
+        elif mapping.coefficients[1:] == (0.0, 0.0, 0.0):
+            kinds["constant"] += 1
+        else:
+            kinds["shrunk"] += 1
+    assert min(kinds.values()) >= 20, kinds

@@ -6,13 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from memory import peak_traced_bytes
 from sqatk import cli
+from sqatk import frontend as fe
 from sqatk.checkpoint import load_checkpoint, save_checkpoint
 from sqatk.cli import build_model, load_config_file, load_model, main
 from sqatk.evaluation import parse_report, read_predictions
 from sqatk.manifest import load_manifest, write_manifest
 from sqatk.quality import TASKS, QualityScores
-from sqatk.synth import generate_corpus
+from sqatk.synth import generate_corpus, write_wav_pcm16
 from sqatk.training import Adam, _batch_losses, make_sample, predict_raw
 
 DESK_CONFIG = """
@@ -417,6 +419,70 @@ def test_featurize_normalize_writes_stats(corpus, tmp_path):
     assert main(["featurize", "--manifest", str(corpus), "--out", str(out), "--normalize"]) == 0
     stats = (out / "normalization.txt").read_text()
     assert stats.startswith("mean=")
+
+
+@pytest.fixture(scope="module")
+def long_clips(tmp_path_factory):
+    """Manifests of two and of eight 12 s clips, the two a prefix of the eight."""
+    root = tmp_path_factory.mktemp("long")
+    eight = generate_corpus(root, n_clips=8, seed=2, duration_s=12.0)
+    two = root / "two.csv"
+    write_manifest(two, load_manifest(eight).entries[:2])
+    return two, eight
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"], ["--normalize", "--jobs", "2"]])
+def test_featurize_memory_does_not_grow_with_the_corpus(long_clips, tmp_path, capsys, flags):
+    """featurize writes each clip's cache before it computes the next (or
+    spills it, with --normalize), so eight 12 s clips peak within less
+    than one clip's 1.2 MB float64 log-mel of two; keeping them all
+    peaked 6 MiB higher."""
+    two, eight = long_clips
+
+    def featurize(manifest, out):
+        return lambda: main(["featurize", "--manifest", str(manifest), "--out", str(tmp_path / out)] + flags)
+
+    featurize(two, "warm")()  # first-call caches, such as the mel filterbank's
+    peak_two, _ = peak_traced_bytes(featurize(two, "two"))
+    peak_eight, _ = peak_traced_bytes(featurize(eight, "eight"))
+    capsys.readouterr()
+    assert len(list((tmp_path / "eight").glob("*.feat"))) == 8
+    assert peak_eight < peak_two + 2**20, f"{peak_two / 2**20:.1f} -> {peak_eight / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_featurize_normalize_writes_the_bytes_of_the_whole_corpus_in_memory(corpus, tmp_path, jobs):
+    """Spilling each clip's float64 log-mel and normalizing it in a
+    second pass gives the caches and statistics of normalizing the
+    whole corpus held in memory, byte for byte, and leaves no scratch
+    file behind."""
+    out = tmp_path / "norm"
+    assert main(["featurize", "--manifest", str(corpus), "--out", str(out), "--normalize", "--jobs", jobs]) == 0
+    entries = load_manifest(corpus).entries
+    values = [fe.log_mel_spectrogram(fe.decode_wav(e.audio)).values for e in entries]
+    mean, std = fe.corpus_normalization(fe.feature_moments(v) for v in values)
+    assert (out / "normalization.txt").read_text() == f"mean={mean!r}\nstd={std!r}\n"
+    expected = tmp_path / "expected.feat"
+    for entry, v in zip(entries, values):
+        fe.save_features(expected, (v - mean) / std)
+        assert (out / f"{entry.sample_id}.feat").read_bytes() == expected.read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{e.sample_id}.feat" for e in entries] + ["normalization.txt"]
+    )
+
+
+def test_featurize_normalize_removes_its_spills_when_a_clip_fails(corpus, tmp_path, capsys):
+    """A clip at the wrong rate fails pass 1 after earlier clips were
+    spilled: exit 1, and no scratch directory or statistics remain."""
+    entries = load_manifest(corpus).entries[:3]
+    bad = tmp_path / "bad.wav"
+    write_wav_pcm16(bad, np.zeros(44100), sample_rate=44100)
+    manifest = tmp_path / "bad.csv"
+    write_manifest(manifest, entries + [replace(entries[0], sample_id="bad", audio=bad)])
+    out = tmp_path / "norm"
+    assert main(["featurize", "--manifest", str(manifest), "--out", str(out), "--normalize"]) == 1
+    assert "44100 Hz" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_evaluate_reproduces_published_range_row(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from memory import peak_traced_bytes
 from sqatk import frontend as fe
 
 SR = 48000
@@ -204,6 +205,57 @@ def test_frame_count_formula(num_samples):
     assert spec.n_frames == (num_samples - 1200) // 480 + 1
 
 
+def _log_mel_whole_clip(samples, config=CFG):
+    """The log-mel as computed before frame blocks: every frame of the
+    clip in one windowing, rfft, power and mel GEMM."""
+    win = config.window_samples
+    frames = np.lib.stride_tricks.sliding_window_view(samples, win)[:: config.hop_samples]
+    spectrum = np.fft.rfft(frames * fe.hann_window(win), n=config.n_fft, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    fb = fe.mel_filterbank(config.n_mels, config.n_fft, config.sample_rate, config.fmin, config.fmax)
+    return np.log(np.maximum(power @ fb.T, config.log_floor))
+
+
+BLOCK = fe.FRAME_BLOCK
+SAMPLES_12S = 12 * SR  # 1198 frames
+
+
+@pytest.mark.parametrize(
+    "n_frames",
+    [*range(1, 10), BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 7, 1198],
+)
+def test_blocked_log_mel_is_bit_equal_to_the_whole_clip(rng, n_frames):
+    """Frame blocks change no bit: one block, a last block that takes a
+    remainder of one frame up to one block less one, and a 12 s clip."""
+    if n_frames == 1198:
+        n_samples = SAMPLES_12S
+    else:
+        n_samples = CFG.window_samples + (n_frames - 1) * CFG.hop_samples + int(rng.integers(0, 480))
+    samples = rng.uniform(-0.5, 0.5, size=n_samples)
+    got = fe.log_mel_spectrogram(fe.AudioClip(samples, SR)).values
+    ref = _log_mel_whole_clip(samples)
+    assert got.shape == ref.shape == (n_frames, CFG.n_mels)
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_window_longer_than_the_fft_is_cropped_as_before(rng):
+    """A 1200-sample window over a 1024-point FFT keeps its first 1024
+    samples, as rfft(frames, n=n_fft) does."""
+    config = fe.FrontendConfig(n_fft=1024, n_mels=40)
+    samples = rng.uniform(-0.5, 0.5, size=2 * BLOCK * config.hop_samples + 5000)
+    got = fe.log_mel_spectrogram(fe.AudioClip(samples, SR), config).values
+    np.testing.assert_array_equal(got, _log_mel_whole_clip(samples, config))
+
+
+def test_log_mel_of_a_12s_clip_peaks_at_one_block():
+    """Beyond the 4.6 MB clip and its 1.2 MB output, a 12 s clip needs
+    one block's buffers: 8 MiB traced at the peak, where the whole-clip
+    computation peaked at 48 MiB."""
+    clip = fe.AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, size=SAMPLES_12S), SR)
+    peak, _ = peak_traced_bytes(lambda: fe.log_mel_spectrogram(clip))
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # ------------------------------------------------------------- DFT oracle
 
 
@@ -259,6 +311,6 @@ def test_feature_cache_rejects_truncated(tmp_path):
 
 def test_corpus_normalization():
     feats = [np.full((4, 2), 2.0), np.full((4, 2), 6.0)]
-    mean, std = fe.corpus_normalization(feats)
+    mean, std = fe.corpus_normalization(fe.feature_moments(v) for v in feats)
     assert mean == pytest.approx(4.0)
     assert std == pytest.approx(2.0)
