@@ -13,6 +13,7 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,16 +31,48 @@ def encode_config(echo: dict[str, str]) -> str:
     return "".join(f"{k}={v}\n" for k, v in sorted(echo.items()))
 
 
-def decode_config(text: str) -> dict[str, str]:
+def decode_config(raw: bytes, source, error=CheckpointError) -> dict[str, str]:
+    """The key=value lines of utf-8 bytes; blank lines and '#' comment
+    lines are skipped. Errors are of type error and name source and the
+    line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{source}: config is not utf-8 text: {exc}") from exc
     out = {}
-    for line in text.splitlines():
+    for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CheckpointError(f"bad config line {line!r}")
+            raise error(f"{source}: line {i}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
+    return out
+
+
+def echo_config(config, prefix: str) -> dict[str, str]:
+    """prefix + name -> text for every field of a config dataclass: repr
+    for scalars, a comma list for tuples."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        out[prefix + f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+    return out
+
+
+def parse_config(cls, echo: dict[str, str], prefix: str = "", error=CheckpointError) -> dict:
+    """Keyword arguments for config dataclass cls from the prefix + name
+    keys present in echo, each converted to the type of its field's
+    default; a tuple is a comma list of ints."""
+    out = {}
+    for f in fields(cls):
+        text, convert = echo.get(prefix + f.name), type(f.default)
+        if text is not None:
+            try:
+                out[f.name] = tuple(int(c) for c in text.split(",")) if convert is tuple else convert(text)
+            except ValueError as exc:
+                raise error(f"config key {prefix}{f.name}: {exc}") from exc
     return out
 
 
@@ -80,15 +113,17 @@ def load_checkpoint(path) -> tuple[str, dict[str, str], dict[str, np.ndarray]]:
         pos += n
         return chunk
 
+    # Undecodable kind or name bytes become U+FFFD, which no kind or
+    # parameter name matches, so loading the model fails with a typed error.
     (kind_len,) = struct.unpack("<B", take(1))
-    kind = bytes(take(kind_len)).decode("ascii")
+    kind = bytes(take(kind_len)).decode("ascii", "replace")
     (config_len,) = struct.unpack("<I", take(4))
-    config = decode_config(bytes(take(config_len)).decode("utf-8"))
+    config = decode_config(bytes(take(config_len)), path)
     (n_tensors,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = bytes(take(name_len)).decode("utf-8", "replace")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         count = int(np.prod(dims)) if ndim else 1

@@ -16,6 +16,7 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from . import frontend as fe
 from . import training as tr
 from .atomic import atomic_write
 from .autodiff import Tensor
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointError, decode_config, echo_config, load_checkpoint, parse_config,
+                         save_checkpoint)
 from .cnn import ConvBaseline, CnnConfig, cnn_param_spec
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .manifest import Manifest, ManifestError, format_summary, load_manifest, summarize
@@ -42,75 +44,32 @@ class CliError(Exception):
 # ------------------------------------------------------------- utilities
 
 
+# Checkpoint kind -> (adapter, its config class, its parameter spec).
+_MODEL_KINDS = {
+    "ast": (SpectrogramTransformer, ModelConfig, param_spec),
+    "cnn": (ConvBaseline, CnnConfig, cnn_param_spec),
+}
+_CONFIG_KEYS = {f.name for cls in (ModelConfig, CnnConfig, TrainConfig) for f in fields(cls)}
+
+
 def load_config_file(path) -> dict[str, str]:
-    """Flat key=value text config; '#' starts a comment line."""
-    out: dict[str, str] = {}
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}: line {i}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-_MODEL_KEYS = {
-    "embed_dim": int,
-    "patch_size": int,
-    "patch_stride_time": int,
-    "patch_stride_freq": int,
-    "n_layers": int,
-    "n_heads": int,
-    "mlp_ratio": float,
-    "max_duration_s": float,
-    "n_mels": int,
-    "frame_hop_s": float,
-}
-_CNN_KEYS = {
-    "channels": lambda s: tuple(int(c) for c in s.split(",")),
-    "pool": lambda s: tuple(int(c) for c in s.split(",")),
-    "kernel": int,
-    "max_duration_s": float,
-    "n_mels": int,
-    "frame_hop_s": float,
-}
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "max_epochs": int,
-    "early_stop_patience": int,
-    "lr_patience": int,
-    "batch_size": int,
-    "seed": int,
-}
-
-
-def _pick(config: dict[str, str], keys: dict) -> dict:
-    out = {}
-    for key, conv in keys.items():
-        if key in config:
-            try:
-                out[key] = conv(config[key])
-            except ValueError as exc:
-                raise CliError(f"config key {key}: {exc}") from exc
-    return out
-
-
-# Checkpoint kind -> (adapter, its parameter spec).
-_MODEL_KINDS = {"ast": (SpectrogramTransformer, param_spec), "cnn": (ConvBaseline, cnn_param_spec)}
+    """Flat key=value text config; '#' starts a comment line. Every key
+    is a field of ModelConfig, CnnConfig or TrainConfig, so one file can
+    serve both model kinds."""
+    config = decode_config(Path(path).read_bytes(), path, CliError)
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise CliError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+    return config
 
 
 def build_model(kind: str, config: dict[str, str], seed: int = 0):
-    if kind == "ast":
-        return SpectrogramTransformer(ModelConfig(**_pick(config, _MODEL_KEYS)), seed=seed)
-    if kind == "cnn":
-        return ConvBaseline(CnnConfig(**_pick(config, _CNN_KEYS)), seed=seed)
-    raise CliError(f"unknown model kind {kind!r}")
+    adapter, config_class, _ = _MODEL_KINDS[kind]
+    return adapter(config_class(**parse_config(config_class, config, error=CliError)), seed=seed)
 
 
 def build_train_config(kind: str, config: dict[str, str]) -> TrainConfig:
-    picked = _pick(config, _TRAIN_KEYS)
+    picked = parse_config(TrainConfig, config, error=CliError)
     if kind == "ast":
         picked.setdefault("learning_rate", 1e-6)
     env_seed = os.environ.get("SQA_SEED")
@@ -222,18 +181,8 @@ def cmd_train(args) -> int:
             f"so no epoch can be picked; history -> {history_path}, no checkpoint written"
         )
 
-    echo = model.config_echo()
-    echo.update(
-        {
-            "train.learning_rate": repr(train_config.learning_rate),
-            "train.max_epochs": str(train_config.max_epochs),
-            "train.early_stop_patience": str(train_config.early_stop_patience),
-            "train.lr_patience": str(train_config.lr_patience),
-            "train.batch_size": str(train_config.batch_size),
-            "train.seed": str(train_config.seed),
-            "train.best_epoch": str(result.best_epoch),
-        }
-    )
+    echo = {**model.config_echo(), **echo_config(train_config, "train."),
+            "train.best_epoch": str(result.best_epoch)}
     save_checkpoint(args.out, model.kind, echo, result.params)
     print(
         f"trained {model.kind}: {result.epochs_run} epochs, "
@@ -246,14 +195,12 @@ def load_model(path):
     """The checkpoint's model, holding its float32 tensors as parameters."""
     kind, echo, tensors = load_checkpoint(path)
     if kind not in _MODEL_KINDS:
-        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    adapter, spec = _MODEL_KINDS[kind]
-    try:
-        config = adapter.config_from_echo(echo)
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: model config echo has no {exc.args[0]} key") from exc
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: bad model config echo: {exc}") from exc
+        raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+    adapter, config_class, spec = _MODEL_KINDS[kind]
+    missing = [f"model.{f.name}" for f in fields(config_class) if f"model.{f.name}" not in echo]
+    if missing:
+        raise CheckpointError(f"{path}: model config echo has no {', '.join(missing)} key")
+    config = config_class(**parse_config(config_class, echo, "model."))
     params = {}
     for name, (shape, _) in spec(config).items():
         if name not in tensors:

@@ -10,13 +10,14 @@ reproduction of any published CNN scorer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .autodiff import ParamSpec, Tensor, conv2d, init_from_spec, maxpool2d
 from .quality import TASKS
 from .training import Scorer
-from .transformer import PAD_LOG_VALUE, ModelError
+from .transformer import PAD_LOG_VALUE, ModelError, check_window, floor_pad
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,11 @@ class CnnConfig:
     n_mels: int = 128
     max_duration_s: float = 12.0
     frame_hop_s: float = 0.010
-    tasks: tuple[str, ...] = TASKS
-    pad_log_value: float = PAD_LOG_VALUE
+    tasks: ClassVar[tuple[str, ...]] = TASKS
+    pad_log_value: ClassVar[float] = PAD_LOG_VALUE
 
     def __post_init__(self):
+        check_window(self)
         if len(self.channels) != len(self.pool):
             raise ModelError("channels and pool must have one entry per stage")
         if min(self.channels + self.pool, default=1) < 1:
@@ -84,17 +86,6 @@ def init_cnn_params(config: CnnConfig, seed: int = 0) -> dict[str, Tensor]:
     return init_from_spec(cnn_param_spec(config), seed)
 
 
-def pad_to_max_frames(values: np.ndarray, config: CnnConfig) -> np.ndarray:
-    """(frames, mels) -> (1, mels, max_frames) plane, floor-padded."""
-    plane = values.T
-    if plane.shape[0] != config.n_mels:
-        raise ModelError(f"spectrogram has {plane.shape[0]} mel bins, config expects {config.n_mels}")
-    n_real = min(plane.shape[1], config.max_frames)
-    padded = np.full((config.n_mels, config.max_frames), config.pad_log_value, dtype=plane.dtype)
-    padded[:, :n_real] = plane[:, :n_real]
-    return padded[None]
-
-
 def cnn_forward_batch(
     x: np.ndarray, params: dict[str, Tensor], config: CnnConfig
 ) -> dict[str, Tensor]:
@@ -125,33 +116,11 @@ class ConvBaseline(Scorer):
         self.params = params if params is not None else init_cnn_params(config, seed)
 
     def prepare(self, values: np.ndarray) -> np.ndarray:
-        return pad_to_max_frames(np.asarray(values, dtype=self.dtype), self.config)
+        """(frames, mels) features -> the floor-padded (1, mels, max_frames) plane."""
+        return floor_pad(np.asarray(values, dtype=self.dtype), self.config)[None]
 
     def collate(self, inputs: list[np.ndarray]) -> np.ndarray:
         return np.stack(inputs)
 
     def forward_batch(self, batch: np.ndarray) -> dict[str, Tensor]:
         return cnn_forward_batch(batch, self.params, self.config)
-
-    def config_echo(self) -> dict[str, str]:
-        cfg = self.config
-        return {
-            "model.kind": self.kind,
-            "model.channels": ",".join(str(c) for c in cfg.channels),
-            "model.kernel": str(cfg.kernel),
-            "model.pool": ",".join(str(p) for p in cfg.pool),
-            "model.n_mels": str(cfg.n_mels),
-            "model.max_duration_s": repr(cfg.max_duration_s),
-            "model.frame_hop_s": repr(cfg.frame_hop_s),
-        }
-
-    @classmethod
-    def config_from_echo(cls, echo: dict[str, str]) -> CnnConfig:
-        return CnnConfig(
-            channels=tuple(int(c) for c in echo["model.channels"].split(",")),
-            kernel=int(echo["model.kernel"]),
-            pool=tuple(int(p) for p in echo["model.pool"].split(",")),
-            n_mels=int(echo["model.n_mels"]),
-            max_duration_s=float(echo["model.max_duration_s"]),
-            frame_hop_s=float(echo["model.frame_hop_s"]),
-        )

@@ -52,7 +52,6 @@ class FrontendConfig:
     fmin: float = 0.0
     fmax: float | None = None  # None means Nyquist
     log_floor: float = 1e-10
-    normalize: bool = False  # optional per-corpus mean/variance normalization
 
     @property
     def window_samples(self) -> int:
@@ -61,10 +60,6 @@ class FrontendConfig:
     @property
     def hop_samples(self) -> int:
         return int(round(self.frame_hop_s * self.sample_rate))
-
-    @property
-    def effective_fmax(self) -> float:
-        return self.sample_rate / 2.0 if self.fmax is None else self.fmax
 
 
 @dataclass
@@ -83,7 +78,7 @@ class AudioClip:
             raise AudioError("clip must contain at least one mono sample")
         if not np.isfinite(self.samples).all():
             raise AudioError("clip contains non-finite samples")
-        peak = float(np.abs(self.samples).max())
+        peak = float(max(self.samples.max(), -self.samples.min()))  # no |samples| array
         if peak > 1.0 + 1e-6:
             raise AudioError(f"clip amplitude {peak} outside [-1, 1]")
 
@@ -157,7 +152,7 @@ def decode_wav(path: str | os.PathLike, expected_sample_rate: int = 48000) -> Au
     if audio_format == 1 and bits == 16:
         usable = len(data) - len(data) % (2 * channels)
         ints = np.frombuffer(data[:usable], dtype="<i2")
-        samples = ints.astype(np.float64) / 32768.0
+        samples = np.multiply(ints, 1.0 / 32768.0, dtype=np.float64)  # one array; 2**-15 is exact
     elif audio_format == 3 and bits == 32:
         usable = len(data) - len(data) % (4 * channels)
         samples = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
@@ -196,14 +191,6 @@ def mel_to_hz(mel):
 def _mel_edge_frequencies(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
     mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
     return mel_to_hz(mel_pts)
-
-
-def mel_filter_centers(
-    n_mels: int, sample_rate: int, fmin: float = 0.0, fmax: float | None = None
-) -> np.ndarray:
-    """Center (peak) frequency in Hz of each triangular filter."""
-    fmax = sample_rate / 2.0 if fmax is None else fmax
-    return _mel_edge_frequencies(n_mels, fmin, fmax)[1:-1]
 
 
 @lru_cache(maxsize=8)

@@ -45,9 +45,3 @@ class QualityScores:
     @classmethod
     def from_dict(cls, values: dict[str, float | None]) -> "QualityScores":
         return cls(**{t: values.get(t) for t in TASKS})
-
-    def validate_range(self) -> None:
-        for t in TASKS:
-            v = self.get(t)
-            if v is not None and not (SCORE_MIN <= v <= SCORE_MAX):
-                raise ValueError(f"{t} score {v} outside [{SCORE_MIN}, {SCORE_MAX}]")

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .atomic import atomic_write
 from .autodiff import Tensor, no_grad
+from .checkpoint import echo_config
 from .evaluation import UndefinedCorrelationError, pearson, rmse
 from .quality import SCORE_MAX, SCORE_MIN, TASKS, QualityScores, clip_score
 
@@ -33,12 +36,14 @@ class TrainConfig:
     lr_patience: int = 15
     batch_size: int = 100
     seed: int = 0
-    lr_factor: float = 0.5
-    lr_floor: float = 1e-8
+    lr_factor: ClassVar[float] = 0.5
+    lr_floor: ClassVar[float] = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise TrainingError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise TrainingError("learning_rate must be positive and finite")
+        if self.seed < 0:
+            raise TrainingError("seed must be >= 0")
         if self.early_stop_patience < 1 or self.lr_patience < 1:
             raise TrainingError("patience values must be >= 1")
         if self.batch_size < 1:
@@ -84,14 +89,6 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-
-def adam_step(params: dict[str, Tensor], optimizer: Adam, lr: float) -> None:
-    """Functional wrapper: apply one ADAM update using gradients already
-    accumulated in the parameter tensors."""
-    if optimizer.params is not params:
-        raise TrainingError("optimizer was built for a different parameter set")
-    optimizer.step(lr)
 
 
 class PatienceController:
@@ -188,11 +185,11 @@ def predict_raw(model, inputs: list, batch_size: int) -> dict[str, np.ndarray]:
 
 
 class Scorer:
-    """Clip scoring shared by the model adapters, which provide params,
-    config.tasks, prepare, collate and forward_batch. prepare casts its
-    input to dtype once, so the model computes in its parameters' dtype:
-    float32, whether freshly initialised for training or loaded from a
-    checkpoint."""
+    """Clip scoring and the config echo shared by the model adapters,
+    which provide kind, config, params, prepare, collate and
+    forward_batch. prepare casts its input to dtype once, so the model
+    computes in its parameters' dtype: float32, whether freshly
+    initialised for training or loaded from a checkpoint."""
 
     @property
     def dtype(self) -> np.dtype:
@@ -202,6 +199,10 @@ class Scorer:
         """Score one (frames, mels) feature matrix; values clipped to [1, 5]."""
         raw = predict_raw(self, [self.prepare(values)], batch_size=1)
         return QualityScores(**{t: clip_score(raw[t][0]) for t in self.config.tasks})
+
+    def config_echo(self) -> dict[str, str]:
+        """The checkpoint's model.* echo: the kind and every config field."""
+        return {"model.kind": self.kind, **echo_config(self.config, "model.")}
 
 
 def _validation_mos(model, samples: list[TrainSample], batch_size: int) -> tuple[float, float, float]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,18 +47,23 @@ class ModelConfig:
     max_duration_s: float = 12.0
     n_mels: int = 128
     frame_hop_s: float = 0.010
-    tasks: tuple[str, ...] = TASKS
-    pad_log_value: float = PAD_LOG_VALUE
+    tasks: ClassVar[tuple[str, ...]] = TASKS
+    pad_log_value: ClassVar[float] = PAD_LOG_VALUE
 
     def __post_init__(self):
+        check_window(self)
+        if self.n_heads < 1:
+            raise ModelError("n_heads must be >= 1")
         if self.embed_dim % self.n_heads:
             raise ModelError("embed_dim must be divisible by n_heads")
         if not (1 <= self.patch_stride_time <= self.patch_size):
             raise ModelError("patch_stride_time must be in [1, patch_size]")
         if not (1 <= self.patch_stride_freq <= self.patch_size):
             raise ModelError("patch_stride_freq must be in [1, patch_size]")
-        if self.max_duration_s <= 0:
-            raise ModelError("max_duration_s must be positive")
+        if min(self.n_mels, self.max_frames) < self.patch_size:
+            raise ModelError("spectrogram narrower than one patch")
+        if not 0 < self.mlp_ratio < math.inf or self.mlp_hidden < 1:
+            raise ModelError("mlp_ratio must give at least one hidden unit")
         if self.n_layers < 0:
             raise ModelError("n_layers must be >= 0")
 
@@ -82,6 +88,23 @@ class ModelConfig:
         return int(self.embed_dim * self.mlp_ratio)
 
 
+def check_window(config) -> None:
+    """max_duration_s and frame_hop_s must give a positive, finite frame count."""
+    if not (config.frame_hop_s > 0 and 0 < config.max_duration_s / config.frame_hop_s < math.inf):
+        raise ModelError("max_duration_s and frame_hop_s must be positive and finite")
+
+
+def floor_pad(values: np.ndarray, config) -> np.ndarray:
+    """(frames, mels) features -> the (n_mels, max_frames) plane, cut or
+    padded along time with the log floor, in the features' dtype."""
+    if values.shape[1] != config.n_mels:
+        raise ModelError(f"spectrogram has {values.shape[1]} mel bins, config expects {config.n_mels}")
+    n_real = min(values.shape[0], config.max_frames)
+    padded = np.full((config.n_mels, config.max_frames), config.pad_log_value, dtype=values.dtype)
+    padded[:, :n_real] = values[:n_real].T
+    return padded
+
+
 def desk_config(**overrides) -> ModelConfig:
     """Small configuration for tests and quick experiments."""
     base = dict(embed_dim=64, n_layers=2, n_heads=4, max_duration_s=2.0)
@@ -101,22 +124,14 @@ class PatchSequence:
 def extract_patches(spec: LogMelSpectrogram, config: ModelConfig) -> PatchSequence:
     """Cut the spectrogram into overlapping patches in (freq, time) order.
 
-    The time axis is padded with the log floor (or truncated) to exactly
-    config.max_frames before patching. Patch i = f * n_time + t covers
-    mel rows [f*stride_f, f*stride_f+patch) and frames
-    [t*stride_t, t*stride_t+patch); it is invalid iff every frame it
-    covers is padding.
+    The time axis is floor-padded (or cut) to exactly config.max_frames
+    before patching. Patch i = f * n_time + t covers mel rows
+    [f*stride_f, f*stride_f+patch) and frames [t*stride_t,
+    t*stride_t+patch); it is invalid iff every frame it covers is
+    padding.
     """
-    if spec.n_mels != config.n_mels:
-        raise ModelError(f"spectrogram has {spec.n_mels} mel bins, config expects {config.n_mels}")
+    padded = floor_pad(spec.values, config)
     p = config.patch_size
-    if config.n_mels < p or config.max_frames < p:
-        raise ModelError("spectrogram narrower than one patch")
-
-    plane = spec.values.T  # (n_mels, frames)
-    n_real = min(plane.shape[1], config.max_frames)
-    padded = np.full((config.n_mels, config.max_frames), config.pad_log_value, dtype=plane.dtype)
-    padded[:, :n_real] = plane[:, :n_real]
 
     windows = np.lib.stride_tricks.sliding_window_view(padded, (p, p))[
         :: config.patch_stride_freq, :: config.patch_stride_time
@@ -125,7 +140,7 @@ def extract_patches(spec: LogMelSpectrogram, config: ModelConfig) -> PatchSequen
     patches = np.ascontiguousarray(windows).reshape(n_f * n_t, p * p)
 
     time_starts = np.arange(n_t) * config.patch_stride_time
-    valid = np.tile(time_starts < n_real, n_f)
+    valid = np.tile(time_starts < min(spec.n_frames, config.max_frames), n_f)
     return PatchSequence(patches=patches, valid=valid, grid=(n_f, n_t))
 
 
@@ -340,35 +355,3 @@ class SpectrogramTransformer(Scorer):
     def forward_batch(self, batch) -> dict[str, Tensor]:
         patches, positions, valid = batch
         return forward_scores(patches, valid, self.params, self.config, positions)
-
-    def config_echo(self) -> dict[str, str]:
-        cfg = self.config
-        return {
-            "model.kind": self.kind,
-            "model.embed_dim": str(cfg.embed_dim),
-            "model.patch_size": str(cfg.patch_size),
-            "model.patch_stride_time": str(cfg.patch_stride_time),
-            "model.patch_stride_freq": str(cfg.patch_stride_freq),
-            "model.n_layers": str(cfg.n_layers),
-            "model.n_heads": str(cfg.n_heads),
-            "model.mlp_ratio": repr(cfg.mlp_ratio),
-            "model.max_duration_s": repr(cfg.max_duration_s),
-            "model.n_mels": str(cfg.n_mels),
-            "model.frame_hop_s": repr(cfg.frame_hop_s),
-        }
-
-    @classmethod
-    def config_from_echo(cls, echo: dict[str, str]) -> ModelConfig:
-        return ModelConfig(
-            embed_dim=int(echo["model.embed_dim"]),
-            patch_size=int(echo["model.patch_size"]),
-            patch_stride_time=int(echo["model.patch_stride_time"]),
-            patch_stride_freq=int(echo["model.patch_stride_freq"]),
-            n_layers=int(echo["model.n_layers"]),
-            n_heads=int(echo["model.n_heads"]),
-            mlp_ratio=float(echo["model.mlp_ratio"]),
-            max_duration_s=float(echo["model.max_duration_s"]),
-            n_mels=int(echo["model.n_mels"]),
-            frame_hop_s=float(echo["model.frame_hop_s"]),
-        )
-

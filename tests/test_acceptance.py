@@ -137,7 +137,7 @@ def test_criterion_3_overfit_cnn(overfit_corpus):
     config = desk_cnn_config(max_duration_s=1.0)
     params = cnn_mod.init_cnn_params(config, seed=0)
     dtype = params["conv0_w"].data.dtype  # float32: cast the features as prepare does
-    planes = np.stack([cnn_mod.pad_to_max_frames(v.astype(dtype), config) for v in features])
+    planes = np.stack([tf.floor_pad(v.astype(dtype), config)[None] for v in features])
 
     steps, per_task, max_dev = overfit_full_batch(
         lambda: cnn_mod.cnn_forward_batch(planes, params, config), params, labels

@@ -7,10 +7,16 @@ from sqatk.checkpoint import (
     MAGIC,
     CheckpointError,
     decode_config,
+    echo_config,
     encode_config,
     load_checkpoint,
+    parse_config,
     save_checkpoint,
 )
+from sqatk.cli import load_model
+from sqatk.cnn import CnnConfig, ConvBaseline
+from sqatk.training import TrainConfig
+from sqatk.transformer import ModelConfig, SpectrogramTransformer, desk_config
 
 
 def test_roundtrip(tmp_path, rng):
@@ -57,6 +63,66 @@ def test_truncated_file(tmp_path, rng):
 
 def test_config_codec():
     echo = {"b": "2", "a": "x=y"}
-    assert decode_config(encode_config(echo)) == echo
-    with pytest.raises(CheckpointError):
-        decode_config("just words\n")
+    assert decode_config(encode_config(echo).encode(), "echo") == echo
+    with pytest.raises(CheckpointError, match="echo: line 2: expected key=value"):
+        decode_config(b"# comment\njust words\n", "echo")
+
+
+# The on-disk echo of each default config. A renamed, added or removed
+# field changes the checkpoint format and must change these strings too.
+AST_ECHO = (
+    "model.embed_dim=768\nmodel.frame_hop_s=0.01\nmodel.kind=ast\nmodel.max_duration_s=12.0\n"
+    "model.mlp_ratio=4.0\nmodel.n_heads=12\nmodel.n_layers=12\nmodel.n_mels=128\n"
+    "model.patch_size=16\nmodel.patch_stride_freq=10\nmodel.patch_stride_time=10\n"
+)
+CNN_ECHO = (
+    "model.channels=16,32,64,64\nmodel.frame_hop_s=0.01\nmodel.kernel=3\nmodel.kind=cnn\n"
+    "model.max_duration_s=12.0\nmodel.n_mels=128\nmodel.pool=2,2,2,2\n"
+)
+TRAIN_ECHO = (
+    "train.batch_size=100\ntrain.early_stop_patience=20\ntrain.learning_rate=0.001\n"
+    "train.lr_patience=15\ntrain.max_epochs=500\ntrain.seed=0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "adapter, config_class, text",
+    [(SpectrogramTransformer, ModelConfig, AST_ECHO), (ConvBaseline, CnnConfig, CNN_ECHO)],
+    ids=["ast", "cnn"],
+)
+def test_default_model_echo_is_pinned_and_parses_back(adapter, config_class, text):
+    echo = adapter(config_class(), params={}).config_echo()
+    assert encode_config(echo) == text
+    assert config_class(**parse_config(config_class, echo, "model.")) == config_class()
+
+
+def test_default_train_echo_is_pinned_and_parses_back():
+    echo = echo_config(TrainConfig(), "train.")
+    assert encode_config(echo) == TRAIN_ECHO
+    assert TrainConfig(**parse_config(TrainConfig, echo, "train.")) == TrainConfig()
+
+
+def test_parse_config_converts_to_the_field_types():
+    parsed = parse_config(CnnConfig, {"channels": "8, 16", "pool": "2,2", "max_duration_s": "1", "kernel": "3"})
+    assert parsed == {"channels": (8, 16), "kernel": 3, "pool": (2, 2), "max_duration_s": 1.0}
+    assert type(parsed["max_duration_s"]) is float
+    with pytest.raises(CheckpointError, match="config key kernel: .*'3.0'"):
+        parse_config(CnnConfig, {"kernel": "3.0"})
+
+
+@pytest.mark.parametrize(
+    "find, named",
+    [(b"ast", "unknown checkpoint kind"), (b"model.", "not utf-8"), (b"proj_w", "missing tensor 'proj_w'")],
+    ids=["kind", "echo", "tensor_name"],
+)
+def test_undecodable_text_is_a_checkpoint_error(tmp_path, find, named):
+    """A non-ascii kind byte, or a non-utf-8 echo or tensor-name byte, is
+    a typed error when the model loads, not a UnicodeDecodeError."""
+    model = SpectrogramTransformer(desk_config(embed_dim=8, n_heads=2, n_layers=0, max_duration_s=0.3))
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, model.kind, model.config_echo(), {k: p.data for k, p in model.params.items()})
+    raw = path.read_bytes()
+    at = raw.index(find)
+    path.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+    with pytest.raises(CheckpointError, match=named):
+        load_model(path)

@@ -1,7 +1,9 @@
 """End-to-end CLI tests over a synthetic corpus: featurize, train,
 predict, calibrate, evaluate, gradcheck, plus the error contract."""
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,13 @@ from sqatk import cli
 from sqatk import frontend as fe
 from sqatk.checkpoint import load_checkpoint, save_checkpoint
 from sqatk.cli import build_model, load_config_file, load_model, main
+from sqatk.cnn import CnnConfig
 from sqatk.evaluation import parse_report, read_predictions
 from sqatk.manifest import load_manifest, write_manifest
 from sqatk.quality import TASKS, QualityScores
 from sqatk.synth import generate_corpus, write_wav_pcm16
-from sqatk.training import Adam, _batch_losses, make_sample, predict_raw
+from sqatk.training import Adam, TrainConfig, _batch_losses, make_sample, predict_raw
+from sqatk.transformer import ModelConfig
 
 DESK_CONFIG = """
 # desk-scale transformer
@@ -366,6 +370,91 @@ def test_cnn_window_that_pools_time_away_is_a_typed_error(corpus, workdir, tmp_p
     assert err.startswith("error: pooling collapses the time axis")
     assert "Traceback" not in err
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("ast", "n_heads", "0"),
+        ("ast", "frame_hop_s", "0"),
+        ("cnn", "frame_hop_s", "0"),
+        ("ast", "max_duration_s", "nan"),
+        ("cnn", "max_duration_s", "nan"),
+        ("ast", "max_duration_s", "inf"),
+        ("cnn", "max_duration_s", "inf"),
+        ("ast", "mlp_ratio", "-1"),
+        ("ast", "n_mels", "3"),
+    ],
+)
+def test_config_value_that_breaks_the_model_is_a_typed_error(corpus, workdir, tmp_path, capsys, kind, key, value):
+    """Each value raised ZeroDivisionError, ValueError, OverflowError or
+    numpy's negative-dimensions error, from a --config file in train
+    and from a checkpoint echo in predict. Both exit 1."""
+    base = DESK_CONFIG if kind == "ast" else CNN_CONFIG
+    config = tmp_path / "bad.cfg"
+    config.write_text(base + f"{key}={value}\n")
+    ckpt = tmp_path / "bad.ckpt"
+    assert main(["train", "--model", kind, "--config", str(config), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not ckpt.exists()
+
+    config.write_text(base)
+    model = build_model(kind, load_config_file(config))
+    echo = {**model.config_echo(), f"model.{key}": value}
+    save_checkpoint(ckpt, kind, echo, {name: p.data for name, p in model.params.items()})
+    assert main(["predict", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(tmp_path / "p.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_typed_error(corpus, workdir, tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(DESK_CONFIG.encode() + b"# caf\xe9\n")
+    code = main(["train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(tmp_path / "x.ckpt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: config is not utf-8 text")
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_config_file_names_its_bad_line(tmp_path):
+    config = tmp_path / "words.cfg"
+    config.write_text("embed_dim=32\njust words\n")
+    with pytest.raises(cli.CliError, match=f"{config}: line 2: expected key=value"):
+        load_config_file(config)
+
+
+def test_unknown_config_key_is_rejected(corpus, workdir, tmp_path, capsys):
+    """A misspelt key used to train silently at the default; the keys of
+    the other model kind stay accepted, so one file serves both."""
+    config = tmp_path / "typo.cfg"
+    ckpt = tmp_path / "x.ckpt"
+    train = ["train", "--model", "cnn", "--config", str(config), "--manifest", str(corpus),
+             "--features", str(workdir / "feats"), "--out", str(ckpt)]
+    config.write_text(CNN_CONFIG + "learning_rat=0.1\n")
+    assert main(train) == 1
+    assert capsys.readouterr().err == f"error: {config}: unknown config key(s) learning_rat\n"
+    assert not ckpt.exists()
+    config.write_text(CNN_CONFIG + "embed_dim=64\nn_layers=2\nn_heads=4\n")
+    assert main(train) == 0
+
+
+def test_readme_lists_every_config_field():
+    """README's "Config files" section names exactly the fields of the
+    config dataclasses."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n\n", 2)[1]
+    listed = {
+        label: sorted(re.findall(r"`(\w+)`", part))
+        for label, part in re.findall(r"(Transformer|CNN|Training) keys:\s+(.*?)\.(?:\s|$)", section, re.S)
+    }
+    assert listed == {
+        label: sorted(f.name for f in fields(cls))
+        for label, cls in (("Transformer", ModelConfig), ("CNN", CnnConfig), ("Training", TrainConfig))
+    }
 
 
 def test_unreadable_input_fails_cleanly(tmp_path, capsys):

@@ -101,7 +101,7 @@ def test_time_shift_by_pooling_period_barely_moves_features(rng):
     def features(values):
         from sqatk.autodiff import Tensor, conv2d, maxpool2d
 
-        h = Tensor(cnn_mod.pad_to_max_frames(values, config)[None])
+        h = Tensor(tf.floor_pad(values, config)[None, None])
         for i, factor in enumerate(config.pool):
             h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], padding=1).relu()
             h = maxpool2d(h, factor)
@@ -138,7 +138,7 @@ def test_predict_scores_matches_cnn_forward(rng):
     model = cnn_mod.ConvBaseline(config, seed=3)
     values = rng.normal(-5, 2, size=(80, 128))
     scores = model.predict_scores(values)
-    raw = cnn_mod.cnn_forward_batch(cnn_mod.pad_to_max_frames(values, config)[None], model.params, config)
+    raw = cnn_mod.cnn_forward_batch(model.prepare(values)[None], model.params, config)
     for t in TASKS:
         assert scores.get(t) == clip_score(raw[t].data[0])
 
@@ -155,7 +155,7 @@ def test_identical_seeds_identical_checkpoints(tmp_path):
         model = cnn_mod.ConvBaseline(config, seed=8)
         samples = [
             make_sample(
-                cnn_mod.pad_to_max_frames(rng.normal(-5, 2, size=(25, 32)), config),
+                model.prepare(rng.normal(-5, 2, size=(25, 32))),
                 QualityScores(**{t: float(rng.uniform(1, 5)) for t in TASKS}),
             )
             for _ in range(4)
@@ -192,7 +192,7 @@ def test_pool_then_relu_is_bit_equal_to_relu_then_pool(rng):
     params["conv0_w"].data[:2] = 0.0
     params["conv0_b"].data[:2] = (0.0, -1.0)
     clips = [rng.normal(-5, 2, size=(n, 32)) for n in (30, 12)]
-    x = np.stack([cnn_mod.pad_to_max_frames(values, config) for values in clips])
+    x = np.stack([tf.floor_pad(values, config)[None] for values in clips])
     with no_grad():
         first = maxpool2d(conv2d(Tensor(x), params["conv0_w"], params["conv0_b"]), 2).data
     assert (first[:, 0] == 0.0).all() and (first[:, 1] < 0.0).all()

@@ -50,8 +50,10 @@ def test_decode_silence(tmp_path):
 
 
 def test_decode_int16_scale_boundary(tmp_path):
+    """Every int16 value decodes to the bits of the two-array expression
+    ints.astype(float64) / 32768 that decode_wav replaced."""
     path = tmp_path / "min.wav"
-    ints = np.array([-32768, 0, 32767], dtype="<i2")
+    ints = np.concatenate([[-32768, 0, 32767], np.arange(-32768, 32768)]).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
@@ -61,6 +63,7 @@ def test_decode_int16_scale_boundary(tmp_path):
     assert clip.samples[0] == -1.0
     assert clip.samples[1] == 0.0
     assert clip.samples[2] == pytest.approx(32767 / 32768)
+    assert clip.samples.tobytes() == (ints.astype(np.float64) / 32768.0).tobytes()
 
 
 def test_decode_sine_roundtrip(tmp_path):
@@ -115,6 +118,24 @@ def test_decode_rejects_unsupported_codec(tmp_path):
         fe.decode_wav(path)
 
 
+@pytest.mark.parametrize("peak", [1.5, -1.5])
+def test_decode_rejects_a_clip_beyond_full_scale(tmp_path, peak):
+    path = tmp_path / "loud.wav"
+    write_float32(path, np.array([0.0, peak, 0.5], dtype=np.float32))
+    with pytest.raises(fe.AudioError, match=r"outside \[-1, 1\]"):
+        fe.decode_wav(path)
+
+
+def test_decode_of_a_12s_clip_holds_one_float64_copy(tmp_path):
+    """Beside the file's bytes, decoding holds the 4.6 MB float64 samples
+    once: 7.1 MiB traced at the peak, where a float64 temporary for the
+    scale and another for |samples| peaked at 11.0 MiB."""
+    path = tmp_path / "long.wav"
+    write_pcm16(path, 0.3 * np.sin(np.arange(SAMPLES_12S) / 10.0))
+    peak, _ = peak_traced_bytes(lambda: fe.decode_wav(path))
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # -------------------------------------------------------------- filterbank
 
 
@@ -131,9 +152,18 @@ def test_mel_formula_value():
     assert float(fe.hz_to_mel(700.0)) == pytest.approx(781.17, abs=0.01)
 
 
+def _filter_centers(n_mels, sample_rate):
+    """Peak frequency in Hz of each triangular filter, 0 Hz to Nyquist."""
+    mel_pts = np.linspace(fe.hz_to_mel(0.0), fe.hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    return fe.mel_to_hz(mel_pts[1:-1])
+
+
 def test_filter_peaks_strictly_increasing():
-    centers = fe.mel_filter_centers(128, SR)
+    centers = _filter_centers(128, SR)
     assert (np.diff(centers) > 0).all()
+    fb = fe.mel_filterbank(128, 2048, SR)
+    bin_freqs = np.arange(1025) * (SR / 2048)
+    assert (np.abs(bin_freqs[fb.argmax(axis=1)] - centers) <= SR / 2048).all()
 
 
 def test_filterbank_rejects_too_many_filters():

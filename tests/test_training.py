@@ -15,7 +15,6 @@ from sqatk.training import (
     PatienceController,
     TrainConfig,
     TrainingError,
-    adam_step,
     fit,
     make_sample,
     mse_loss,
@@ -90,14 +89,6 @@ def test_adam_bitwise_deterministic():
         return p["w"].data.copy()
 
     np.testing.assert_array_equal(run(), run())
-
-
-def test_adam_step_wrapper_requires_matching_params():
-    p = {"w": Tensor(np.zeros(2), requires_grad=True)}
-    opt = Adam(p)
-    adam_step(p, opt, 0.1)
-    with pytest.raises(TrainingError):
-        adam_step({"w": Tensor(np.zeros(2), requires_grad=True)}, opt, 0.1)
 
 
 # ------------------------------------------------------- five-task backward
@@ -235,6 +226,15 @@ def tiny_samples(n, rng, slope=1.0):
         scores = QualityScores(**{t: float(np.clip(slope * x + 1.0, 1, 5)) for t in TASKS})
         samples.append(make_sample(np.array([x]), scores))
     return samples
+
+
+@pytest.mark.parametrize("field, value", [("learning_rate", float("nan")), ("learning_rate", float("inf")),
+                                          ("learning_rate", 0.0), ("seed", -1)])
+def test_config_rejects_a_rate_or_seed_that_cannot_train(field, value):
+    """A NaN rate used to pass the positivity check, and a negative seed
+    failed later inside numpy's default_rng."""
+    with pytest.raises(TrainingError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_fit_zero_epochs_rejected(rng):

@@ -81,10 +81,13 @@ def test_long_clip_truncated(rng):
     assert seq.grid == (12, (100 - 16) // 10 + 1)
 
 
-def test_patch_too_narrow_rejected(rng):
-    config = tf.desk_config(max_duration_s=0.1)  # 10 frames < patch_size
+def test_patch_too_narrow_rejected():
+    """The config rejects a window or a mel count below one patch, which
+    gave numpy's negative-dimensions error at parameter init."""
     with pytest.raises(tf.ModelError, match="narrower"):
-        tf.extract_patches(make_spec(10, rng=rng), config)
+        tf.desk_config(max_duration_s=0.1)  # 10 frames < patch_size
+    with pytest.raises(tf.ModelError, match="narrower"):
+        tf.desk_config(n_mels=8)
 
 
 def test_mel_count_mismatch_rejected(rng):
