@@ -1,4 +1,5 @@
-"""The one file writer every artifact goes through."""
+"""The one file writer every artifact goes through, and the one reader
+of the utf-8 text files the CLI takes in."""
 
 from __future__ import annotations
 
@@ -28,3 +29,12 @@ def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_text(path: str | os.PathLike, error: type[Exception]) -> str:
+    """The utf-8 text of path, newlines as stored; bytes that are not
+    utf-8 raise error naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not utf-8 text: {exc}") from exc

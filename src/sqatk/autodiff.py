@@ -7,27 +7,32 @@ tensors (parameters and inputs created with requires_grad=True)
 accumulate into .grad (the first gradient is stored as a copy, signed
 zeros included), so backpropagating several losses that share a
 forward pass sums their gradients exactly. The op set is what the
-scoring models need: broadcast arithmetic, batched matmul, shape ops,
-layer norm, GELU/ReLU, scaled dot-product attention (whose softmax is
-fused into it), 3x3 convolution and max pooling.
+scoring models need: broadcast arithmetic, batched matmul, linear
+layers, shape ops, layer norm, GELU/ReLU, scaled dot-product attention
+(whose softmax is fused into it), 3x3 convolution and max pooling.
+
+linear, attention and conv2d keep only what their backward cannot
+cheaply rebuild, and rebuild their large arrays one slice at a time.
+linear(x, w, b) is one node for x @ w + b, so a layer holds one output
+array.
 
 attention is one op with a hand-written backward. It works through one
 (batch, head) slice at a time (Nq queries over N keys): the score GEMM's
-Nq x N output, turned into the softmax probabilities in place. A
-recorded call keeps every slice's probabilities, which is all its
-backward keeps; under no_grad one Nq x N buffer serves every slice. It
-runs the same elementwise steps in the same order as the composed ops,
-so its outputs and gradients are bit-equal to theirs.
+Nq x N output, turned into the softmax probabilities in place, in one
+buffer that every slice reuses. A recorded call keeps no probabilities;
+its backward recomputes each slice's with the forward's steps. It runs
+the same elementwise steps in the same order as the composed ops, so
+its outputs and gradients are bit-equal to theirs.
 
-conv2d lowers to one GEMM over a channel-major im2col matrix of shape
-(C*kh*kw, B*H*W), whose copies run along the contiguous time axis, and
-returns its NCHW output as a transposed view of an (O, B, H, W) array.
-It keeps no columns for its backward, which rebuilds them from the
-input for the weight gradient; the input gradient is the GEMM's
-transpose scattered back by col2im. So a recorded convolution holds
-its output, not nine copies of its input. maxpool2d keeps that layout
-and routes each window's gradient to the first slot, in scan order,
-that holds the max, writing each slot of its gradient once.
+conv2d lowers to GEMMs over channel-major im2col columns, whose copies
+run along the contiguous time axis, and returns its NCHW output as a
+transposed view of an (O, B, H, W) array. The forward builds one
+sample's columns at a time; the backward rebuilds the columns, and
+computes their gradient, one group of kernel taps at a time. So a
+recorded convolution holds its output, not nine copies of its input,
+and neither pass ever holds all the columns. maxpool2d keeps that
+layout and routes each window's gradient to the first slot, in scan
+order, that holds the max, writing each slot of its gradient once.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
@@ -329,26 +334,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     slice at a time: a GEMM writes the slice's scores into an Nq x N
     buffer, and the scale, the bias, the max shift, the exponential and
     the row normalization run on it in place, leaving the probabilities
-    P. A recorded call writes each slice into one (B,H,Nq,N) array, the
-    only Nq x N data its backward keeps; under no_grad every slice
-    reuses a single Nq x N buffer, so scoring holds one head's P at a
-    time. The backward turns dP = g @ v^T into the score gradient in
-    place. Each step runs in the same order as in the composed
-    matmul/scale/bias/softmax/matmul ops, slice by slice as their
-    batched GEMMs do, so outputs and gradients are bit-equal to theirs."""
+    P. Every slice reuses that one buffer, recorded or not, so a call
+    holds one head's P at a time and a recorded call keeps no Nq x N
+    data at all. The backward recomputes each slice's P with the same
+    steps, then takes dv = P^T @ g and turns dP = g @ v^T into the score
+    gradient in place. Each step runs in the same order as in the
+    composed matmul/scale/bias/softmax/matmul ops, slice by slice as
+    their batched GEMMs do, so outputs and gradients are bit-equal to
+    theirs."""
     scale = 1.0 / math.sqrt(q.data.shape[-1])  # a Python float keeps float32 scores float32
     lead = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2], v.data.shape[:-2])
     n_q, n_k = q.data.shape[-2], k.data.shape[-2]
     qs, ks, vs = (np.broadcast_to(t.data, lead + t.data.shape[-2:]) for t in (q, k, v))
     score_dtype = np.result_type(q.data, k.data)
     out = np.empty(lead + (n_q, v.data.shape[-1]), dtype=np.result_type(score_dtype, v.data))
-    records = _records((q, k, v))
-    # every slice's P for the backward, or one buffer that each slice reuses
-    probs = np.empty((lead if records else ()) + (n_q, n_k), dtype=score_dtype)
     if bias is not None:
         bias = np.broadcast_to(bias, lead + (n_q, n_k))
-    for idx in np.ndindex(*lead):
-        p = probs[idx] if records else probs
+
+    def probs(idx, p):
+        """Slice idx's probabilities, computed in place in the Nq x N buffer p."""
         np.matmul(qs[idx], ks[idx].swapaxes(-1, -2), out=p)
         p *= scale
         if bias is not None:
@@ -356,18 +360,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, vs[idx], out=out[idx])
+        return p
+
+    p = np.empty((n_q, n_k), dtype=score_dtype)
+    for idx in np.ndindex(*lead):
+        np.matmul(probs(idx, p), vs[idx], out=out[idx])
 
     def backward(g):
-        dv = probs.swapaxes(-1, -2) @ g
-        ds = g @ v.data.swapaxes(-1, -2)
-        inner = (ds * probs).sum(axis=-1, keepdims=True)
-        ds -= inner
-        ds *= probs
-        ds *= scale
-        dq = ds @ k.data
-        dk = (q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
-        return dq, dk, dv
+        p = np.empty((n_q, n_k), dtype=score_dtype)
+        ds = np.empty((n_q, n_k), dtype=np.result_type(g, v.data))
+        ds_p = np.empty_like(ds)
+        dq = np.empty(lead + q.data.shape[-2:], dtype=ds.dtype) if q.requires_grad else None
+        # dk in the layout of q^T @ ds, handed back as its swapped view
+        dkt = np.empty(lead + (k.data.shape[-1], n_k), dtype=ds.dtype) if k.requires_grad else None
+        dv = np.empty(lead + v.data.shape[-2:], dtype=ds.dtype) if v.requires_grad else None
+        for idx in np.ndindex(*lead):
+            probs(idx, p)
+            if dv is not None:
+                np.matmul(p.swapaxes(-1, -2), g[idx], out=dv[idx])
+            np.matmul(g[idx], vs[idx].swapaxes(-1, -2), out=ds)
+            ds -= np.multiply(ds, p, out=ds_p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            if dq is not None:
+                np.matmul(ds, ks[idx], out=dq[idx])
+            if dkt is not None:
+                np.matmul(qs[idx].swapaxes(-1, -2), ds, out=dkt[idx])
+        return dq, None if dkt is None else dkt.swapaxes(-1, -2), dv
 
     return q._make(out, (q, k, v), backward)
 
@@ -389,6 +408,21 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return tensors[0]._make(out_data, tuple(tensors), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: the GEMM's output takes the bias in place,
+    so a recorded layer holds one output array. The values and the
+    gradients are those of the matmul and add ops, bit for bit."""
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(g):
+        dx = _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape) if x.requires_grad else None
+        dw = _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape) if w.requires_grad else None
+        return dx, dw, _unbroadcast(g, b.data.shape)
+
+    return x._make(out, (x, w, b), backward)
+
+
 def _overlap(offset: int, size: int, out_size: int) -> tuple[slice, slice]:
     """For one kernel offset along one axis: the output positions i whose
     input position i + offset lies in [0, size), and those input
@@ -398,65 +432,91 @@ def _overlap(offset: int, size: int, out_size: int) -> tuple[slice, slice]:
     return slice(lo, hi), slice(lo + offset, hi + offset)
 
 
+def _im2col(src: np.ndarray, taps, cols: np.ndarray) -> np.ndarray:
+    """Fill cols, (C, len(taps), *lead, out_h, out_w), with one shifted
+    copy of the (C, *lead, H, W) input src per kernel tap, each running
+    along the contiguous time axis. A tap copies the part of the input it
+    overlaps and zeroes only the border strips that fall on the padding,
+    so no padded copy of the input is made. Returns cols as its
+    (C*len(taps), rest) GEMM matrix."""
+    for j, (rows, src_rows, span, src_span) in enumerate(taps):
+        tap = cols[:, j]
+        tap[..., : rows.start, :] = 0.0
+        tap[..., rows.stop :, :] = 0.0
+        tap[..., : span.start] = 0.0
+        tap[..., span.stop :] = 0.0
+        tap[..., rows, span] = src[..., src_rows, src_span]
+    return cols.reshape(cols.shape[0] * cols.shape[1], -1)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
     """2-D convolution, stride 1, via channel-major im2col + GEMM.
     x: (B,C,H,W), w: (O,C,kh,kw), b: (O,).
 
-    cols, of shape (C*kh*kw, B*out_h*out_w), holds one shifted copy of
-    the (C, B, H, W) input per kernel tap, each running along the
-    contiguous time axis. Each tap copies the part of the input it
-    overlaps and zeroes only the border strips that fall on the padding,
-    so no padded copy of the input is made. w_mat @ cols gives the output
-    as (O, B, out_h, out_w), returned as its NCHW transposed view with no
-    copy; a following conv2d reads that view channel-major for free.
+    The forward builds one sample's (C*kh*kw, out_h*out_w) columns at a
+    time in one buffer; their GEMM with the weights writes that sample's
+    slice of the (O, B, out_h, out_w) output, which then takes the bias
+    in place. The NCHW result is a transposed view of that array, which
+    a following conv2d reads channel-major with no copy.
 
-    The backward keeps no columns: it rebuilds them from x for
-    dw = g_mat @ cols.T, frees them, and scatters
-    dcols = w_mat.T @ g_mat straight onto an unpadded input gradient with
-    kh*kw shifted adds (col2im). The rebuilt columns are the forward's,
-    so the gradients are those of a kept copy, bit for bit."""
+    The backward keeps no columns either. It works through groups of
+    consecutive taps of at least 8 rows (C x taps): it rebuilds a
+    group's columns over the whole batch for dw = g_mat @ cols.T, then
+    computes the group's dcols = w_mat.T @ g_mat and adds its shifted
+    slices (col2im) onto an unpadded input gradient, in tap order.
+
+    Each split GEMM sums every element over the terms of the whole
+    one, and the BLAS adds them in the same order where each part spans
+    whole kernel tiles and at least 8 rows (a narrower GEMM can go to a
+    kernel that sums in another order). The desk CNN's layers meet
+    this, so their outputs and gradients are those of one full-column
+    GEMM, bit for bit; tests pin it at their shapes."""
     batch, in_ch, height, width = x.data.shape
     out_ch, w_in_ch, kh, kw = w.data.shape
     if w_in_ch != in_ch:
         raise ValueError(f"conv2d channel mismatch: input {in_ch}, weight {w_in_ch}")
     out_h = height + 2 * padding - kh + 1
     out_w = width + 2 * padding - kw + 1
+    n_taps = kh * kw
     dtype = x.data.dtype
-    # per kernel row u (column v): the output rows (columns) its taps fill
-    # from x, and the input rows (columns) they read
+    # per tap, in kernel order: the output rows (columns) it fills from x,
+    # and the input rows (columns) it reads
     row_overlap = [_overlap(u - padding, height, out_h) for u in range(kh)]
     col_overlap = [_overlap(v - padding, width, out_w) for v in range(kw)]
-    taps = [(u * kw + v, *row_overlap[u], *col_overlap[v]) for u in range(kh) for v in range(kw)]
+    taps = [(*row_overlap[u], *col_overlap[v]) for u in range(kh) for v in range(kw)]
 
-    def im2col():
-        xt = x.data.transpose(1, 0, 2, 3)
-        cols = np.empty((in_ch, kh * kw, batch, out_h, out_w), dtype=dtype)
-        # the strips on the padding, zeroed for a whole kernel row or column of taps at once
-        for u, (rows, _) in enumerate(row_overlap):
-            cols[:, u * kw : (u + 1) * kw, :, : rows.start] = 0.0
-            cols[:, u * kw : (u + 1) * kw, :, rows.stop :] = 0.0
-        for v, (span, _) in enumerate(col_overlap):
-            cols[:, v::kw, :, :, : span.start] = 0.0
-            cols[:, v::kw, :, :, span.stop :] = 0.0
-        for t, rows, src_rows, span, src_span in taps:
-            cols[:, t, :, rows, span] = xt[:, :, src_rows, src_span]
-        return cols.reshape(in_ch * kh * kw, batch * out_h * out_w)
+    w_mat = w.data.reshape(out_ch, in_ch * n_taps)
+    out_data = np.empty((out_ch, batch, out_h * out_w), dtype=dtype)
+    cols = np.empty((in_ch, n_taps, out_h, out_w), dtype=dtype)
+    for n in range(batch):
+        np.matmul(w_mat, _im2col(x.data[n], taps, cols), out=out_data[:, n])
+    out_data += b.data[:, None, None]
 
-    w_mat = w.data.reshape(out_ch, in_ch * kh * kw)
-    out_data = (w_mat @ im2col() + b.data[:, None]).reshape(out_ch, batch, out_h, out_w)
+    per_group = min(n_taps, -(-8 // in_ch))  # taps per group, for at least 8 rows
+    bounds = list(range(0, n_taps - per_group + 1, per_group)) + [n_taps]  # the last takes the rest
 
     def backward(g):
         g_mat = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * out_h * out_w)
-        dw = (g_mat @ im2col().T).reshape(w.data.shape) if w.requires_grad else None
-        dx = None
-        if x.requires_grad:
-            dcols = (w_mat.T @ g_mat).reshape(in_ch, kh * kw, batch, out_h, out_w)
-            dxt = np.zeros((in_ch, batch, height, width), dtype=dtype)
-            for t, rows, src_rows, span, src_span in taps:
-                dxt[:, :, src_rows, src_span] += dcols[:, t, :, rows, span]
-            dx = dxt.transpose(1, 0, 2, 3)
+        xt = x.data.transpose(1, 0, 2, 3)
+        w_taps = w.data.reshape(out_ch, in_ch, n_taps)
+        dw = np.empty_like(w_taps) if w.requires_grad else None
+        dxt = np.zeros((in_ch, batch, height, width), dtype=dtype) if x.requires_grad else None
+        for lo, hi in zip(bounds, bounds[1:]):
+            if dw is not None:
+                cols = _im2col(xt, taps[lo:hi], np.empty((in_ch, hi - lo, batch, out_h, out_w), dtype=dtype))
+                dw[:, :, lo:hi] = (g_mat @ cols.T).reshape(out_ch, in_ch, hi - lo)
+                del cols
+            if dxt is not None:
+                w_group = np.ascontiguousarray(w_taps[:, :, lo:hi]).reshape(out_ch, -1)
+                dcols = (w_group.T @ g_mat).reshape(in_ch, hi - lo, batch, out_h, out_w)
+                for j, (rows, src_rows, span, src_span) in enumerate(taps[lo:hi]):
+                    dxt[:, :, src_rows, src_span] += dcols[:, j, :, rows, span]
+                del dcols
+        dx = None if dxt is None else dxt.transpose(1, 0, 2, 3)
+        dw = None if dw is None else dw.reshape(w.data.shape)
         return dx, dw, g.sum(axis=(0, 2, 3))
 
+    out_data = out_data.reshape(out_ch, batch, out_h, out_w)
     return x._make(out_data.transpose(1, 0, 2, 3), (x, w, b), backward)
 
 

@@ -16,11 +16,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_text
 from .quality import SCORE_MAX, SCORE_MIN
 
 MONOTONE_GRID_POINTS = 1001
@@ -135,7 +134,7 @@ def save_calibration_maps(path, maps: dict[tuple[str, str], CalibrationMap]) -> 
 
 def load_calibration_maps(path) -> dict[tuple[str, str], CalibrationMap]:
     maps: dict[tuple[str, str], CalibrationMap] = {}
-    with open(Path(path), newline="") as fh:
+    with io.StringIO(read_text(path, CalibrationError), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _HEADER:

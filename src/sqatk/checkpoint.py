@@ -12,6 +12,7 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -126,7 +127,9 @@ def load_checkpoint(path) -> tuple[str, dict[str, str], dict[str, np.ndarray]]:
         name = bytes(take(name_len)).decode("utf-8", "replace")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = int(np.prod(dims)) if ndim else 1
+        count = math.prod(dims)  # Python ints: corrupt dims cannot overflow to a small count
+        if 4 * count > len(raw) - pos:
+            raise CheckpointError(f"{path}: tensor {name!r} of shape {dims} overruns the file")
         data = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
         tensors[name] = data.astype(np.float32)
     if pos != len(raw):

@@ -207,6 +207,8 @@ def load_model(path):
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
         if tensors[name].shape != shape:
             raise CheckpointError(f"tensor {name!r} shape {tensors[name].shape} != expected {shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         params[name] = Tensor(tensors[name], requires_grad=True)
     return adapter(config, params=params)
 

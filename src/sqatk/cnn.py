@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import ParamSpec, Tensor, conv2d, init_from_spec, maxpool2d
+from .autodiff import ParamSpec, Tensor, conv2d, init_from_spec, linear, maxpool2d
 from .quality import TASKS
 from .training import Scorer
 from .transformer import PAD_LOG_VALUE, ModelError, check_window, floor_pad
@@ -101,7 +101,7 @@ def cnn_forward_batch(
     feats = pooled.reshape((batch, config.derived_head_input))
     out = {}
     for task in config.tasks:
-        raw = feats @ params[f"head_{task}_w"] + params[f"head_{task}_b"]
+        raw = linear(feats, params[f"head_{task}_w"], params[f"head_{task}_b"])
         out[task] = raw.reshape((batch,))
     return out
 

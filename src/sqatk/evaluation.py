@@ -15,7 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_text
 from .quality import TASK_DISPLAY, QualityScores
 
 DIM_ORDER = ("col", "dis", "loud", "mos", "noi")
@@ -233,7 +233,7 @@ def read_predictions(path) -> list[PredictionRow]:
         + [f"label_{d}" for d in DIM_ORDER]
     )
     rows: list[PredictionRow] = []
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path, MetricError), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:

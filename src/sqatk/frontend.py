@@ -107,7 +107,7 @@ def frame_count(num_samples: int, window_samples: int, hop_samples: int) -> int:
 # ---------------------------------------------------------------- WAV I/O
 
 
-def _parse_fmt_chunk(body: bytes) -> tuple[int, int, int, int]:
+def _parse_fmt_chunk(body: memoryview) -> tuple[int, int, int, int]:
     if len(body) < 16:
         raise WavFormatError("fmt chunk too short")
     audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack(
@@ -124,7 +124,7 @@ def decode_wav(path: str | os.PathLike, expected_sample_rate: int = 48000) -> Au
     Raises SampleRateError unless the header rate matches
     expected_sample_rate (pass None to accept any rate).
     """
-    raw = Path(path).read_bytes()
+    raw = memoryview(Path(path).read_bytes())  # chunk slices are views, not copies
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
@@ -132,7 +132,7 @@ def decode_wav(path: str | os.PathLike, expected_sample_rate: int = 48000) -> Au
     data = None
     pos = 12
     while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
+        chunk_id = bytes(raw[pos : pos + 4])
         (chunk_len,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
         body = raw[pos + 8 : pos + 8 + chunk_len]
         if len(body) < chunk_len:

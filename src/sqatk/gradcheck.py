@@ -8,7 +8,7 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import transformer as tf_mod
-from .autodiff import Tensor, attention, conv2d, layer_norm, maxpool2d
+from .autodiff import Tensor, attention, conv2d, layer_norm, linear, maxpool2d
 from .quality import TASKS
 from .training import mse_loss
 
@@ -68,7 +68,7 @@ def primitive_cases(seed: int = 0, dtype=np.float64) -> dict[str, tuple]:
     x = leaf((3, 5))
     w = leaf((5, 4))
     b = leaf((4,))
-    cases["linear"] = (lambda: ((x @ w + b) * (x @ w + b)).sum(), {"x": x, "w": w, "b": b})
+    cases["linear"] = (lambda: (linear(x, w, b) * linear(x, w, b)).sum(), {"x": x, "w": w, "b": b})
 
     # Softmax through the fused attention op: one query of ones, dh=1
     # (scale 1) and identity values make each output row softmax(s).

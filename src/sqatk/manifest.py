@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_text
 from .quality import TASKS, QualityScores
 
 VERSION_TAG = "# manifest-v1"
@@ -75,7 +75,7 @@ def load_manifest(path, require_audio: bool = True) -> Manifest:
     ManifestError naming the offending line numbers.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path, ManifestError), newline="") as fh:
         first = fh.readline()
         line_offset = 1
         if first.startswith("#"):

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import ParamSpec, Tensor, attention, concat, init_from_spec, layer_norm
+from .autodiff import ParamSpec, Tensor, attention, concat, init_from_spec, layer_norm, linear
 from .frontend import LogMelSpectrogram
 from .quality import TASKS
 from .training import Scorer
@@ -213,7 +213,7 @@ def embed_batch(
         raise ModelError(f"positions shape {positions.shape} != patches {(batch, n_patches)}")
     d = config.embed_dim
 
-    x = Tensor(patches) @ params["proj_w"] + params["proj_b"]
+    x = linear(Tensor(patches), params["proj_w"], params["proj_b"])
     grid = params["pos_grid"].reshape((config.n_patches, d))
     x = x + (grid if positions is None else grid[positions])
     cls_tok = (params["cls"] + params["pos_cls"]).reshape((1, 1, d)).broadcast_to((batch, 1, d))
@@ -236,12 +236,12 @@ def _attention(
     def split(t):  # (B,n,D) -> (B,H,n,dh)
         return t.reshape((batch, t.shape[1], heads, dh)).transpose((0, 2, 1, 3))
 
-    q = split(queries @ params[prefix + "wq"] + params[prefix + "bq"])
-    k = split(tokens @ params[prefix + "wk"] + params[prefix + "bk"])
-    v = split(tokens @ params[prefix + "wv"] + params[prefix + "bv"])
+    q = split(linear(queries, params[prefix + "wq"], params[prefix + "bq"]))
+    k = split(linear(tokens, params[prefix + "wk"], params[prefix + "bk"]))
+    v = split(linear(tokens, params[prefix + "wv"], params[prefix + "bv"]))
 
     ctx = attention(q, k, v, bias).transpose((0, 2, 1, 3)).reshape((batch, n_queries, d))
-    return ctx @ params[prefix + "wo"] + params[prefix + "bo"]
+    return linear(ctx, params[prefix + "wo"], params[prefix + "bo"])
 
 
 def encoder_forward(
@@ -278,8 +278,8 @@ def encoder_forward(
             x, queries = x[:, :1], h[:, :1]
         x = x + _attention(queries, h, bias, params, pre, config)
         h = layer_norm(x, params[pre + "ln2_gamma"], params[pre + "ln2_beta"])
-        h = (h @ params[pre + "mlp_w1"] + params[pre + "mlp_b1"]).gelu()
-        x = x + (h @ params[pre + "mlp_w2"] + params[pre + "mlp_b2"])
+        h = linear(h, params[pre + "mlp_w1"], params[pre + "mlp_b1"]).gelu()
+        x = x + linear(h, params[pre + "mlp_w2"], params[pre + "mlp_b2"])
 
     cls_state = x[0, 0] if single else x[:, 0]
     if not np.isfinite(cls_state.data).all():
@@ -292,7 +292,7 @@ def head_outputs(cls_state: Tensor, params: dict[str, Tensor], config: ModelConf
     batch = cls_state.shape[0]
     out = {}
     for task in config.tasks:
-        raw = cls_state @ params[f"head_{task}_w"] + params[f"head_{task}_b"]
+        raw = linear(cls_state, params[f"head_{task}_w"], params[f"head_{task}_b"])
         out[task] = raw.reshape((batch,))
     return out
 

@@ -7,8 +7,9 @@ import math
 import threading
 
 from memory import peak_traced_bytes
+from sqatk import autodiff
 from sqatk import transformer as tf
-from sqatk.autodiff import Tensor, attention, concat, conv2d, layer_norm, maxpool2d, no_grad
+from sqatk.autodiff import Tensor, attention, concat, conv2d, layer_norm, linear, maxpool2d, no_grad
 from sqatk.gradcheck import check_function, primitive_cases, primitive_checks, relative_error
 
 TOL = 1e-3
@@ -440,6 +441,118 @@ def test_recorded_conv2d_keeps_its_output_not_its_columns(rng):
 
     _, held = peak_traced_bytes(forward)
     assert held < 1.25 * out_bytes, f"held {held / 2**20:.1f} MiB"
+
+
+def _conv2d_full_columns(x, w, b, g, padding=1):
+    """conv2d as it was before it split its GEMMs by sample and by tap
+    group: one (C*kh*kw, B*out_h*out_w) im2col matrix, one GEMM for the
+    output, one for dw and one for the dcols that col2im scatters.
+    Returns the output and dx, dw, db for upstream g."""
+    batch, in_ch, height, width = x.shape
+    out_ch, _, kh, kw = w.shape
+    out_h = height + 2 * padding - kh + 1
+    out_w = width + 2 * padding - kw + 1
+    row_overlap = [autodiff._overlap(u - padding, height, out_h) for u in range(kh)]
+    col_overlap = [autodiff._overlap(v - padding, width, out_w) for v in range(kw)]
+    taps = [(u * kw + v, *row_overlap[u], *col_overlap[v]) for u in range(kh) for v in range(kw)]
+    cols = np.zeros((in_ch, kh * kw, batch, out_h, out_w), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for t, rows, src_rows, span, src_span in taps:
+        cols[:, t, :, rows, span] = xt[:, :, src_rows, src_span]
+    cols = cols.reshape(in_ch * kh * kw, batch * out_h * out_w)
+    w_mat = w.reshape(out_ch, in_ch * kh * kw)
+    out = (w_mat @ cols + b[:, None]).reshape(out_ch, batch, out_h, out_w).transpose(1, 0, 2, 3)
+    g_mat = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * out_h * out_w)
+    dw = (g_mat @ cols.T).reshape(w.shape)
+    dcols = (w_mat.T @ g_mat).reshape(in_ch, kh * kw, batch, out_h, out_w)
+    dxt = np.zeros((in_ch, batch, height, width), dtype=x.dtype)
+    for t, rows, src_rows, span, src_span in taps:
+        dxt[:, :, src_rows, src_span] += dcols[:, t, :, rows, span]
+    return out, dxt.transpose(1, 0, 2, 3), dw, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "in_ch,out_ch,height,width",
+    [(1, 16, 128, 200), (2, 16, 64, 100), (3, 16, 64, 100), (16, 32, 64, 100), (32, 64, 32, 50),
+     (64, 64, 16, 25)],
+)
+def test_conv2d_is_bit_equal_to_one_full_column_gemm(rng, in_ch, out_ch, height, width):
+    """Output, dx, dw and db equal the full-column reference's bits in
+    float32 at batch 8, on the desk CNN's four layer shapes and two
+    narrow inputs: with 1 channel all 9 taps form one group, with 2 and
+    3 the groups have 8 to 10 rows, with 16 or more one tap each."""
+    batch = 8
+    data = rng.normal(size=(in_ch, batch, height, width)).astype(np.float32).transpose(1, 0, 2, 3)
+    x = Tensor(data, requires_grad=True)
+    w = Tensor(rng.normal(size=(out_ch, in_ch, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=out_ch).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(out_ch, batch, height, width)).astype(np.float32).transpose(1, 0, 2, 3)
+    out = conv2d(x, w, b)
+    out.backward(g)
+    ref = _conv2d_full_columns(x.data, w.data, b.data, g)
+    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_conv2d_peaks_under_half_its_columns(rng):
+    """On the desk CNN's second layer (16 -> 32 channels, batch 8,
+    64 x 100, float32; 29.5 MB of im2col columns) the recorded forward
+    and the backward each peak below half the columns: the forward
+    builds one sample's columns at a time (9.8 MiB with its 6.5 MB
+    output), the backward one tap's over the batch (6.4 MiB; the full
+    columns peaked at 31.4 MiB)."""
+    x = Tensor(rng.normal(size=(16, 8, 64, 100)).astype(np.float32).transpose(1, 0, 2, 3), requires_grad=True)
+    w = Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+    g = rng.normal(size=(32, 8, 64, 100)).astype(np.float32).transpose(1, 0, 2, 3)  # the output's layout
+    half_columns = 16 * 9 * 8 * 64 * 100 * 4 / 2
+    out = None
+
+    def forward():
+        nonlocal out
+        out = conv2d(x, w, b)
+
+    forward_peak, _ = peak_traced_bytes(forward)
+    backward_peak, _ = peak_traced_bytes(lambda: out.backward(g))
+    assert forward_peak < half_columns, f"forward peak {forward_peak / 2**20:.1f} MiB"
+    assert backward_peak < half_columns, f"backward peak {backward_peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 7, 5)])
+def test_linear_is_bit_equal_to_matmul_plus_add(rng, shape):
+    """The output and the x, w and b gradients equal those of the matmul
+    and add ops, bit for bit, for one row block and a (B,N,D) batch."""
+    data = [rng.normal(size=s).astype(np.float32) for s in (shape, (5, 4), (4,))]
+    g = rng.normal(size=shape[:-1] + (4,)).astype(np.float32)
+    results = []
+    for op in (linear, lambda x, w, b: x @ w + b):
+        leaves = [Tensor(d, requires_grad=True) for d in data]
+        out = op(*leaves)
+        out.backward(g)
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_recorded_attention_keeps_no_probabilities(rng):
+    """A recorded desk attention call (batch 8, 4 heads, 229 tokens of a
+    2 s clip, dh 16, float32) holds its 0.45 MiB output and none of its
+    6.4 MiB of (B,H,N,N) probabilities, which its backward recomputes."""
+    batch, n, heads, dh = 8, 229, 4, 16
+    leaves = [Tensor(rng.normal(size=(batch, n, heads * dh)).astype(np.float32), requires_grad=True)
+              for _ in range(3)]
+    q, k, v = (t.reshape((batch, n, heads, dh)).transpose((0, 2, 1, 3)) for t in leaves)
+    out_bytes = batch * heads * n * dh * 4
+
+    def forward():
+        out = attention(q, k, v)
+        assert out.requires_grad and out.data.nbytes == out_bytes
+        return out
+
+    _, held = peak_traced_bytes(forward)
+    assert held < out_bytes + n * n * 4, f"held {held / 2**20:.2f} MiB"
 
 
 def test_double_backward_accumulates():

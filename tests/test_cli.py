@@ -2,6 +2,7 @@
 predict, calibrate, evaluate, gradcheck, plus the error contract."""
 
 import re
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -260,6 +261,62 @@ def test_checkpoint_with_a_bad_model_config_echo_is_a_typed_error(corpus, workdi
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "p.csv").exists()
+
+
+def _predict_exit(ckpt, corpus, workdir, out):
+    return main(["predict", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(out)])
+
+
+def test_checkpoint_whose_dims_overflow_is_a_typed_error(corpus, workdir, tmp_path, capsys):
+    """dims of 65536 x 4 overflow an int64 element count to 0; the count
+    is a Python int, checked against the bytes left."""
+    kind, echo, _ = load_checkpoint(workdir / "ast.ckpt")
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(ckpt, kind, echo, {"huge": np.zeros((1, 1, 1, 1), dtype=np.float32)})
+    raw = ckpt.read_bytes()
+    small = struct.pack("<B4I", 4, 1, 1, 1, 1)
+    assert raw.count(small) == 1
+    ckpt.write_bytes(raw.replace(small, struct.pack("<B4I", 4, 65536, 65536, 65536, 65536)))
+    assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: tensor 'huge' of shape (65536, 65536, 65536, 65536)")
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_checkpoint_with_a_non_finite_weight_is_a_typed_error(corpus, workdir, tmp_path, capsys, value):
+    """A NaN head weight scored nan and +inf scored 5.0, both with exit 0."""
+    kind, echo, tensors = load_checkpoint(workdir / "ast.ckpt")
+    tensors["head_mos_w"][3, 0] = value
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, kind, echo, tensors)
+    assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: tensor 'head_mos_w' holds non-finite values\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("reader", ["manifest", "predictions", "calibration"])
+def test_csv_that_is_not_utf8_is_a_typed_error(corpus, workdir, tmp_path, capsys, reader):
+    """A 0xFF byte in each CSV the CLI reads, through the command that
+    reads it: predict (manifest), calibrate (predictions) and evaluate
+    (calibration map)."""
+    pred = _exact_predictions(corpus, tmp_path / "pred.csv")
+    maps = tmp_path / "maps.csv"
+    maps.write_text("group,dim,a0,a1,a2,a3,domain_lo,domain_hi\nENG,mos,0.0,1.0,0.0,0.0,1.0,5.0\n")
+    bad = {"manifest": tmp_path / "manifest.csv", "predictions": pred, "calibration": maps}[reader]
+    source = corpus if reader == "manifest" else bad
+    bad.write_bytes(source.read_bytes() + b"caf\xff\n")
+    argv = {
+        "manifest": ["predict", "--ckpt", str(workdir / "ast.ckpt"), "--manifest", str(bad),
+                     "--features", str(workdir / "feats"), "--out", str(tmp_path / "p.csv")],
+        "predictions": ["calibrate", "--pred", str(pred), "--labels", str(corpus),
+                        "--out", str(tmp_path / "m.csv")],
+        "calibration": ["evaluate", "--pred", str(pred), "--labels", str(corpus),
+                        "--calibration", str(maps), "--out", "-"],
+    }[reader]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not utf-8 text")
 
 
 def test_calibrate_then_evaluate(corpus, workdir, tmp_path):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, layer_norm
 from sqatk.frontend import LogMelSpectrogram
-from sqatk.quality import TASKS
-from sqatk.training import mse_loss, predict_raw
+from sqatk.quality import TASKS, QualityScores
+from sqatk.training import Adam, _batch_losses, make_sample, mse_loss, predict_raw
 
+from memory import peak_traced_bytes
 from model_fixtures import float64, widen_max_duration
 
 HOP = 0.010
@@ -458,3 +459,32 @@ def test_all_parameters_receive_gradient_from_full_batch(rng):
     total.backward()
     for name, p in params.items():
         assert p.grad is not None and np.abs(p.grad).max() > 0, f"{name} got no gradient"
+
+
+def test_desk_training_step_peaks_below_28_token_arrays_per_layer():
+    """One training step of the desk AST (8 clips of 2 s: N = 229 tokens,
+    D = 64, H = 4, 2 layers, float32): forward, backward and ADAM peak
+    below 28 (B,N,D) arrays per layer, 25.0 MiB (measured 22.7). A
+    layer's (B,H,N,N) probabilities alone are N*H/D = 14.3 such arrays;
+    the step that kept them, and two arrays per linear layer, peaked at
+    43.0 MiB."""
+    config = tf.desk_config()
+    model = tf.SpectrogramTransformer(config, seed=0)
+    rng = np.random.default_rng(1)
+    samples = [
+        make_sample(model.prepare(rng.normal(-5.0, 2.0, size=(200, config.n_mels))),
+                    QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
+        for _ in range(8)
+    ]
+    n_tokens = config.n_patches + 1
+    token_bytes = len(samples) * n_tokens * config.embed_dim * 4
+    optimizer = Adam(model.params)
+
+    def step():
+        total, _ = _batch_losses(model, samples)
+        total.backward()
+        optimizer.step(1e-3)
+
+    peak, _ = peak_traced_bytes(step)
+    assert n_tokens == 229
+    assert peak < 28 * config.n_layers * token_bytes, f"peak {peak / 2**20:.1f} MiB"
