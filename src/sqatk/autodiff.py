@@ -1,20 +1,29 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps a float32 or float64 ndarray and records the operations
-applied to it. backward() on a result walks the recorded graph in reverse
-topological order, routing gradients through a per-call map; leaf
-tensors (parameters and inputs created with requires_grad=True)
-accumulate into .grad (the first gradient is stored as a copy, signed
-zeros included), so backpropagating several losses that share a
-forward pass sums their gradients exactly. The op set is what the
-scoring models need: broadcast arithmetic, batched matmul, linear
-layers, shape ops, layer norm, GELU/ReLU, scaled dot-product attention
-(whose softmax is fused into it), 3x3 convolution and max pooling.
+applied to it. The graph is kept apart from the values: a recorded op's
+output points to a small node holding its parents' nodes and its
+backward closure, and no array; leaves (parameters and inputs created
+with requires_grad=True) are their own nodes. Each closure captures the
+arrays its backward reads and no Tensor, so an intermediate array lives
+only while a caller or a closure holds it. add, sum, indexing and
+broadcast_to keep shapes; relu takes its mask from its own output;
+layer_norm keeps its normalized input and sigma; linear, conv2d and
+attention keep their inputs; maxpool2d keeps a map of winning slots.
+
+backward() on a result walks the recorded nodes in reverse topological
+order, routing gradients through a per-call map; leaves accumulate into
+.grad (the first gradient is stored as a copy, signed zeros included),
+so backpropagating several losses that share a forward pass sums their
+gradients exactly. The op set is what the scoring models need:
+broadcast arithmetic, batched matmul, linear layers, shape ops, layer
+norm, GELU/ReLU, scaled dot-product attention (whose softmax is fused
+into it), 3x3 convolution and max pooling.
 
 linear, attention and conv2d keep only what their backward cannot
 cheaply rebuild, and rebuild their large arrays one slice at a time.
-linear(x, w, b) is one node for x @ w + b, so a layer holds one output
-array.
+linear(x, w, b) is one node for x @ w + b, so a layer computes one
+output array.
 
 attention is one op with a hand-written backward. It works through one
 (batch, head) slice at a time (Nq queries over N keys): the score GEMM's
@@ -29,10 +38,12 @@ run along the contiguous time axis, and returns its NCHW output as a
 transposed view of an (O, B, H, W) array. The forward builds one
 sample's columns at a time; the backward rebuilds the columns, and
 computes their gradient, one group of kernel taps at a time. So a
-recorded convolution holds its output, not nine copies of its input,
-and neither pass ever holds all the columns. maxpool2d keeps that
+recorded convolution keeps its input, not nine copies of it, and
+neither pass ever holds all the columns. maxpool2d keeps that
 layout and routes each window's gradient to the first slot, in scan
-order, that holds the max, writing each slot of its gradient once.
+order, that holds the max, by the winner map it records in the
+forward, writing each slot of its gradient once. So the conv output is
+freed once pooled, and the pool output once its ReLU has run.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
@@ -76,8 +87,8 @@ _grad_mode = threading.local()
 @contextmanager
 def no_grad():
     """Record no autograd graph inside the block: op results get no
-    parents or backward closures and do not require grad. The previous
-    mode is restored on exit, also when the block raises."""
+    graph node and do not require grad. The previous mode is restored
+    on exit, also when the block raises."""
     previous = getattr(_grad_mode, "enabled", True)
     _grad_mode.enabled = False
     try:
@@ -102,8 +113,26 @@ def _records(parents) -> bool:
     return getattr(_grad_mode, "enabled", True) and any(p.requires_grad for p in parents)
 
 
+class _Node:
+    """A recorded op: its parents' graph nodes, None for a parent that
+    needs no gradient, and backward(g), which returns one gradient (or
+    None) per parent. It holds no output array."""
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents, backward):
+        self.parents = parents
+        self.backward = backward
+
+
+def _graph_node(t: Tensor):
+    """t's node in the graph: a recorded op's node, t itself for a leaf
+    that requires grad, or None."""
+    return t._node if t._node is not None else (t if t.requires_grad else None)
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -112,9 +141,12 @@ class Tensor:
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        # _backward(g) returns one gradient (or None) per parent
-        self._backward = None
+        self._node: _Node | None = None  # set on a recorded op's output
+
+    @property
+    def _backward(self):
+        """The backward closure of the op that recorded this value, or None."""
+        return None if self._node is None else self._node.backward
 
     # ------------------------------------------------------------- basics
 
@@ -139,20 +171,23 @@ class Tensor:
         return Tensor(np.asarray(other, dtype=self.data.dtype))
 
     def _make(self, data, parents, backward):
+        """The Tensor of an op's output data. When recording, it points to
+        a node of the parents' nodes and backward, which must capture the
+        arrays it reads and no Tensor."""
         out = Tensor(data)
         if _records(parents):
             out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+            out._node = _Node(tuple(_graph_node(p) for p in parents), backward)
         return out
 
     # --------------------------------------------------------- arithmetic
 
     def __add__(self, other):
         other = self._lift(other)
+        shape_a, shape_b = self.data.shape, other.data.shape
 
         def backward(g):
-            return _unbroadcast(g, self.data.shape), _unbroadcast(g, other.data.shape)
+            return _unbroadcast(g, shape_a), _unbroadcast(g, shape_b)
 
         return self._make(self.data + other.data, (self, other), backward)
 
@@ -174,14 +209,12 @@ class Tensor:
             return self._make(self.data * scale, (self,), lambda g: (g * scale,))
 
         other = self._lift(other)
+        a, b = self.data, other.data
 
         def backward(g):
-            return (
-                _unbroadcast(g * other.data, self.data.shape),
-                _unbroadcast(g * self.data, other.data.shape),
-            )
+            return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
-        return self._make(self.data * other.data, (self, other), backward)
+        return self._make(a * b, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -214,8 +247,10 @@ class Tensor:
         )
 
     def __getitem__(self, idx):
+        shape, dtype = self.data.shape, self.data.dtype
+
         def backward(g):
-            full = np.zeros_like(self.data)
+            full = np.zeros(shape, dtype=dtype)
             np.add.at(full, idx, g)  # a repeated index receives the sum of its gradients
             return (full,)
 
@@ -225,11 +260,12 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.data.shape
 
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
 
         return self._make(out_data, (self,), backward)
 
@@ -244,7 +280,8 @@ class Tensor:
     # ------------------------------------------------------ nonlinearities
 
     def relu(self):
-        return self._make(np.maximum(self.data, 0.0), (self,), lambda g: (g * (self.data > 0.0),))
+        out = np.maximum(self.data, 0.0)  # out > 0 exactly where the input is
+        return self._make(out, (self,), lambda g: (g * (out > 0.0),))
 
     def gelu(self):
         """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
@@ -265,35 +302,39 @@ class Tensor:
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
-        order: list[Tensor] = []
+        root = _graph_node(self)
+        if root is None:
+            return
+        # nodes are _Node for recorded ops and the leaf Tensors themselves
+        order: list[_Node | Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 order.append(node)
                 continue
-            if id(node) in seen or not node.requires_grad:
+            if id(node) in seen:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
+            if isinstance(node, _Node):
+                stack.extend((parent, False) for parent in node.parents if parent is not None)
 
-        grad_map: dict[int, np.ndarray] = {id(self): grad}
+        grad_map: dict[int, np.ndarray] = {id(root): grad}
         for node in reversed(order):
             g = grad_map.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:
+            if isinstance(node, Tensor):
                 if node.grad is None:  # a copy in the leaf's dtype and layout, -0 kept
                     node.grad = np.empty_like(node.data)
                     node.grad[...] = g
                 else:
                     node.grad += g
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
+            for parent, pg in zip(node.parents, node.backward(g)):
+                if pg is None or parent is None:
                     continue
                 key = id(parent)
                 if key in grad_map:
@@ -308,10 +349,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     sigma = np.sqrt(var + eps)
     xhat = (x.data - mu) / sigma
+    gamma_data = gamma.data
 
     def backward(g):
         axes = tuple(range(g.ndim - 1))
-        ghat = g * gamma.data
+        ghat = g * gamma_data
         m1 = ghat.mean(axis=-1, keepdims=True)
         m2 = (ghat * xhat).mean(axis=-1, keepdims=True)
         return (
@@ -366,14 +408,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     for idx in np.ndindex(*lead):
         np.matmul(probs(idx, p), vs[idx], out=out[idx])
 
+    need_dq, need_dk, need_dv = q.requires_grad, k.requires_grad, v.requires_grad
+
     def backward(g):
         p = np.empty((n_q, n_k), dtype=score_dtype)
-        ds = np.empty((n_q, n_k), dtype=np.result_type(g, v.data))
+        ds = np.empty((n_q, n_k), dtype=np.result_type(g, vs))
         ds_p = np.empty_like(ds)
-        dq = np.empty(lead + q.data.shape[-2:], dtype=ds.dtype) if q.requires_grad else None
+        dq = np.empty(qs.shape, dtype=ds.dtype) if need_dq else None
         # dk in the layout of q^T @ ds, handed back as its swapped view
-        dkt = np.empty(lead + (k.data.shape[-1], n_k), dtype=ds.dtype) if k.requires_grad else None
-        dv = np.empty(lead + v.data.shape[-2:], dtype=ds.dtype) if v.requires_grad else None
+        dkt = np.empty(lead + (ks.shape[-1], n_k), dtype=ds.dtype) if need_dk else None
+        dv = np.empty(vs.shape, dtype=ds.dtype) if need_dv else None
         for idx in np.ndindex(*lead):
             probs(idx, p)
             if dv is not None:
@@ -410,15 +454,18 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: the GEMM's output takes the bias in place,
-    so a recorded layer holds one output array. The values and the
-    gradients are those of the matmul and add ops, bit for bit."""
-    out = x.data @ w.data
+    so a layer makes one array, and its backward keeps x and w. The
+    values and the gradients are those of the matmul and add ops, bit
+    for bit."""
+    xd, wd, b_shape = x.data, w.data, b.shape
+    need_dx, need_dw = x.requires_grad, w.requires_grad
+    out = xd @ wd
     out += b.data
 
     def backward(g):
-        dx = _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape) if x.requires_grad else None
-        dw = _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape) if w.requires_grad else None
-        return dx, dw, _unbroadcast(g, b.data.shape)
+        dx = _unbroadcast(g @ wd.swapaxes(-1, -2), xd.shape) if need_dx else None
+        dw = _unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape) if need_dw else None
+        return dx, dw, _unbroadcast(g, b_shape)
 
     return x._make(out, (x, w, b), backward)
 
@@ -485,11 +532,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
     col_overlap = [_overlap(v - padding, width, out_w) for v in range(kw)]
     taps = [(*row_overlap[u], *col_overlap[v]) for u in range(kh) for v in range(kw)]
 
-    w_mat = w.data.reshape(out_ch, in_ch * n_taps)
+    xd, wd = x.data, w.data
+    need_dx, need_dw = x.requires_grad, w.requires_grad
+    w_mat = wd.reshape(out_ch, in_ch * n_taps)
     out_data = np.empty((out_ch, batch, out_h * out_w), dtype=dtype)
     cols = np.empty((in_ch, n_taps, out_h, out_w), dtype=dtype)
     for n in range(batch):
-        np.matmul(w_mat, _im2col(x.data[n], taps, cols), out=out_data[:, n])
+        np.matmul(w_mat, _im2col(xd[n], taps, cols), out=out_data[:, n])
     out_data += b.data[:, None, None]
 
     per_group = min(n_taps, -(-8 // in_ch))  # taps per group, for at least 8 rows
@@ -497,10 +546,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
 
     def backward(g):
         g_mat = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * out_h * out_w)
-        xt = x.data.transpose(1, 0, 2, 3)
-        w_taps = w.data.reshape(out_ch, in_ch, n_taps)
-        dw = np.empty_like(w_taps) if w.requires_grad else None
-        dxt = np.zeros((in_ch, batch, height, width), dtype=dtype) if x.requires_grad else None
+        xt = xd.transpose(1, 0, 2, 3)
+        w_taps = wd.reshape(out_ch, in_ch, n_taps)
+        dw = np.empty_like(w_taps) if need_dw else None
+        dxt = np.zeros((in_ch, batch, height, width), dtype=dtype) if need_dx else None
         for lo, hi in zip(bounds, bounds[1:]):
             if dw is not None:
                 cols = _im2col(xt, taps[lo:hi], np.empty((in_ch, hi - lo, batch, out_h, out_w), dtype=dtype))
@@ -513,7 +562,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
                     dxt[:, :, src_rows, src_span] += dcols[:, j, :, rows, span]
                 del dcols
         dx = None if dxt is None else dxt.transpose(1, 0, 2, 3)
-        dw = None if dw is None else dw.reshape(w.data.shape)
+        dw = None if dw is None else dw.reshape(wd.shape)
         return dx, dw, g.sum(axis=(0, 2, 3))
 
     out_data = out_data.reshape(out_ch, batch, out_h, out_w)
@@ -526,15 +575,20 @@ def maxpool2d(x: Tensor, factor: int) -> Tensor:
     The max is a running np.maximum over the factor**2 strided slices,
     one per window slot, so the output keeps the input's memory layout.
     Trailing rows/columns that do not fill a full window are dropped and
-    get zero gradient. Ties (common after ReLU zeros) route the whole
-    gradient to the first slot in window scan order (row-major) that
-    holds the max; the other slots get +0.
+    get zero gradient. Ties (common after ReLU zeros, and -0 ties +0)
+    route the whole gradient to the first slot in window scan order
+    (row-major) that holds the max; the other slots get +0.
 
-    The backward writes each slot of an uninitialised buffer once, by
-    multiplying the gradient's bits with that slot's 0/1 hit mask: a hit
-    slot gets the gradient exactly and a missed one +0 (a float product
-    would give -0 under a negative gradient). Only the trailing rows and
-    columns that no window covers are zeroed.
+    A recorded call keeps no copy of its input, only a map of each
+    window's winning slot (uint8 up to 16 x 16 windows): before slot k
+    joins the running max, the windows where it is strictly greater
+    take k, so the first max in scan order wins. Under no_grad no map
+    is made. The backward
+    writes each slot of an uninitialised buffer, laid out as the input,
+    once: it multiplies the gradient's bits with the 0/1 mask win == k,
+    so the winning slot gets the gradient exactly and the others +0 (a
+    float product would give -0 under a negative gradient). Only the
+    trailing rows and columns that no window covers are zeroed.
     """
     out_h, out_w = x.data.shape[2] // factor, x.data.shape[3] // factor
     slots = [
@@ -543,20 +597,25 @@ def maxpool2d(x: Tensor, factor: int) -> Tensor:
         for j in range(factor)
     ]
     out_data = x.data[slots[0]].copy(order="K")
-    for slot in slots[1:]:
+    slot_dtype = np.min_scalar_type(len(slots) - 1)
+    win = np.zeros_like(out_data, dtype=slot_dtype) if _records((x,)) else None
+    hit = None if win is None else np.empty_like(win)
+    for k, slot in enumerate(slots[1:], 1):
+        if win is not None:  # k only grows, so a max with hit * k sets k where hit
+            np.greater(x.data[slot], out_data, out=hit)
+            np.maximum(win, np.multiply(hit, k, out=hit), out=win)
         np.maximum(out_data, x.data[slot], out=out_data)
+    x_shape, dtype = x.data.shape, x.data.dtype
 
     def backward(g):
-        bits = np.dtype(f"u{x.data.dtype.itemsize}")
-        full = np.empty_like(x.data)
+        bits = np.dtype(f"u{dtype.itemsize}")
+        full = np.empty_like(win, dtype=dtype, shape=x_shape)  # the input's layout
         full[:, :, out_h * factor :] = 0.0
         full[:, :, :, out_w * factor :] = 0.0
-        unclaimed = np.ones(out_data.shape, dtype=bool)
-        for slot in slots:
-            hit = x.data[slot] == out_data
-            hit &= unclaimed
-            np.multiply(g.view(bits), hit, out=full[slot].view(bits))
-            unclaimed ^= hit
+        mask = np.empty_like(win, dtype=bool)
+        for k, slot in enumerate(slots):
+            np.equal(win, k, out=mask)
+            np.multiply(g.view(bits), mask, out=full[slot].view(bits))
         return (full,)
 
     return x._make(out_data, (x,), backward)

@@ -64,16 +64,22 @@ class FrontendConfig:
 
 @dataclass
 class AudioClip:
-    """Decoded mono waveform; amplitudes in [-1, 1] at a known rate."""
+    """Decoded mono waveform; amplitudes in [-1, 1] at a known rate.
+    Construction checks the samples once, so no later step repeats it."""
 
     samples: np.ndarray
     sample_rate: int
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
 
     def validate(self) -> None:
+        """Raise AudioError unless the samples are a non-empty, finite
+        mono signal within [-1, 1]."""
         if self.samples.ndim != 1 or len(self.samples) == 0:
             raise AudioError("clip must contain at least one mono sample")
         if not np.isfinite(self.samples).all():
@@ -171,9 +177,7 @@ def decode_wav(path: str | os.PathLike, expected_sample_rate: int = 48000) -> Au
             "(this toolkit rejects rather than resamples)"
         )
 
-    clip = AudioClip(samples=samples, sample_rate=rate)
-    clip.validate()
-    return clip
+    return AudioClip(samples=samples, sample_rate=rate)
 
 
 # ------------------------------------------------------------ mel filters
@@ -266,7 +270,6 @@ def log_mel_spectrogram(
     beyond the clip and its output is one block's, whatever the clip's
     length, and every value has the bits of the whole-clip computation.
     """
-    clip.validate()
     if clip.sample_rate != config.sample_rate:
         raise SampleRateError(
             f"clip at {clip.sample_rate} Hz, front end configured for {config.sample_rate} Hz"

@@ -25,50 +25,80 @@ def test_primitive_suite_passes():
         assert err < TOL, f"{name}: {err:.3e}"
 
 
-def _graph_dtypes(root):
-    """Wrap every backward closure under root to record the dtype of each
+def _record_dtypes(monkeypatch):
+    """From now on, record the dtype of every op's output and operands,
+    and wrap every op's backward closure to record the dtype of each
     gradient it returns; returns (forward dtypes, gradient dtypes), the
-    second filled in by root.backward()."""
+    second filled in by backward()."""
     forward, grads = set(), set()
-    stack, seen = [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        forward.add(node.data.dtype)
-        if node._backward is not None:
-            def recording(g, inner=node._backward):
-                out = inner(g)
-                grads.update(pg.dtype for pg in out if pg is not None)
-                return out
+    make = Tensor._make
 
-            node._backward = recording
-        stack.extend(node._parents)
+    def recording_make(self, data, parents, backward):
+        def recording(g):
+            out = backward(g)
+            grads.update(pg.dtype for pg in out if pg is not None)
+            return out
+
+        out = make(self, data, parents, recording)
+        forward.add(out.data.dtype)
+        forward.update(p.data.dtype for p in parents)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", recording_make)
     return forward, grads
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", sorted(primitive_cases()))
-def test_primitive_keeps_its_input_dtype(name, dtype):
+def test_primitive_keeps_its_input_dtype(name, dtype, monkeypatch):
     """Each gradcheck primitive computes in its inputs' dtype: every
     forward value, every intermediate gradient and every leaf gradient.
     float64 inputs stay float64 throughout, so the FD gradcheck still
     checks the float64 code."""
     build_loss, tensors = primitive_cases(seed=0, dtype=dtype)[name]
-    loss = build_loss()
-    forward, grads = _graph_dtypes(loss)
-    loss.backward()
+    forward, grads = _record_dtypes(monkeypatch)
+    build_loss().backward()
     assert forward == {np.dtype(dtype)}
     assert grads == {np.dtype(dtype)}
     for leaf in tensors.values():
         assert leaf.grad.dtype == dtype
 
 
-def test_backward_seed_follows_the_output_dtype():
+def _closure_values(fn, seen):
+    """Every value fn's closure cells hold, through nested functions."""
+    if id(fn) in seen:
+        return
+    seen.add(id(fn))
+    for cell in getattr(fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        yield value
+        if callable(value):
+            yield from _closure_values(value, seen)
+
+
+@pytest.mark.parametrize("name", sorted(primitive_cases()))
+def test_recorded_backward_captures_no_tensor(name):
+    """No backward closure in a primitive's graph holds a Tensor: each
+    keeps only the arrays its backward reads, so no forward value stays
+    alive through the graph."""
+    build_loss, _ = primitive_cases(seed=0)[name]
+    stack, seen, n_nodes = [build_loss()._node], set(), 0
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Tensor) or id(node) in seen:
+            continue  # a leaf
+        seen.add(id(node))
+        n_nodes += 1
+        captured = [v for v in _closure_values(node.backward, set()) if isinstance(v, Tensor)]
+        assert not captured, f"{node.backward.__qualname__} holds {captured}"
+        stack.extend(p for p in node.parents if p is not None)
+    assert n_nodes >= 2
+
+
+def test_backward_seed_follows_the_output_dtype(monkeypatch):
     x = Tensor(np.arange(3, dtype=np.float32), requires_grad=True)
+    _, grads = _record_dtypes(monkeypatch)
     y = x * x
-    _, grads = _graph_dtypes(y)
     y.backward(grad=[1.0, 1.0, 1.0])
     assert grads == {np.dtype(np.float32)}
     assert x.grad.dtype == np.float32
@@ -232,6 +262,60 @@ def test_maxpool_ties_route_to_first_slot_in_scan_order():
     expected[2, 0, 1] = 0.5
     np.testing.assert_array_equal(x.grad[0], expected)
     assert not np.signbit(x.grad[0][expected == 0.0]).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("factor", [2, 3])
+def test_maxpool_window_of_equal_slots_routes_to_the_first(dtype, factor):
+    """Windows whose factor**2 slots all hold the same value, +0 and -0
+    in either order included, send the whole gradient to slot 0; every
+    other slot gets +0, also under a negative gradient."""
+    n = factor * factor
+    signed_zeros = np.where(np.arange(n) % 2, -0.0, 0.0)
+    windows = np.stack([np.full(n, 1.5), np.full(n, -2.0), signed_zeros, -signed_zeros, np.full(n, -0.0)])
+    x = Tensor(windows.reshape(1, 5, factor, factor).astype(dtype), requires_grad=True)
+    out = maxpool2d(x, factor)
+    np.testing.assert_array_equal(out.data.reshape(-1), [1.5, -2.0, 0.0, 0.0, 0.0])
+    g = np.array([-1.0, 2.0, -3.0, -0.5, 4.0], dtype=dtype)
+    out.backward(g.reshape(1, 5, 1, 1))
+    expected = np.zeros((5, factor, factor), dtype=dtype)
+    expected[:, 0, 0] = g
+    np.testing.assert_array_equal(x.grad[0], expected)
+    assert not np.signbit(x.grad[0][expected == 0.0]).any()
+
+
+def test_maxpool_window_of_more_than_256_slots_routes_to_its_max(rng):
+    """A 17 x 17 window has 289 slots, more than a uint8 map can name:
+    the gradient still goes whole to the max's slot."""
+    x = Tensor(rng.normal(size=(2, 1, 17, 18)), requires_grad=True)
+    out = maxpool2d(x, 17)
+    windows = x.data[:, 0, :, :17].reshape(2, -1)
+    np.testing.assert_array_equal(out.data.reshape(-1), windows.max(axis=1))
+    out.backward(np.array([2.0, -3.0]).reshape(2, 1, 1, 1))
+    expected = np.zeros_like(windows)
+    expected[[0, 1], windows.argmax(axis=1)] = [2.0, -3.0]
+    np.testing.assert_array_equal(x.grad[:, 0, :, :17].reshape(2, -1), expected)
+    assert not x.grad[:, :, :, 17].any()
+
+
+def test_maxpool_under_no_grad_records_nothing(rng):
+    """Under no_grad max-pool makes no winner map: the call peaks at its
+    output plus less than half a uint8 map, and the result records no
+    graph. Recorded, it holds its output and one map."""
+    x = Tensor(rng.normal(size=(16, 8, 64, 100)).astype(np.float32).transpose(1, 0, 2, 3), requires_grad=True)
+    out_bytes = 8 * 16 * 32 * 50 * 4
+    map_bytes = out_bytes // 4
+    result = []
+
+    def pool():
+        with no_grad():
+            result.append(maxpool2d(x, 2))
+
+    peak, _ = peak_traced_bytes(pool)
+    assert result[0]._node is None and not result[0].requires_grad
+    assert peak < out_bytes + map_bytes / 2, f"peak {peak / 2**20:.2f} MiB"
+    _, held = peak_traced_bytes(lambda: maxpool2d(x, 2))
+    assert out_bytes + map_bytes <= held < out_bytes + 1.5 * map_bytes, f"held {held / 2**20:.2f} MiB"
 
 
 def test_maxpool_odd_plane_drops_trailing_row_and_column(rng):
@@ -583,9 +667,9 @@ def test_no_grad_records_no_graph():
             pass
         z = p * 2.0  # still off after a nested block exits
     for t in (y, z):
-        assert t._parents == () and t._backward is None and not t.requires_grad
+        assert t._node is None and not t.requires_grad
     w = (p * p).sum()
-    assert w._parents and w.requires_grad
+    assert w._node.parents and w.requires_grad
 
 
 def test_no_grad_restores_state_after_exception():
@@ -658,7 +742,7 @@ def test_attention_under_no_grad_records_no_parents(rng):
     q, k, v = (Tensor(rng.normal(size=(1, 2, 5, 4)), requires_grad=True) for _ in range(3))
     with no_grad():
         out = attention(q, k, v)
-    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert out._node is None and not out.requires_grad
 
 
 def _desk_forward_of_a_12s_clip():

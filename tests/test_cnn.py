@@ -11,8 +11,10 @@ from sqatk import frontend as fe
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, conv2d, maxpool2d, no_grad
 from sqatk.gradcheck import full_cnn_check
-from sqatk.quality import TASKS, clip_score
+from sqatk.quality import TASKS, QualityScores, clip_score
+from sqatk.training import Adam, _batch_losses, make_sample
 
+from memory import peak_traced_bytes
 from model_fixtures import desk_cnn_config
 
 SR = 48000
@@ -228,3 +230,61 @@ def test_raw_score_of_a_short_clip_depends_on_the_window():
         with no_grad():
             raw.append(model.forward_batch(model.collate([model.prepare(values)]))["mos"].data[0])
     assert raw == [pytest.approx(-0.4954, abs=1e-4), pytest.approx(-0.5471, abs=1e-4)]
+
+
+def _desk_cnn_batch(model, rng, batch=8):
+    """batch full 2 s training samples for the desk CNN."""
+    return [
+        make_sample(model.prepare(rng.normal(-5.0, 2.0, size=(200, model.config.n_mels))),
+                    QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
+        for _ in range(batch)
+    ]
+
+
+def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
+    """One training step of the desk CNN (8 clips of 2 s, float32):
+    forward, backward and ADAM peak below 2.5 of the first layer's
+    (8, 16, 128, 200) conv outputs, 31.3 MiB (measured 27.7). The graph
+    that kept every conv and pool output peaked at 54.6 MiB, 4.4 such
+    arrays."""
+    config = desk_cnn_config()
+    model = cnn_mod.ConvBaseline(config, seed=0)
+    samples = _desk_cnn_batch(model, np.random.default_rng(1))
+    conv0_bytes = len(samples) * config.channels[0] * config.n_mels * config.max_frames * 4
+    optimizer = Adam(model.params)
+
+    def step():
+        total, _ = _batch_losses(model, samples)
+        total.backward()
+        optimizer.step(1e-3)
+
+    peak, _ = peak_traced_bytes(step)
+    assert peak < 2.5 * conv0_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_recorded_cnn_forward_holds_no_conv_or_pool_output():
+    """After a recorded desk CNN forward (8 clips of 2 s, float32) the
+    graph holds each stage's ReLU output, which that ReLU's mask and the
+    next conv's backward read, and each max-pool's uint8 map of winning
+    slots: 7.07 MiB. The 64 KiB allowed beyond them, for the heads and
+    the graph's nodes, is a third of the smallest pool output, so no
+    conv or pool output is held; keeping them all held 34.0 MiB."""
+    config = desk_cnn_config()
+    model = cnn_mod.ConvBaseline(config, seed=0)
+    x = model.collate([s.inputs for s in _desk_cnn_batch(model, np.random.default_rng(1))])
+    batch, height, width = x.shape[0], config.n_mels, config.max_frames
+    pooled_cells = []
+    for channels, factor in zip(config.channels, config.pool):
+        height, width = height // factor, width // factor
+        pooled_cells.append(batch * channels * height * width)
+    kept = sum(pooled_cells) * (4 + 1)  # float32 ReLU output and uint8 map per pooled cell
+    slack = 64 * 2**10
+    assert slack < min(pooled_cells) * 4
+
+    def forward():
+        out = cnn_mod.cnn_forward_batch(x, model.params, config)
+        assert all(raw.requires_grad for raw in out.values())
+        return out
+
+    _, held = peak_traced_bytes(forward)
+    assert held < kept + slack, f"held {held / 2**20:.2f} MiB of {kept / 2**20:.2f}"

@@ -126,6 +126,18 @@ def test_decode_rejects_a_clip_beyond_full_scale(tmp_path, peak):
         fe.decode_wav(path)
 
 
+@pytest.mark.parametrize("samples,message", [
+    (np.array([0.0, np.nan, 0.5]), "non-finite"),
+    (np.array([0.0, np.inf]), "non-finite"),
+    (np.array([0.0, -1.5, 0.5]), r"outside \[-1, 1\]"),
+    (np.zeros(0), "at least one mono sample"),
+    (np.zeros((4, 2)), "at least one mono sample"),
+])
+def test_a_hand_built_clip_is_checked_at_construction(samples, message):
+    with pytest.raises(fe.AudioError, match=message):
+        fe.AudioClip(samples, SR)
+
+
 def test_decode_of_a_12s_clip_holds_one_float64_copy(tmp_path):
     """Beside the file's bytes, decoding holds the 4.6 MB float64 samples
     once and the PCM data not at all: 6.05 MiB traced at the peak. A
