@@ -17,6 +17,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,12 +93,13 @@ def features_for_entry(entry, features_dir: Path | None) -> np.ndarray:
     return fe.log_mel_spectrogram(clip).values
 
 
-def build_samples(model, entries, features_dir: Path | None) -> list[tr.TrainSample]:
-    samples = []
-    for entry in entries:
-        values = features_for_entry(entry, features_dir)
-        samples.append(make_sample(model.prepare(values), entry.scores))
-    return samples
+def build_samples(entries, features_dir: Path) -> list[tr.TrainSample]:
+    """One sample per entry: its labels and a loader of its feature cache,
+    which fit reads each time the entry's batch is drawn."""
+    return [
+        make_sample(partial(fe.load_features, feature_path(features_dir, entry.sample_id)), entry.scores)
+        for entry in entries
+    ]
 
 
 # ------------------------------------------------------------ subcommands
@@ -160,8 +162,8 @@ def cmd_train(args) -> int:
     train_config = build_train_config(args.model, config)
     model = build_model(args.model, config, seed=train_config.seed)
 
-    manifest = load_manifest(args.manifest, require_audio=args.features is None)
-    features_dir = Path(args.features) if args.features else None
+    manifest = load_manifest(args.manifest, require_audio=False)
+    features_dir = Path(args.features)
     train_entries = manifest.split_entries("train")
     if not train_entries:
         raise CliError("manifest has no train-split entries")
@@ -170,8 +172,8 @@ def cmd_train(args) -> int:
         print("note: manifest has no val split; validating on the training set")
         val_entries = train_entries
 
-    train_samples = build_samples(model, train_entries, features_dir)
-    val_samples = build_samples(model, val_entries, features_dir)
+    train_samples = build_samples(train_entries, features_dir)
+    val_samples = build_samples(val_entries, features_dir)
 
     history_path = Path(args.history) if args.history else Path(str(args.out) + ".history.csv")
     result = fit(model, train_samples, val_samples, train_config, history_path=history_path)
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value text config (model + training keys)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--features", help="feature cache directory from `featurize`")
+    p.add_argument("--features", required=True, help="feature cache directory from `featurize`")
     p.add_argument("--history", help="training history CSV (default: <out>.history.csv)")
     p.set_defaults(func=cmd_train)
 

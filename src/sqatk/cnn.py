@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import ParamSpec, Tensor, conv2d, init_from_spec, linear, maxpool2d
 from .quality import TASKS
 from .training import Scorer
-from .transformer import PAD_LOG_VALUE, ModelError, check_window, floor_pad
+from .transformer import PAD_LOG_VALUE, ModelError, NonFiniteError, check_window, floor_pad
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,8 @@ def cnn_forward_batch(
         h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], padding=1)
         h = maxpool2d(h, factor).relu()  # ReLU on 1/factor**2 of the cells
     pooled = h.mean(axis=3)  # global average over time
+    if not np.isfinite(pooled.data).all():
+        raise NonFiniteError("non-finite pooled CNN features")
     batch = x.shape[0]
     feats = pooled.reshape((batch, config.derived_head_input))
     out = {}

@@ -329,7 +329,9 @@ def save_features(path: str | os.PathLike, values: np.ndarray) -> None:
 
 def load_features(path: str | os.PathLike) -> np.ndarray:
     """Read one clip's (frames, mels) feature matrix as the stored
-    float32, with no upcast; the model casts it to its own dtype."""
+    float32, with no upcast; the model casts it to its own dtype.
+    featurize writes only finite values, so a NaN or inf means the file
+    is damaged."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise FeatureError(f"{path}: truncated feature file")
@@ -338,6 +340,8 @@ def load_features(path: str | os.PathLike) -> np.ndarray:
     if len(raw) != expected:
         raise FeatureError(f"{path}: size {len(raw)} != expected {expected}")
     values = np.frombuffer(raw, dtype="<f4", offset=8).reshape(frames, mels)
+    if not np.isfinite(values).all():
+        raise FeatureError(f"{path}: non-finite feature values")
     return values.astype(np.float32)
 
 

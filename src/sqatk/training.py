@@ -3,8 +3,12 @@ validation monitor (MOS PCC minus MOS RMSE), and learning-rate patience
 with halving. The shuffle permutation for each epoch is derived from
 (seed, epoch) only, so runs are reproducible batch for batch.
 
-Every scoring pass, validation and prediction alike, goes through
-predict_raw: batch_size clips at a time with no autograd graph.
+A sample holds its labels and a loader of its clip's (frames, mels)
+features, not the model's prepared input. A batch loads and prepares
+its clips only when it is drawn, so memory follows batch_size and not
+the size of the split, and each clip is read and prepared once per
+epoch. Every scoring pass, validation and prediction alike, goes
+through predict_raw: batch_size clips at a time with no autograd graph.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -120,18 +125,21 @@ class PatienceController:
         return self._since_improve >= self.early_stop_patience, halve
 
 
+Loader = Callable[[], np.ndarray]  # returns one clip's (frames, mels) features
+
+
 @dataclass
 class TrainSample:
-    inputs: object  # model-specific, produced by model.prepare()
+    load: Loader  # called each time the clip's batch is drawn
     labels: np.ndarray  # (5,) float, NaN where absent
     label_mask: np.ndarray  # (5,) bool
 
 
-def make_sample(inputs, scores) -> TrainSample:
+def make_sample(load: Loader, scores) -> TrainSample:
     labels = np.array(
         [scores.get(t) if scores.present(t) else np.nan for t in TASKS], dtype=np.float64
     )
-    return TrainSample(inputs=inputs, labels=labels, label_mask=~np.isnan(labels))
+    return TrainSample(load=load, labels=labels, label_mask=~np.isnan(labels))
 
 
 @dataclass
@@ -156,9 +164,13 @@ class FitResult:
         return len(self.history)
 
 
+def _prepared_batch(model, loads: Sequence[Loader]):
+    """Load and prepare each clip, and collate them into one model batch."""
+    return model.collate([model.prepare(load()) for load in loads])
+
+
 def _batch_losses(model, samples: list[TrainSample]) -> tuple[Tensor | None, dict[str, float]]:
-    batch = model.collate([s.inputs for s in samples])
-    preds = model.forward_batch(batch)
+    preds = model.forward_batch(_prepared_batch(model, [s.load for s in samples]))
     labels = np.stack([s.labels for s in samples])
     masks = np.stack([s.label_mask for s in samples])
     total = None
@@ -172,14 +184,15 @@ def _batch_losses(model, samples: list[TrainSample]) -> tuple[Tensor | None, dic
     return total, per_task
 
 
-def predict_raw(model, inputs: list, batch_size: int) -> dict[str, np.ndarray]:
-    """Raw per-task scores of prepared model inputs, batch_size clips at a
-    time under no_grad, so memory follows the batch size and not the
-    number of inputs."""
+def predict_raw(model, loads: Sequence[Loader], batch_size: int) -> dict[str, np.ndarray]:
+    """Raw per-task scores of the clips that loads read, batch_size clips
+    at a time under no_grad; each chunk is loaded and prepared only when
+    it is scored, so memory follows the batch size and not the number
+    of clips."""
     chunks = []
     with no_grad():
-        for start in range(0, len(inputs), batch_size):
-            preds = model.forward_batch(model.collate(inputs[start : start + batch_size]))
+        for start in range(0, len(loads), batch_size):
+            preds = model.forward_batch(_prepared_batch(model, loads[start : start + batch_size]))
             chunks.append({task: pred.data for task, pred in preds.items()})
     return {task: np.concatenate([c[task] for c in chunks]) for task in chunks[0]}
 
@@ -197,7 +210,7 @@ class Scorer:
 
     def predict_scores(self, values: np.ndarray) -> QualityScores:
         """Score one (frames, mels) feature matrix; values clipped to [1, 5]."""
-        raw = predict_raw(self, [self.prepare(values)], batch_size=1)
+        raw = predict_raw(self, [lambda: values], batch_size=1)
         return QualityScores(**{t: clip_score(raw[t][0]) for t in self.config.tasks})
 
     def config_echo(self) -> dict[str, str]:
@@ -212,7 +225,7 @@ def _validation_mos(model, samples: list[TrainSample], batch_size: int) -> tuple
     have = np.array([s.label_mask[mos_idx] for s in samples])
     if not have.any():
         raise TrainingError("validation set has no MOS labels")
-    preds = predict_raw(model, [s.inputs for s in samples], batch_size)["mos"]
+    preds = predict_raw(model, [s.load for s in samples], batch_size)["mos"]
     pred = np.clip(preds[have], SCORE_MIN, SCORE_MAX)
     ref = np.array([s.labels[mos_idx] for s in samples])[have]
     err = rmse(pred, ref)

@@ -2,6 +2,7 @@
 
 float64 gives freshly initialised (float32) parameters in float64, for
 tests that compare two code paths far below float32's resolution.
+in_memory is a sample loader for features built in memory.
 widen_max_duration carries a transformer's parameters to a longer
 window, for the mask-invariance tests. desk_cnn_config is the default
 CNN in a 2 s window.
@@ -19,6 +20,11 @@ from sqatk.autodiff import Tensor
 def float64(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """float64 copies of params, each a fresh leaf that requires grad."""
     return {k: Tensor(p.data.astype(np.float64), requires_grad=True) for k, p in params.items()}
+
+
+def in_memory(values: np.ndarray):
+    """A sample loader that returns values, as load_features returns a cache's."""
+    return lambda: values
 
 
 def desk_cnn_config(**overrides) -> cnn_mod.CnnConfig:

@@ -2,6 +2,7 @@
 predict, calibrate, evaluate, gradcheck, plus the error contract."""
 
 import re
+import shutil
 import struct
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from memory import peak_traced_bytes
+from model_fixtures import in_memory
 from sqatk import cli
 from sqatk import frontend as fe
 from sqatk.checkpoint import load_checkpoint, save_checkpoint
@@ -20,7 +22,7 @@ from sqatk.manifest import load_manifest, write_manifest
 from sqatk.quality import TASKS, QualityScores
 from sqatk.synth import generate_corpus, write_wav_pcm16
 from sqatk.training import Adam, TrainConfig, _batch_losses, make_sample, predict_raw
-from sqatk.transformer import ModelConfig
+from sqatk.transformer import ModelConfig, SpectrogramTransformer, desk_config
 
 DESK_CONFIG = """
 # desk-scale transformer
@@ -168,7 +170,7 @@ def test_loaded_model_holds_the_saved_float32_values(corpus, workdir, tmp_path, 
         assert written[name].tobytes() == best.tobytes(), name
         assert loaded.params[name].data.tobytes() == best.tobytes(), name
     values = np.random.default_rng(0).normal(-5.0, 2.0, size=(60, 128))  # float64, as the front end gives
-    raw = predict_raw(loaded, [loaded.prepare(values)], batch_size=1)
+    raw = predict_raw(loaded, [in_memory(values)], batch_size=1)
     assert all(scores.dtype == np.float32 for scores in raw.values())
 
 
@@ -182,7 +184,7 @@ def test_training_step_keeps_float32(tmp_path, kind, config_text):
     model = build_model(kind, load_config_file(config), seed=7)
     rng = np.random.default_rng(1)
     samples = [
-        make_sample(model.prepare(rng.normal(-5.0, 2.0, size=(n, 128))),
+        make_sample(in_memory(rng.normal(-5.0, 2.0, size=(n, 128))),
                     QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
         for n in (60, 100, 80)
     ]
@@ -294,6 +296,116 @@ def test_checkpoint_with_a_non_finite_weight_is_a_typed_error(corpus, workdir, t
     assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
     assert capsys.readouterr().err == f"error: {ckpt}: tensor 'head_mos_w' holds non-finite values\n"
     assert not (tmp_path / "p.csv").exists()
+
+
+def _damaged_features(corpus, workdir, tmp_path, damage):
+    """A copy of the workdir's caches in which the first train clip's cache
+    is damaged; returns (cache directory, damaged file)."""
+    feats = tmp_path / "feats"
+    shutil.copytree(workdir / "feats", feats)
+    bad = cli.feature_path(feats, load_manifest(corpus).split_entries("train")[0].sample_id)
+    if damage == "deleted":
+        bad.unlink()
+    elif damage == "truncated":
+        bad.write_bytes(bad.read_bytes()[:-4])
+    else:
+        values = fe.load_features(bad).copy()
+        values[3, 7] = float(damage)
+        fe.save_features(bad, values)
+    return feats, bad
+
+
+def _cnn_checkpoint(tmp_path, **fill):
+    """An untrained CNN_CONFIG checkpoint, each tensor named in fill set
+    to its value."""
+    config = tmp_path / "cnn.cfg"
+    config.write_text(CNN_CONFIG)
+    model = build_model("cnn", load_config_file(config))
+    tensors = {name: p.data.copy() for name, p in model.params.items()}
+    for name, value in fill.items():
+        tensors[name][:] = value
+    ckpt = tmp_path / "cnn.ckpt"
+    save_checkpoint(ckpt, "cnn", model.config_echo(), tensors)
+    return ckpt
+
+
+@pytest.mark.parametrize("damage", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["predict-ast", "predict-cnn", "train"])
+def test_cache_with_a_non_finite_value_is_a_typed_error(corpus, workdir, tmp_path, capsys, command, damage):
+    """One NaN or inf in a cache made the CNN score nan on all five heads,
+    written with exit 0. load_features rejects the file by name, whether
+    predict reads it or train draws its batch, and nothing is written."""
+    feats, bad = _damaged_features(corpus, workdir, tmp_path, damage)
+    out = tmp_path / "out"
+    if command == "train":
+        config = tmp_path / "desk.cfg"
+        config.write_text(DESK_CONFIG)
+        argv = ["train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
+                "--features", str(feats), "--out", str(out)]
+    else:
+        ckpt = _cnn_checkpoint(tmp_path) if command == "predict-cnn" else workdir / "ast.ckpt"
+        argv = ["predict", "--ckpt", str(ckpt), "--manifest", str(corpus),
+                "--features", str(feats), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: non-finite feature values\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["deleted", "truncated"])
+def test_cache_damaged_after_featurize_fails_train_by_name(corpus, workdir, tmp_path, capsys, damage):
+    """train reads each cache when its batch is drawn, not before fit, so
+    a cache deleted or truncated after featurize fails inside fit: exit
+    1, the file named, and no checkpoint or history written."""
+    feats, bad = _damaged_features(corpus, workdir, tmp_path, damage)
+    config = tmp_path / "desk.cfg"
+    config.write_text(DESK_CONFIG)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
+                 "--features", str(feats), "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+    assert not ckpt.exists() and not (tmp_path / "model.ckpt.history.csv").exists()
+
+
+def test_train_requires_a_feature_cache(corpus, tmp_path, capsys):
+    """Without caches every epoch would decode and log-mel every clip again."""
+    config = tmp_path / "desk.cfg"
+    config.write_text(DESK_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
+              "--out", str(tmp_path / "x.ckpt")])
+    assert exc.value.code != 0
+    assert "--features" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cnn_checkpoint_with_huge_finite_weights_is_a_typed_error(corpus, workdir, tmp_path, capsys):
+    """1e30 in the first two conv weights overflows float32 to inf and nan
+    in the conv stages; the CNN scored nan with exit 0, and now stops at
+    its pooled features as the AST stops at its encoder."""
+    ckpt = _cnn_checkpoint(tmp_path, conv0_w=1e30, conv1_w=1e30)
+    assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
+    assert capsys.readouterr().err == "error: non-finite pooled CNN features\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_built_samples_hold_no_prepared_input(tmp_path):
+    """A sample holds its labels and its cache's loader; batches read and
+    prepare their clips when drawn. So the samples of 4n clips hold less
+    than one prepared 2 s clip (228 patches of 256 float32) more than
+    those of n; preparing them all held 3n more clips of patches."""
+    corpus = generate_corpus(tmp_path, n_clips=12, seed=4, duration_s=2.0)
+    feats = tmp_path / "feats"
+    assert main(["featurize", "--manifest", str(corpus), "--out", str(feats)]) == 0
+    entries = load_manifest(corpus).entries
+    model = SpectrogramTransformer(desk_config())
+    prepared = model.prepare(fe.load_features(cli.feature_path(feats, entries[0].sample_id)))
+    clip_bytes = sum(a.nbytes for a in prepared)
+    assert clip_bytes >= 228 * 256 * 4
+
+    _, held_n = peak_traced_bytes(lambda: cli.build_samples(entries[:3], feats))
+    _, held_4n = peak_traced_bytes(lambda: cli.build_samples(entries, feats))
+    assert held_4n - held_n < clip_bytes, f"{held_n} -> {held_4n} bytes"
 
 
 @pytest.mark.parametrize("reader", ["manifest", "predictions", "calibration"])

@@ -15,7 +15,7 @@ from sqatk.quality import TASKS, QualityScores, clip_score
 from sqatk.training import Adam, _batch_losses, make_sample
 
 from memory import peak_traced_bytes
-from model_fixtures import desk_cnn_config
+from model_fixtures import desk_cnn_config, in_memory
 
 SR = 48000
 
@@ -157,7 +157,7 @@ def test_identical_seeds_identical_checkpoints(tmp_path):
         model = cnn_mod.ConvBaseline(config, seed=8)
         samples = [
             make_sample(
-                model.prepare(rng.normal(-5, 2, size=(25, 32))),
+                in_memory(rng.normal(-5, 2, size=(25, 32))),
                 QualityScores(**{t: float(rng.uniform(1, 5)) for t in TASKS}),
             )
             for _ in range(4)
@@ -235,7 +235,7 @@ def test_raw_score_of_a_short_clip_depends_on_the_window():
 def _desk_cnn_batch(model, rng, batch=8):
     """batch full 2 s training samples for the desk CNN."""
     return [
-        make_sample(model.prepare(rng.normal(-5.0, 2.0, size=(200, model.config.n_mels))),
+        make_sample(in_memory(rng.normal(-5.0, 2.0, size=(200, model.config.n_mels))),
                     QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
         for _ in range(batch)
     ]
@@ -243,10 +243,11 @@ def _desk_cnn_batch(model, rng, batch=8):
 
 def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
     """One training step of the desk CNN (8 clips of 2 s, float32):
-    forward, backward and ADAM peak below 2.5 of the first layer's
-    (8, 16, 128, 200) conv outputs, 31.3 MiB (measured 27.7). The graph
-    that kept every conv and pool output peaked at 54.6 MiB, 4.4 such
-    arrays."""
+    preparing the clips' planes, forward, backward and ADAM peak below
+    2.5 of the first layer's (8, 16, 128, 200) conv outputs, 31.3 MiB
+    (measured 27.7, as when the planes were prepared before the step).
+    The graph that kept every conv and pool output peaked at 54.6 MiB,
+    4.4 such arrays."""
     config = desk_cnn_config()
     model = cnn_mod.ConvBaseline(config, seed=0)
     samples = _desk_cnn_batch(model, np.random.default_rng(1))
@@ -271,7 +272,7 @@ def test_recorded_cnn_forward_holds_no_conv_or_pool_output():
     conv or pool output is held; keeping them all held 34.0 MiB."""
     config = desk_cnn_config()
     model = cnn_mod.ConvBaseline(config, seed=0)
-    x = model.collate([s.inputs for s in _desk_cnn_batch(model, np.random.default_rng(1))])
+    x = model.collate([model.prepare(s.load()) for s in _desk_cnn_batch(model, np.random.default_rng(1))])
     batch, height, width = x.shape[0], config.n_mels, config.max_frames
     pooled_cells = []
     for channels, factor in zip(config.channels, config.pool):

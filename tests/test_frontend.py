@@ -352,6 +352,62 @@ def test_feature_cache_rejects_truncated(tmp_path):
         fe.load_features(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_cache_rejects_a_non_finite_value(tmp_path, value):
+    values = np.zeros((4, 3))
+    values[2, 1] = value
+    path = tmp_path / "bad.feat"
+    fe.save_features(path, values)
+    with pytest.raises(fe.FeatureError, match=f"{path}: non-finite"):
+        fe.load_features(path)
+
+
+# A valid (6, 4) cache; its 104 bytes are short enough that mutations
+# often reach the header.
+_CACHE = struct.pack("<II", 6, 4) + np.random.default_rng(0).normal(size=(6, 4)).astype("<f4").tobytes()
+
+
+# Bytes for overwrites and insertions. 0x7F and 0xFF over a float's high
+# byte make an inf or a NaN.
+_BYTE = st.sampled_from([0x00, 0x7F, 0x80, 0xFF]) | st.integers(0, 255)
+_BYTES = st.lists(_BYTE, min_size=1, max_size=4).map(bytes)
+
+
+@st.composite
+def _damaged_cache(draw):
+    """_CACHE after one to three 1-4 byte overwrites, deletions or
+    insertions, or truncations."""
+    raw = _CACHE
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["overwrite", "delete", "insert", "truncate"]))
+        at = draw(st.integers(0, len(raw)))
+        if kind == "overwrite":
+            patch = draw(_BYTES)
+            raw = raw[:at] + patch + raw[at + len(patch) :]
+        elif kind == "delete":
+            raw = raw[:at] + raw[at + draw(st.integers(1, 4)) :]
+        elif kind == "insert":
+            raw = raw[:at] + draw(_BYTES) + raw[at:]
+        else:
+            raw = raw[:at]
+    return raw
+
+
+@given(raw=_damaged_cache())
+def test_damaged_cache_loads_as_its_header_says_or_is_a_feature_error(tmp_path_factory, raw):
+    """load_features either returns a finite float32 array of the header's
+    (frames, mels) or raises FeatureError, never another exception."""
+    path = tmp_path_factory.getbasetemp() / "damaged.feat"
+    path.write_bytes(raw)
+    try:
+        values = fe.load_features(path)
+    except fe.FeatureError:
+        return
+    assert values.dtype == np.float32
+    assert values.shape == struct.unpack("<II", raw[:8])
+    assert np.isfinite(values).all()
+
+
 def test_corpus_normalization():
     feats = [np.full((4, 2), 2.0), np.full((4, 2), 6.0)]
     mean, std = fe.corpus_normalization(fe.feature_moments(v) for v in feats)

@@ -21,7 +21,7 @@ from sqatk.training import (
     predict_raw,
 )
 
-from model_fixtures import float64
+from model_fixtures import float64, in_memory
 
 # ------------------------------------------------------------------- loss
 
@@ -224,7 +224,7 @@ def tiny_samples(n, rng, slope=1.0):
     for _ in range(n):
         x = float(rng.uniform(0.5, 2.0))
         scores = QualityScores(**{t: float(np.clip(slope * x + 1.0, 1, 5)) for t in TASKS})
-        samples.append(make_sample(np.array([x]), scores))
+        samples.append(make_sample(in_memory(np.array([x])), scores))
     return samples
 
 
@@ -290,7 +290,8 @@ def test_fit_same_seed_same_history(rng):
 def test_missing_dimension_contributes_no_loss(rng):
     model = TinyModel(seed=5)
     scores = QualityScores(mos=3.0, col=None, dis=None, loud=None, noi=None)
-    samples = [make_sample(np.array([1.0]), scores), make_sample(np.array([2.0]), QualityScores(mos=2.0))]
+    samples = [make_sample(in_memory(np.array([1.0])), scores),
+               make_sample(in_memory(np.array([2.0])), QualityScores(mos=2.0))]
     result = fit(model, samples, samples, TrainConfig(learning_rate=0.01, max_epochs=2, batch_size=2))
     assert set(result.history[0].task_losses) == {"mos"}
 
@@ -338,7 +339,7 @@ def test_training_step_after_predict_gets_gradients(rng):
     clips = [rng.normal(-5, 2, size=(n, 128)) for n in (30, 45)]
     model.predict_scores(clips[0])
     samples = [
-        make_sample(model.prepare(v), QualityScores(**{t: label for t in TASKS}))
+        make_sample(in_memory(v), QualityScores(**{t: label for t in TASKS}))
         for v, label in zip(clips, (2.0, 4.0))
     ]
     fit(model, samples, samples, TrainConfig(max_epochs=1, batch_size=2))
@@ -349,9 +350,9 @@ def test_training_step_after_predict_gets_gradients(rng):
 def test_validation_scores_in_batches_match_one_batch(rng):
     config = tf.desk_config(n_layers=1, max_duration_s=0.5)
     model = tf.SpectrogramTransformer(config, float64(tf.init_params(config, seed=13)))
-    inputs = [model.prepare(rng.normal(-5, 2, size=(n, 128))) for n in (20, 50, 35, 50, 8)]
-    whole = predict_raw(model, inputs, batch_size=len(inputs))
-    chunked = predict_raw(model, inputs, batch_size=2)
+    loads = [in_memory(rng.normal(-5, 2, size=(n, 128))) for n in (20, 50, 35, 50, 8)]
+    whole = predict_raw(model, loads, batch_size=len(loads))
+    chunked = predict_raw(model, loads, batch_size=2)
     for t in TASKS:
         assert chunked[t].shape == (5,)
         np.testing.assert_allclose(chunked[t], whole[t], rtol=0, atol=1e-12)

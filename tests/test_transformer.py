@@ -13,7 +13,7 @@ from sqatk.quality import TASKS, QualityScores
 from sqatk.training import Adam, _batch_losses, make_sample, mse_loss, predict_raw
 
 from memory import peak_traced_bytes
-from model_fixtures import float64, widen_max_duration
+from model_fixtures import float64, in_memory, widen_max_duration
 
 HOP = 0.010
 
@@ -411,11 +411,11 @@ def test_float32_batch_with_masked_keys_scores_as_each_clip_alone(rng):
     scores each alone, within criterion 4's 1e-5."""
     config = tf.desk_config(max_duration_s=15.0, n_heads=2)  # 2 heads: half the 1789^2 score buffers
     model = tf.SpectrogramTransformer(config, seed=12)
-    inputs = [model.prepare(make_spec(n, rng=rng).values) for n in (100, 350, 700, 1500)]
-    assert inputs[0][0].dtype == np.float32
+    loads = [in_memory(make_spec(n, rng=rng).values) for n in (100, 350, 700, 1500)]
+    assert model.prepare(loads[0]())[0].dtype == np.float32
 
-    batched = predict_raw(model, inputs, batch_size=len(inputs))
-    alone = predict_raw(model, inputs, batch_size=1)
+    batched = predict_raw(model, loads, batch_size=len(loads))
+    alone = predict_raw(model, loads, batch_size=1)
     for t in TASKS:
         assert batched[t].dtype == np.float32
         assert np.abs(batched[t] - alone[t]).max() < 1e-5, t
@@ -463,16 +463,17 @@ def test_all_parameters_receive_gradient_from_full_batch(rng):
 
 def test_desk_training_step_peaks_below_28_token_arrays_per_layer():
     """One training step of the desk AST (8 clips of 2 s: N = 229 tokens,
-    D = 64, H = 4, 2 layers, float32): forward, backward and ADAM peak
-    below 28 (B,N,D) arrays per layer, 25.0 MiB (measured 22.7). A
-    layer's (B,H,N,N) probabilities alone are N*H/D = 14.3 such arrays;
-    the step that kept them, and two arrays per linear layer, peaked at
-    43.0 MiB."""
+    D = 64, H = 4, 2 layers, float32): preparing the clips' patches,
+    forward, backward and ADAM peak below 28 (B,N,D) arrays per layer,
+    25.0 MiB (measured 18.7, as when the patches were prepared before
+    the step). A layer's (B,H,N,N) probabilities alone are N*H/D = 14.3
+    such arrays; the step that kept them, and two arrays per linear
+    layer, peaked at 43.0 MiB."""
     config = tf.desk_config()
     model = tf.SpectrogramTransformer(config, seed=0)
     rng = np.random.default_rng(1)
     samples = [
-        make_sample(model.prepare(rng.normal(-5.0, 2.0, size=(200, config.n_mels))),
+        make_sample(in_memory(rng.normal(-5.0, 2.0, size=(200, config.n_mels))),
                     QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
         for _ in range(8)
     ]
