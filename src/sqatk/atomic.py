@@ -1,10 +1,14 @@
-"""The one file writer every artifact goes through, and the one reader
-of the utf-8 text files the CLI takes in."""
+"""The one file writer every artifact goes through, the one reader of
+the utf-8 text files the CLI takes in, and the CSV table writer and
+reader built on them."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import secrets
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 
@@ -38,3 +42,35 @@ def read_text(path: str | os.PathLike, error: type[Exception]) -> str:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not utf-8 text: {exc}") from exc
+
+
+def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence],
+              preamble: str | None = None) -> None:
+    """Write a CSV table atomically: the preamble line if given, then
+    the header and rows as csv.writer formats them."""
+    buf = io.StringIO()
+    if preamble is not None:
+        buf.write(preamble + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue())
+
+
+def read_csv(path: str | os.PathLike, header: Sequence[str], kind: str,
+             error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each non-blank row of the CSV table at
+    path, read with read_text. A first row other than header, or a row
+    of another field count, raises error naming the file."""
+    header = list(header)
+    with io.StringIO(read_text(path, error), newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise error(f"{path}: unexpected {kind} header {found}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise error(f"{path}: line {reader.line_num}: {len(row)} fields, expected {len(header)}")
+            yield reader.line_num, row

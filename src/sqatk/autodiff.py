@@ -20,31 +20,6 @@ broadcast arithmetic, batched matmul, linear layers, shape ops, layer
 norm, GELU/ReLU, scaled dot-product attention (whose softmax is fused
 into it), 3x3 convolution and max pooling.
 
-linear, attention and conv2d keep only what their backward cannot
-cheaply rebuild, and rebuild their large arrays one slice at a time.
-linear(x, w, b) is one node for x @ w + b, so a layer computes one
-output array.
-
-attention is one op with a hand-written backward. It works through one
-(batch, head) slice at a time (Nq queries over N keys): the score GEMM's
-Nq x N output, turned into the softmax probabilities in place, in one
-buffer that every slice reuses. A recorded call keeps no probabilities;
-its backward recomputes each slice's with the forward's steps. It runs
-the same elementwise steps in the same order as the composed ops, so
-its outputs and gradients are bit-equal to theirs.
-
-conv2d lowers to GEMMs over channel-major im2col columns, whose copies
-run along the contiguous time axis, and returns its NCHW output as a
-transposed view of an (O, B, H, W) array. The forward builds one
-sample's columns at a time; the backward rebuilds the columns, and
-computes their gradient, one group of kernel taps at a time. So a
-recorded convolution keeps its input, not nine copies of it, and
-neither pass ever holds all the columns. maxpool2d keeps that
-layout and routes each window's gradient to the first slot, in scan
-order, that holds the max, by the winner map it records in the
-forward, writing each slot of its gradient once. So the conv output is
-freed once pooled, and the pool output once its ReLU has run.
-
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
 
@@ -143,11 +118,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._node: _Node | None = None  # set on a recorded op's output
 
-    @property
-    def _backward(self):
-        """The backward closure of the op that recorded this value, or None."""
-        return None if self._node is None else self._node.backward
-
     # ------------------------------------------------------------- basics
 
     @property
@@ -160,9 +130,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def _lift(self, other) -> Tensor:
         """other as a Tensor; a non-Tensor operand takes this dtype."""
@@ -199,9 +166,6 @@ class Tensor:
     def __sub__(self, other):
         other = self._lift(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):

@@ -12,14 +12,12 @@ constant map at the mean rating. Applied outputs are clipped to [1, 5].
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_write, read_text
+from .atomic import read_csv, write_csv
 from .quality import SCORE_MAX, SCORE_MIN
 
 MONOTONE_GRID_POINTS = 1001
@@ -122,34 +120,18 @@ _HEADER = ["group", "dim", "a0", "a1", "a2", "a3", "domain_lo", "domain_hi"]
 
 
 def save_calibration_maps(path, maps: dict[tuple[str, str], CalibrationMap]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_HEADER)
-    for (group, dim), mapping in sorted(maps.items()):
-        a0, a1, a2, a3 = mapping.coefficients
-        lo, hi = mapping.fit_domain
-        writer.writerow([group, dim, repr(a0), repr(a1), repr(a2), repr(a3), repr(lo), repr(hi)])
-    atomic_write(path, buf.getvalue())
+    write_csv(path, _HEADER, (
+        [group, dim, *map(repr, mapping.coefficients + mapping.fit_domain)]
+        for (group, dim), mapping in sorted(maps.items())
+    ))
 
 
 def load_calibration_maps(path) -> dict[tuple[str, str], CalibrationMap]:
     maps: dict[tuple[str, str], CalibrationMap] = {}
-    with io.StringIO(read_text(path, CalibrationError), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _HEADER:
-            raise CalibrationError(f"{path}: unexpected calibration header {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(_HEADER):
-                raise CalibrationError(
-                    f"{path}: line {reader.line_num}: {len(row)} fields, expected {len(_HEADER)}"
-                )
-            group, dim, *numbers = row
-            try:
-                a0, a1, a2, a3, lo, hi = (float(v) for v in numbers)
-            except ValueError as exc:
-                raise CalibrationError(f"{path}: line {reader.line_num}: {exc}") from exc
-            maps[(group, dim)] = CalibrationMap((a0, a1, a2, a3), (lo, hi))
+    for line_no, (group, dim, *numbers) in read_csv(path, _HEADER, "calibration", CalibrationError):
+        try:
+            a0, a1, a2, a3, lo, hi = (float(v) for v in numbers)
+        except ValueError as exc:
+            raise CalibrationError(f"{path}: line {line_no}: {exc}") from exc
+        maps[(group, dim)] = CalibrationMap((a0, a1, a2, a3), (lo, hi))
     return maps

@@ -1,5 +1,5 @@
 """Batch command-line entry points wiring the pipeline together:
-featurize, train, predict, calibrate, evaluate, gradcheck.
+featurize, train, predict, calibrate, evaluate.
 
 Exit code 0 on success, nonzero with a diagnostic on stderr otherwise.
 Output files are written to a temp file and renamed, so failures never
@@ -30,12 +30,11 @@ from .atomic import atomic_write
 from .autodiff import Tensor
 from .checkpoint import (CheckpointError, decode_config, echo_config, load_checkpoint, parse_config,
                          save_checkpoint)
-from .cnn import ConvBaseline, CnnConfig, cnn_param_spec
-from .gradcheck import DEFAULT_TOLERANCE, run_suite
+from .cnn import ConvBaseline, CnnConfig
 from .manifest import Manifest, ManifestError, format_summary, load_manifest, summarize
 from .quality import TASKS
 from .training import TrainConfig, TrainingError, fit, make_sample
-from .transformer import ModelConfig, ModelError, SpectrogramTransformer, param_spec
+from .transformer import ModelConfig, ModelError, SpectrogramTransformer
 
 
 class CliError(Exception):
@@ -45,11 +44,8 @@ class CliError(Exception):
 # ------------------------------------------------------------- utilities
 
 
-# Checkpoint kind -> (adapter, its config class, its parameter spec).
-_MODEL_KINDS = {
-    "ast": (SpectrogramTransformer, ModelConfig, param_spec),
-    "cnn": (ConvBaseline, CnnConfig, cnn_param_spec),
-}
+# Checkpoint kind -> (adapter, its config class).
+_MODEL_KINDS = {"ast": (SpectrogramTransformer, ModelConfig), "cnn": (ConvBaseline, CnnConfig)}
 _CONFIG_KEYS = {f.name for cls in (ModelConfig, CnnConfig, TrainConfig) for f in fields(cls)}
 
 
@@ -65,7 +61,7 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def build_model(kind: str, config: dict[str, str], seed: int = 0):
-    adapter, config_class, _ = _MODEL_KINDS[kind]
+    adapter, config_class = _MODEL_KINDS[kind]
     return adapter(config_class(**parse_config(config_class, config, error=CliError)), seed=seed)
 
 
@@ -95,11 +91,23 @@ def features_for_entry(entry, features_dir: Path | None) -> np.ndarray:
 
 def build_samples(entries, features_dir: Path) -> list[tr.TrainSample]:
     """One sample per entry: its labels and a loader of its feature cache,
-    which fit reads each time the entry's batch is drawn."""
-    return [
-        make_sample(partial(fe.load_features, feature_path(features_dir, entry.sample_id)), entry.scores)
-        for entry in entries
-    ]
+    which fit reads each time the entry's batch is drawn. Every cache
+    must exist now, so a missing one fails before the first step."""
+    samples = []
+    for entry in entries:
+        path = feature_path(features_dir, entry.sample_id)
+        if not path.is_file():
+            raise CliError(f"{path}: no such feature cache")
+        samples.append(make_sample(partial(fe.load_features, path), entry.scores))
+    return samples
+
+
+def thread_map(jobs: int, fn, items) -> list:
+    """[fn(item) for item in items] in order, on jobs threads when jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 # ------------------------------------------------------------ subcommands
@@ -117,14 +125,6 @@ def cmd_featurize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def for_each_clip(fn):
-        """[fn(i, entry)] over the manifest, in its order."""
-        items = list(enumerate(manifest.entries))
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                return list(pool.map(lambda item: fn(*item), items))
-        return [fn(*item) for item in items]
-
     def log_mel(entry):
         return fe.log_mel_spectrogram(fe.decode_wav(entry.audio)).values
 
@@ -132,23 +132,23 @@ def cmd_featurize(args) -> int:
         fe.save_features(feature_path(out_dir, entry.sample_id), values)
 
     if not args.normalize:
-        for_each_clip(lambda _, entry: save(entry, log_mel(entry)))
+        thread_map(args.jobs, lambda entry: save(entry, log_mel(entry)), manifest.entries)
     else:
         spill_dir = Path(tempfile.mkdtemp(prefix=".spill-", dir=out_dir))
         try:
 
-            def spill(i, entry):
+            def spill(entry):
                 values = log_mel(entry)
-                np.save(spill_dir / f"{i}.npy", values)
+                np.save(spill_dir / f"{entry.sample_id}.npy", values)
                 return fe.feature_moments(values)
 
-            def normalize(i, entry):
-                path = spill_dir / f"{i}.npy"
+            def normalize(entry):
+                path = spill_dir / f"{entry.sample_id}.npy"
                 save(entry, (np.load(path) - mean) / std)
                 path.unlink()
 
-            mean, std = fe.corpus_normalization(for_each_clip(spill))
-            for_each_clip(normalize)
+            mean, std = fe.corpus_normalization(thread_map(args.jobs, spill, manifest.entries))
+            thread_map(args.jobs, normalize, manifest.entries)
         finally:
             shutil.rmtree(spill_dir, ignore_errors=True)
         atomic_write(out_dir / "normalization.txt", f"mean={mean!r}\nstd={std!r}\n")
@@ -198,13 +198,13 @@ def load_model(path):
     kind, echo, tensors = load_checkpoint(path)
     if kind not in _MODEL_KINDS:
         raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
-    adapter, config_class, spec = _MODEL_KINDS[kind]
+    adapter, config_class = _MODEL_KINDS[kind]
     missing = [f"model.{f.name}" for f in fields(config_class) if f"model.{f.name}" not in echo]
     if missing:
         raise CheckpointError(f"{path}: model config echo has no {', '.join(missing)} key")
     config = config_class(**parse_config(config_class, echo, "model."))
     params = {}
-    for name, (shape, _) in spec(config).items():
+    for name, (shape, _) in adapter.param_spec(config).items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
         if tensors[name].shape != shape:
@@ -230,12 +230,7 @@ def cmd_predict(args) -> int:
             label=entry.scores,
         )
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(score, manifest.entries))
-    else:
-        rows = [score(e) for e in manifest.entries]
-
+    rows = thread_map(args.jobs, score, manifest.entries)
     ev.write_predictions(args.out, rows)
     print(f"predicted {len(rows)} clips -> {args.out}")
     return 0
@@ -331,15 +326,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed)
-    worst = max(results.values())
-    for name, err in results.items():
-        print(f"{name:>18}: max relative error {err:.3e}")
-    print(f"{'overall':>18}: max relative error {worst:.3e} (tolerance {DEFAULT_TOLERANCE:.0e})")
-    return 0 if worst < DEFAULT_TOLERANCE else 1
-
-
 # ------------------------------------------------------------------ main
 
 
@@ -388,10 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--out", required=True, help="report path, or - for stdout")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of every primitive")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 

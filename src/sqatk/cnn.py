@@ -14,10 +14,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import ParamSpec, Tensor, conv2d, init_from_spec, linear, maxpool2d
+from .autodiff import ParamSpec, Tensor, conv2d, maxpool2d
 from .quality import TASKS
 from .training import Scorer
-from .transformer import PAD_LOG_VALUE, ModelError, NonFiniteError, check_window, floor_pad
+from .transformer import (PAD_LOG_VALUE, ModelError, NonFiniteError, check_window, floor_pad,
+                          head_outputs, head_spec)
 
 
 @dataclass(frozen=True)
@@ -74,16 +75,7 @@ def cnn_param_spec(config: CnnConfig) -> ParamSpec:
         spec[f"conv{i}_w"] = ((out_ch, in_ch, config.kernel, config.kernel), in_ch * config.kernel**2)
         spec[f"conv{i}_b"] = ((out_ch,), "zeros")
         in_ch = out_ch
-    width = config.derived_head_input
-    for task in config.tasks:
-        spec[f"head_{task}_w"] = ((width, 1), width)
-        spec[f"head_{task}_b"] = ((1,), "zeros")
-    return spec
-
-
-def init_cnn_params(config: CnnConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Deterministic float32 init of cnn_param_spec(config) from seed."""
-    return init_from_spec(cnn_param_spec(config), seed)
+    return {**spec, **head_spec(config.derived_head_input, config.tasks)}
 
 
 def cnn_forward_batch(
@@ -99,23 +91,14 @@ def cnn_forward_batch(
     pooled = h.mean(axis=3)  # global average over time
     if not np.isfinite(pooled.data).all():
         raise NonFiniteError("non-finite pooled CNN features")
-    batch = x.shape[0]
-    feats = pooled.reshape((batch, config.derived_head_input))
-    out = {}
-    for task in config.tasks:
-        raw = linear(feats, params[f"head_{task}_w"], params[f"head_{task}_b"])
-        out[task] = raw.reshape((batch,))
-    return out
+    return head_outputs(pooled.reshape((x.shape[0], config.derived_head_input)), params, config)
 
 
 class ConvBaseline(Scorer):
     """Training-loop adapter mirroring SpectrogramTransformer's surface."""
 
     kind = "cnn"
-
-    def __init__(self, config: CnnConfig, params: dict[str, Tensor] | None = None, seed: int = 0):
-        self.config = config
-        self.params = params if params is not None else init_cnn_params(config, seed)
+    param_spec = staticmethod(cnn_param_spec)
 
     def prepare(self, values: np.ndarray) -> np.ndarray:
         """(frames, mels) features -> the floor-padded (1, mels, max_frames) plane."""

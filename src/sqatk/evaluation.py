@@ -9,13 +9,12 @@ rounding half away from zero at display time only.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .atomic import atomic_write, read_text
+from .atomic import read_csv, write_csv
 from .quality import TASK_DISPLAY, QualityScores
 
 DIM_ORDER = ("col", "dis", "loud", "mos", "noi")
@@ -29,12 +28,18 @@ class UndefinedCorrelationError(MetricError):
     """Raised when a correlation is requested for a constant vector."""
 
 
-def pearson(x, y) -> float:
-    """Sample Pearson correlation coefficient."""
+def _vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float64 vectors of one length."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise MetricError(f"need equal-length vectors, got {x.shape} and {y.shape}")
+    return x, y
+
+
+def pearson(x, y) -> float:
+    """Sample Pearson correlation coefficient."""
+    x, y = _vectors(x, y)
     if len(x) < 2:
         raise MetricError("pearson needs at least 2 samples")
     dx = x - x.mean()
@@ -47,10 +52,7 @@ def pearson(x, y) -> float:
 
 def rmse(x, y) -> float:
     """Root mean square error between two aligned vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise MetricError(f"need equal-length vectors, got {x.shape} and {y.shape}")
+    x, y = _vectors(x, y)
     if len(x) < 1:
         raise MetricError("rmse needs at least 1 sample")
     return float(np.sqrt(((x - y) ** 2).mean()))
@@ -203,61 +205,37 @@ class PredictionRow:
     label: QualityScores
 
 
-def write_predictions(path, rows: list[PredictionRow]) -> None:
-    """Predictions/labels CSV: sample_id, language, provenance, then the
-    five pred_* and five label_* columns; empty field means absent."""
-    import csv
+# The predictions/labels CSV: sample_id, language, provenance, then the
+# five pred_* and five label_* columns; an empty field means absent.
+_PREDICTION_COLUMNS = (
+    ["sample_id", "language", "provenance"]
+    + [f"pred_{d}" for d in DIM_ORDER]
+    + [f"label_{d}" for d in DIM_ORDER]
+)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["sample_id", "language", "provenance"]
-        + [f"pred_{d}" for d in DIM_ORDER]
-        + [f"label_{d}" for d in DIM_ORDER]
-    )
-    for row in rows:
-        writer.writerow(
-            [row.sample_id, row.language, row.provenance]
-            + ["" if row.pred.get(d) is None else f"{row.pred.get(d):.6f}" for d in DIM_ORDER]
-            + ["" if row.label.get(d) is None else f"{row.label.get(d):g}" for d in DIM_ORDER]
-        )
-    atomic_write(path, buf.getvalue())
+
+def write_predictions(path, rows: list[PredictionRow]) -> None:
+    write_csv(path, _PREDICTION_COLUMNS, (
+        [row.sample_id, row.language, row.provenance]
+        + ["" if row.pred.get(d) is None else f"{row.pred.get(d):.6f}" for d in DIM_ORDER]
+        + ["" if row.label.get(d) is None else f"{row.label.get(d):g}" for d in DIM_ORDER]
+        for row in rows
+    ))
 
 
 def read_predictions(path) -> list[PredictionRow]:
-    import csv
-
-    expected = (
-        ["sample_id", "language", "provenance"]
-        + [f"pred_{d}" for d in DIM_ORDER]
-        + [f"label_{d}" for d in DIM_ORDER]
-    )
     rows: list[PredictionRow] = []
-    with io.StringIO(read_text(path, MetricError), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise MetricError(f"{path}: unexpected predictions header {header}")
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != len(expected):
-                raise MetricError(
-                    f"{path}: line {reader.line_num}: {len(rec)} fields, expected {len(expected)}"
-                )
-            values = dict(zip(expected, rec))
-            try:
-                pred = QualityScores(
-                    **{d: float(values[f"pred_{d}"]) if values[f"pred_{d}"] else None for d in DIM_ORDER}
-                )
-                label = QualityScores(
-                    **{d: float(values[f"label_{d}"]) if values[f"label_{d}"] else None for d in DIM_ORDER}
-                )
-            except ValueError as exc:
-                raise MetricError(f"{path}: line {reader.line_num}: {exc}") from exc
-            rows.append(
-                PredictionRow(values["sample_id"], values["language"], values["provenance"], pred, label)
+    n = len(DIM_ORDER)
+    for line_no, rec in read_csv(path, _PREDICTION_COLUMNS, "predictions", MetricError):
+        sample_id, language, provenance, *scores = rec
+        try:
+            pred, label = (
+                QualityScores(**{d: float(v) if v else None for d, v in zip(DIM_ORDER, fields)})
+                for fields in (scores[:n], scores[n:])
             )
+        except ValueError as exc:
+            raise MetricError(f"{path}: line {line_no}: {exc}") from exc
+        rows.append(PredictionRow(sample_id, language, provenance, pred, label))
     return rows
 
 

@@ -65,21 +65,14 @@ class FrontendConfig:
 @dataclass
 class AudioClip:
     """Decoded mono waveform; amplitudes in [-1, 1] at a known rate.
-    Construction checks the samples once, so no later step repeats it."""
+    Construction raises AudioError unless the samples are a non-empty,
+    finite mono signal within [-1, 1], so no later step repeats the
+    check."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.validate()
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-    def validate(self) -> None:
-        """Raise AudioError unless the samples are a non-empty, finite
-        mono signal within [-1, 1]."""
         if self.samples.ndim != 1 or len(self.samples) == 0:
             raise AudioError("clip must contain at least one mono sample")
         if not np.isfinite(self.samples).all():
@@ -87,6 +80,10 @@ class AudioClip:
         peak = float(max(self.samples.max(), -self.samples.min()))  # no |samples| array
         if peak > 1.0 + 1e-6:
             raise AudioError(f"clip amplitude {peak} outside [-1, 1]")
+
+    @property
+    def duration_s(self) -> float:
+        return len(self.samples) / self.sample_rate
 
 
 @dataclass
@@ -330,12 +327,14 @@ def save_features(path: str | os.PathLike, values: np.ndarray) -> None:
 def load_features(path: str | os.PathLike) -> np.ndarray:
     """Read one clip's (frames, mels) feature matrix as the stored
     float32, with no upcast; the model casts it to its own dtype.
-    featurize writes only finite values, so a NaN or inf means the file
-    is damaged."""
+    featurize writes only finite values of at least one frame, so a NaN,
+    an inf or no frames means the file is damaged."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise FeatureError(f"{path}: truncated feature file")
     frames, mels = struct.unpack("<II", raw[:8])
+    if frames == 0:
+        raise FeatureError(f"{path}: feature file holds no frames")
     expected = 8 + 4 * frames * mels
     if len(raw) != expected:
         raise FeatureError(f"{path}: size {len(raw)} != expected {expected}")

@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .atomic import atomic_write, read_text
+from .atomic import read_text, write_csv
 from .quality import TASKS, QualityScores
 
 VERSION_TAG = "# manifest-v1"
@@ -44,19 +44,10 @@ class Manifest:
     entries: list[ManifestEntry] = field(default_factory=list)
     path: Path | None = None
 
-    def __len__(self):
-        return len(self.entries)
-
     def split_entries(self, split: str) -> list[ManifestEntry]:
         if split not in SPLITS:
             raise ManifestError(f"unknown split {split!r}")
         return [e for e in self.entries if e.split == split]
-
-    def languages(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.entries:
-            seen.setdefault(e.language, None)
-        return list(seen)
 
 
 def _parse_label(raw: str, name: str) -> float | None:
@@ -144,21 +135,18 @@ def load_manifest(path, require_audio: bool = True) -> Manifest:
 
 def write_manifest(path, entries: list[ManifestEntry]) -> None:
     path = Path(path)
-    buf = io.StringIO()
-    buf.write(VERSION_TAG + "\n")
-    writer = csv.writer(buf)
-    writer.writerow(COLUMNS)
-    for e in entries:
+
+    def row(e):
         audio = e.audio
         try:
             audio = Path(audio).resolve().relative_to(path.parent.resolve())
         except ValueError:
             pass
-        writer.writerow(
-            [e.sample_id, str(audio), e.language, e.condition, e.split, e.provenance]
-            + ["" if e.scores.get(t) is None else f"{e.scores.get(t):g}" for t in TASKS]
-        )
-    atomic_write(path, buf.getvalue())
+        return [e.sample_id, str(audio), e.language, e.condition, e.split, e.provenance] + [
+            "" if e.scores.get(t) is None else f"{e.scores.get(t):g}" for t in TASKS
+        ]
+
+    write_csv(path, COLUMNS, map(row, entries), preamble=VERSION_TAG)
 
 
 @dataclass

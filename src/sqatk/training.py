@@ -13,8 +13,6 @@ through predict_raw: batch_size clips at a time with no autograd graph.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -22,8 +20,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .atomic import atomic_write
-from .autodiff import Tensor, no_grad
+from .atomic import write_csv
+from .autodiff import Tensor, init_from_spec, no_grad
 from .checkpoint import echo_config
 from .evaluation import UndefinedCorrelationError, pearson, rmse
 from .quality import SCORE_MAX, SCORE_MIN, TASKS, QualityScores, clip_score
@@ -198,11 +196,15 @@ def predict_raw(model, loads: Sequence[Loader], batch_size: int) -> dict[str, np
 
 
 class Scorer:
-    """Clip scoring and the config echo shared by the model adapters,
-    which provide kind, config, params, prepare, collate and
+    """Construction, clip scoring and the config echo shared by the model
+    adapters, which provide kind, param_spec, prepare, collate and
     forward_batch. prepare casts its input to dtype once, so the model
     computes in its parameters' dtype: float32, whether freshly
     initialised for training or loaded from a checkpoint."""
+
+    def __init__(self, config, params: dict[str, Tensor] | None = None, seed: int = 0):
+        self.config = config
+        self.params = params if params is not None else init_from_spec(self.param_spec(config), seed)
 
     @property
     def dtype(self) -> np.dtype:
@@ -223,8 +225,6 @@ def _validation_mos(model, samples: list[TrainSample], batch_size: int) -> tuple
     An undefined correlation is recorded as the worst monitor value."""
     mos_idx = TASKS.index("mos")
     have = np.array([s.label_mask[mos_idx] for s in samples])
-    if not have.any():
-        raise TrainingError("validation set has no MOS labels")
     preds = predict_raw(model, [s.load for s in samples], batch_size)["mos"]
     pred = np.clip(preds[have], SCORE_MIN, SCORE_MAX)
     ref = np.array([s.labels[mos_idx] for s in samples])[have]
@@ -251,13 +251,14 @@ def fit(
         raise TrainingError("no training performed: max_epochs is 0")
     if not train_samples or not val_samples:
         raise TrainingError("training and validation sets must be non-empty")
+    if not any(s.label_mask[TASKS.index("mos")] for s in val_samples):
+        raise TrainingError("validation set has no MOS labels")
 
     optimizer = Adam(model.params)
     controller = PatienceController(config.early_stop_patience, config.lr_patience)
     lr = config.learning_rate
     history: list[EpochRecord] = []
     best_params = {k: p.data.copy() for k, p in model.params.items()}
-    best_epoch, best_monitor = 0, -np.inf
     n = len(train_samples)
 
     for epoch in range(1, config.max_epochs + 1):
@@ -279,10 +280,6 @@ def fit(
                 counts[task] = counts.get(task, 0) + 1
 
         pcc, err, monitor = _validation_mos(model, val_samples, config.batch_size)
-        if monitor > best_monitor:
-            best_monitor = monitor
-            best_epoch = epoch
-            best_params = {k: p.data.copy() for k, p in model.params.items()}
         history.append(
             EpochRecord(
                 epoch=epoch,
@@ -294,6 +291,8 @@ def fit(
             )
         )
         stop, halve = controller.update(monitor, epoch)
+        if controller.best_epoch == epoch:
+            best_params = {k: p.data.copy() for k, p in model.params.items()}
         if halve:
             lr = max(lr * config.lr_factor, config.lr_floor)
         if stop:
@@ -301,21 +300,15 @@ def fit(
 
     if history_path is not None:
         write_history(history_path, history)
-    return FitResult(params=best_params, best_epoch=best_epoch, best_monitor=best_monitor, history=history)
+    return FitResult(params=best_params, best_epoch=controller.best_epoch, best_monitor=controller.best,
+                     history=history)
 
 
 def write_history(path, history: list[EpochRecord]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["epoch"]
-        + [f"loss_{t}" for t in TASKS]
-        + ["val_pcc_mos", "val_rmse_mos", "lr", "monitor"]
-    )
-    for rec in history:
-        writer.writerow(
-            [rec.epoch]
-            + [f"{rec.task_losses[t]:.10g}" if t in rec.task_losses else "" for t in TASKS]
-            + [f"{rec.val_pcc_mos:.10g}", f"{rec.val_rmse_mos:.10g}", f"{rec.lr:.10g}", f"{rec.monitor:.10g}"]
-        )
-    atomic_write(path, buf.getvalue())
+    header = ["epoch"] + [f"loss_{t}" for t in TASKS] + ["val_pcc_mos", "val_rmse_mos", "lr", "monitor"]
+    write_csv(path, header, (
+        [rec.epoch]
+        + [f"{rec.task_losses[t]:.10g}" if t in rec.task_losses else "" for t in TASKS]
+        + [f"{v:.10g}" for v in (rec.val_pcc_mos, rec.val_rmse_mos, rec.lr, rec.monitor)]
+        for rec in history
+    ))

@@ -118,7 +118,6 @@ class PatchSequence:
 
     patches: np.ndarray  # (P, patch_size**2)
     valid: np.ndarray  # (P,) bool; False iff the patch is entirely padding
-    grid: tuple[int, int]  # (n_freq_patches, n_time_patches)
 
 
 def extract_patches(spec: LogMelSpectrogram, config: ModelConfig) -> PatchSequence:
@@ -141,7 +140,7 @@ def extract_patches(spec: LogMelSpectrogram, config: ModelConfig) -> PatchSequen
 
     time_starts = np.arange(n_t) * config.patch_stride_time
     valid = np.tile(time_starts < min(spec.n_frames, config.max_frames), n_f)
-    return PatchSequence(patches=patches, valid=valid, grid=(n_f, n_t))
+    return PatchSequence(patches=patches, valid=valid)
 
 
 # ------------------------------------------------------------- parameters
@@ -175,8 +174,14 @@ def param_spec(config: ModelConfig) -> ParamSpec:
         spec[pre + "mlp_b1"] = ((hidden,), "zeros")
         spec[pre + "mlp_w2"] = ((hidden, d), hidden)
         spec[pre + "mlp_b2"] = ((d,), "zeros")
-    for task in config.tasks:
-        spec[f"head_{task}_w"] = ((d, 1), d)
+    return {**spec, **head_spec(d, config.tasks)}
+
+
+def head_spec(width: int, tasks) -> ParamSpec:
+    """One affine head per task over width features: uniform weight, zero bias."""
+    spec: ParamSpec = {}
+    for task in tasks:
+        spec[f"head_{task}_w"] = ((width, 1), width)
         spec[f"head_{task}_b"] = ((1,), "zeros")
     return spec
 
@@ -247,8 +252,8 @@ def _attention(
 def encoder_forward(
     tokens: Tensor, mask: np.ndarray, params: dict[str, Tensor], config: ModelConfig
 ) -> Tensor:
-    """Pre-norm transformer stack over (B,N,D) tokens (or (N,D) for one
-    clip), returning the (B,D) (or (D,)) CLS state the heads read.
+    """Pre-norm transformer stack over (B,N,D) tokens, returning the (B,D)
+    CLS state the heads read.
     Masked positions contribute -inf attention logits as keys, so no
     valid token attends to padding; a fully valid mask needs no bias.
 
@@ -257,10 +262,6 @@ def encoder_forward(
     CLS token alone; its LN1, keys and values still cover every token,
     which leaves the CLS state unchanged. n_layers == 0 returns the CLS
     token as given."""
-    single = tokens.ndim == 2
-    if single:
-        tokens = tokens.reshape((1,) + tuple(tokens.shape))
-        mask = mask[None]
     if mask.shape != tokens.shape[:2]:
         raise ModelError(f"mask shape {mask.shape} does not match tokens {tokens.shape[:2]}")
     if not mask[:, 0].all():
@@ -281,14 +282,15 @@ def encoder_forward(
         h = linear(h, params[pre + "mlp_w1"], params[pre + "mlp_b1"]).gelu()
         x = x + linear(h, params[pre + "mlp_w2"], params[pre + "mlp_b2"])
 
-    cls_state = x[0, 0] if single else x[:, 0]
+    cls_state = x[:, 0]
     if not np.isfinite(cls_state.data).all():
         raise NonFiniteError("non-finite encoder activations")
     return cls_state
 
 
 def head_outputs(cls_state: Tensor, params: dict[str, Tensor], config: ModelConfig) -> dict[str, Tensor]:
-    """Apply the five independent affine heads to (B,D) CLS states."""
+    """Apply the five independent affine heads to (B,D) features: the
+    transformer's CLS states or the CNN's pooled features."""
     batch = cls_state.shape[0]
     out = {}
     for task in config.tasks:
@@ -322,10 +324,7 @@ class SpectrogramTransformer(Scorer):
     leaves every score unchanged."""
 
     kind = "ast"
-
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor] | None = None, seed: int = 0):
-        self.config = config
-        self.params = params if params is not None else init_params(config, seed)
+    param_spec = staticmethod(param_spec)
 
     def prepare(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Turn a (frames, mels) feature matrix into the clip's valid

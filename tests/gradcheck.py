@@ -1,18 +1,17 @@
 """Central finite-difference gradient checks for every differentiable
-primitive and for the full desk-scale models. Shared by the test suite
-and the `gradcheck` CLI command."""
+primitive and for the full desk-scale models, run by acceptance
+criterion 2 and the autodiff and CNN tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import cnn as cnn_mod
-from . import transformer as tf_mod
-from .autodiff import Tensor, attention, conv2d, layer_norm, linear, maxpool2d
-from .quality import TASKS
-from .training import mse_loss
-
-DEFAULT_TOLERANCE = 1e-3
+from model_fixtures import float64
+from sqatk import cnn as cnn_mod
+from sqatk import transformer as tf_mod
+from sqatk.autodiff import Tensor, attention, conv2d, layer_norm, linear, maxpool2d
+from sqatk.quality import TASKS
+from sqatk.training import mse_loss
 
 
 def relative_error(a: float, b: float) -> float:
@@ -28,7 +27,7 @@ def check_function(build_loss, tensors: dict[str, Tensor], h: float = 1e-5,
     call. Returns the max relative error over sampled coordinates.
     """
     for t in tensors.values():
-        t.zero_grad()
+        t.grad = None
     loss = build_loss()
     loss.backward()
     analytic = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
@@ -150,17 +149,12 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     return {name: check_function(loss, tensors) for name, (loss, tensors) in primitive_cases(seed).items()}
 
 
-def _float64(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """float64 copies of freshly initialised (float32) parameters: central
-    differences with these steps need float64's resolution."""
-    return {k: Tensor(p.data.astype(np.float64), requires_grad=True) for k, p in params.items()}
-
-
 def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4) -> float:
     """FD check of the complete 2-layer desk transformer loss on a packed
-    batch of two clips of different lengths, in float64."""
+    batch of two clips of different lengths, in float64: central
+    differences with these steps need float64's resolution."""
     config = tf_mod.desk_config(max_duration_s=0.6)
-    params = _float64(tf_mod.init_params(config, seed=seed))
+    params = float64(tf_mod.init_params(config, seed=seed))
     rng = np.random.default_rng(seed + 1)
 
     model = tf_mod.SpectrogramTransformer(config, params)
@@ -190,7 +184,7 @@ def full_cnn_check(seed: int = 0, h: float = 1e-4, coords_per_tensor: int = 4) -
     smaller than the transformer's to stay away from kink crossings.
     Runs in float64, like full_model_check."""
     config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), n_mels=32, max_duration_s=0.4)
-    params = _float64(cnn_mod.init_cnn_params(config, seed=seed))
+    params = float64(cnn_mod.ConvBaseline(config, seed=seed).params)
     rng = np.random.default_rng(seed + 1)
     batch = 2
     x = rng.normal(-5.0, 2.0, size=(batch, 1, config.n_mels, config.max_frames))

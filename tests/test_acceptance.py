@@ -19,12 +19,12 @@ from sqatk.evaluation import (
     render_report,
     rmse,
 )
-from sqatk.gradcheck import run_suite
 from sqatk.manifest import load_manifest
 from sqatk.quality import TASKS
 from sqatk.synth import generate_corpus
 from sqatk.training import Adam, PatienceController, mse_loss
 
+from gradcheck import run_suite
 from model_fixtures import desk_cnn_config, widen_max_duration
 from table_fixtures import ALL_TABLES, CNN_PCC
 from test_frontend import naive_log_mel
@@ -135,7 +135,7 @@ def test_criterion_3_overfit_cnn(overfit_corpus):
     features, labels = overfit_corpus
     start = time.monotonic()
     config = desk_cnn_config(max_duration_s=1.0)
-    params = cnn_mod.init_cnn_params(config, seed=0)
+    params = cnn_mod.ConvBaseline(config, seed=0).params
     dtype = params["conv0_w"].data.dtype  # float32: cast the features as prepare does
     planes = np.stack([tf.floor_pad(v.astype(dtype), config)[None] for v in features])
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests over a synthetic corpus: featurize, train,
-predict, calibrate, evaluate, gradcheck, plus the error contract."""
+predict, calibrate, evaluate, plus the error contract."""
 
+import importlib.util
 import re
 import shutil
 import struct
@@ -77,7 +78,7 @@ def workdir(tmp_path_factory, corpus):
 def test_featurize_writes_one_file_per_clip(corpus, workdir):
     manifest = load_manifest(corpus)
     feats = sorted(p.name for p in (workdir / "feats").glob("*.feat"))
-    assert len(feats) == len(manifest)
+    assert len(feats) == len(manifest.entries)
 
 
 def test_featurize_prints_corpus_summary(corpus, tmp_path, capsys):
@@ -308,6 +309,8 @@ def _damaged_features(corpus, workdir, tmp_path, damage):
         bad.unlink()
     elif damage == "truncated":
         bad.write_bytes(bad.read_bytes()[:-4])
+    elif damage == "no frames":
+        bad.write_bytes(struct.pack("<II", 0, 128))
     else:
         values = fe.load_features(bad).copy()
         values[3, 7] = float(damage)
@@ -329,12 +332,9 @@ def _cnn_checkpoint(tmp_path, **fill):
     return ckpt
 
 
-@pytest.mark.parametrize("damage", ["nan", "inf"])
-@pytest.mark.parametrize("command", ["predict-ast", "predict-cnn", "train"])
-def test_cache_with_a_non_finite_value_is_a_typed_error(corpus, workdir, tmp_path, capsys, command, damage):
-    """One NaN or inf in a cache made the CNN score nan on all five heads,
-    written with exit 0. load_features rejects the file by name, whether
-    predict reads it or train draws its batch, and nothing is written."""
+def _exit_on_damaged_cache(corpus, workdir, tmp_path, command, damage):
+    """Run command ("train", "predict-ast" or "predict-cnn") over the caches
+    of _damaged_features; returns (exit code, damaged file, output path)."""
     feats, bad = _damaged_features(corpus, workdir, tmp_path, damage)
     out = tmp_path / "out"
     if command == "train":
@@ -346,16 +346,37 @@ def test_cache_with_a_non_finite_value_is_a_typed_error(corpus, workdir, tmp_pat
         ckpt = _cnn_checkpoint(tmp_path) if command == "predict-cnn" else workdir / "ast.ckpt"
         argv = ["predict", "--ckpt", str(ckpt), "--manifest", str(corpus),
                 "--features", str(feats), "--out", str(out)]
-    assert main(argv) == 1
+    return main(argv), bad, out
+
+
+@pytest.mark.parametrize("damage", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["predict-ast", "predict-cnn", "train"])
+def test_cache_with_a_non_finite_value_is_a_typed_error(corpus, workdir, tmp_path, capsys, command, damage):
+    """One NaN or inf in a cache made the CNN score nan on all five heads,
+    written with exit 0. load_features rejects the file by name, whether
+    predict reads it or train draws its batch, and nothing is written."""
+    code, bad, out = _exit_on_damaged_cache(corpus, workdir, tmp_path, command, damage)
+    assert code == 1
     assert capsys.readouterr().err == f"error: {bad}: non-finite feature values\n"
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict-ast", "predict-cnn", "train"])
+def test_cache_with_no_frames_is_a_typed_error(corpus, workdir, tmp_path, capsys, command):
+    """A cache whose header says (0, 128) was scored as a clip of pure
+    padding, with exit 0. featurize never writes one, so the file is
+    damaged: exit 1, the file named, nothing written."""
+    code, bad, out = _exit_on_damaged_cache(corpus, workdir, tmp_path, command, "no frames")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: feature file holds no frames\n"
+    assert not out.exists() and not (tmp_path / "out.history.csv").exists()
+
+
 @pytest.mark.parametrize("damage", ["deleted", "truncated"])
 def test_cache_damaged_after_featurize_fails_train_by_name(corpus, workdir, tmp_path, capsys, damage):
-    """train reads each cache when its batch is drawn, not before fit, so
-    a cache deleted or truncated after featurize fails inside fit: exit
-    1, the file named, and no checkpoint or history written."""
+    """A cache deleted after featurize fails train before fit, and one
+    truncated fails when its batch is drawn: exit 1, the file named, and
+    no checkpoint or history written."""
     feats, bad = _damaged_features(corpus, workdir, tmp_path, damage)
     config = tmp_path / "desk.cfg"
     config.write_text(DESK_CONFIG)
@@ -364,6 +385,39 @@ def test_cache_damaged_after_featurize_fails_train_by_name(corpus, workdir, tmp_
                  "--features", str(feats), "--out", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+    assert not ckpt.exists() and not (tmp_path / "model.ckpt.history.csv").exists()
+
+
+@pytest.mark.parametrize("fault", ["val cache deleted", "no val MOS label"])
+def test_train_fault_in_the_val_split_fails_before_the_first_step(
+    corpus, workdir, tmp_path, capsys, monkeypatch, fault
+):
+    """A missing val cache was found when validation first read it, and
+    a val split with no MOS label at the end of epoch 1, both after the
+    epoch's optimizer steps. Both now fail before the first step."""
+    steps = []
+    adam_step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self, lr: steps.append(lr) or adam_step(self, lr))
+    feats = tmp_path / "feats"
+    shutil.copytree(workdir / "feats", feats)
+    manifest = tmp_path / "manifest.csv"
+    entries = load_manifest(corpus).entries
+    if fault == "val cache deleted":
+        bad = cli.feature_path(feats, next(e for e in entries if e.split == "val").sample_id)
+        bad.unlink()
+        expected = f"error: {bad}: no such feature cache\n"
+    else:
+        entries = [replace(e, scores=replace(e.scores, mos=None)) if e.split == "val" else e
+                   for e in entries]
+        expected = "error: validation set has no MOS labels\n"
+    write_manifest(manifest, entries)
+    config = tmp_path / "desk.cfg"
+    config.write_text(DESK_CONFIG.replace("batch_size=100", "batch_size=2"))
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--model", "ast", "--config", str(config), "--manifest", str(manifest),
+                 "--features", str(feats), "--out", str(ckpt)]) == 1
+    assert capsys.readouterr().err == expected
+    assert steps == []
     assert not ckpt.exists() and not (tmp_path / "model.ckpt.history.csv").exists()
 
 
@@ -642,16 +696,21 @@ def test_output_path_that_is_a_directory_fails_cleanly(corpus, workdir, tmp_path
     assert "error:" in capsys.readouterr().err
 
 
+def test_help_lists_exactly_the_pipeline_subcommands(capsys):
+    """The CLI runs the pipeline's five stages and nothing else; the
+    gradient checker lives with the tests, not in the package."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    choices = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+    assert choices.split(",") == ["featurize", "train", "predict", "calibrate", "evaluate"]
+    assert importlib.util.find_spec("sqatk.gradcheck") is None
+
+
 def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--bogus"])
     assert exc.value.code != 0
-
-
-def test_gradcheck_command(capsys):
-    assert main(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "overall" in out and "max relative error" in out
 
 
 def test_env_seed_override(corpus, workdir, tmp_path, monkeypatch):

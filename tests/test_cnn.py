@@ -10,10 +10,10 @@ from sqatk import cnn as cnn_mod
 from sqatk import frontend as fe
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, conv2d, maxpool2d, no_grad
-from sqatk.gradcheck import full_cnn_check
 from sqatk.quality import TASKS, QualityScores, clip_score
 from sqatk.training import Adam, _batch_losses, make_sample
 
+from gradcheck import full_cnn_check
 from memory import peak_traced_bytes
 from model_fixtures import desk_cnn_config, in_memory
 
@@ -50,7 +50,7 @@ def test_config_rejects_a_stage_below_one(channels, pool):
 
 def test_zero_params_give_clipped_bias(rng):
     config = desk_cnn_config()
-    params = cnn_mod.init_cnn_params(config, seed=0)
+    params = cnn_mod.ConvBaseline(config, seed=0).params
     for name, p in params.items():
         p.data[:] = 0.0
     params["head_mos_b"].data[:] = 2.25
@@ -64,7 +64,7 @@ def test_zero_params_give_clipped_bias(rng):
 
 def test_forward_finite_on_desk_input(rng):
     config = desk_cnn_config()
-    params = cnn_mod.init_cnn_params(config, seed=1)
+    params = cnn_mod.ConvBaseline(config, seed=1).params
     values = rng.normal(-5, 2, size=(1200, 128))  # longer than max: truncated
     scores = cnn_mod.ConvBaseline(config, params).predict_scores(values)
     for t in TASKS:
@@ -74,7 +74,7 @@ def test_forward_finite_on_desk_input(rng):
 
 def test_forward_rejects_wrong_plane(rng):
     config = desk_cnn_config()
-    params = cnn_mod.init_cnn_params(config, seed=1)
+    params = cnn_mod.ConvBaseline(config, seed=1).params
     with pytest.raises(tf.ModelError, match="plane"):
         cnn_mod.cnn_forward_batch(rng.normal(size=(1, 1, 64, 10)), params, config)
 
@@ -91,7 +91,7 @@ def test_time_shift_by_pooling_period_barely_moves_features(rng):
     """Shifting a steady tone by one full pooling period (16 frames)
     leaves the global-average-pooled features nearly unchanged."""
     config = desk_cnn_config()
-    params = cnn_mod.init_cnn_params(config, seed=0)
+    params = cnn_mod.ConvBaseline(config, seed=0).params
     freq = 32 * SR / 2048  # exact FFT bin center
     shift = 16 * 480
     n_need = (config.max_frames - 1) * 480 + 1200
@@ -190,7 +190,7 @@ def test_pool_then_relu_is_bit_equal_to_relu_then_pool(rng):
     with all-negative windows (channel 1), all-zero windows that tie
     after ReLU (channel 0) and constant windows over the padding."""
     config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), n_mels=32, max_duration_s=0.3)
-    params = cnn_mod.init_cnn_params(config, seed=4)
+    params = cnn_mod.ConvBaseline(config, seed=4).params
     params["conv0_w"].data[:2] = 0.0
     params["conv0_b"].data[:2] = (0.0, -1.0)
     clips = [rng.normal(-5, 2, size=(n, 32)) for n in (30, 12)]
@@ -202,7 +202,7 @@ def test_pool_then_relu_is_bit_equal_to_relu_then_pool(rng):
 
     def run(forward):
         for p in params.values():
-            p.zero_grad()
+            p.grad = None
         preds = forward(x, params, config)
         total = None
         for t in TASKS:

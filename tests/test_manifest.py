@@ -30,7 +30,7 @@ def test_empty_manifest(tmp_path):
     path = tmp_path / "m.csv"
     write_rows(path, [])
     manifest = load_manifest(path)
-    assert len(manifest) == 0
+    assert manifest.entries == []
 
 
 def test_three_row_fixture_in_order(tmp_path):
@@ -49,7 +49,7 @@ def test_three_row_fixture_in_order(tmp_path):
     assert manifest.entries[1].split == "val"
     assert manifest.entries[1].provenance == "objective"
     assert manifest.entries[2].scores == QualityScores()
-    assert manifest.languages() == ["ENG", "DE", "FR"]
+    assert [e.language for e in manifest.entries] == ["ENG", "DE", "FR"]
 
 
 def test_out_of_range_label_names_row(tmp_path):
@@ -93,7 +93,7 @@ def test_missing_audio_flagged_unless_disabled(tmp_path):
     with pytest.raises(ManifestError, match="not found"):
         load_manifest(path)
     manifest = load_manifest(path, require_audio=False)
-    assert len(manifest) == 1
+    assert len(manifest.entries) == 1
 
 
 def test_splits_partition_entries(tmp_path):
@@ -171,7 +171,7 @@ def test_generate_corpus_is_loadable_and_deterministic(tmp_path):
     m2 = generate_corpus(tmp_path / "c2", n_clips=6, seed=5, languages=("ENG", "DE"), n_val=2)
     man1 = load_manifest(m1)
     man2 = load_manifest(m2)
-    assert len(man1) == 6
+    assert len(man1.entries) == 6
     assert [e.language for e in man1.entries] == ["ENG", "DE"] * 3
     assert len(man1.split_entries("val")) == 2
     assert [e.scores for e in man1.entries] == [e.scores for e in man2.entries]

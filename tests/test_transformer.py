@@ -32,7 +32,7 @@ def make_spec(n_frames, n_mels=128, rng=None, fill=None):
 def test_patch_grid_full_scale(rng):
     config = tf.ModelConfig(embed_dim=64, n_heads=4, n_layers=0, max_duration_s=12.0)
     seq = tf.extract_patches(make_spec(1200, rng=rng), config)
-    assert seq.grid == (12, 119)
+    assert (config.n_freq_patches, config.n_time_patches) == (12, 119)
     assert seq.patches.shape == (12 * 119, 256)  # 1428 patches
     assert seq.valid.all()
 
@@ -43,7 +43,7 @@ def test_single_patch_case(rng):
     )
     assert config.max_frames == 16
     seq = tf.extract_patches(make_spec(16, n_mels=16, rng=rng), config)
-    assert seq.grid == (1, 1)
+    assert (config.n_freq_patches, config.n_time_patches) == (1, 1)
     assert seq.patches.shape == (1, 256)
     assert seq.valid.all()
 
@@ -52,7 +52,7 @@ def test_validity_against_brute_force(rng):
     config = tf.desk_config(max_duration_s=12.0)
     n_real = 600
     seq = tf.extract_patches(make_spec(n_real, rng=rng), config)
-    n_f, n_t = seq.grid
+    n_f, n_t = config.n_freq_patches, config.n_time_patches
     # brute force: a patch is valid iff any covered frame is real
     for f in range(n_f):
         for t in range(n_t):
@@ -70,7 +70,7 @@ def test_validity_against_brute_force(rng):
 def test_padding_uses_log_floor():
     config = tf.desk_config(max_duration_s=1.0)
     seq = tf.extract_patches(make_spec(10, fill=0.0), config)
-    n_f, n_t = seq.grid
+    n_f, n_t = config.n_freq_patches, config.n_time_patches
     assert not seq.valid[n_t - 1]
     np.testing.assert_array_equal(seq.patches[n_t - 1], tf.PAD_LOG_VALUE)
 
@@ -79,7 +79,7 @@ def test_long_clip_truncated(rng):
     config = tf.desk_config(max_duration_s=1.0)
     seq = tf.extract_patches(make_spec(500, rng=rng), config)
     assert seq.valid.all()
-    assert seq.grid == (12, (100 - 16) // 10 + 1)
+    assert (config.n_freq_patches, config.n_time_patches) == (12, (100 - 16) // 10 + 1)
 
 
 def test_patch_too_narrow_rejected():
@@ -173,16 +173,16 @@ def test_embed_shape_mismatch_rejected(rng):
 def test_zero_layers_is_identity(rng):
     """With no blocks the CLS token passes through unchanged."""
     config = tf.desk_config(n_layers=0, max_duration_s=0.5)
-    tokens = Tensor(rng.normal(size=(7, config.embed_dim)))
-    out = tf.encoder_forward(tokens, np.ones(7, bool), tf.init_params(config, 0), config)
-    np.testing.assert_array_equal(out.data, tokens.data[0])
+    tokens = Tensor(rng.normal(size=(1, 7, config.embed_dim)))
+    out = tf.encoder_forward(tokens, np.ones((1, 7), bool), tf.init_params(config, 0), config)
+    np.testing.assert_array_equal(out.data, tokens.data[:, 0])
 
 
 def test_encoder_requires_valid_cls(rng):
     config = tf.desk_config(max_duration_s=0.5)
     params = tf.init_params(config, 0)
-    tokens = Tensor(rng.normal(size=(4, config.embed_dim)))
-    mask = np.array([False, True, True, True])
+    tokens = Tensor(rng.normal(size=(1, 4, config.embed_dim)))
+    mask = np.array([[False, True, True, True]])
     with pytest.raises(tf.ModelError, match="CLS"):
         tf.encoder_forward(tokens, mask, params, config)
 
@@ -194,15 +194,15 @@ def test_appending_invalid_tokens_preserves_valid_outputs(rng):
         config = tf.desk_config(n_layers=n_layers, max_duration_s=0.5)
         params = tf.init_params(config, seed=5)
         n = 9
-        tokens = rng.normal(size=(n, config.embed_dim))
-        mask = np.ones(n, bool)
+        tokens = rng.normal(size=(n, config.embed_dim))[None]
+        mask = np.ones((1, n), bool)
         out_short = tf.encoder_forward(Tensor(tokens), mask, params, config).data
 
-        extra = rng.normal(size=(4, config.embed_dim))
-        tokens_long = np.concatenate([tokens, extra])
-        mask_long = np.concatenate([mask, np.zeros(4, bool)])
+        extra = rng.normal(size=(4, config.embed_dim))[None]
+        tokens_long = np.concatenate([tokens, extra], axis=1)
+        mask_long = np.concatenate([mask, np.zeros((1, 4), bool)], axis=1)
         out_long = tf.encoder_forward(Tensor(tokens_long), mask_long, params, config).data
-        assert out_short.shape == (config.embed_dim,)
+        assert out_short.shape == (1, config.embed_dim)
         assert np.abs(out_long - out_short).max() < 1e-5, n_layers
 
 
@@ -243,7 +243,7 @@ def test_cls_only_last_block_equals_full_token_stack(rng, n_layers, packed, fram
 
     def run(encoder):
         for p in model.params.values():
-            p.zero_grad()
+            p.grad = None
         tokens, mask = tf.embed_batch(patches, valid, model.params, config, positions)
         cls_state = encoder(tokens, mask, model.params, config)
         preds = tf.head_outputs(cls_state, model.params, config)
@@ -362,7 +362,7 @@ def test_packed_batch_gradients_equal_dense(rng):
 
     def grads(preds):
         for p in params.values():
-            p.zero_grad()
+            p.grad = None
         total = None
         for t in TASKS:
             loss = mse_loss(preds[t], labels, np.ones(3, bool))
