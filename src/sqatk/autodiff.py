@@ -18,7 +18,9 @@ so backpropagating several losses that share a forward pass sums their
 gradients exactly. The op set is what the scoring models need:
 broadcast arithmetic, batched matmul, linear layers, shape ops, layer
 norm, GELU/ReLU, scaled dot-product attention (whose softmax is fused
-into it), 3x3 convolution and max pooling.
+into it), 3x3 convolution and max pooling. GELU's erf is a rational
+approximation evaluated in the input's dtype, within 5e-7 of the exact
+erf in float32 and 1e-7 in float64, so the module needs NumPy alone.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
@@ -44,11 +46,17 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 # Python floats: a NumPy float64 scalar would promote float32 arrays.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# erf(x) ~ x * P(x^2) / Q(x^2) on [-4, 4], highest power first: the
+# coefficients of Eigen's float32 erf. Its error against the exact erf is
+# 4.4e-7 in float32 and 6.5e-8 in float64.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+          -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+          -1.42647390514189e-02)
 
 
 # Parameter name -> (shape, init): init is "zeros", "ones", or the fan-in of
@@ -81,6 +89,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of x in x's dtype: the odd rational x * P(x^2) / Q(x^2) with x
+    clipped to [-4, 4], where erf is within 1.6e-8 of +/-1, and the result
+    clipped to [-1, 1]. erf(-x) is -erf(x) bit for bit, -0 included."""
+    x = np.clip(x, -4.0, 4.0)
+    x2 = x * x
+
+    def horner(coefs):
+        acc = x2 * coefs[0]
+        for c in coefs[1:-1]:
+            acc += c
+            acc *= x2
+        acc += coefs[-1]
+        return acc
+
+    out = horner(_ERF_P)
+    out *= x
+    out /= horner(_ERF_Q)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def _records(parents) -> bool:
@@ -248,9 +277,13 @@ class Tensor:
         return self._make(out, (self,), lambda g: (g * (out > 0.0),))
 
     def gelu(self):
-        """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+        """GELU, 0.5 * x * (1 + erf(x / sqrt(2))), with _erf's rational:
+        within 5e-7 * |x| of the exact GELU in float32 and 1e-7 * |x| in
+        float64. The backward takes the exact normal pdf."""
         x = self.data
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        cdf = _erf(x * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
 
         def backward(g):
             pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)

@@ -130,7 +130,11 @@ def load_checkpoint(path) -> tuple[str, dict[str, str], dict[str, np.ndarray]]:
         count = math.prod(dims)  # Python ints: corrupt dims cannot overflow to a small count
         if 4 * count > len(raw) - pos:
             raise CheckpointError(f"{path}: tensor {name!r} of shape {dims} overruns the file")
-        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(dims)
+        data = np.frombuffer(take(4 * count), dtype="<f4")
+        try:  # over 64 dims, or a zero-size shape whose other dims overflow
+            data = data.reshape(dims)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: tensor {name!r} of shape {dims} cannot be built: {exc}") from exc
         tensors[name] = data.astype(np.float32)
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")

@@ -378,14 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The errors main reports as one "error:" line with exit code 1.
+ERRORS = (CliError, ManifestError, ModelError, TrainingError, CheckpointError, cal.CalibrationError,
+          ev.MetricError, fe.AudioError, fe.FeatureError, OSError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ManifestError, ModelError, TrainingError, CheckpointError,
-            cal.CalibrationError, ev.MetricError, fe.AudioError, fe.FeatureError,
-            OSError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

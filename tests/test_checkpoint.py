@@ -1,7 +1,11 @@
 """Checkpoint container format tests."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqatk.checkpoint import (
     MAGIC,
@@ -13,7 +17,7 @@ from sqatk.checkpoint import (
     parse_config,
     save_checkpoint,
 )
-from sqatk.cli import load_model
+from sqatk.cli import ERRORS, load_model
 from sqatk.cnn import CnnConfig, ConvBaseline
 from sqatk.training import TrainConfig
 from sqatk.transformer import ModelConfig, SpectrogramTransformer, desk_config
@@ -126,3 +130,52 @@ def test_undecodable_text_is_a_checkpoint_error(tmp_path, find, named):
     path.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
     with pytest.raises(CheckpointError, match=named):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """The bytes of a one-layer AST checkpoint of 3.5 kB, about a quarter
+    of them headers and config echo rather than weights."""
+    model = SpectrogramTransformer(desk_config(embed_dim=2, n_heads=1, n_layers=1, max_duration_s=0.3))
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    save_checkpoint(path, model.kind, model.config_echo(), {k: p.data for k, p in model.params.items()})
+    raw = path.read_bytes()
+    assert raw.endswith(struct.pack("<BIf", 1, 1, 0.0))  # the zero bias the examples below replace
+    return raw
+
+
+# An edit replaces n bytes, back bytes from the end of the file (modulo its
+# length + 1), with the given bytes.
+_BACK = st.integers(0, 1 << 16)
+_BYTE = st.binary(min_size=1, max_size=1)
+_EDIT = st.one_of(
+    st.tuples(_BACK, st.just(1), _BYTE),  # overwrite
+    st.tuples(_BACK, st.just(0), _BYTE),  # insert
+    st.tuples(_BACK, st.just(1), st.just(b"")),  # delete
+    st.tuples(_BACK, st.just(1 << 16), st.just(b"")),  # truncate
+)
+# The last tensor, head_noi_b, ends the file with ndim 1, dims (1,) and one
+# float: 9 bytes. These put a shape NumPy cannot build in their place.
+_OVER_64_DIMS = (9, 9, struct.pack("<B65I", 65, *[1] * 64, 0))
+_ZERO_SIZE_OVERFLOW = (9, 9, struct.pack("<B4I", 4, 2**31, 2**31, 2**31, 0))
+
+
+@settings(max_examples=300)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+@example(edits=[_OVER_64_DIMS])
+@example(edits=[_ZERO_SIZE_OVERFLOW])
+def test_damaged_checkpoint_loads_or_fails_with_an_error_main_reports(tiny_checkpoint, tmp_path_factory,
+                                                                      edits):
+    """One to three byte overwrites, insertions, deletions or truncations
+    give a model or one of the errors cli.main turns into exit code 1,
+    never another exception."""
+    raw = tiny_checkpoint
+    for back, n, insert in edits:
+        at = len(raw) - back % (len(raw) + 1)
+        raw = raw[:at] + insert + raw[at + n :]
+    path = tmp_path_factory.getbasetemp() / "damaged.ckpt"
+    path.write_bytes(raw)
+    try:
+        load_model(path)
+    except ERRORS:
+        pass

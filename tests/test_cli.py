@@ -287,6 +287,26 @@ def test_checkpoint_whose_dims_overflow_is_a_typed_error(corpus, workdir, tmp_pa
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("dims", [(1,) * 64 + (0,), (2**31, 2**31, 2**31, 0)],
+                         ids=["over_64_dims", "zero_size_overflow"])
+def test_checkpoint_shape_numpy_cannot_build_is_a_typed_error(corpus, workdir, tmp_path, capsys, dims):
+    """A shape holding no data passes the overrun check, but NumPy cannot
+    build one with over 64 dims, nor a zero-size one whose other dims
+    overflow; reshape raised a bare ValueError."""
+    kind, echo, _ = load_checkpoint(workdir / "ast.ckpt")
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, kind, echo, {"bad": np.zeros(1, dtype=np.float32)})
+    raw = ckpt.read_bytes()
+    tail = struct.pack("<BIf", 1, 1, 0.0)  # ndim, dims and data of the last tensor
+    assert raw.endswith(tail)
+    ckpt.write_bytes(raw[: -len(tail)] + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
+    assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: tensor 'bad' of shape {dims} cannot be built")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 def test_checkpoint_with_a_non_finite_weight_is_a_typed_error(corpus, workdir, tmp_path, capsys, value):
     """A NaN head weight scored nan and +inf scored 5.0, both with exit 0."""
