@@ -32,7 +32,6 @@ class CalibrationError(ValueError):
 class CalibrationMap:
     coefficients: tuple[float, float, float, float]  # a0, a1, a2, a3
     fit_domain: tuple[float, float]
-    clip_range: tuple[float, float] = (SCORE_MIN, SCORE_MAX)
 
     def poly(self, x: np.ndarray) -> np.ndarray:
         a0, a1, a2, a3 = self.coefficients
@@ -107,8 +106,7 @@ def fit_calibration(pred, subj) -> CalibrationMap:
 
 def apply_calibration(mapping: CalibrationMap, pred) -> np.ndarray:
     """Evaluate the polynomial per element, then clip to the score range."""
-    lo, hi = mapping.clip_range
-    return np.clip(mapping.poly(pred), lo, hi)
+    return np.clip(mapping.poly(pred), SCORE_MIN, SCORE_MAX)
 
 
 # ------------------------------------------------------------ persistence

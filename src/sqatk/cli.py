@@ -4,14 +4,12 @@ featurize, train, predict, calibrate, evaluate.
 Exit code 0 on success, nonzero with a diagnostic on stderr otherwise.
 Output files are written to a temp file and renamed, so failures never
 leave a partial file; featurize keeps the caches it finished before a
-clip failed. The SQA_SEED environment variable overrides
-the configured training seed.
+clip failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
 import sys
 import tempfile
@@ -28,8 +26,8 @@ from . import frontend as fe
 from . import training as tr
 from .atomic import atomic_write
 from .autodiff import Tensor
-from .checkpoint import (CheckpointError, decode_config, echo_config, load_checkpoint, parse_config,
-                         save_checkpoint)
+from .checkpoint import (CheckpointError, decode_config, echo_config, encode_config, load_checkpoint,
+                         parse_config, save_checkpoint)
 from .cnn import ConvBaseline, CnnConfig
 from .manifest import Manifest, ManifestError, format_summary, load_manifest, summarize
 from .quality import TASKS
@@ -69,24 +67,11 @@ def build_train_config(kind: str, config: dict[str, str]) -> TrainConfig:
     picked = parse_config(TrainConfig, config, error=CliError)
     if kind == "ast":
         picked.setdefault("learning_rate", 1e-6)
-    env_seed = os.environ.get("SQA_SEED")
-    if env_seed is not None:
-        try:
-            picked["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise CliError(f"SQA_SEED: {exc}") from exc
     return TrainConfig(**picked)
 
 
 def feature_path(features_dir: Path, sample_id: str) -> Path:
     return features_dir / f"{sample_id}.feat"
-
-
-def features_for_entry(entry, features_dir: Path | None) -> np.ndarray:
-    if features_dir is not None:
-        return fe.load_features(feature_path(features_dir, entry.sample_id))
-    clip = fe.decode_wav(entry.audio)
-    return fe.log_mel_spectrogram(clip).values
 
 
 def build_samples(entries, features_dir: Path) -> list[tr.TrainSample]:
@@ -151,7 +136,7 @@ def cmd_featurize(args) -> int:
             thread_map(args.jobs, normalize, manifest.entries)
         finally:
             shutil.rmtree(spill_dir, ignore_errors=True)
-        atomic_write(out_dir / "normalization.txt", f"mean={mean!r}\nstd={std!r}\n")
+        atomic_write(out_dir / "normalization.txt", encode_config({"mean": repr(mean), "std": repr(std)}))
 
     print(f"featurized {len(manifest.entries)} clips -> {out_dir}")
     return 0
@@ -217,18 +202,12 @@ def load_model(path):
 
 def cmd_predict(args) -> int:
     model = load_model(args.ckpt)
-    features_dir = Path(args.features) if args.features else None
-    manifest = load_manifest(args.manifest, require_audio=features_dir is None)
+    manifest = load_manifest(args.manifest, require_audio=False)
+    features_dir = Path(args.features)
 
     def score(entry):
-        values = features_for_entry(entry, features_dir)
-        return ev.PredictionRow(
-            sample_id=entry.sample_id,
-            language=entry.language,
-            provenance=entry.provenance,
-            pred=model.predict_scores(values),
-            label=entry.scores,
-        )
+        pred = model.predict_scores(fe.load_features(feature_path(features_dir, entry.sample_id)))
+        return ev.PredictionRow(entry.sample_id, entry.language, entry.provenance, pred, entry.scores)
 
     rows = thread_map(args.jobs, score, manifest.entries)
     ev.write_predictions(args.out, rows)
@@ -255,8 +234,6 @@ def cmd_calibrate(args) -> int:
     for dim in dims:
         if dim not in TASKS:
             raise CliError(f"unknown dimension {dim!r}; choose from {TASKS}")
-    if args.group != "language":
-        raise CliError("only --group language is supported")
 
     groups: dict[str, list[ev.PredictionRow]] = {}
     for row in rows:
@@ -353,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="predictions CSV path")
-    p.add_argument("--features", help="feature cache directory from `featurize`")
+    p.add_argument("--features", required=True, help="feature cache directory from `featurize`")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("calibrate", help="fit per-group cubic score calibration")
     p.add_argument("--pred", required=True)
     p.add_argument("--labels", required=True, help="labels manifest")
-    p.add_argument("--group", default="language")
+    p.add_argument("--group", choices=("language",), default="language")
     p.add_argument("--dims", default="mos", help="comma-separated dimensions (default: mos)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
@@ -380,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The errors main reports as one "error:" line with exit code 1.
 ERRORS = (CliError, ManifestError, ModelError, TrainingError, CheckpointError, cal.CalibrationError,
-          ev.MetricError, fe.AudioError, fe.FeatureError, OSError)
+          ev.MetricError, fe.AudioError, fe.FeatureError, OSError, MemoryError)
 
 
 def main(argv=None) -> int:

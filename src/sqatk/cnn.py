@@ -10,36 +10,28 @@ reproduction of any published CNN scorer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .autodiff import ParamSpec, Tensor, conv2d, maxpool2d
-from .quality import TASKS
 from .training import Scorer
-from .transformer import (PAD_LOG_VALUE, ModelError, NonFiniteError, check_window, floor_pad,
-                          head_outputs, head_spec)
+from .transformer import (ModelError, NonFiniteError, Window, check_shapes, floor_pad, head_outputs,
+                          head_spec)
+
+KERNEL = 3  # 3x3 convolutions; padding=1 keeps each stage's plane
 
 
 @dataclass(frozen=True)
-class CnnConfig:
+class CnnConfig(Window):
     channels: tuple[int, ...] = (16, 32, 64, 64)
-    kernel: int = 3
     pool: tuple[int, ...] = (2, 2, 2, 2)
-    n_mels: int = 128
-    max_duration_s: float = 12.0
-    frame_hop_s: float = 0.010
-    tasks: ClassVar[tuple[str, ...]] = TASKS
-    pad_log_value: ClassVar[float] = PAD_LOG_VALUE
 
     def __post_init__(self):
-        check_window(self)
+        super().__post_init__()
         if len(self.channels) != len(self.pool):
             raise ModelError("channels and pool must have one entry per stage")
         if min(self.channels + self.pool, default=1) < 1:
             raise ModelError("channel counts and pool factors must be >= 1")
-        if self.kernel != 3:
-            raise ModelError("only 3x3 kernels are supported")
         if self.reduced_mels < 1:
             raise ModelError("pooling collapses the mel axis to nothing")
         if self._pooled(self.max_frames) < 1:
@@ -47,15 +39,12 @@ class CnnConfig:
                 f"pooling collapses the time axis of max_duration_s {self.max_duration_s} "
                 f"({self.max_frames} frames) to nothing"
             )
+        check_shapes(cnn_param_spec(self))
 
     def _pooled(self, size: int) -> int:
         for p in self.pool:
             size //= p
         return size
-
-    @property
-    def max_frames(self) -> int:
-        return int(round(self.max_duration_s / self.frame_hop_s))
 
     @property
     def reduced_mels(self) -> int:
@@ -72,7 +61,7 @@ def cnn_param_spec(config: CnnConfig) -> ParamSpec:
     spec: ParamSpec = {}
     in_ch = 1
     for i, out_ch in enumerate(config.channels):
-        spec[f"conv{i}_w"] = ((out_ch, in_ch, config.kernel, config.kernel), in_ch * config.kernel**2)
+        spec[f"conv{i}_w"] = ((out_ch, in_ch, KERNEL, KERNEL), in_ch * KERNEL**2)
         spec[f"conv{i}_b"] = ((out_ch,), "zeros")
         in_ch = out_ch
     return {**spec, **head_spec(config.derived_head_input, config.tasks)}

@@ -119,13 +119,12 @@ def _parse_fmt_chunk(body: memoryview) -> tuple[int, int, int, int]:
     return audio_format, channels, rate, bits
 
 
-def decode_wav(path: str | os.PathLike, expected_sample_rate: int = 48000) -> AudioClip:
+def decode_wav(path: str | os.PathLike) -> AudioClip:
     """Decode a RIFF/WAVE file into a mono AudioClip.
 
     Accepts 16-bit integer PCM and 32-bit IEEE float, mono or stereo.
     Stereo is averaged to mono; integer samples are scaled by 1/32768.
-    Raises SampleRateError unless the header rate matches
-    expected_sample_rate (pass None to accept any rate).
+    Raises SampleRateError unless the header rate is the front end's.
     """
     raw = memoryview(Path(path).read_bytes())  # chunk slices are views, not copies
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -168,9 +167,9 @@ def decode_wav(path: str | os.PathLike, expected_sample_rate: int = 48000) -> Au
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
 
-    if expected_sample_rate is not None and rate != expected_sample_rate:
+    if rate != FrontendConfig.sample_rate:
         raise SampleRateError(
-            f"{path}: sample rate {rate} Hz, expected {expected_sample_rate} Hz "
+            f"{path}: sample rate {rate} Hz, expected {FrontendConfig.sample_rate} Hz "
             "(this toolkit rejects rather than resamples)"
         )
 
@@ -304,12 +303,7 @@ def log_mel_spectrogram(
     np.log(values, out=values)
     if not np.isfinite(values).all():
         raise FeatureError("non-finite values in log-mel output (corrupt input?)")
-    return LogMelSpectrogram(
-        values=values,
-        n_mels=config.n_mels,
-        frame_hop_s=config.frame_hop_s,
-        frame_len_s=config.frame_len_s,
-    )
+    return LogMelSpectrogram(values, config.n_mels, config.frame_hop_s, config.frame_len_s)
 
 
 # ---------------------------------------------------------- feature cache

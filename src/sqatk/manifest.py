@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .atomic import read_text, write_csv
@@ -41,8 +41,7 @@ class ManifestEntry:
 
 @dataclass
 class Manifest:
-    entries: list[ManifestEntry] = field(default_factory=list)
-    path: Path | None = None
+    entries: list[ManifestEntry]
 
     def split_entries(self, split: str) -> list[ManifestEntry]:
         if split not in SPLITS:
@@ -130,7 +129,7 @@ def load_manifest(path, require_audio: bool = True) -> Manifest:
             )
     if problems:
         raise ManifestError(f"{path}: {len(problems)} bad row(s):\n  " + "\n  ".join(problems))
-    return Manifest(entries=entries, path=path)
+    return Manifest(entries=entries)
 
 
 def write_manifest(path, entries: list[ManifestEntry]) -> None:

@@ -45,6 +45,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise TrainingError("learning_rate must be positive and finite")
+        if self.max_epochs < 1:
+            raise TrainingError("max_epochs must be >= 1")
         if self.seed < 0:
             raise TrainingError("seed must be >= 0")
         if self.early_stop_patience < 1 or self.lr_patience < 1:
@@ -70,11 +72,12 @@ def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
 
 
 class Adam:
-    """Standard ADAM (beta1=0.9, beta2=0.999, eps=1e-8, bias correction)."""
+    """Standard ADAM with bias correction."""
 
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
@@ -247,8 +250,6 @@ def fit(
     with the best validation monitor and the per-epoch history. If no
     epoch had a defined monitor, best_epoch is 0 and params are the
     initial ones."""
-    if config.max_epochs < 1:
-        raise TrainingError("no training performed: max_epochs is 0")
     if not train_samples or not val_samples:
         raise TrainingError("training and validation sets must be non-empty")
     if not any(s.label_mask[TASKS.index("mos")] for s in val_samples):

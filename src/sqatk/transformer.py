@@ -20,11 +20,12 @@ from typing import ClassVar
 import numpy as np
 
 from .autodiff import ParamSpec, Tensor, attention, concat, init_from_spec, layer_norm, linear
-from .frontend import LogMelSpectrogram
+from .frontend import FrontendConfig, LogMelSpectrogram
 from .quality import TASKS
 from .training import Scorer
 
-PAD_LOG_VALUE = math.log(1e-10)  # matches the front end's log floor
+FRONT_END = FrontendConfig()  # the frames every model reads, as featurize writes them
+PAD_LOG_VALUE = math.log(FRONT_END.log_floor)
 
 
 class ModelError(ValueError):
@@ -35,8 +36,36 @@ class NonFiniteError(ModelError):
     """Non-finite activations, a divergence signal."""
 
 
+def check_shapes(spec: ParamSpec) -> None:
+    """Reject a shape whose float64 array NumPy cannot shape. The element
+    count is a Python int, so a huge config cannot wrap to a small one."""
+    for name, (shape, _) in spec.items():
+        if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+            raise ModelError(f"{name} of shape {shape} is too large for NumPy to build")
+
+
 @dataclass(frozen=True)
-class ModelConfig:
+class Window:
+    """The (n_mels, max_frames) log-mel plane a model reads, in frames of
+    the front end's hop; both model configs extend it."""
+
+    n_mels: int = 128
+    max_duration_s: float = 12.0
+    tasks: ClassVar[tuple[str, ...]] = TASKS
+    pad_log_value: ClassVar[float] = PAD_LOG_VALUE
+
+    def __post_init__(self):
+        if not 0 < self.max_duration_s / FRONT_END.frame_hop_s < math.inf:
+            raise ModelError("max_duration_s must be positive and finite")
+        check_shapes({"input plane": ((self.n_mels, self.max_frames), None)})
+
+    @property
+    def max_frames(self) -> int:
+        return int(round(self.max_duration_s / FRONT_END.frame_hop_s))
+
+
+@dataclass(frozen=True)
+class ModelConfig(Window):
     embed_dim: int = 768
     patch_size: int = 16
     patch_stride_time: int = 10
@@ -44,14 +73,9 @@ class ModelConfig:
     n_layers: int = 12
     n_heads: int = 12
     mlp_ratio: float = 4.0
-    max_duration_s: float = 12.0
-    n_mels: int = 128
-    frame_hop_s: float = 0.010
-    tasks: ClassVar[tuple[str, ...]] = TASKS
-    pad_log_value: ClassVar[float] = PAD_LOG_VALUE
 
     def __post_init__(self):
-        check_window(self)
+        super().__post_init__()
         if self.n_heads < 1:
             raise ModelError("n_heads must be >= 1")
         if self.embed_dim % self.n_heads:
@@ -66,10 +90,7 @@ class ModelConfig:
             raise ModelError("mlp_ratio must give at least one hidden unit")
         if self.n_layers < 0:
             raise ModelError("n_layers must be >= 0")
-
-    @property
-    def max_frames(self) -> int:
-        return int(round(self.max_duration_s / self.frame_hop_s))
+        check_shapes(param_spec(self))
 
     @property
     def n_freq_patches(self) -> int:
@@ -86,12 +107,6 @@ class ModelConfig:
     @property
     def mlp_hidden(self) -> int:
         return int(self.embed_dim * self.mlp_ratio)
-
-
-def check_window(config) -> None:
-    """max_duration_s and frame_hop_s must give a positive, finite frame count."""
-    if not (config.frame_hop_s > 0 and 0 < config.max_duration_s / config.frame_hop_s < math.inf):
-        raise ModelError("max_duration_s and frame_hop_s must be positive and finite")
 
 
 def floor_pad(values: np.ndarray, config) -> np.ndarray:
@@ -329,12 +344,8 @@ class SpectrogramTransformer(Scorer):
     def prepare(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Turn a (frames, mels) feature matrix into the clip's valid
         patches, in the parameters' dtype, and their flat grid positions."""
-        spec = LogMelSpectrogram(
-            values=np.asarray(values, dtype=self.dtype),
-            n_mels=values.shape[1],
-            frame_hop_s=self.config.frame_hop_s,
-            frame_len_s=0.025,
-        )
+        values = np.asarray(values, dtype=self.dtype)
+        spec = LogMelSpectrogram(values, values.shape[1], FRONT_END.frame_hop_s, FRONT_END.frame_len_s)
         seq = extract_patches(spec, self.config)
         return seq.patches[seq.valid], np.flatnonzero(seq.valid)
 

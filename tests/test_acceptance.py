@@ -20,7 +20,7 @@ from sqatk.evaluation import (
     rmse,
 )
 from sqatk.manifest import load_manifest
-from sqatk.quality import TASKS
+from sqatk.quality import SCORE_MAX, SCORE_MIN, TASKS
 from sqatk.synth import generate_corpus
 from sqatk.training import Adam, PatienceController, mse_loss
 
@@ -256,8 +256,7 @@ def test_criterion_7_calibration():
         # dominance: never worse than leaving scores uncalibrated
         assert rmse(mapping.poly(x), subj) <= rmse(x, subj) + 1e-12
         diffs = np.diff(fitted)
-        lo, hi = mapping.clip_range
-        interior = (fitted[:-1] > lo) & (fitted[1:] < hi)
+        interior = (fitted[:-1] > SCORE_MIN) & (fitted[1:] < SCORE_MAX)
         if (diffs >= -1e-12).all() and (diffs[interior] >= -1e-12).all():
             rank_ok += 1
     assert rank_ok == 100

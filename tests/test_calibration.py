@@ -18,6 +18,7 @@ from sqatk.calibration import (
     save_calibration_maps,
 )
 from sqatk.evaluation import rmse
+from sqatk.quality import SCORE_MAX, SCORE_MIN
 
 
 def _monotone_on(coeffs, domain) -> bool:
@@ -140,8 +141,7 @@ def test_rank_preservation_random_monotone_fits(seed):
     out = apply_calibration(mapping, pred)
     diffs = np.diff(out)
     assert (diffs >= -1e-12).all()
-    lo, hi = mapping.clip_range
-    interior = (out[:-1] > lo + 1e-12) & (out[1:] < hi - 1e-12)
+    interior = (out[:-1] > SCORE_MIN + 1e-12) & (out[1:] < SCORE_MAX - 1e-12)
     # ties allowed only at the clip boundaries
     assert (diffs[interior] > -1e-12).all()
 

@@ -75,14 +75,18 @@ def test_config_codec():
 # The on-disk echo of each default config. A renamed, added or removed
 # field changes the checkpoint format and must change these strings too.
 AST_ECHO = (
-    "model.embed_dim=768\nmodel.frame_hop_s=0.01\nmodel.kind=ast\nmodel.max_duration_s=12.0\n"
+    "model.embed_dim=768\nmodel.kind=ast\nmodel.max_duration_s=12.0\n"
     "model.mlp_ratio=4.0\nmodel.n_heads=12\nmodel.n_layers=12\nmodel.n_mels=128\n"
     "model.patch_size=16\nmodel.patch_stride_freq=10\nmodel.patch_stride_time=10\n"
 )
 CNN_ECHO = (
-    "model.channels=16,32,64,64\nmodel.frame_hop_s=0.01\nmodel.kernel=3\nmodel.kind=cnn\n"
+    "model.channels=16,32,64,64\nmodel.kind=cnn\n"
     "model.max_duration_s=12.0\nmodel.n_mels=128\nmodel.pool=2,2,2,2\n"
 )
+# The same echoes in the earlier format, whose model configs also held
+# the front end's hop and the CNN's kernel size.
+EARLIER_AST_ECHO = AST_ECHO.replace("model.kind", "model.frame_hop_s=0.01\nmodel.kind")
+EARLIER_CNN_ECHO = CNN_ECHO.replace("model.kind", "model.frame_hop_s=0.01\nmodel.kernel=3\nmodel.kind")
 TRAIN_ECHO = (
     "train.batch_size=100\ntrain.early_stop_patience=20\ntrain.learning_rate=0.001\n"
     "train.lr_patience=15\ntrain.max_epochs=500\ntrain.seed=0\n"
@@ -100,6 +104,13 @@ def test_default_model_echo_is_pinned_and_parses_back(adapter, config_class, tex
     assert config_class(**parse_config(config_class, echo, "model.")) == config_class()
 
 
+@pytest.mark.parametrize("config_class, text", [(ModelConfig, EARLIER_AST_ECHO), (CnnConfig, EARLIER_CNN_ECHO)],
+                         ids=["ast", "cnn"])
+def test_echo_of_the_earlier_format_parses_to_the_same_config(config_class, text):
+    echo = decode_config(text.encode(), "echo")
+    assert config_class(**parse_config(config_class, echo, "model.")) == config_class()
+
+
 def test_default_train_echo_is_pinned_and_parses_back():
     echo = echo_config(TrainConfig(), "train.")
     assert encode_config(echo) == TRAIN_ECHO
@@ -107,11 +118,12 @@ def test_default_train_echo_is_pinned_and_parses_back():
 
 
 def test_parse_config_converts_to_the_field_types():
-    parsed = parse_config(CnnConfig, {"channels": "8, 16", "pool": "2,2", "max_duration_s": "1", "kernel": "3"})
-    assert parsed == {"channels": (8, 16), "kernel": 3, "pool": (2, 2), "max_duration_s": 1.0}
+    parsed = parse_config(CnnConfig, {"channels": "8, 16", "pool": "2,2", "max_duration_s": "1",
+                                      "n_mels": "64"})
+    assert parsed == {"channels": (8, 16), "n_mels": 64, "pool": (2, 2), "max_duration_s": 1.0}
     assert type(parsed["max_duration_s"]) is float
-    with pytest.raises(CheckpointError, match="config key kernel: .*'3.0'"):
-        parse_config(CnnConfig, {"kernel": "3.0"})
+    with pytest.raises(CheckpointError, match="config key n_mels: .*'64.0'"):
+        parse_config(CnnConfig, {"n_mels": "64.0"})
 
 
 @pytest.mark.parametrize(

@@ -225,16 +225,6 @@ def test_train_without_a_defined_validation_monitor_is_a_typed_error(corpus, wor
     assert all(line.endswith(",-inf") for line in history[1:])
 
 
-def test_predict_from_audio_writes_the_bytes_of_predict_from_the_cache(corpus, workdir, tmp_path):
-    """The float64 log-mel computed on the fly and the float32 cache meet
-    at the same cast to the model's float32 in prepare."""
-    from_audio, from_cache = tmp_path / "audio.csv", tmp_path / "cache.csv"
-    base = ["predict", "--ckpt", str(workdir / "ast.ckpt"), "--manifest", str(corpus)]
-    assert main(base + ["--out", str(from_audio)]) == 0
-    assert main(base + ["--features", str(workdir / "feats"), "--out", str(from_cache)]) == 0
-    assert from_audio.read_bytes() == from_cache.read_bytes()
-
-
 @pytest.mark.parametrize("damage", ["missing", "reshaped"])
 def test_checkpoint_without_a_model_tensor_is_a_typed_error(corpus, workdir, tmp_path, capsys, damage):
     kind, echo, tensors = load_checkpoint(workdir / "ast.ckpt")
@@ -269,6 +259,22 @@ def test_checkpoint_with_a_bad_model_config_echo_is_a_typed_error(corpus, workdi
 def _predict_exit(ckpt, corpus, workdir, out):
     return main(["predict", "--ckpt", str(ckpt), "--manifest", str(corpus),
                  "--features", str(workdir / "feats"), "--out", str(out)])
+
+
+@pytest.mark.parametrize("kind", ["ast", "cnn"])
+def test_checkpoint_of_the_earlier_format_predicts_the_same_bytes(corpus, workdir, tmp_path, kind):
+    """Checkpoints written while the model configs held the front end's
+    hop and the CNN's kernel size echo model.frame_hop_s=0.01 and
+    model.kernel=3; they load and score as today's checkpoints do."""
+    ckpt = workdir / "ast.ckpt" if kind == "ast" else _cnn_checkpoint(tmp_path)
+    _, echo, tensors = load_checkpoint(ckpt)
+    earlier_keys = {"model.frame_hop_s": "0.01", **({"model.kernel": "3"} if kind == "cnn" else {})}
+    assert not earlier_keys.keys() & echo.keys()
+    earlier = tmp_path / "earlier.ckpt"
+    save_checkpoint(earlier, kind, {**echo, **earlier_keys}, tensors)
+    assert _predict_exit(ckpt, corpus, workdir, tmp_path / "now.csv") == 0
+    assert _predict_exit(earlier, corpus, workdir, tmp_path / "earlier.csv") == 0
+    assert (tmp_path / "earlier.csv").read_bytes() == (tmp_path / "now.csv").read_bytes()
 
 
 def test_checkpoint_whose_dims_overflow_is_a_typed_error(corpus, workdir, tmp_path, capsys):
@@ -452,6 +458,17 @@ def test_train_requires_a_feature_cache(corpus, tmp_path, capsys):
     assert "--features" in capsys.readouterr().err
 
 
+def test_predict_requires_a_feature_cache(corpus, workdir, tmp_path, capsys):
+    """predict reads the caches train read: decoding the audio itself gave
+    raw log-mel to a model trained on normalized caches, with exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--ckpt", str(workdir / "ast.ckpt"), "--manifest", str(corpus),
+              "--out", str(tmp_path / "p.csv")])
+    assert exc.value.code != 0
+    assert "--features" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cnn_checkpoint_with_huge_finite_weights_is_a_typed_error(corpus, workdir, tmp_path, capsys):
     """1e30 in the first two conv weights overflows float32 to inf and nan
@@ -587,15 +604,17 @@ def test_cnn_default_protocol_echo(corpus, workdir, tmp_path):
 
 
 def test_train_zero_epochs_fails(corpus, workdir, tmp_path, capsys):
+    """-3 epochs used to report "max_epochs is 0"."""
     config = tmp_path / "zero.cfg"
-    config.write_text(DESK_CONFIG.replace("max_epochs=3", "max_epochs=0"))
-    code = main([
-        "train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
-        "--features", str(workdir / "feats"), "--out", str(tmp_path / "x.ckpt"),
-    ])
-    assert code != 0
-    assert "no training performed" in capsys.readouterr().err
-    assert not (tmp_path / "x.ckpt").exists()
+    for epochs in (0, -3):
+        config.write_text(DESK_CONFIG.replace("max_epochs=3", f"max_epochs={epochs}"))
+        code = main([
+            "train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
+            "--features", str(workdir / "feats"), "--out", str(tmp_path / "x.ckpt"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: max_epochs must be >= 1\n"
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_cnn_window_that_pools_time_away_is_a_typed_error(corpus, workdir, tmp_path, capsys):
@@ -619,20 +638,27 @@ def test_cnn_window_that_pools_time_away_is_a_typed_error(corpus, workdir, tmp_p
     "kind, key, value",
     [
         ("ast", "n_heads", "0"),
-        ("ast", "frame_hop_s", "0"),
-        ("cnn", "frame_hop_s", "0"),
         ("ast", "max_duration_s", "nan"),
         ("cnn", "max_duration_s", "nan"),
         ("ast", "max_duration_s", "inf"),
         ("cnn", "max_duration_s", "inf"),
         ("ast", "mlp_ratio", "-1"),
         ("ast", "n_mels", "3"),
+        ("ast", "max_duration_s", "1e12"),
+        ("cnn", "max_duration_s", "1e12"),
+        ("ast", "max_duration_s", "1e17"),
+        ("cnn", "max_duration_s", "1e17"),
+        ("ast", "mlp_ratio", "1e300"),
+        ("cnn", "channels", "8,4611686018427387904"),
     ],
 )
 def test_config_value_that_breaks_the_model_is_a_typed_error(corpus, workdir, tmp_path, capsys, kind, key, value):
-    """Each value raised ZeroDivisionError, ValueError, OverflowError or
-    numpy's negative-dimensions error, from a --config file in train
-    and from a checkpoint echo in predict. Both exit 1."""
+    """Each value raised ZeroDivisionError, ValueError, OverflowError,
+    MemoryError or numpy's negative-dimensions error, from a --config file
+    in train and from a checkpoint echo in predict. Both exit 1. The
+    1e12 s window's arrays take over 2**47 bytes, more than any address
+    space holds, so their allocation fails at once; NumPy cannot shape
+    those of 1e17 s at all."""
     base = DESK_CONFIG if kind == "ast" else CNN_CONFIG
     config = tmp_path / "bad.cfg"
     config.write_text(base + f"{key}={value}\n")
@@ -702,7 +728,8 @@ def test_readme_lists_every_config_field():
 
 def test_unreadable_input_fails_cleanly(tmp_path, capsys):
     code = main(["predict", "--ckpt", str(tmp_path / "missing.ckpt"),
-                 "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv")])
+                 "--manifest", str(tmp_path / "missing.csv"), "--features", str(tmp_path / "feats"),
+                 "--out", str(tmp_path / "o.csv")])
     assert code != 0
     assert "error:" in capsys.readouterr().err
 
@@ -731,24 +758,6 @@ def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--bogus"])
     assert exc.value.code != 0
-
-
-def test_env_seed_override(corpus, workdir, tmp_path, monkeypatch):
-    from sqatk.checkpoint import load_checkpoint
-
-    config = tmp_path / "seeded.cfg"
-    config.write_text(DESK_CONFIG)
-    monkeypatch.setenv("SQA_SEED", "99")
-    ckpt = tmp_path / "seeded.ckpt"
-    assert (
-        main([
-            "train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
-            "--features", str(workdir / "feats"), "--out", str(ckpt),
-        ])
-        == 0
-    )
-    _, echo, _ = load_checkpoint(ckpt)
-    assert echo["train.seed"] == "99"
 
 
 def test_featurize_normalize_writes_stats(corpus, tmp_path):
@@ -902,15 +911,26 @@ def test_bad_calibration_map_is_a_typed_error(corpus, tmp_path, capsys, row):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_non_integer_env_seed_is_a_typed_error(corpus, workdir, tmp_path, monkeypatch, capsys):
-    config = tmp_path / "seeded.cfg"
-    config.write_text(DESK_CONFIG)
-    monkeypatch.setenv("SQA_SEED", "abc")
-    code = main(["train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
-                 "--features", str(workdir / "feats"), "--out", str(tmp_path / "x.ckpt")])
-    assert code == 1
-    assert "SQA_SEED" in capsys.readouterr().err
-    assert not (tmp_path / "x.ckpt").exists()
+def test_evaluate_provenance_keeps_only_its_rows(corpus, tmp_path, capsys):
+    """subjective and objective each evaluate their own rows; a filter
+    that leaves none is an error."""
+    pred = _exact_predictions(corpus, tmp_path / "pred.csv")
+    entries = load_manifest(corpus).entries
+    objective = {e.sample_id for e in entries[::3]}  # 4 of 10, so the two filters keep different counts
+    labels = tmp_path / "labels.csv"
+    write_manifest(labels, [replace(e, provenance="objective") if e.sample_id in objective else e
+                            for e in entries])
+    out = tmp_path / "report.md"
+    evaluate = ["evaluate", "--pred", str(pred), "--out", str(out), "--provenance"]
+    for provenance, count in (("subjective", len(entries) - len(objective)), ("objective", len(objective)),
+                              ("both", len(entries))):
+        assert main(evaluate + [provenance, "--labels", str(labels)]) == 0
+        assert capsys.readouterr().out == f"evaluated {count} samples -> {out}\n"
+
+    out.unlink()
+    assert main(evaluate + ["objective", "--labels", str(corpus)]) == 1
+    assert capsys.readouterr().err == "error: no samples left to evaluate\n"
+    assert not out.exists()
 
 
 def test_evaluate_warns_once_about_every_unmapped_labeled_pair(corpus, tmp_path, capsys):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import sqatk
 from sqatk.checkpoint import save_checkpoint
+from sqatk.cli import main
 from sqatk.synth import generate_corpus
 from sqatk.transformer import SpectrogramTransformer, desk_config
 
@@ -47,11 +48,13 @@ def test_src_imports_only_numpy_and_the_standard_library():
 
 def test_scoring_a_clip_loads_no_scipy(tmp_path):
     manifest = generate_corpus(tmp_path / "corpus", n_clips=1, seed=0, duration_s=1.0)
+    assert main(["featurize", "--manifest", str(manifest), "--out", str(tmp_path / "feats")]) == 0
     model = SpectrogramTransformer(desk_config(max_duration_s=1.0))
     ckpt = tmp_path / "ast.ckpt"
     save_checkpoint(ckpt, model.kind, model.config_echo(), {k: p.data for k, p in model.params.items()})
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
-    argv = ["predict", "--ckpt", str(ckpt), "--manifest", str(manifest), "--out", str(tmp_path / "pred.csv")]
+    argv = ["predict", "--ckpt", str(ckpt), "--manifest", str(manifest), "--features", str(tmp_path / "feats"),
+            "--out", str(tmp_path / "pred.csv")]
     result = subprocess.run(
         [sys.executable, "-c", SCORE_SCRIPT, *argv], capture_output=True, text=True, env=env, timeout=120
     )

@@ -6,11 +6,12 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memory import peak_traced_bytes
 from sqatk import frontend as fe
+from sqatk.cli import ERRORS
 
 SR = 48000
 CFG = fe.FrontendConfig()
@@ -30,11 +31,16 @@ def write_pcm16(path, samples, rate=SR, channels=1):
 
 def write_float32(path, samples, rate=SR):
     """Minimal RIFF writer for IEEE float WAVs (stdlib wave cannot)."""
+    path.write_bytes(float32_wav(samples, rate))
+
+
+def float32_wav(samples, rate=SR) -> bytes:
+    """The bytes of a mono IEEE float WAV."""
     payload = np.asarray(samples, dtype="<f4").tobytes()
     fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 4, 4, 32)
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
-    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
 
 # ------------------------------------------------------------------ decode
@@ -374,10 +380,9 @@ _BYTES = st.lists(_BYTE, min_size=1, max_size=4).map(bytes)
 
 
 @st.composite
-def _damaged_cache(draw):
-    """_CACHE after one to three 1-4 byte overwrites, deletions or
+def _damaged(draw, raw: bytes):
+    """raw after one to three 1-4 byte overwrites, deletions or
     insertions, or truncations."""
-    raw = _CACHE
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["overwrite", "delete", "insert", "truncate"]))
         at = draw(st.integers(0, len(raw)))
@@ -393,7 +398,7 @@ def _damaged_cache(draw):
     return raw
 
 
-@given(raw=_damaged_cache())
+@given(raw=_damaged(_CACHE))
 def test_damaged_cache_loads_as_its_header_says_or_is_a_feature_error(tmp_path_factory, raw):
     """load_features either returns a finite float32 array of the header's
     (frames, mels) or raises FeatureError, never another exception."""
@@ -406,6 +411,29 @@ def test_damaged_cache_loads_as_its_header_says_or_is_a_feature_error(tmp_path_f
     assert values.dtype == np.float32
     assert values.shape == struct.unpack("<II", raw[:8])
     assert np.isfinite(values).all()
+
+
+# A valid 8-sample WAV of 76 bytes, 44 of them headers, so that edits
+# often reach a header field.
+_WAV = float32_wav(np.random.default_rng(0).uniform(-0.9, 0.9, size=8))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # a signalling NaN sample
+@settings(max_examples=300)
+@given(raw=_damaged(_WAV))
+@example(raw=_WAV[:16] + struct.pack("<I", 14) + _WAV[20:])  # a fmt chunk too short to unpack
+@example(raw=_WAV[:40] + struct.pack("<I", 31) + _WAV[44:])  # data of 7.75 samples
+def test_damaged_wav_decodes_or_fails_with_an_error_main_reports(tmp_path_factory, raw):
+    """decode_wav gives a checked AudioClip or one of the errors cli.main
+    turns into exit code 1, never another exception."""
+    path = tmp_path_factory.getbasetemp() / "damaged.wav"
+    path.write_bytes(raw)
+    try:
+        clip = fe.decode_wav(path)
+    except ERRORS:
+        return
+    assert clip.sample_rate == SR
+    assert np.isfinite(clip.samples).all() and np.abs(clip.samples).max() <= 1.0 + 1e-6
 
 
 def test_corpus_normalization():

@@ -237,10 +237,11 @@ def test_config_rejects_a_rate_or_seed_that_cannot_train(field, value):
         TrainConfig(**{field: value})
 
 
-def test_fit_zero_epochs_rejected(rng):
-    with pytest.raises(TrainingError, match="no training performed"):
-        fit(TinyModel(), tiny_samples(4, rng), tiny_samples(2, rng),
-            TrainConfig(max_epochs=0))
+def test_fit_zero_epochs_rejected():
+    """The config rejects what fit cannot run; -3 used to say "max_epochs is 0"."""
+    for epochs in (0, -3):
+        with pytest.raises(TrainingError, match="max_epochs must be >= 1"):
+            TrainConfig(max_epochs=epochs)
 
 
 def test_fit_runs_and_returns_best(rng):
