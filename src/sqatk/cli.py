@@ -28,7 +28,7 @@ from .atomic import atomic_write
 from .autodiff import Tensor
 from .checkpoint import (CheckpointError, decode_config, echo_config, encode_config, load_checkpoint,
                          parse_config, save_checkpoint)
-from .cnn import ConvBaseline, CnnConfig
+from .cnn import KERNEL, ConvBaseline, CnnConfig
 from .manifest import Manifest, ManifestError, format_summary, load_manifest, summarize
 from .quality import TASKS
 from .training import TrainConfig, TrainingError, fit, make_sample
@@ -45,6 +45,9 @@ class CliError(Exception):
 # Checkpoint kind -> (adapter, its config class).
 _MODEL_KINDS = {"ast": (SpectrogramTransformer, ModelConfig), "cnn": (ConvBaseline, CnnConfig)}
 _CONFIG_KEYS = {f.name for cls in (ModelConfig, CnnConfig, TrainConfig) for f in fields(cls)}
+# Echo keys of checkpoints written while the hop and the CNN's kernel were
+# settings, with the one value today's models read.
+_EARLIER_ECHO = {"model.frame_hop_s": fe.FrontendConfig.frame_hop_s, "model.kernel": KERNEL}
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -187,6 +190,13 @@ def load_model(path):
     missing = [f"model.{f.name}" for f in fields(config_class) if f"model.{f.name}" not in echo]
     if missing:
         raise CheckpointError(f"{path}: model config echo has no {', '.join(missing)} key")
+    for key, value in _EARLIER_ECHO.items():
+        try:
+            same = key not in echo or float(echo[key]) == value
+        except ValueError:
+            same = False
+        if not same:
+            raise CheckpointError(f"{path}: {key}={echo[key]}, but the models read only {key}={value}")
     config = config_class(**parse_config(config_class, echo, "model."))
     params = {}
     for name, (shape, _) in adapter.param_spec(config).items():

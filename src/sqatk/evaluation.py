@@ -223,6 +223,14 @@ def write_predictions(path, rows: list[PredictionRow]) -> None:
     ))
 
 
+def _score(text: str) -> float | None:
+    """An empty field is absent; predict writes only finite scores."""
+    value = float(text) if text else None
+    if value is not None and not np.isfinite(value):
+        raise ValueError(f"non-finite score {text!r}")
+    return value
+
+
 def read_predictions(path) -> list[PredictionRow]:
     rows: list[PredictionRow] = []
     n = len(DIM_ORDER)
@@ -230,7 +238,7 @@ def read_predictions(path) -> list[PredictionRow]:
         sample_id, language, provenance, *scores = rec
         try:
             pred, label = (
-                QualityScores(**{d: float(v) if v else None for d, v in zip(DIM_ORDER, fields)})
+                QualityScores(**{d: _score(v) for d, v in zip(DIM_ORDER, fields)})
                 for fields in (scores[:n], scores[n:])
             )
         except ValueError as exc:

@@ -1,9 +1,10 @@
 """Audio front end: 48 kHz WAV decoding and log-mel feature extraction.
 
-The feature geometry is fixed: 25 ms Hann windows, 10 ms hop, zero-padded
-2048-point FFT, 128 triangular mel filters (HTK scale, 0 Hz to Nyquist),
-natural log with a 1e-10 floor so digital silence maps to log(1e-10)
-rather than -inf. Input outside 48 kHz is rejected, never resampled.
+The feature geometry is one set of constants, FrontendConfig: 25 ms Hann
+windows, 10 ms hop, zero-padded 2048-point FFT, 128 triangular mel
+filters (HTK scale, 0 Hz to Nyquist), natural log with a 1e-10 floor so
+digital silence maps to log(1e-10) rather than -inf. An AudioClip at any
+rate but 48 kHz is rejected, never resampled.
 
 The spectrogram runs in float64, a block of frames at a time, so its
 memory beyond the clip and its output does not grow with the clip's
@@ -18,7 +19,7 @@ import os
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -42,37 +43,35 @@ class FeatureError(ValueError):
     """Invalid feature-extraction input or corrupted output."""
 
 
-@dataclass(frozen=True)
 class FrontendConfig:
-    sample_rate: int = 48000
-    frame_len_s: float = 0.025
-    frame_hop_s: float = 0.010
-    n_fft: int = 2048
-    n_mels: int = 128
-    fmin: float = 0.0
-    fmax: float | None = None  # None means Nyquist
-    log_floor: float = 1e-10
+    """The one front-end geometry, as constants; both models read its frames."""
 
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.frame_len_s * self.sample_rate))
-
-    @property
-    def hop_samples(self) -> int:
-        return int(round(self.frame_hop_s * self.sample_rate))
+    sample_rate = 48000
+    frame_len_s = 0.025
+    frame_hop_s = 0.010
+    n_fft = 2048
+    n_mels = 128
+    log_floor = 1e-10
+    window_samples = int(round(frame_len_s * sample_rate))  # 1200, shorter than n_fft
+    hop_samples = int(round(frame_hop_s * sample_rate))  # 480
 
 
 @dataclass
 class AudioClip:
-    """Decoded mono waveform; amplitudes in [-1, 1] at a known rate.
-    Construction raises AudioError unless the samples are a non-empty,
-    finite mono signal within [-1, 1], so no later step repeats the
-    check."""
+    """Decoded mono waveform; amplitudes in [-1, 1] at the front end's rate.
+    Construction raises SampleRateError unless the rate is 48 kHz, and
+    AudioError unless the samples are a non-empty, finite mono signal
+    within [-1, 1], so no later step repeats the check."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
+        if self.sample_rate != FrontendConfig.sample_rate:
+            raise SampleRateError(
+                f"sample rate {self.sample_rate} Hz, expected {FrontendConfig.sample_rate} Hz "
+                "(this toolkit rejects rather than resamples)"
+            )
         if self.samples.ndim != 1 or len(self.samples) == 0:
             raise AudioError("clip must contain at least one mono sample")
         if not np.isfinite(self.samples).all():
@@ -124,7 +123,8 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
 
     Accepts 16-bit integer PCM and 32-bit IEEE float, mono or stereo.
     Stereo is averaged to mono; integer samples are scaled by 1/32768.
-    Raises SampleRateError unless the header rate is the front end's.
+    Every AudioError it raises names the file, those of AudioClip's
+    checks (the 48 kHz rate among them) included, and keeps its class.
     """
     raw = memoryview(Path(path).read_bytes())  # chunk slices are views, not copies
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -157,7 +157,8 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
         samples = np.multiply(ints, 1.0 / 32768.0, dtype=np.float64)  # one array; 2**-15 is exact
     elif audio_format == 3 and bits == 32:
         usable = len(data) - len(data) % (4 * channels)
-        samples = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN is AudioClip's to reject
+            samples = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
     else:
         raise WavFormatError(
             f"{path}: unsupported codec (format={audio_format}, bits={bits}); "
@@ -165,15 +166,13 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
         )
 
     if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
+        with np.errstate(invalid="ignore"):  # inf and -inf average to a NaN, AudioClip's to reject
+            samples = samples.reshape(-1, 2).mean(axis=1)
 
-    if rate != FrontendConfig.sample_rate:
-        raise SampleRateError(
-            f"{path}: sample rate {rate} Hz, expected {FrontendConfig.sample_rate} Hz "
-            "(this toolkit rejects rather than resamples)"
-        )
-
-    return AudioClip(samples=samples, sample_rate=rate)
+    try:
+        return AudioClip(samples=samples, sample_rate=rate)
+    except AudioError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------ mel filters
@@ -188,44 +187,20 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def _mel_edge_frequencies(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
-    return mel_to_hz(mel_pts)
-
-
-@lru_cache(maxsize=8)
-def _cached_filterbank(n_mels, n_fft, sample_rate, fmin, fmax):
-    edges = _mel_edge_frequencies(n_mels, fmin, fmax)
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+@cache
+def mel_filterbank() -> np.ndarray:
+    """The front end's read-only triangular mel filterbank, shape
+    (128, 1025), built on the first call: filters from 0 Hz to Nyquist,
+    peaking at mel-equally-spaced center frequencies. Every filter has
+    positive weight at some FFT bin."""
+    fc = FrontendConfig
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(fc.sample_rate / 2.0), fc.n_mels + 2))
+    bin_freqs = np.arange(fc.n_fft // 2 + 1) * (fc.sample_rate / fc.n_fft)
     lo, ctr, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bin_freqs[None, :] - lo) / (ctr - lo)
     falling = (hi - bin_freqs[None, :]) / (hi - ctr)
     weights = np.maximum(0.0, np.minimum(rising, falling))
     weights.setflags(write=False)
-    return weights
-
-
-def mel_filterbank(
-    n_mels: int, n_fft: int, sample_rate: int, fmin: float = 0.0, fmax: float | None = None
-) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft // 2 + 1).
-
-    Filters peak at mel-equally-spaced center frequencies. Raises
-    FeatureError when n_mels is too large for the FFT resolution (a
-    filter would have no positive weight at any bin).
-    """
-    if n_mels < 1:
-        raise FeatureError("n_mels must be >= 1")
-    if n_fft < 2 or n_fft & (n_fft - 1):
-        raise FeatureError("n_fft must be a power of two")
-    fmax = sample_rate / 2.0 if fmax is None else fmax
-    weights = _cached_filterbank(n_mels, n_fft, sample_rate, fmin, fmax)
-    empty = np.where(~weights.any(axis=1))[0]
-    if empty.size:
-        raise FeatureError(
-            f"filter rows {empty.tolist()} have no positive weight; "
-            f"n_mels={n_mels} too large for n_fft={n_fft} at {sample_rate} Hz"
-        )
     return weights
 
 
@@ -252,9 +227,7 @@ def hann_window(n: int) -> np.ndarray:
 FRAME_BLOCK = 128
 
 
-def log_mel_spectrogram(
-    clip: AudioClip, config: FrontendConfig = FrontendConfig()
-) -> LogMelSpectrogram:
+def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
     """Compute the log-mel spectrogram of one clip.
 
     Per frame: Hann-windowed segment of window_samples, zero-padded to
@@ -266,12 +239,9 @@ def log_mel_spectrogram(
     beyond the clip and its output is one block's, whatever the clip's
     length, and every value has the bits of the whole-clip computation.
     """
-    if clip.sample_rate != config.sample_rate:
-        raise SampleRateError(
-            f"clip at {clip.sample_rate} Hz, front end configured for {config.sample_rate} Hz"
-        )
-    win = config.window_samples
-    hop = config.hop_samples
+    fc = FrontendConfig
+    win = fc.window_samples
+    hop = fc.hop_samples
     n_frames = frame_count(len(clip.samples), win, hop)
     if n_frames == 0:
         raise FeatureError(
@@ -279,31 +249,27 @@ def log_mel_spectrogram(
         )
 
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
-    # rfft(x, n=n_fft) crops a longer window to n_fft samples
-    width = min(win, config.n_fft)
-    window = hann_window(win)[:width]
-    fb_t = mel_filterbank(
-        config.n_mels, config.n_fft, config.sample_rate, config.fmin, config.fmax
-    ).T
+    window = hann_window(win)
+    fb_t = mel_filterbank().T
     bounds = [*range(0, max(n_frames - FRAME_BLOCK, 0) + 1, FRAME_BLOCK), n_frames]
     widest = bounds[-1] - bounds[-2]  # the last block, which takes the remainder
-    padded = np.zeros((widest, config.n_fft))
-    spectrum = np.empty((widest, config.n_fft // 2 + 1), dtype=np.complex128)
+    padded = np.zeros((widest, fc.n_fft))
+    spectrum = np.empty((widest, fc.n_fft // 2 + 1), dtype=np.complex128)
     power = np.empty(spectrum.shape)
-    values = np.empty((n_frames, config.n_mels))
+    values = np.empty((n_frames, fc.n_mels))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = hi - lo
-        np.multiply(frames[lo:hi, :width], window, out=padded[:rows, :width])
+        np.multiply(frames[lo:hi], window, out=padded[:rows, :win])
         np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
         parts = spectrum[:rows].view(np.float64).reshape(rows, -1, 2)  # (re, im) pairs
         np.square(parts, out=parts)
         np.add(parts[..., 0], parts[..., 1], out=power[:rows])
         np.matmul(power[:rows], fb_t, out=values[lo:hi])
-    np.maximum(values, config.log_floor, out=values)
+    np.maximum(values, fc.log_floor, out=values)
     np.log(values, out=values)
     if not np.isfinite(values).all():
         raise FeatureError("non-finite values in log-mel output (corrupt input?)")
-    return LogMelSpectrogram(values, config.n_mels, config.frame_hop_s, config.frame_len_s)
+    return LogMelSpectrogram(values, fc.n_mels, fc.frame_hop_s, fc.frame_len_s)
 
 
 # ---------------------------------------------------------- feature cache

@@ -65,7 +65,10 @@ def load_manifest(path, require_audio: bool = True) -> Manifest:
     ManifestError naming the offending line numbers.
     """
     path = Path(path)
-    with io.StringIO(read_text(path, ManifestError), newline="") as fh:
+    text = read_text(path, ManifestError)
+    if "\0" in text:  # no OS call takes it in an audio path or a cache name
+        raise ManifestError(f"{path}: holds a NUL byte, so it is not a manifest")
+    with io.StringIO(text, newline="") as fh:
         first = fh.readline()
         line_offset = 1
         if first.startswith("#"):

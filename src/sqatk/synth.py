@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .frontend import FrontendConfig
 from .manifest import ManifestEntry, write_manifest
 from .quality import QualityScores
 
 SNR_GRID_DB = (0, 5, 10, 15, 20, 30)
 
 
-def write_wav_pcm16(path, samples: np.ndarray, sample_rate: int = 48000) -> None:
+def write_wav_pcm16(path, samples: np.ndarray, sample_rate: int = FrontendConfig.sample_rate) -> None:
     quantized = np.clip(np.asarray(samples), -1.0, 1.0)
     ints = (quantized * 32767.0).round().astype("<i2")
     with wave.open(str(path), "wb") as fh:
@@ -46,7 +47,6 @@ def generate_corpus(
     seed: int = 0,
     languages: tuple[str, ...] = ("ENG",),
     duration_s: float = 1.0,
-    sample_rate: int = 48000,
     n_val: int = 0,
     n_test: int = 0,
 ) -> Path:
@@ -58,8 +58,8 @@ def generate_corpus(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    n_samples = int(round(duration_s * sample_rate))
-    t = np.arange(n_samples) / sample_rate
+    n_samples = int(round(duration_s * FrontendConfig.sample_rate))
+    t = np.arange(n_samples) / FrontendConfig.sample_rate
 
     entries = []
     for i in range(n_clips):
@@ -71,7 +71,7 @@ def generate_corpus(
         signal = amplitude * np.sin(2.0 * np.pi * freq * t)
         noise_std = math.sqrt((amplitude**2 / 2.0) / (10.0 ** (snr_db / 10.0)))
         wave_data = signal + rng.normal(0.0, noise_std, size=n_samples)
-        drop_len = int(0.030 * sample_rate)
+        drop_len = int(0.030 * FrontendConfig.sample_rate)
         for _ in range(dropouts):
             start = int(rng.integers(0, max(1, n_samples - drop_len)))
             wave_data[start : start + drop_len] = 0.0
@@ -81,7 +81,7 @@ def generate_corpus(
 
         sample_id = f"syn{i:04d}"
         wav_path = out_dir / f"{sample_id}.wav"
-        write_wav_pcm16(wav_path, wave_data, sample_rate)
+        write_wav_pcm16(wav_path, wave_data)
 
         if i >= n_clips - n_test:
             split = "test"

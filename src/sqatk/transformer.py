@@ -24,8 +24,7 @@ from .frontend import FrontendConfig, LogMelSpectrogram
 from .quality import TASKS
 from .training import Scorer
 
-FRONT_END = FrontendConfig()  # the frames every model reads, as featurize writes them
-PAD_LOG_VALUE = math.log(FRONT_END.log_floor)
+PAD_LOG_VALUE = math.log(FrontendConfig.log_floor)
 
 
 class ModelError(ValueError):
@@ -52,16 +51,15 @@ class Window:
     n_mels: int = 128
     max_duration_s: float = 12.0
     tasks: ClassVar[tuple[str, ...]] = TASKS
-    pad_log_value: ClassVar[float] = PAD_LOG_VALUE
 
     def __post_init__(self):
-        if not 0 < self.max_duration_s / FRONT_END.frame_hop_s < math.inf:
+        if not 0 < self.max_duration_s / FrontendConfig.frame_hop_s < math.inf:
             raise ModelError("max_duration_s must be positive and finite")
         check_shapes({"input plane": ((self.n_mels, self.max_frames), None)})
 
     @property
     def max_frames(self) -> int:
-        return int(round(self.max_duration_s / FRONT_END.frame_hop_s))
+        return int(round(self.max_duration_s / FrontendConfig.frame_hop_s))
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def floor_pad(values: np.ndarray, config) -> np.ndarray:
     if values.shape[1] != config.n_mels:
         raise ModelError(f"spectrogram has {values.shape[1]} mel bins, config expects {config.n_mels}")
     n_real = min(values.shape[0], config.max_frames)
-    padded = np.full((config.n_mels, config.max_frames), config.pad_log_value, dtype=values.dtype)
+    padded = np.full((config.n_mels, config.max_frames), PAD_LOG_VALUE, dtype=values.dtype)
     padded[:, :n_real] = values[:n_real].T
     return padded
 
@@ -345,7 +343,8 @@ class SpectrogramTransformer(Scorer):
         """Turn a (frames, mels) feature matrix into the clip's valid
         patches, in the parameters' dtype, and their flat grid positions."""
         values = np.asarray(values, dtype=self.dtype)
-        spec = LogMelSpectrogram(values, values.shape[1], FRONT_END.frame_hop_s, FRONT_END.frame_len_s)
+        fc = FrontendConfig
+        spec = LogMelSpectrogram(values, values.shape[1], fc.frame_hop_s, fc.frame_len_s)
         seq = extract_patches(spec, self.config)
         return seq.patches[seq.valid], np.flatnonzero(seq.valid)
 

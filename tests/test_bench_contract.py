@@ -4,7 +4,9 @@ bench/tracer.py wraps each (owner, attr) of its WRAPPED table through
 owner.__dict__, and bench/*.py import sqatk names directly, so a src
 refactor that moves or renames one of them breaks only the traced bench
 run, and so do a flag or config key that bench/workloads.py passes.
-These tests read bench/ and change nothing in it.
+These tests read bench/ and change nothing in it; the one that runs
+run.py's valid_token_share, which computes from the front end's
+geometry itself, does so on a three-clip corpus.
 """
 
 import ast
@@ -12,18 +14,24 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from sqatk import cli
 from sqatk import frontend as fe
+from sqatk.manifest import load_manifest
+from sqatk.synth import generate_corpus
+from sqatk.transformer import SpectrogramTransformer, desk_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _load_bench(monkeypatch, stem: str):
+    """bench/<stem>.py as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -46,26 +54,18 @@ def test_every_sqatk_import_in_bench_resolves():
     assert checked > 0 and missing == []
 
 
-def test_every_wrapped_name_is_in_its_owners_own_dict():
-    wrapped = _load_tracer().WRAPPED
+def test_every_wrapped_name_is_in_its_owners_own_dict(monkeypatch):
+    wrapped = _load_bench(monkeypatch, "tracer").WRAPPED
     assert wrapped
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in wrapped if attr not in vars(owner)]
     assert missing == []
 
 
-def _load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_bench_stage_argv_parses_and_every_config_key_is_accepted(tmp_path, monkeypatch):
     """A CLI flag or config key that the bench passes and src drops makes
     every bench run exit 2 or 1; here it fails without running one."""
-    workloads = _load_workloads(monkeypatch)
+    workloads = _load_bench(monkeypatch, "workloads")
     parser = cli.build_parser()
     for workload in workloads.WORKLOADS.values():
         prepared = workloads.Prepared(manifest=tmp_path / "manifest.csv", config=tmp_path / "model.cfg",
@@ -81,3 +81,22 @@ def test_every_bench_stage_argv_parses_and_every_config_key_is_accepted(tmp_path
 def test_the_clip_length_the_tracer_adds_up_is_an_audio_clip_property():
     """tracer.py's frontend.audio_s count reads each decoded clip's duration_s."""
     assert fe.AudioClip(np.zeros(480), 48000).duration_s == 0.01
+
+
+def test_the_bench_valid_token_share_is_the_share_src_scores(tmp_path, monkeypatch):
+    """run.py counts a clip's valid tokens from FrontendConfig(), frame_count,
+    LogMelSpectrogram and extract_patches alone; the count must be what
+    SpectrogramTransformer.prepare keeps of the clip's log-mel. The 0.5 s
+    clips pad a 1 s window, so not every token is valid."""
+    manifest = generate_corpus(tmp_path / "corpus", n_clips=3, seed=5, duration_s=0.5)
+    workload = SimpleNamespace(max_duration_s=1.0)
+    share = _load_bench(monkeypatch, "run").valid_token_share(workload, manifest)
+
+    model = SpectrogramTransformer(desk_config(max_duration_s=workload.max_duration_s))
+    valid = total = 0
+    for entry in load_manifest(manifest).entries:
+        values = fe.log_mel_spectrogram(fe.decode_wav(entry.audio)).values
+        valid += 1 + len(model.prepare(values)[1])
+        total += 1 + model.config.n_patches
+    assert valid < total
+    assert share == valid / total

@@ -277,6 +277,19 @@ def test_checkpoint_of_the_earlier_format_predicts_the_same_bytes(corpus, workdi
     assert (tmp_path / "earlier.csv").read_bytes() == (tmp_path / "now.csv").read_bytes()
 
 
+@pytest.mark.parametrize("key, value", [("model.frame_hop_s", "0.02"), ("model.kernel", "5")])
+def test_checkpoint_of_another_frame_geometry_is_a_typed_error(corpus, workdir, tmp_path, capsys, key, value):
+    """A CNN checkpoint that echoes a hop or kernel other than the one the
+    models read was trained on another window; it scored with exit 0."""
+    _, echo, tensors = load_checkpoint(_cnn_checkpoint(tmp_path))
+    ckpt = tmp_path / "other.ckpt"
+    save_checkpoint(ckpt, "cnn", {**echo, key: value}, tensors)
+    assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: {key}={value}, but") and err.count("\n") == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_checkpoint_whose_dims_overflow_is_a_typed_error(corpus, workdir, tmp_path, capsys):
     """dims of 65536 x 4 overflow an int64 element count to 0; the count
     is a Python int, checked against the bytes left."""
@@ -831,6 +844,38 @@ def test_featurize_normalize_removes_its_spills_when_a_clip_fails(corpus, tmp_pa
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("field", ["audio", "sample_id"])
+def test_manifest_with_a_nul_byte_is_a_typed_error(corpus, tmp_path, capsys, field):
+    """A NUL in a row's audio path raised a bare ValueError from resolve()
+    as the manifest loaded, and one in its sample_id did as featurize
+    wrote that clip's cache."""
+    entries = load_manifest(corpus).entries
+    manifest = tmp_path / "nul.csv"
+    write_manifest(manifest, entries[:2])
+    raw = manifest.read_bytes()
+    name = entries[1].sample_id.encode() + (b".wav" if field == "audio" else b",")
+    assert raw.count(name) == 1
+    manifest.write_bytes(raw.replace(name, name[:2] + b"\0" + name[2:]))
+    assert main(["featurize", "--manifest", str(manifest), "--out", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: holds a NUL byte, so it is not a manifest\n"
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_featurize_of_a_signalling_nan_sample_names_the_wav_and_warns_of_nothing(corpus, tmp_path, capsys):
+    """The float32 cast of a signalling NaN printed NumPy's "invalid value
+    encountered in cast" before the error line, which had no file name."""
+    from test_frontend import float32_wav
+
+    raw = float32_wav(np.zeros(2400))
+    bad = tmp_path / "snan.wav"
+    bad.write_bytes(raw[:44] + struct.pack("<I", 0x7F800001) + raw[48:])  # the first sample
+    manifest = tmp_path / "snan.csv"
+    write_manifest(manifest, [replace(load_manifest(corpus).entries[0], audio=bad)])
+    assert main(["featurize", "--manifest", str(manifest), "--out", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: clip contains non-finite samples\n"
+
+
 def test_evaluate_reproduces_published_range_row(tmp_path, capsys):
     """A sample-level fixture whose per-cell correlations equal the
     published per-language grid must reproduce its printed Range row."""
@@ -883,10 +928,14 @@ def _exact_predictions(corpus, path):
     [
         lambda row: row.split(",")[0],  # short row
         lambda row: row.replace(row.split(",")[3], "abc", 1),  # non-numeric pred_mos
+        lambda row: ",".join(row.split(",")[:6] + ["nan"] + row.split(",")[7:]),  # pred_mos
+        lambda row: ",".join(row.split(",")[:6] + ["-inf"] + row.split(",")[7:]),
     ],
-    ids=["short_row", "non_numeric"],
+    ids=["short_row", "non_numeric", "nan", "inf"],
 )
 def test_bad_prediction_row_is_a_typed_error(corpus, tmp_path, capsys, mutate):
+    """A NaN or infinite prediction made calibrate's least squares raise
+    LinAlgError, a traceback."""
     pred = _exact_predictions(corpus, tmp_path / "pred.csv")
     lines = pred.read_text().splitlines()
     lines[2] = mutate(lines[2])
