@@ -8,8 +8,10 @@ with requires_grad=True) are their own nodes. Each closure captures the
 arrays its backward reads and no Tensor, so an intermediate array lives
 only while a caller or a closure holds it. add, sum, indexing and
 broadcast_to keep shapes; relu takes its mask from its own output;
-layer_norm keeps its normalized input and sigma; linear, conv2d and
-attention keep their inputs; maxpool2d keeps a map of winning slots.
+layer_norm keeps its normalized input and sigma; linear and conv2d
+keep their inputs; attention keeps its inputs, its output and each
+query row's log-sum-exp, no score matrix; maxpool2d keeps a map of
+winning slots.
 
 backward() on a result walks the recorded nodes in reverse topological
 order, routing gradients through a per-call map; leaves accumulate into
@@ -18,9 +20,11 @@ so backpropagating several losses that share a forward pass sums their
 gradients exactly. The op set is what the scoring models need:
 broadcast arithmetic, batched matmul, linear layers, shape ops, layer
 norm, GELU/ReLU, scaled dot-product attention (whose softmax is fused
-into it), 3x3 convolution and max pooling. GELU's erf is a rational
-approximation evaluated in the input's dtype, within 5e-7 of the exact
-erf in float32 and 1e-7 in float64, so the module needs NumPy alone.
+into it: five passes over each head's score matrix forward and nine
+backward, equal to the composed ops to rounding), 3x3 convolution and
+max pooling. GELU's erf is a rational approximation evaluated in the
+input's dtype, within 5e-7 of the exact erf in float32 and 1e-7 in
+float64, so the module needs NumPy alone.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
@@ -370,63 +374,72 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
 
     bias, if given, broadcasts against the (B,H,Nq,N) scores; -inf
     entries get exactly zero probability. The op runs one (batch, head)
-    slice at a time: a GEMM writes the slice's scores into an Nq x N
-    buffer, and the scale, the bias, the max shift, the exponential and
-    the row normalization run on it in place, leaving the probabilities
-    P. Every slice reuses that one buffer, recorded or not, so a call
-    holds one head's P at a time and a recorded call keeps no Nq x N
-    data at all. The backward recomputes each slice's P with the same
-    steps, then takes dv = P^T @ g and turns dP = g @ v^T into the score
-    gradient in place. Each step runs in the same order as in the
-    composed matmul/scale/bias/softmax/matmul ops, slice by slice as
-    their batched GEMMs do, so outputs and gradients are bit-equal to
-    theirs."""
+    slice at a time in one reused Nq x N buffer, in five passes: the GEMM
+    of the scaled queries q / sqrt(dh) with k^T (plus the bias), the row
+    max, its subtraction, exp, and one GEMM with [v | 1], whose last
+    column gives the row sums that divide the Nq x dh output (Rabe &
+    Staats 2021). A recorded call keeps its inputs, its output and each
+    row's log-sum-exp lse, no Nq x N data. The backward recomputes
+    P = exp(scores - lse), takes dv = P^T @ g and dP = g @ v^T, and
+    forms P * (dP - delta) in place, with delta = rowsum(g * out)
+    (FlashAttention-2, Dao 2023): nine passes over two buffers. The
+    values equal the composed scale/softmax/matmul ops' to within 1e-14
+    (float64) and 2e-6 (float32) of their largest magnitude."""
     scale = 1.0 / math.sqrt(q.data.shape[-1])  # a Python float keeps float32 scores float32
     lead = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2], v.data.shape[:-2])
-    n_q, n_k = q.data.shape[-2], k.data.shape[-2]
+    n_q, n_k, d_v = q.data.shape[-2], k.data.shape[-2], v.data.shape[-1]
     qs, ks, vs = (np.broadcast_to(t.data, lead + t.data.shape[-2:]) for t in (q, k, v))
     score_dtype = np.result_type(q.data, k.data)
-    out = np.empty(lead + (n_q, v.data.shape[-1]), dtype=np.result_type(score_dtype, v.data))
     if bias is not None:
         bias = np.broadcast_to(bias, lead + (n_q, n_k))
 
-    def probs(idx, p):
-        """Slice idx's probabilities, computed in place in the Nq x N buffer p."""
-        np.matmul(qs[idx], ks[idx].swapaxes(-1, -2), out=p)
-        p *= scale
+    def scores(q_scaled, idx, p):
+        """Slice idx's scores q / sqrt(dh) @ k^T + bias, written into the
+        Nq x N buffer p."""
+        np.matmul(q_scaled[idx], ks[idx].swapaxes(-1, -2), out=p)
         if bias is not None:
             p += bias[idx]
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p
 
+    q_scaled = qs * scale
+    v_ones = np.concatenate([vs, np.ones(lead + (n_k, 1), dtype=vs.dtype)], axis=-1)
+    out_sum = np.empty(lead + (n_q, d_v + 1), dtype=np.result_type(score_dtype, v.data))
+    lse = np.empty(lead + (n_q, 1), dtype=score_dtype)  # the row max, until the loop ends
     p = np.empty((n_q, n_k), dtype=score_dtype)
     for idx in np.ndindex(*lead):
-        np.matmul(probs(idx, p), vs[idx], out=out[idx])
+        scores(q_scaled, idx, p)
+        p -= np.max(p, axis=-1, keepdims=True, out=lse[idx])
+        np.exp(p, out=p)
+        np.matmul(p, v_ones[idx], out=out_sum[idx])
+    row_sum = out_sum[..., d_v:]
+    out = out_sum[..., :d_v] / row_sum
+    lse += np.log(row_sum)
 
     need_dq, need_dk, need_dv = q.requires_grad, k.requires_grad, v.requires_grad
 
     def backward(g):
+        q_scaled = qs * scale
         p = np.empty((n_q, n_k), dtype=score_dtype)
         ds = np.empty((n_q, n_k), dtype=np.result_type(g, vs))
-        ds_p = np.empty_like(ds)
+        delta = (g * out).sum(axis=-1, keepdims=True)
         dq = np.empty(qs.shape, dtype=ds.dtype) if need_dq else None
         # dk in the layout of q^T @ ds, handed back as its swapped view
         dkt = np.empty(lead + (ks.shape[-1], n_k), dtype=ds.dtype) if need_dk else None
         dv = np.empty(vs.shape, dtype=ds.dtype) if need_dv else None
         for idx in np.ndindex(*lead):
-            probs(idx, p)
+            scores(q_scaled, idx, p)
+            p -= lse[idx]
+            np.exp(p, out=p)
             if dv is not None:
                 np.matmul(p.swapaxes(-1, -2), g[idx], out=dv[idx])
             np.matmul(g[idx], vs[idx].swapaxes(-1, -2), out=ds)
-            ds -= np.multiply(ds, p, out=ds_p).sum(axis=-1, keepdims=True)
+            ds -= delta[idx]
             ds *= p
-            ds *= scale
             if dq is not None:
                 np.matmul(ds, ks[idx], out=dq[idx])
             if dkt is not None:
-                np.matmul(qs[idx].swapaxes(-1, -2), ds, out=dkt[idx])
+                np.matmul(q_scaled[idx].swapaxes(-1, -2), ds, out=dkt[idx])
+        if dq is not None:
+            dq *= scale
         return dq, None if dkt is None else dkt.swapaxes(-1, -2), dv
 
     return q._make(out, (q, k, v), backward)

@@ -109,20 +109,34 @@ def frame_count(num_samples: int, window_samples: int, hop_samples: int) -> int:
 # ---------------------------------------------------------------- WAV I/O
 
 
-def _parse_fmt_chunk(body: memoryview) -> tuple[int, int, int, int]:
+# WAVE_FORMAT_EXTENSIBLE (0xFFFE) names its codec by a sub-format GUID:
+# the format code (1 PCM, 3 IEEE float) in its first two bytes, then these
+# fourteen.
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _parse_fmt_chunk(body: memoryview, path) -> tuple[int, int, int, int]:
     if len(body) < 16:
-        raise WavFormatError("fmt chunk too short")
+        raise WavFormatError(f"{path}: fmt chunk too short")
     audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack(
         "<HHIIHH", body[:16]
     )
+    if audio_format == 0xFFFE:
+        if len(body) < 40:
+            raise WavFormatError(f"{path}: extensible fmt chunk of {len(body)} bytes, under 40")
+        if body[26:40] != _GUID_TAIL:
+            raise WavFormatError(f"{path}: unsupported extensible sub-format {bytes(body[24:40]).hex()}")
+        (audio_format,) = struct.unpack("<H", body[24:26])
     return audio_format, channels, rate, bits
 
 
 def decode_wav(path: str | os.PathLike) -> AudioClip:
     """Decode a RIFF/WAVE file into a mono AudioClip.
 
-    Accepts 16-bit integer PCM and 32-bit IEEE float, mono or stereo.
-    Stereo is averaged to mono; integer samples are scaled by 1/32768.
+    Accepts 16-bit integer PCM and 32-bit IEEE float, mono or stereo,
+    each also in a WAVE_FORMAT_EXTENSIBLE fmt chunk of at least 40 bytes
+    whose sub-format is that codec. Stereo is averaged to mono; integer
+    samples are scaled by 1/32768.
     Every AudioError it raises names the file, those of AudioClip's
     checks (the 48 kHz rate among them) included, and keeps its class.
     """
@@ -140,7 +154,7 @@ def decode_wav(path: str | os.PathLike) -> AudioClip:
         if len(body) < chunk_len:
             raise WavFormatError(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
-            fmt = _parse_fmt_chunk(body)
+            fmt = _parse_fmt_chunk(body, path)
         elif chunk_id == b"data":
             data = body
         pos += 8 + chunk_len + (chunk_len & 1)  # chunks are word-aligned

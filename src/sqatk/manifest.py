@@ -100,6 +100,9 @@ def load_manifest(path, require_audio: bool = True) -> Manifest:
             row_problems = []
             if not rec["sample_id"]:
                 row_problems.append("empty sample_id")
+            elif set(rec["sample_id"]) & {"/", "\\"} or rec["sample_id"] in (".", ".."):
+                # its feature cache is <features dir>/<sample_id>.feat
+                row_problems.append(f"sample_id {rec['sample_id']!r} is not a plain file name")
             elif rec["sample_id"] in seen_ids:
                 row_problems.append(f"duplicate sample_id {rec['sample_id']!r}")
             if rec["split"] not in SPLITS:

@@ -14,6 +14,7 @@ Shapes below use B=batch, P=patches, N=P+1 tokens, D=embed dim.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -25,6 +26,7 @@ from .quality import TASKS
 from .training import Scorer
 
 PAD_LOG_VALUE = math.log(FrontendConfig.log_floor)
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class ModelError(ValueError):
@@ -33,6 +35,10 @@ class ModelError(ValueError):
 
 class NonFiniteError(ModelError):
     """Non-finite activations, a divergence signal."""
+
+
+def _count(spec: ParamSpec) -> int:
+    return sum(math.prod(shape) for shape, _ in spec.values())
 
 
 def check_shapes(spec: ParamSpec) -> None:
@@ -88,7 +94,15 @@ class ModelConfig(Window):
             raise ModelError("mlp_ratio must give at least one hidden unit")
         if self.n_layers < 0:
             raise ModelError("n_layers must be >= 0")
-        check_shapes(param_spec(self))
+        # Every layer has the shapes of the first, so a one-layer spec
+        # checks them all, and the count never builds n_layers entries.
+        one_layer = param_spec(self, n_layers=1)
+        check_shapes(one_layer)
+        base = _count(param_spec(self, n_layers=0))
+        n_bytes = 4 * (base + self.n_layers * (_count(one_layer) - base))
+        if n_bytes > PHYSICAL_MEMORY:
+            raise ModelError(f"n_layers={self.n_layers} needs {n_bytes / 2**30:.3g} GiB of float32 parameters, "
+                             f"more than this machine's {PHYSICAL_MEMORY / 2**30:.3g} GiB of memory")
 
     @property
     def n_freq_patches(self) -> int:
@@ -159,10 +173,10 @@ def extract_patches(spec: LogMelSpectrogram, config: ModelConfig) -> PatchSequen
 # ------------------------------------------------------------- parameters
 
 
-def param_spec(config: ModelConfig) -> ParamSpec:
+def param_spec(config: ModelConfig, n_layers: int | None = None) -> ParamSpec:
     """Every parameter's shape and init, in init order: uniform weights,
     positions and heads; zero biases and CLS token; unit layer-norm
-    scales."""
+    scales. n_layers, if given, replaces config.n_layers."""
     d = config.embed_dim
     p2 = config.patch_size**2
     hidden = config.mlp_hidden
@@ -173,7 +187,7 @@ def param_spec(config: ModelConfig) -> ParamSpec:
         "pos_cls": ((d,), d),
         "pos_grid": ((config.n_freq_patches, config.n_time_patches, d), d),
     }
-    for i in range(config.n_layers):
+    for i in range(config.n_layers if n_layers is None else n_layers):
         pre = f"layer{i}_"
         spec[pre + "ln1_gamma"] = ((d,), "ones")
         spec[pre + "ln1_beta"] = ((d,), "zeros")

@@ -663,6 +663,7 @@ def test_cnn_window_that_pools_time_away_is_a_typed_error(corpus, workdir, tmp_p
         ("cnn", "max_duration_s", "1e17"),
         ("ast", "mlp_ratio", "1e300"),
         ("cnn", "channels", "8,4611686018427387904"),
+        ("ast", "n_layers", "1000000000"),
     ],
 )
 def test_config_value_that_breaks_the_model_is_a_typed_error(corpus, workdir, tmp_path, capsys, kind, key, value):
@@ -671,7 +672,8 @@ def test_config_value_that_breaks_the_model_is_a_typed_error(corpus, workdir, tm
     in train and from a checkpoint echo in predict. Both exit 1. The
     1e12 s window's arrays take over 2**47 bytes, more than any address
     space holds, so their allocation fails at once; NumPy cannot shape
-    those of 1e17 s at all."""
+    those of 1e17 s at all. A billion layers' parameter spec took hours
+    to build; their count now fails against the machine's memory."""
     base = DESK_CONFIG if kind == "ast" else CNN_CONFIG
     config = tmp_path / "bad.cfg"
     config.write_text(base + f"{key}={value}\n")
@@ -859,6 +861,20 @@ def test_manifest_with_a_nul_byte_is_a_typed_error(corpus, tmp_path, capsys, fie
     assert main(["featurize", "--manifest", str(manifest), "--out", str(tmp_path / "f")]) == 1
     assert capsys.readouterr().err == f"error: {manifest}: holds a NUL byte, so it is not a manifest\n"
     assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("sample_id", ["../escaped", "sub/name", "..\\escaped", ".."])
+def test_sample_id_that_is_not_a_file_name_is_a_typed_error(corpus, tmp_path, capsys, sample_id):
+    """featurize writes <out>/<sample_id>.feat, so an id of ../escaped
+    wrote its cache beside --out, not in it."""
+    entries = load_manifest(corpus).entries
+    manifest = tmp_path / "ids.csv"
+    write_manifest(manifest, [entries[0], replace(entries[1], sample_id=sample_id)])
+    out = tmp_path / "out" / "feats"
+    assert main(["featurize", "--manifest", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: 1 bad row(s):\n  line 4: sample_id {sample_id!r} is not a plain file name\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [manifest]
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,6 +3,7 @@ and the brute-force DFT oracle."""
 
 import re
 import struct
+import uuid
 import wave
 
 import numpy as np
@@ -42,6 +43,24 @@ def float32_wav(samples, rate=SR) -> bytes:
     fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 4, 4, 32)
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def sub_format(code) -> bytes:
+    """The WAVE_FORMAT_EXTENSIBLE sub-format GUID of a format code, as
+    the fmt chunk stores it."""
+    return uuid.UUID(f"{code:08x}-0000-0010-8000-00aa00389b71").bytes_le
+
+
+def extensible_wav(raw, guid=None, bits=None, fmt_len=40) -> bytes:
+    """raw, a WAV with a 16-byte fmt chunk and then its data chunk, with
+    the fmt chunk rewritten as WAVE_FORMAT_EXTENSIBLE (0xFFFE): its codec
+    moves into the sub-format GUID, and the chunk is cut to fmt_len."""
+    code, channels, rate, byte_rate, align, plain_bits = struct.unpack("<HHIIHH", raw[20:36])
+    bits = bits or plain_bits
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, byte_rate, align, bits, 22, bits, 0)
+    fmt = (fmt + (guid or sub_format(code)))[:fmt_len]
+    body = b"fmt " + struct.pack("<I", len(fmt)) + fmt + raw[36:]
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
 
@@ -144,6 +163,39 @@ def test_decode_rejects_unsupported_codec(tmp_path):
     body += b"data" + struct.pack("<I", 4) + b"\x00\x00\x00\x00"
     path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
     with pytest.raises(fe.WavFormatError, match="codec"):
+        fe.decode_wav(path)
+
+
+@pytest.mark.parametrize("codec, channels", [("pcm16", 1), ("pcm16", 2), ("float32", 1)])
+def test_extensible_wav_decodes_as_its_plain_twin(tmp_path, codec, channels):
+    """A WAVE_FORMAT_EXTENSIBLE file whose sub-format is 16-bit PCM or
+    32-bit float decodes bit for bit as the same file in format 1 or 3."""
+    plain = tmp_path / "plain.wav"
+    samples = np.random.default_rng(1).uniform(-0.9, 0.9, size=480)
+    if codec == "pcm16":
+        write_pcm16(plain, samples, channels=channels)
+    else:
+        write_float32(plain, samples)
+    ext = tmp_path / "ext.wav"
+    ext.write_bytes(extensible_wav(plain.read_bytes()))
+    want, got = fe.decode_wav(plain).samples, fe.decode_wav(ext).samples
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(bits=24), r"unsupported codec \(format=1, bits=24\)"),
+    (dict(guid=uuid.UUID("00000001-0721-11d3-8644-c8c1ca000000").bytes_le),
+     "unsupported extensible sub-format 010000002107d3118644c8c1ca000000$"),
+    (dict(guid=sub_format(7)), r"unsupported codec \(format=7, bits=16\)"),
+    (dict(fmt_len=18), "extensible fmt chunk of 18 bytes, under 40"),
+], ids=["pcm24", "ambisonic-guid", "mulaw-guid", "short-chunk"])
+def test_extensible_wav_of_another_codec_is_rejected_by_name(tmp_path, kwargs, message):
+    plain = tmp_path / "plain.wav"
+    write_pcm16(plain, np.zeros(48))
+    path = tmp_path / "ext.wav"
+    path.write_bytes(extensible_wav(plain.read_bytes(), **kwargs))
+    with pytest.raises(fe.WavFormatError, match=f"^{re.escape(str(path))}: {message}"):
         fe.decode_wav(path)
 
 
@@ -400,6 +452,7 @@ _WAV = float32_wav(np.random.default_rng(0).uniform(-0.9, 0.9, size=8))
 @settings(max_examples=300)
 @given(raw=damaged(_WAV))
 @example(raw=_WAV[:16] + struct.pack("<I", 14) + _WAV[20:])  # a fmt chunk too short to unpack
+@example(raw=extensible_wav(_WAV))  # the same clip in a WAVE_FORMAT_EXTENSIBLE fmt chunk
 @example(raw=_WAV[:40] + struct.pack("<I", 31) + _WAV[44:])  # data of 7.75 samples
 @example(raw=_WAV[:44] + struct.pack("<I", 0x7F800001) + _WAV[48:])  # a signalling NaN sample
 @example(raw=_WAV[:22] + struct.pack("<H", 2) + _WAV[24:44] + struct.pack("<ff", np.inf, -np.inf) + _WAV[52:])

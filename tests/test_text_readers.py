@@ -56,11 +56,10 @@ _MAPS = (
     "DE,mos,0.25,1.0,-0.5,0.125,1.5,4.5\r\n"
     "ENG,mos,0.0,1.0,0.0,0.0,1.0,5.0\r\n"
 ).encode()
-# Keys of all three config classes. n_layers is left out: a few inserted
-# digits would ask ModelConfig for a param_spec of 10**12 layers.
+# Keys of all three config classes.
 _CONFIG = (
     "# desk\n"
-    "embed_dim=32\nn_heads=2\nmlp_ratio=4.0\npatch_size=16\nmax_duration_s=1.0\nn_mels=128\n"
+    "embed_dim=32\nn_layers=2\nn_heads=2\nmlp_ratio=4.0\npatch_size=16\nmax_duration_s=1.0\nn_mels=128\n"
     "channels=8,16\npool=2,2\n"
     "learning_rate=0.003\nmax_epochs=3\nbatch_size=100\nseed=7\n"
 ).encode()
@@ -119,6 +118,7 @@ def test_damaged_calibration_maps_load_or_fail_with_an_error_main_reports(tmp_pa
 
 @settings(max_examples=300)
 @given(raw=damaged(_CONFIG))
+@example(raw=_CONFIG.replace(b"n_layers=2", b"n_layers=1000000000"))
 def test_damaged_config_builds_its_configs_or_fails_with_an_error_main_reports(tmp_path_factory, raw):
     """The configs train builds, without the model: a damaged embed_dim
     can ask for gigabytes of parameters."""
