@@ -490,12 +490,12 @@ def _overlap(offset: int, size: int, out_size: int) -> tuple[slice, slice]:
 
 
 def _im2col(src: np.ndarray, taps, cols: np.ndarray) -> np.ndarray:
-    """Fill cols, (C, len(taps), *lead, out_h, out_w), with one shifted
-    copy of the (C, *lead, H, W) input src per kernel tap, each running
-    along the contiguous time axis. A tap copies the part of the input it
-    overlaps and zeroes only the border strips that fall on the padding,
-    so no padded copy of the input is made. Returns cols as its
-    (C*len(taps), rest) GEMM matrix."""
+    """Fill cols, (C, len(taps), out_h, out_w), with one shifted copy of
+    the (C, H, W) input src per kernel tap, each running along the
+    contiguous time axis. A tap copies the part of the input it overlaps
+    and zeroes only the border strips that fall on the padding, so no
+    padded copy of the input is made. Returns cols as its
+    (C*len(taps), out_h*out_w) GEMM matrix."""
     for j, (rows, src_rows, span, src_span) in enumerate(taps):
         tap = cols[:, j]
         tap[..., : rows.start, :] = 0.0
@@ -516,18 +516,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
     in place. The NCHW result is a transposed view of that array, which
     a following conv2d reads channel-major with no copy.
 
-    The backward keeps no columns either. It works through groups of
-    consecutive taps of at least 8 rows (C x taps): it rebuilds a
-    group's columns over the whole batch for dw = g_mat @ cols.T, then
-    computes the group's dcols = w_mat.T @ g_mat and adds its shifted
-    slices (col2im) onto an unpadded input gradient, in tap order.
+    The backward runs the same loop and keeps no columns between calls:
+    for each sample it rebuilds the columns into one buffer of its own,
+    adds g_n @ cols_n.T into dw, then writes w_mat.T @ g_n into that
+    buffer and adds its shifted slices (col2im) into the sample's slice
+    of an unpadded input gradient, in tap order. The closure holds the
+    input and weight arrays, the shapes and the taps.
 
-    Each split GEMM sums every element over the terms of the whole
-    one, and the BLAS adds them in the same order where each part spans
-    whole kernel tiles and at least 8 rows (a narrower GEMM can go to a
-    kernel that sums in another order). The desk CNN's layers meet
-    this, so their outputs and gradients are those of one full-column
-    GEMM, bit for bit; tests pin it at their shapes."""
+    So the output and dx take one GEMM per sample, and dw is the sum of
+    the per-sample GEMMs in sample order. One GEMM over the whole batch's
+    columns can round otherwise: the BLAS may pick another kernel, or sum
+    in another order, for a wider matrix."""
     batch, in_ch, height, width = x.data.shape
     out_ch, w_in_ch, kh, kw = w.data.shape
     if w_in_ch != in_ch:
@@ -551,26 +550,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
         np.matmul(w_mat, _im2col(xd[n], taps, cols), out=out_data[:, n])
     out_data += b.data[:, None, None]
 
-    per_group = min(n_taps, -(-8 // in_ch))  # taps per group, for at least 8 rows
-    bounds = list(range(0, n_taps - per_group + 1, per_group)) + [n_taps]  # the last takes the rest
-
     def backward(g):
-        g_mat = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * out_h * out_w)
-        xt = xd.transpose(1, 0, 2, 3)
-        w_taps = wd.reshape(out_ch, in_ch, n_taps)
-        dw = np.empty_like(w_taps) if need_dw else None
+        dw = np.zeros_like(w_mat) if need_dw else None
         dxt = np.zeros((in_ch, batch, height, width), dtype=dtype) if need_dx else None
-        for lo, hi in zip(bounds, bounds[1:]):
+        cols = np.empty((in_ch, n_taps, out_h, out_w), dtype=dtype)
+        for n in range(batch):
+            g_n = g[n].reshape(out_ch, out_h * out_w)
             if dw is not None:
-                cols = _im2col(xt, taps[lo:hi], np.empty((in_ch, hi - lo, batch, out_h, out_w), dtype=dtype))
-                dw[:, :, lo:hi] = (g_mat @ cols.T).reshape(out_ch, in_ch, hi - lo)
-                del cols
+                dw += g_n @ _im2col(xd[n], taps, cols).T
             if dxt is not None:
-                w_group = np.ascontiguousarray(w_taps[:, :, lo:hi]).reshape(out_ch, -1)
-                dcols = (w_group.T @ g_mat).reshape(in_ch, hi - lo, batch, out_h, out_w)
-                for j, (rows, src_rows, span, src_span) in enumerate(taps[lo:hi]):
-                    dxt[:, :, src_rows, src_span] += dcols[:, j, :, rows, span]
-                del dcols
+                np.matmul(w_mat.T, g_n, out=cols.reshape(in_ch * n_taps, -1))
+                for j, (rows, src_rows, span, src_span) in enumerate(taps):
+                    dxt[:, n, src_rows, src_span] += cols[:, j, rows, span]
         dx = None if dxt is None else dxt.transpose(1, 0, 2, 3)
         dw = None if dw is None else dw.reshape(wd.shape)
         return dx, dw, g.sum(axis=(0, 2, 3))

@@ -125,11 +125,25 @@ def save_calibration_maps(path, maps: dict[tuple[str, str], CalibrationMap]) -> 
 
 
 def load_calibration_maps(path) -> dict[tuple[str, str], CalibrationMap]:
+    """The maps of a file save_calibration_maps wrote. A number that is
+    not finite, a domain_lo above domain_hi, or a second map for one
+    (group, dim) raises CalibrationError naming the file and line."""
     maps: dict[tuple[str, str], CalibrationMap] = {}
-    for line_no, (group, dim, *numbers) in read_csv(path, _HEADER, "calibration", CalibrationError):
+    first_line: dict[tuple[str, str], int] = {}
+    for line_no, (group, dim, *fields) in read_csv(path, _HEADER, "calibration", CalibrationError):
+        where = f"{path}: line {line_no}"
         try:
-            a0, a1, a2, a3, lo, hi = (float(v) for v in numbers)
+            numbers = [float(v) for v in fields]
         except ValueError as exc:
-            raise CalibrationError(f"{path}: line {line_no}: {exc}") from exc
+            raise CalibrationError(f"{where}: {exc}") from exc
+        for name, value in zip(_HEADER[2:], numbers):
+            if not math.isfinite(value):
+                raise CalibrationError(f"{where}: {name} = {value} is not finite")
+        a0, a1, a2, a3, lo, hi = numbers
+        if lo > hi:
+            raise CalibrationError(f"{where}: domain_lo {lo!r} is above domain_hi {hi!r}")
+        first = first_line.setdefault((group, dim), line_no)
+        if first != line_no:
+            raise CalibrationError(f"{where}: a second map for {group}/{dim}, first on line {first}")
         maps[(group, dim)] = CalibrationMap((a0, a1, a2, a3), (lo, hi))
     return maps

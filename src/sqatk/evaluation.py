@@ -233,9 +233,13 @@ def _score(text: str) -> float | None:
 
 def read_predictions(path) -> list[PredictionRow]:
     rows: list[PredictionRow] = []
+    first_line: dict[str, int] = {}
     n = len(DIM_ORDER)
     for line_no, rec in read_csv(path, _PREDICTION_COLUMNS, "predictions", MetricError):
         sample_id, language, provenance, *scores = rec
+        first = first_line.setdefault(sample_id, line_no)
+        if first != line_no:
+            raise MetricError(f"{path}: line {line_no}: duplicate sample_id {sample_id!r}, first on line {first}")
         try:
             pred, label = (
                 QualityScores(**{d: _score(v) for d, v in zip(DIM_ORDER, fields)})

@@ -581,10 +581,12 @@ def test_recorded_conv2d_keeps_its_output_not_its_columns(rng):
 
 
 def _conv2d_full_columns(x, w, b, g, padding=1):
-    """conv2d as it was before it split its GEMMs by sample and by tap
-    group: one (C*kh*kw, B*out_h*out_w) im2col matrix, one GEMM for the
-    output, one for dw and one for the dcols that col2im scatters.
-    Returns the output and dx, dw, db for upstream g."""
+    """conv2d over one (C*kh*kw, B*out_h*out_w) im2col matrix, as it was
+    before it split its GEMMs, but with each GEMM taken over one
+    sample's column slice at a time, in sample order: the output and
+    the dcols that col2im scatters slice by slice, and dw as the sum of
+    the per-sample GEMMs. Returns the output and dx, dw, db for
+    upstream g."""
     batch, in_ch, height, width = x.shape
     out_ch, _, kh, kw = w.shape
     out_h = height + 2 * padding - kh + 1
@@ -597,28 +599,43 @@ def _conv2d_full_columns(x, w, b, g, padding=1):
     for t, rows, src_rows, span, src_span in taps:
         cols[:, t, :, rows, span] = xt[:, :, src_rows, src_span]
     cols = cols.reshape(in_ch * kh * kw, batch * out_h * out_w)
+    samples = [slice(n * out_h * out_w, (n + 1) * out_h * out_w) for n in range(batch)]
     w_mat = w.reshape(out_ch, in_ch * kh * kw)
-    out = (w_mat @ cols + b[:, None]).reshape(out_ch, batch, out_h, out_w).transpose(1, 0, 2, 3)
     g_mat = g.transpose(1, 0, 2, 3).reshape(out_ch, batch * out_h * out_w)
-    dw = (g_mat @ cols.T).reshape(w.shape)
-    dcols = (w_mat.T @ g_mat).reshape(in_ch, kh * kw, batch, out_h, out_w)
+    out = np.empty((out_ch, batch * out_h * out_w), dtype=x.dtype)
+    dw = np.zeros_like(w_mat)
+    dcols = np.empty_like(cols)
+    for part in samples:
+        out[:, part] = w_mat @ cols[:, part]
+        dw += g_mat[:, part] @ cols[:, part].T
+        dcols[:, part] = w_mat.T @ g_mat[:, part]
+    out = (out + b[:, None]).reshape(out_ch, batch, out_h, out_w).transpose(1, 0, 2, 3)
+    dcols = dcols.reshape(in_ch, kh * kw, batch, out_h, out_w)
     dxt = np.zeros((in_ch, batch, height, width), dtype=x.dtype)
     for t, rows, src_rows, span, src_span in taps:
         dxt[:, :, src_rows, src_span] += dcols[:, t, :, rows, span]
-    return out, dxt.transpose(1, 0, 2, 3), dw, g.sum(axis=(0, 2, 3))
+    return out, dxt.transpose(1, 0, 2, 3), dw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+
+
+FULL_COLUMN_SHAPES = [  # in_ch, out_ch, height, width, batch
+    (1, 16, 128, 200, 8), (2, 16, 64, 100, 8), (3, 16, 64, 100, 8), (16, 32, 64, 100, 8),
+    (32, 64, 32, 50, 8), (64, 64, 16, 25, 8), (32, 8, 24, 17, 8), (4, 8, 12, 17, 8), (4, 8, 12, 17, 2),
+]
 
 
 @pytest.mark.parametrize(
-    "in_ch,out_ch,height,width",
-    [(1, 16, 128, 200), (2, 16, 64, 100), (3, 16, 64, 100), (16, 32, 64, 100), (32, 64, 32, 50),
-     (64, 64, 16, 25)],
+    "in_ch,out_ch,height,width,batch",
+    FULL_COLUMN_SHAPES,
+    ids=["-".join(map(str, row[:4])) + ("" if row[4] == 8 else f"-batch{row[4]}") for row in FULL_COLUMN_SHAPES],
 )
-def test_conv2d_is_bit_equal_to_one_full_column_gemm(rng, in_ch, out_ch, height, width):
-    """Output, dx, dw and db equal the full-column reference's bits in
-    float32 at batch 8, on the desk CNN's four layer shapes and two
-    narrow inputs: with 1 channel all 9 taps form one group, with 2 and
-    3 the groups have 8 to 10 rows, with 16 or more one tap each."""
-    batch = 8
+def test_conv2d_is_bit_equal_to_one_full_column_gemm(rng, in_ch, out_ch, height, width, batch):
+    """Output, dx, dw and db equal the bits of the full-column reference
+    taken one sample's columns at a time, in float32, on the desk CNN's
+    four layer shapes, two narrow inputs and three shapes whose columns
+    per sample are no multiple of 16 (12 x 17, 24 x 17). Every value is
+    a per-sample GEMM at every shape; when the backward split its GEMMs
+    by tap group over the whole batch, it matched one whole-batch GEMM
+    on the desk shapes only."""
     data = rng.normal(size=(in_ch, batch, height, width)).astype(np.float32).transpose(1, 0, 2, 3)
     x = Tensor(data, requires_grad=True)
     w = Tensor(rng.normal(size=(out_ch, in_ch, 3, 3)).astype(np.float32), requires_grad=True)
@@ -637,8 +654,8 @@ def test_conv2d_peaks_under_half_its_columns(rng):
     64 x 100, float32; 29.5 MB of im2col columns) the recorded forward
     and the backward each peak below half the columns: the forward
     builds one sample's columns at a time (9.8 MiB with its 6.5 MB
-    output), the backward one tap's over the batch (6.4 MiB; the full
-    columns peaked at 31.4 MiB)."""
+    output), and so does the backward (6.7 MiB with its 3.3 MB input
+    gradient; the full columns peaked at 31.4 MiB)."""
     x = Tensor(rng.normal(size=(16, 8, 64, 100)).astype(np.float32).transpose(1, 0, 2, 3), requires_grad=True)
     w = Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32), requires_grad=True)
     b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
@@ -654,6 +671,21 @@ def test_conv2d_peaks_under_half_its_columns(rng):
     backward_peak, _ = peak_traced_bytes(lambda: out.backward(g))
     assert forward_peak < half_columns, f"forward peak {forward_peak / 2**20:.1f} MiB"
     assert backward_peak < half_columns, f"backward peak {backward_peak / 2**20:.1f} MiB"
+
+
+def test_conv2d_backward_of_the_first_layer_holds_one_samples_columns(rng):
+    """The desk CNN's first layer (1 -> 16 channels, batch 8, 128 x 200,
+    float32) on an input that needs no gradient: its backward rebuilds
+    one sample's 0.9 MB of columns at a time for dw, so it peaks under
+    2 MiB; columns over the whole batch (7.4 MB) would not fit."""
+    x = Tensor(rng.normal(size=(8, 1, 128, 200)).astype(np.float32))
+    w = Tensor(rng.normal(size=(16, 1, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+    out = conv2d(x, w, b)
+    g = rng.normal(size=(16, 8, 128, 200)).astype(np.float32).transpose(1, 0, 2, 3)  # the output's layout
+    peak, _ = peak_traced_bytes(lambda: out.backward(g))
+    assert w.grad is not None and x.grad is None
+    assert peak < 2 * 2**20, f"backward peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (2, 7, 5)])

@@ -976,6 +976,50 @@ def test_bad_calibration_map_is_a_typed_error(corpus, tmp_path, capsys, row):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "calibrate"])
+def test_predictions_that_repeat_a_sample_id_are_a_typed_error(corpus, tmp_path, capsys, command):
+    """A repeated row was evaluated twice (evaluate printed one sample
+    more than the file holds) and fit twice by calibrate."""
+    pred = _exact_predictions(corpus, tmp_path / "pred.csv")
+    lines = pred.read_text().splitlines()
+    pred.write_text("\n".join(lines + lines[-1:]) + "\n")
+    sample_id = lines[-1].split(",")[0]
+    out = tmp_path / "out.csv"
+    code = main([command, "--pred", str(pred), "--labels", str(corpus), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {pred}: line {len(lines) + 1}: duplicate sample_id {sample_id!r}, "
+                   f"first on line {len(lines)}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        (["DE,mos,0.0,inf,0.0,0.0,1.0,5.0"], "line 2: a1 = inf is not finite"),
+        (["DE,mos,nan,1.0,0.0,0.0,1.0,5.0"], "line 2: a0 = nan is not finite"),
+        (["DE,mos,0.0,1.0,0.0,0.0,1.0,-inf"], "line 2: domain_hi = -inf is not finite"),
+        (["DE,mos,0.0,1.0,0.0,0.0,5.0,1.0"], "line 2: domain_lo 5.0 is above domain_hi 1.0"),
+        (["DE,mos,0.0,1.0,0.0,0.0,1.0,5.0", "ENG,mos,0.0,1.0,0.0,0.0,1.0,5.0", "DE,mos,1.0,0.5,0.0,0.0,1.0,5.0"],
+         "line 4: a second map for DE/mos, first on line 2"),
+    ],
+    ids=["inf_a1", "nan_a0", "inf_domain", "reversed_domain", "repeated_map"],
+)
+def test_calibration_map_that_cannot_be_applied_as_written_is_a_typed_error(corpus, tmp_path, capsys, rows, named):
+    """An infinite slope clipped every DE MOS to 5 with exit 0, a NaN
+    ended in an error about a PCC cell, a reversed domain loaded, and a
+    second map for one (group, dim) silently replaced the first."""
+    maps = tmp_path / "maps.csv"
+    maps.write_text("group,dim,a0,a1,a2,a3,domain_lo,domain_hi\n" + "".join(f"{row}\n" for row in rows))
+    pred = _exact_predictions(corpus, tmp_path / "pred.csv")
+    out = tmp_path / "report.md"
+    code = main(["evaluate", "--pred", str(pred), "--labels", str(corpus),
+                 "--calibration", str(maps), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {maps}: {named}"]
+    assert not out.exists()
+
+
 def test_evaluate_provenance_keeps_only_its_rows(corpus, tmp_path, capsys):
     """subjective and objective each evaluate their own rows; a filter
     that leaves none is an error."""

@@ -245,9 +245,9 @@ def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
     """One training step of the desk CNN (8 clips of 2 s, float32):
     preparing the clips' planes, forward, backward and ADAM peak below
     2.5 of the first layer's (8, 16, 128, 200) conv outputs, 31.3 MiB
-    (measured 27.7, as when the planes were prepared before the step).
-    The graph that kept every conv and pool output peaked at 54.6 MiB,
-    4.4 such arrays."""
+    (measured 24.6; 27.7 when conv2d's backward built each tap's
+    columns over the whole batch). The graph that kept every conv and
+    pool output peaked at 54.6 MiB, 4.4 such arrays."""
     config = desk_cnn_config()
     model = cnn_mod.ConvBaseline(config, seed=0)
     samples = _desk_cnn_batch(model, np.random.default_rng(1))

@@ -9,6 +9,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 
 from damage import damaged
+from sqatk.atomic import read_csv
 from sqatk.calibration import CalibrationMap, load_calibration_maps, save_calibration_maps
 from sqatk.checkpoint import parse_config
 from sqatk.cli import ERRORS, CliError, load_config_file
@@ -98,6 +99,7 @@ def test_damaged_manifest_loads_or_fails_with_an_error_main_reports(tmp_path_fac
 @settings(max_examples=300)
 @given(raw=damaged(_PREDICTIONS))
 @example(raw=_PREDICTIONS.replace(b"2.123456", b"nan"))
+@example(raw=_PREDICTIONS + _PREDICTIONS.splitlines(keepends=True)[-1])  # s2 twice
 def test_damaged_predictions_load_or_fail_with_an_error_main_reports(tmp_path_factory, raw):
     try:
         rows = read_predictions(_damaged_file(tmp_path_factory, "predictions.csv", raw))
@@ -105,15 +107,28 @@ def test_damaged_predictions_load_or_fail_with_an_error_main_reports(tmp_path_fa
         return
     for row in rows:
         assert all(v is None or math.isfinite(v) for s in (row.pred, row.label) for v in s.as_dict().values())
+    assert len({row.sample_id for row in rows}) == len(rows)
 
 
 @settings(max_examples=300)
 @given(raw=damaged(_MAPS))
+@example(raw=_MAPS.replace(b",1.0,-0.5,", b",inf,-0.5,"))
+@example(raw=_MAPS.replace(b"DE,mos,0.25,", b"DE,mos,nan,"))
+@example(raw=_MAPS.replace(b"1.5,4.5", b"4.5,1.5"))
+@example(raw=_MAPS.replace(b"ENG,mos", b"DE,mos"))
 def test_damaged_calibration_maps_load_or_fail_with_an_error_main_reports(tmp_path_factory, raw):
+    """A file that loads gives one map per row, each with finite numbers
+    over a domain whose low end is not above its high end."""
+    path = _damaged_file(tmp_path_factory, "maps.csv", raw)
     try:
-        load_calibration_maps(_damaged_file(tmp_path_factory, "maps.csv", raw))
+        maps = load_calibration_maps(path)
     except ERRORS:
-        pass
+        return
+    header = "group,dim,a0,a1,a2,a3,domain_lo,domain_hi".split(",")
+    assert len(maps) == len(list(read_csv(path, header, "calibration", ValueError)))
+    for mapping in maps.values():
+        assert all(math.isfinite(v) for v in mapping.coefficients + mapping.fit_domain)
+        assert mapping.fit_domain[0] <= mapping.fit_domain[1]
 
 
 @settings(max_examples=300)
