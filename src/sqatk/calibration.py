@@ -126,7 +126,8 @@ def save_calibration_maps(path, maps: dict[tuple[str, str], CalibrationMap]) -> 
 
 def load_calibration_maps(path) -> dict[tuple[str, str], CalibrationMap]:
     """The maps of a file save_calibration_maps wrote. A number that is
-    not finite, a domain_lo above domain_hi, or a second map for one
+    not finite, coefficients whose cubic could overflow at a score in
+    [1, 5], a domain_lo above domain_hi, or a second map for one
     (group, dim) raises CalibrationError naming the file and line."""
     maps: dict[tuple[str, str], CalibrationMap] = {}
     first_line: dict[tuple[str, str], int] = {}
@@ -140,6 +141,9 @@ def load_calibration_maps(path) -> dict[tuple[str, str], CalibrationMap]:
             if not math.isfinite(value):
                 raise CalibrationError(f"{where}: {name} = {value} is not finite")
         a0, a1, a2, a3, lo, hi = numbers
+        if not math.isfinite(abs(a0) + 5 * abs(a1) + 25 * abs(a2) + 125 * abs(a3)):
+            raise CalibrationError(f"{where}: |a0| + 5|a1| + 25|a2| + 125|a3| overflows, "
+                                   f"so the map cannot be applied to scores in [1, 5]")
         if lo > hi:
             raise CalibrationError(f"{where}: domain_lo {lo!r} is above domain_hi {hi!r}")
         first = first_line.setdefault((group, dim), line_no)

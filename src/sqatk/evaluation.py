@@ -15,7 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .atomic import read_csv, write_csv
-from .quality import TASK_DISPLAY, QualityScores
+from .quality import SCORE_MAX, SCORE_MIN, TASK_DISPLAY, QualityScores
 
 DIM_ORDER = ("col", "dis", "loud", "mos", "noi")
 
@@ -224,10 +224,12 @@ def write_predictions(path, rows: list[PredictionRow]) -> None:
 
 
 def _score(text: str) -> float | None:
-    """An empty field is absent; predict writes only finite scores."""
+    """An empty field is absent. predict writes only clipped scores and
+    a manifest holds its labels in [1, 5], so any other value is an
+    error: the metrics and calibration assume the reporting scale."""
     value = float(text) if text else None
-    if value is not None and not np.isfinite(value):
-        raise ValueError(f"non-finite score {text!r}")
+    if value is not None and not SCORE_MIN <= value <= SCORE_MAX:
+        raise ValueError(f"score {text!r} is not in [{SCORE_MIN:g}, {SCORE_MAX:g}]")
     return value
 
 

@@ -4,17 +4,16 @@ with halving. The shuffle permutation for each epoch is derived from
 (seed, epoch) only, so runs are reproducible batch for batch.
 
 A sample holds its labels and a loader of its clip's (frames, mels)
-features, not the model's prepared input. A batch loads and prepares
-its clips only when it is drawn, so memory follows batch_size and not
-the size of the split, and each clip is read and prepared once per
-epoch. Every scoring pass, validation and prediction alike, goes
-through predict_raw: batch_size clips at a time with no autograd graph.
+features, not the model's prepared input. A training batch loads and
+prepares its clips only when it is drawn, so memory follows batch_size
+and not the size of the split. Validation scores each clip alone
+through Scorer.predict_scores, as predict does.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -24,7 +23,7 @@ from .atomic import write_csv
 from .autodiff import Tensor, init_from_spec, no_grad
 from .checkpoint import echo_config
 from .evaluation import UndefinedCorrelationError, pearson, rmse
-from .quality import SCORE_MAX, SCORE_MIN, TASKS, QualityScores, clip_score
+from .quality import TASKS, QualityScores, clip_score
 
 
 class TrainingError(ValueError):
@@ -165,13 +164,8 @@ class FitResult:
         return len(self.history)
 
 
-def _prepared_batch(model, loads: Sequence[Loader]):
-    """Load and prepare each clip, and collate them into one model batch."""
-    return model.collate([model.prepare(load()) for load in loads])
-
-
 def _batch_losses(model, samples: list[TrainSample]) -> tuple[Tensor | None, dict[str, float]]:
-    preds = model.forward_batch(_prepared_batch(model, [s.load for s in samples]))
+    preds = model.forward_batch(model.collate([model.prepare(s.load()) for s in samples]))
     labels = np.stack([s.labels for s in samples])
     masks = np.stack([s.label_mask for s in samples])
     total = None
@@ -183,19 +177,6 @@ def _batch_losses(model, samples: list[TrainSample]) -> tuple[Tensor | None, dic
         per_task[task] = float(loss.data)
         total = loss if total is None else total + loss
     return total, per_task
-
-
-def predict_raw(model, loads: Sequence[Loader], batch_size: int) -> dict[str, np.ndarray]:
-    """Raw per-task scores of the clips that loads read, batch_size clips
-    at a time under no_grad; each chunk is loaded and prepared only when
-    it is scored, so memory follows the batch size and not the number
-    of clips."""
-    chunks = []
-    with no_grad():
-        for start in range(0, len(loads), batch_size):
-            preds = model.forward_batch(_prepared_batch(model, loads[start : start + batch_size]))
-            chunks.append({task: pred.data for task, pred in preds.items()})
-    return {task: np.concatenate([c[task] for c in chunks]) for task in chunks[0]}
 
 
 class Scorer:
@@ -214,23 +195,24 @@ class Scorer:
         return next(iter(self.params.values())).data.dtype
 
     def predict_scores(self, values: np.ndarray) -> QualityScores:
-        """Score one (frames, mels) feature matrix; values clipped to [1, 5]."""
-        raw = predict_raw(self, [lambda: values], batch_size=1)
-        return QualityScores(**{t: clip_score(raw[t][0]) for t in self.config.tasks})
+        """Score one (frames, mels) feature matrix under no_grad, clipped to [1, 5]."""
+        with no_grad():
+            raw = self.forward_batch(self.collate([self.prepare(values)]))
+        return QualityScores(**{t: clip_score(raw[t].data[0]) for t in self.config.tasks})
 
     def config_echo(self) -> dict[str, str]:
         """The checkpoint's model.* echo: the kind and every config field."""
         return {"model.kind": self.kind, **echo_config(self.config, "model.")}
 
 
-def _validation_mos(model, samples: list[TrainSample], batch_size: int) -> tuple[float, float, float]:
-    """Clipped MOS predictions vs labels; returns (pcc, rmse, monitor).
-    An undefined correlation is recorded as the worst monitor value."""
+def _validation_mos(model, samples: list[TrainSample]) -> tuple[float, float, float]:
+    """The MOS predict would write for each sample with a MOS label, vs
+    that label; returns (pcc, rmse, monitor). An undefined correlation
+    is recorded as the worst monitor value."""
     mos_idx = TASKS.index("mos")
-    have = np.array([s.label_mask[mos_idx] for s in samples])
-    preds = predict_raw(model, [s.load for s in samples], batch_size)["mos"]
-    pred = np.clip(preds[have], SCORE_MIN, SCORE_MAX)
-    ref = np.array([s.labels[mos_idx] for s in samples])[have]
+    labeled = [s for s in samples if s.label_mask[mos_idx]]
+    pred = np.array([model.predict_scores(s.load()).mos for s in labeled])
+    ref = np.array([s.labels[mos_idx] for s in labeled])
     err = rmse(pred, ref)
     try:
         pcc = pearson(pred, ref)
@@ -280,7 +262,7 @@ def fit(
                 sums[task] = sums.get(task, 0.0) + value
                 counts[task] = counts.get(task, 0) + 1
 
-        pcc, err, monitor = _validation_mos(model, val_samples, config.batch_size)
+        pcc, err, monitor = _validation_mos(model, val_samples)
         history.append(
             EpochRecord(
                 epoch=epoch,

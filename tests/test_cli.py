@@ -5,6 +5,7 @@ import importlib.util
 import re
 import shutil
 import struct
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from sqatk.evaluation import parse_report, read_predictions
 from sqatk.manifest import load_manifest, write_manifest
 from sqatk.quality import TASKS, QualityScores
 from sqatk.synth import generate_corpus, write_wav_pcm16
-from sqatk.training import Adam, TrainConfig, _batch_losses, make_sample, predict_raw
+from sqatk.training import Adam, TrainConfig, _batch_losses, make_sample
 from sqatk.transformer import ModelConfig, SpectrogramTransformer, desk_config
 
 DESK_CONFIG = """
@@ -171,8 +172,10 @@ def test_loaded_model_holds_the_saved_float32_values(corpus, workdir, tmp_path, 
         assert written[name].tobytes() == best.tobytes(), name
         assert loaded.params[name].data.tobytes() == best.tobytes(), name
     values = np.random.default_rng(0).normal(-5.0, 2.0, size=(60, 128))  # float64, as the front end gives
-    raw = predict_raw(loaded, [in_memory(values)], batch_size=1)
-    assert all(scores.dtype == np.float32 for scores in raw.values())
+    raw, forward = [], loaded.forward_batch
+    monkeypatch.setattr(loaded, "forward_batch", lambda batch: raw.append(forward(batch)) or raw[-1])
+    loaded.predict_scores(values)
+    assert len(raw) == 1 and all(scores.data.dtype == np.float32 for scores in raw[0].values())
 
 
 @pytest.mark.parametrize("kind, config_text", [("ast", DESK_CONFIG), ("cnn", CNN_CONFIG)], ids=["ast", "cnn"])
@@ -490,6 +493,28 @@ def test_cnn_checkpoint_with_huge_finite_weights_is_a_typed_error(corpus, workdi
     ckpt = _cnn_checkpoint(tmp_path, conv0_w=1e30, conv1_w=1e30)
     assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
     assert capsys.readouterr().err == "error: non-finite pooled CNN features\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["ast", "cnn"])
+def test_head_output_that_overflows_is_a_typed_error(corpus, workdir, tmp_path, capsys, kind):
+    """A MOS head weight of 3e38 overflows float32 in the head GEMM.
+    predict printed NumPy's overflow and invalid-value warnings, wrote
+    nan into pred_mos and exited 0; clip_score lets a NaN through."""
+    heads = {f"head_{t}_b": 3.0 for t in TASKS}
+    if kind == "cnn":
+        ckpt = _cnn_checkpoint(tmp_path, head_mos_w=3e38, **heads)
+    else:
+        _, echo, tensors = load_checkpoint(workdir / "ast.ckpt")
+        for name, value in {**heads, "head_mos_w": 3e38}.items():
+            tensors[name][:] = value
+        ckpt = tmp_path / "ast.ckpt"
+        save_checkpoint(ckpt, "ast", echo, tensors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: non-finite head outputs\n"
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -993,6 +1018,25 @@ def test_predictions_that_repeat_a_sample_id_are_a_typed_error(corpus, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "calibrate"])
+def test_prediction_outside_the_score_range_is_a_typed_error(corpus, tmp_path, capsys, command):
+    """pred_mos = 1e200 made evaluate die in round_half_away with
+    decimal.InvalidOperation, and calibrate warn of an overflow and
+    then report a rank-deficient system. predict writes only clipped
+    scores, so the reader takes only [1, 5]."""
+    pred = _exact_predictions(corpus, tmp_path / "pred.csv")
+    lines = pred.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[6] = "1e200"  # pred_mos
+    lines[2] = ",".join(fields)
+    pred.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    code = main([command, "--pred", str(pred), "--labels", str(corpus), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {pred}: line 3: score '1e200' is not in [1, 5]"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows, named",
     [
@@ -1000,15 +1044,19 @@ def test_predictions_that_repeat_a_sample_id_are_a_typed_error(corpus, tmp_path,
         (["DE,mos,nan,1.0,0.0,0.0,1.0,5.0"], "line 2: a0 = nan is not finite"),
         (["DE,mos,0.0,1.0,0.0,0.0,1.0,-inf"], "line 2: domain_hi = -inf is not finite"),
         (["DE,mos,0.0,1.0,0.0,0.0,5.0,1.0"], "line 2: domain_lo 5.0 is above domain_hi 1.0"),
+        (["DE,mos,0.0,1.0,0.0,1e308,1.0,5.0"],
+         "line 2: |a0| + 5|a1| + 25|a2| + 125|a3| overflows, so the map cannot be applied to scores in [1, 5]"),
         (["DE,mos,0.0,1.0,0.0,0.0,1.0,5.0", "ENG,mos,0.0,1.0,0.0,0.0,1.0,5.0", "DE,mos,1.0,0.5,0.0,0.0,1.0,5.0"],
          "line 4: a second map for DE/mos, first on line 2"),
     ],
-    ids=["inf_a1", "nan_a0", "inf_domain", "reversed_domain", "repeated_map"],
+    ids=["inf_a1", "nan_a0", "inf_domain", "reversed_domain", "huge_a3", "repeated_map"],
 )
 def test_calibration_map_that_cannot_be_applied_as_written_is_a_typed_error(corpus, tmp_path, capsys, rows, named):
     """An infinite slope clipped every DE MOS to 5 with exit 0, a NaN
-    ended in an error about a PCC cell, a reversed domain loaded, and a
-    second map for one (group, dim) silently replaced the first."""
+    ended in an error about a PCC cell, a reversed domain loaded, a
+    finite a3 of 1e308 overflowed in the cubic with NumPy's warning and
+    clipped every DE MOS to 5 with exit 0, and a second map for one
+    (group, dim) silently replaced the first."""
     maps = tmp_path / "maps.csv"
     maps.write_text("group,dim,a0,a1,a2,a3,domain_lo,domain_hi\n" + "".join(f"{row}\n" for row in rows))
     pred = _exact_predictions(corpus, tmp_path / "pred.csv")

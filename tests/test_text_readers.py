@@ -100,13 +100,16 @@ def test_damaged_manifest_loads_or_fails_with_an_error_main_reports(tmp_path_fac
 @given(raw=damaged(_PREDICTIONS))
 @example(raw=_PREDICTIONS.replace(b"2.123456", b"nan"))
 @example(raw=_PREDICTIONS + _PREDICTIONS.splitlines(keepends=True)[-1])  # s2 twice
+@example(raw=_PREDICTIONS.replace(b"2.123456", b"1e200"))
 def test_damaged_predictions_load_or_fail_with_an_error_main_reports(tmp_path_factory, raw):
+    """A file that loads holds one row per sample_id, each score absent
+    or in [1, 5]."""
     try:
         rows = read_predictions(_damaged_file(tmp_path_factory, "predictions.csv", raw))
     except ERRORS:
         return
     for row in rows:
-        assert all(v is None or math.isfinite(v) for s in (row.pred, row.label) for v in s.as_dict().values())
+        assert all(v is None or 1.0 <= v <= 5.0 for s in (row.pred, row.label) for v in s.as_dict().values())
     assert len({row.sample_id for row in rows}) == len(rows)
 
 
@@ -116,9 +119,11 @@ def test_damaged_predictions_load_or_fail_with_an_error_main_reports(tmp_path_fa
 @example(raw=_MAPS.replace(b"DE,mos,0.25,", b"DE,mos,nan,"))
 @example(raw=_MAPS.replace(b"1.5,4.5", b"4.5,1.5"))
 @example(raw=_MAPS.replace(b"ENG,mos", b"DE,mos"))
+@example(raw=_MAPS.replace(b",0.125,", b",1e308,"))
 def test_damaged_calibration_maps_load_or_fail_with_an_error_main_reports(tmp_path_factory, raw):
     """A file that loads gives one map per row, each with finite numbers
-    over a domain whose low end is not above its high end."""
+    over a domain whose low end is not above its high end, and a cubic
+    that stays finite at every score in [1, 5]."""
     path = _damaged_file(tmp_path_factory, "maps.csv", raw)
     try:
         maps = load_calibration_maps(path)
@@ -129,6 +134,7 @@ def test_damaged_calibration_maps_load_or_fail_with_an_error_main_reports(tmp_pa
     for mapping in maps.values():
         assert all(math.isfinite(v) for v in mapping.coefficients + mapping.fit_domain)
         assert mapping.fit_domain[0] <= mapping.fit_domain[1]
+        assert math.isfinite(sum(abs(a) * 5.0**k for k, a in enumerate(mapping.coefficients)))
 
 
 @settings(max_examples=300)

@@ -1,27 +1,34 @@
 """Trainer tests: masked MSE, ADAM, the patience controller, gradient
 accumulation equivalence, and the fit loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqatk import cnn as cnn_mod
+from sqatk import training
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor
+from sqatk.evaluation import pearson, rmse
 from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS, QualityScores
 from sqatk.training import (
     Adam,
     PatienceController,
+    Scorer,
     TrainConfig,
     TrainingError,
+    _validation_mos,
     fit,
     make_sample,
     mse_loss,
-    predict_raw,
 )
 
-from model_fixtures import float64, in_memory
+from memory import peak_traced_bytes
+from model_fixtures import desk_cnn_config, float64, in_memory
 
 # ------------------------------------------------------------------- loss
 
@@ -197,16 +204,16 @@ def test_controller_is_pure_function_of_sequence(monitors):
 # --------------------------------------------------------------------- fit
 
 
-class TinyModel:
-    """One weight per task over a 1-D feature; fast fit-loop probe."""
+class TinyModel(Scorer):
+    """One weight per task over a 1-D feature; fast fit-loop probe,
+    validated through Scorer.predict_scores as the real models are."""
 
     kind = "tiny"
 
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
-        self.params = {
-            f"w_{t}": Tensor(rng.normal(size=(1, 1)), requires_grad=True) for t in TASKS
-        }
+        params = {f"w_{t}": Tensor(rng.normal(size=(1, 1)), requires_grad=True) for t in TASKS}
+        super().__init__(SimpleNamespace(tasks=TASKS), params)
 
     def prepare(self, value):
         return np.atleast_1d(value)
@@ -348,12 +355,50 @@ def test_training_step_after_predict_gets_gradients(rng):
         assert p.grad is not None and np.abs(p.grad).max() > 0, f"{name} got no gradient"
 
 
-def test_validation_scores_in_batches_match_one_batch(rng):
-    config = tf.desk_config(n_layers=1, max_duration_s=0.5)
-    model = tf.SpectrogramTransformer(config, float64(tf.init_params(config, seed=13)))
-    loads = [in_memory(rng.normal(-5, 2, size=(n, 128))) for n in (20, 50, 35, 50, 8)]
-    whole = predict_raw(model, loads, batch_size=len(loads))
-    chunked = predict_raw(model, loads, batch_size=2)
+@pytest.mark.parametrize("kind", ["ast", "cnn"])
+def test_validation_reads_the_scores_predict_writes(rng, kind):
+    """Validation's PCC and RMSE are those of the MOS that predict_scores,
+    and so predict, gives each clip with a MOS label, bit for bit. A
+    clip with no MOS label is not read. Scoring in padded batches of 8
+    moved the AST's scores by rounding. Head biases of 3.0 put the
+    untrained scores inside [1, 5]."""
+    if kind == "ast":
+        model = tf.SpectrogramTransformer(tf.desk_config(), seed=13)
+    else:
+        model = cnn_mod.ConvBaseline(desk_cnn_config(), seed=13)
     for t in TASKS:
-        assert chunked[t].shape == (5,)
-        np.testing.assert_allclose(chunked[t], whole[t], rtol=0, atol=1e-12)
+        model.params[f"head_{t}_b"].data[:] = 3.0
+    clips = [rng.normal(-5, 2, size=(n, 128)) for n in (200, 60, 150, 95, 30, 180, 120, 75)]
+    labels = rng.uniform(1, 5, size=len(clips))
+    samples = [make_sample(in_memory(v), QualityScores(mos=float(m))) for v, m in zip(clips, labels)]
+
+    def unread():
+        raise AssertionError("a clip with no MOS label was read")
+
+    samples.insert(3, make_sample(unread, QualityScores(col=2.0)))
+
+    pred = np.array([model.predict_scores(v).mos for v in clips])
+    assert len(set(pred)) == len(clips) and 1 < pred.min() and pred.max() < 5
+    pcc, err = pearson(pred, labels), rmse(pred, labels)
+    assert _validation_mos(model, samples) == (pcc, err, pcc - err)
+
+
+@pytest.mark.parametrize("batch_size", [1, 16])
+def test_validation_memory_does_not_follow_batch_size(rng, monkeypatch, batch_size):
+    """fit's validation over 16 desk-AST 2 s clips peaks under 4 MiB at
+    any batch_size. Scored batch_size clips at a time, it peaked at 1.6
+    MiB at batch 1 and 25.1 MiB at batch 16."""
+    model = tf.SpectrogramTransformer(tf.desk_config(), seed=14)
+    clips = [rng.normal(-5, 2, size=(model.config.max_frames, 128)) for _ in range(16)]
+    samples = [make_sample(in_memory(v), QualityScores(mos=float(m)))
+               for v, m in zip(clips, rng.uniform(1, 5, size=16))]
+    validate, peaks = training._validation_mos, []
+
+    def measured(model, val_samples):
+        result = []
+        peaks.append(peak_traced_bytes(lambda: result.append(validate(model, val_samples)))[0])
+        return result[0]
+
+    monkeypatch.setattr(training, "_validation_mos", measured)
+    fit(model, samples[:2], samples, TrainConfig(max_epochs=1, batch_size=batch_size))
+    assert len(peaks) == 1 and peaks[0] < 4 * 2**20, peaks

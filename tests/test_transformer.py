@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqatk import transformer as tf
-from sqatk.autodiff import Tensor, layer_norm
+from sqatk.autodiff import Tensor, layer_norm, no_grad
 from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS, QualityScores
-from sqatk.training import Adam, _batch_losses, make_sample, mse_loss, predict_raw
+from sqatk.training import Adam, _batch_losses, make_sample, mse_loss
 
 from memory import peak_traced_bytes
 from model_fixtures import float64, in_memory, widen_max_duration
@@ -407,18 +407,23 @@ def test_mask_invariance_under_extended_padding(rng):
 
 def test_float32_batch_with_masked_keys_scores_as_each_clip_alone(rng):
     """A model with float32 parameters, as trained and as loaded from a
-    checkpoint, scores clips of 1 to 15 s in one padded batch as it
-    scores each alone, within criterion 4's 1e-5."""
+    checkpoint, scores clips of 1 to 15 s in one padded training batch
+    as predict_scores scores each alone, within criterion 4's 1e-5. The
+    head biases sit at 3.0, so no score is clipped."""
     config = tf.desk_config(max_duration_s=15.0, n_heads=2)  # 2 heads: half the 1789^2 score buffers
     model = tf.SpectrogramTransformer(config, seed=12)
-    loads = [in_memory(make_spec(n, rng=rng).values) for n in (100, 350, 700, 1500)]
-    assert model.prepare(loads[0]())[0].dtype == np.float32
-
-    batched = predict_raw(model, loads, batch_size=len(loads))
-    alone = predict_raw(model, loads, batch_size=1)
     for t in TASKS:
-        assert batched[t].dtype == np.float32
-        assert np.abs(batched[t] - alone[t]).max() < 1e-5, t
+        model.params[f"head_{t}_b"].data[:] = 3.0
+    clips = [make_spec(n, rng=rng).values for n in (100, 350, 700, 1500)]
+    assert model.prepare(clips[0])[0].dtype == np.float32
+
+    with no_grad():
+        batched = model.forward_batch(model.collate([model.prepare(v) for v in clips]))
+    alone = [model.predict_scores(v) for v in clips]
+    for t in TASKS:
+        assert batched[t].data.dtype == np.float32
+        assert 1 < batched[t].data.min() and batched[t].data.max() < 5, t
+        assert np.abs(batched[t].data - [scores.get(t) for scores in alone]).max() < 1e-5, t
 
 
 # ------------------------------------------------------------ grad patterns
