@@ -30,7 +30,7 @@ from .checkpoint import (CheckpointError, decode_config, echo_config, encode_con
                          parse_config, save_checkpoint)
 from .cnn import KERNEL, ConvBaseline, CnnConfig
 from .manifest import Manifest, ManifestError, format_summary, load_manifest, summarize
-from .quality import TASKS
+from .quality import SCORE_MAX, SCORE_MIN, TASKS
 from .training import TrainConfig, TrainingError, fit, make_sample
 from .transformer import ModelConfig, ModelError, SpectrogramTransformer
 
@@ -114,7 +114,11 @@ def cmd_featurize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def log_mel(entry):
-        return fe.log_mel_spectrogram(fe.decode_wav(entry.audio)).values
+        clip = fe.decode_wav(entry.audio)
+        try:
+            return fe.log_mel_spectrogram(clip).values
+        except fe.FeatureError as exc:
+            raise type(exc)(f"{entry.audio}: {exc}") from exc
 
     def save(entry, values):
         fe.save_features(feature_path(out_dir, entry.sample_id), values)
@@ -221,6 +225,12 @@ def cmd_predict(args) -> int:
 
     rows = thread_map(args.jobs, score, manifest.entries)
     ev.write_predictions(args.out, rows)
+    for task in TASKS:
+        scores = [row.pred.get(task) for row in rows if row.pred.present(task)]
+        clipped = sum(value in (SCORE_MIN, SCORE_MAX) for value in scores)
+        if clipped:
+            print(f"note: {clipped} of {len(scores)} pred_{task} scores clipped to "
+                  f"[{SCORE_MIN:g}, {SCORE_MAX:g}]", file=sys.stderr)
     print(f"predicted {len(rows)} clips -> {args.out}")
     return 0
 

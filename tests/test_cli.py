@@ -518,6 +518,29 @@ def test_head_output_that_overflows_is_a_typed_error(corpus, workdir, tmp_path, 
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("head_mos_w, note", [
+    (1e30, "note: 10 of 10 pred_mos scores clipped to [1, 5]\n"),
+    (None, ""),
+], ids=["huge-weight", "ordinary"])
+def test_predict_notes_the_scores_it_clips(corpus, workdir, tmp_path, capsys, head_mos_w, note):
+    """A 1e30 MOS head weight clipped every MOS score to 1 or 5 with exit
+    0 and no sign; predict now says so on stderr, one note per task, and
+    says nothing when no score sits at a bound. Head biases of 3.0 keep
+    the other tasks' scores inside [1, 5]."""
+    _, echo, tensors = load_checkpoint(workdir / "ast.ckpt")
+    for task in TASKS:
+        tensors[f"head_{task}_b"][:] = 3.0
+    if head_mos_w is not None:
+        tensors["head_mos_w"][:] = head_mos_w
+    ckpt = tmp_path / "ast.ckpt"
+    save_checkpoint(ckpt, "ast", echo, tensors)
+    capsys.readouterr()
+    assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 0
+    assert capsys.readouterr().err == note
+    mos = {row.pred.mos for row in read_predictions(tmp_path / "p.csv")}
+    assert (mos <= {1.0, 5.0}) == (head_mos_w is not None)
+
+
 def test_built_samples_hold_no_prepared_input(tmp_path):
     """A sample holds its labels and its cache's loader; batches read and
     prepare their clips when drawn. So the samples of 4n clips hold less
@@ -900,6 +923,19 @@ def test_sample_id_that_is_not_a_file_name_is_a_typed_error(corpus, tmp_path, ca
     err = capsys.readouterr().err
     assert err == f"error: {manifest}: 1 bad row(s):\n  line 4: sample_id {sample_id!r} is not a plain file name\n"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [manifest]
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalize"])
+def test_featurize_of_a_clip_shorter_than_one_window_names_the_wav(corpus, tmp_path, capsys, flags):
+    """The front end's error named no file: "clip of 100 samples shorter
+    than one 1200-sample window"."""
+    short = tmp_path / "short.wav"
+    write_wav_pcm16(short, np.zeros(100))
+    entries = load_manifest(corpus).entries
+    manifest = tmp_path / "short.csv"
+    write_manifest(manifest, [entries[0], replace(entries[1], audio=short)])
+    assert main(["featurize", "--manifest", str(manifest), "--out", str(tmp_path / "f"), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {short}: clip of 100 samples shorter than one 1200-sample window\n"
 
 
 @pytest.mark.filterwarnings("error")

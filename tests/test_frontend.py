@@ -319,14 +319,24 @@ def test_frame_count_formula(num_samples):
     assert spec.n_frames == (num_samples - 1200) // 480 + 1
 
 
-def _log_mel_whole_clip(samples):
-    """The log-mel as computed before frame blocks: every frame of the
-    clip in one windowing, rfft, power and mel GEMM."""
+def _whole_clip_power(samples):
+    """Every frame's power spectrum, in one windowing, rfft and power."""
     win = CFG.window_samples
     frames = np.lib.stride_tricks.sliding_window_view(samples, win)[:: CFG.hop_samples]
     spectrum = np.fft.rfft(frames * fe.hann_window(win), n=CFG.n_fft, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
-    return np.log(np.maximum(power @ fe.mel_filterbank().T, CFG.log_floor))
+    return spectrum.real**2 + spectrum.imag**2
+
+
+def _banded_energies(power):
+    energies = np.empty((len(power), CFG.n_mels))
+    fe.mel_energies(power, energies)
+    return energies
+
+
+def _log_mel_whole_clip(samples):
+    """The log-mel without frame blocks: every frame of the clip in one
+    windowing, rfft, power and banded mel product."""
+    return np.log(np.maximum(_banded_energies(_whole_clip_power(samples)), CFG.log_floor))
 
 
 BLOCK = fe.FRAME_BLOCK
@@ -335,11 +345,13 @@ SAMPLES_12S = 12 * SR  # 1198 frames
 
 @pytest.mark.parametrize(
     "n_frames",
-    [*range(1, 10), BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 7, 1198],
+    [*range(1, 10), BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 7,
+     4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 6 * BLOCK + 7, 1198],
 )
 def test_blocked_log_mel_is_bit_equal_to_the_whole_clip(rng, n_frames):
-    """Frame blocks change no bit: one block, a last block that takes a
-    remainder of one frame up to one block less one, and a 12 s clip."""
+    """Frame blocks change no bit of the banded whole-clip product: one
+    block, a last block that takes a remainder of one frame up to one
+    block less one, and a 12 s clip."""
     if n_frames == 1198:
         n_samples = SAMPLES_12S
     else:
@@ -351,9 +363,26 @@ def test_blocked_log_mel_is_bit_equal_to_the_whole_clip(rng, n_frames):
     np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
+def test_mel_bands_hold_every_nonzero_weight_of_the_filterbank():
+    """The bands put back together are mel_filterbank() bit for bit, so
+    they drop only exact zeros; a band cut one bin short fails here."""
+    fb = fe.mel_filterbank()
+    rebuilt = np.zeros_like(fb)
+    for mels, bins, weights in fe.mel_bands():
+        rebuilt[mels, bins] = weights.T
+    np.testing.assert_array_equal(rebuilt.view(np.uint64), fb.view(np.uint64))
+
+
+def test_banded_energies_match_the_dense_mel_product(rng):
+    """Only the order of the non-zero terms differs from the dense GEMM."""
+    power = _whole_clip_power(rng.uniform(-0.5, 0.5, size=SR))
+    dense = power @ fe.mel_filterbank().T
+    np.testing.assert_allclose(_banded_energies(power), dense, rtol=1e-14, atol=0)
+
+
 def test_log_mel_of_a_12s_clip_peaks_at_one_block():
     """Beyond the 4.6 MB clip and its 1.2 MB output, a 12 s clip needs
-    one block's buffers: 8 MiB traced at the peak, where the whole-clip
+    one block's buffers: 4.9 MiB traced at the peak, where the whole-clip
     computation peaked at 48 MiB."""
     clip = fe.AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, size=SAMPLES_12S), SR)
     peak, _ = peak_traced_bytes(lambda: fe.log_mel_spectrogram(clip))
