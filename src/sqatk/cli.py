@@ -32,7 +32,7 @@ from .cnn import KERNEL, ConvBaseline, CnnConfig
 from .manifest import Manifest, ManifestError, format_summary, load_manifest, summarize
 from .quality import SCORE_MAX, SCORE_MIN, TASKS
 from .training import TrainConfig, TrainingError, fit, make_sample
-from .transformer import ModelConfig, ModelError, SpectrogramTransformer
+from .transformer import MLP_RATIO, PATCH, PATCH_STRIDE, ModelConfig, ModelError, SpectrogramTransformer
 
 
 class CliError(Exception):
@@ -45,9 +45,13 @@ class CliError(Exception):
 # Checkpoint kind -> (adapter, its config class).
 _MODEL_KINDS = {"ast": (SpectrogramTransformer, ModelConfig), "cnn": (ConvBaseline, CnnConfig)}
 _CONFIG_KEYS = {f.name for cls in (ModelConfig, CnnConfig, TrainConfig) for f in fields(cls)}
-# Echo keys of checkpoints written while the hop and the CNN's kernel were
-# settings, with the one value today's models read.
-_EARLIER_ECHO = {"model.frame_hop_s": fe.FrontendConfig.frame_hop_s, "model.kernel": KERNEL}
+# Echo keys of checkpoints written while the hop, the CNN's kernel, the mel
+# count and the AST's patch geometry and MLP width were settings, with the
+# one value today's models read.
+_EARLIER_ECHO = {"model.frame_hop_s": fe.FrontendConfig.frame_hop_s, "model.kernel": KERNEL,
+                 "model.n_mels": fe.FrontendConfig.n_mels, "model.patch_size": PATCH,
+                 "model.patch_stride_time": PATCH_STRIDE, "model.patch_stride_freq": PATCH_STRIDE,
+                 "model.mlp_ratio": MLP_RATIO}
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamSpec, Tensor, conv2d, maxpool2d
+from .frontend import FrontendConfig
 from .training import Scorer
 from .transformer import (ModelError, NonFiniteError, Window, check_shapes, floor_pad, head_outputs,
                           head_spec)
@@ -48,7 +49,7 @@ class CnnConfig(Window):
 
     @property
     def reduced_mels(self) -> int:
-        return self._pooled(self.n_mels)
+        return self._pooled(FrontendConfig.n_mels)
 
     @property
     def derived_head_input(self) -> int:
@@ -71,8 +72,8 @@ def cnn_forward_batch(
     x: np.ndarray, params: dict[str, Tensor], config: CnnConfig
 ) -> dict[str, Tensor]:
     """(B, 1, mels, max_frames) input to raw per-task scores."""
-    if x.shape[2] != config.n_mels or x.shape[3] != config.max_frames:
-        raise ModelError(f"input plane {x.shape[2:]} != ({config.n_mels}, {config.max_frames})")
+    if x.shape[2:] != (FrontendConfig.n_mels, config.max_frames):
+        raise ModelError(f"input plane {x.shape[2:]} != ({FrontendConfig.n_mels}, {config.max_frames})")
     h = Tensor(x)
     for i, factor in enumerate(config.pool):
         h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], padding=1)

@@ -249,16 +249,24 @@ def mel_energies(power: np.ndarray, out: np.ndarray) -> None:
         np.matmul(power[:, bins], weights, out=out[:, mels])
 
 
-def hann_window(n: int) -> np.ndarray:
-    """Symmetric Hann window, built by mirroring so w[i] == w[n-1-i] exactly."""
-    if n < 2:
-        raise FeatureError("window length must be >= 2")
+@cache
+def hann_window() -> np.ndarray:
+    """The front end's read-only symmetric Hann window of window_samples,
+    built once by mirroring, so w[i] == w[n-1-i] exactly."""
+    n = FrontendConfig.window_samples
     w = np.empty(n, dtype=np.float64)
     half = (n + 1) // 2
     idx = np.arange(half)
     w[:half] = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / (n - 1))
     w[n - half :] = w[:half][::-1]
+    w.setflags(write=False)
     return w
+
+
+# Built at import: built lazily in the first clip's spectrogram, the kept
+# array sits among that clip's freed buffers, and the cnn_train_2s bench's
+# peak RSS read 1.1 MiB higher.
+hann_window()
 
 
 # ------------------------------------------------------------ spectrogram
@@ -296,7 +304,7 @@ def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
         )
 
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
-    window = hann_window(win)
+    window = hann_window()
     bounds = [*range(0, max(n_frames - FRAME_BLOCK, 0) + 1, FRAME_BLOCK), n_frames]
     widest = bounds[-1] - bounds[-2]  # the last block, which takes the remainder
     windowed = np.empty((widest, win))

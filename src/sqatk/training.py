@@ -34,10 +34,10 @@ class TrainingError(ValueError):
 class TrainConfig:
     learning_rate: float = 0.001
     max_epochs: int = 500
-    early_stop_patience: int = 20
-    lr_patience: int = 15
     batch_size: int = 100
     seed: int = 0
+    early_stop_patience: ClassVar[int] = 20
+    lr_patience: ClassVar[int] = 15
     lr_factor: ClassVar[float] = 0.5
     lr_floor: ClassVar[float] = 1e-8
 
@@ -48,8 +48,6 @@ class TrainConfig:
             raise TrainingError("max_epochs must be >= 1")
         if self.seed < 0:
             raise TrainingError("seed must be >= 0")
-        if self.early_stop_patience < 1 or self.lr_patience < 1:
-            raise TrainingError("patience values must be >= 1")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
 
@@ -97,12 +95,11 @@ class Adam:
 
 
 class PatienceController:
-    """Early-stop and LR-patience bookkeeping as a pure function of the
-    monitor sequence. Improvement means strictly greater than the best."""
+    """Early-stop and LR-patience bookkeeping, at TrainConfig's patience
+    counts, as a pure function of the monitor sequence. Improvement means
+    strictly greater than the best."""
 
-    def __init__(self, early_stop_patience: int, lr_patience: int):
-        self.early_stop_patience = early_stop_patience
-        self.lr_patience = lr_patience
+    def __init__(self):
         self.best = -np.inf
         self.best_epoch = 0
         self._since_improve = 0
@@ -119,10 +116,10 @@ class PatienceController:
         self._since_improve += 1
         self._since_lr += 1
         halve = False
-        if self._since_lr >= self.lr_patience:
+        if self._since_lr >= TrainConfig.lr_patience:
             halve = True
             self._since_lr = 0
-        return self._since_improve >= self.early_stop_patience, halve
+        return self._since_improve >= TrainConfig.early_stop_patience, halve
 
 
 Loader = Callable[[], np.ndarray]  # returns one clip's (frames, mels) features
@@ -238,7 +235,7 @@ def fit(
         raise TrainingError("validation set has no MOS labels")
 
     optimizer = Adam(model.params)
-    controller = PatienceController(config.early_stop_patience, config.lr_patience)
+    controller = PatienceController()
     lr = config.learning_rate
     history: list[EpochRecord] = []
     best_params = {k: p.data.copy() for k, p in model.params.items()}

@@ -1,5 +1,5 @@
-"""Spectrogram transformer scorer: overlapping 16x16 patches over the
-log-mel plane, a CLS token, learned positional embeddings, pre-norm
+"""Spectrogram transformer scorer: 16x16 patches 10 apart on both axes
+of the log-mel plane, a CLS token, learned positional embeddings, pre-norm
 encoder blocks with attention masking for padded frames, and five
 affine heads (mos, col, dis, loud, noi) reading the CLS state. Since
 nothing else reads the encoder's output, its last block computes only
@@ -26,6 +26,10 @@ from .quality import TASKS
 from .training import Scorer
 
 PAD_LOG_VALUE = math.log(FrontendConfig.log_floor)
+PATCH = 16  # square patches, in mel bins and frames
+PATCH_STRIDE = 10  # on both axes, so neighbouring patches overlap
+N_FREQ_PATCHES = (FrontendConfig.n_mels - PATCH) // PATCH_STRIDE + 1  # 12
+MLP_RATIO = 4  # each block's MLP is MLP_RATIO * embed_dim wide
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -51,17 +55,16 @@ def check_shapes(spec: ParamSpec) -> None:
 
 @dataclass(frozen=True)
 class Window:
-    """The (n_mels, max_frames) log-mel plane a model reads, in frames of
-    the front end's hop; both model configs extend it."""
+    """The (FrontendConfig.n_mels, max_frames) log-mel plane a model
+    reads, in frames of the front end's hop; both model configs extend it."""
 
-    n_mels: int = 128
     max_duration_s: float = 12.0
     tasks: ClassVar[tuple[str, ...]] = TASKS
 
     def __post_init__(self):
         if not 0 < self.max_duration_s / FrontendConfig.frame_hop_s < math.inf:
             raise ModelError("max_duration_s must be positive and finite")
-        check_shapes({"input plane": ((self.n_mels, self.max_frames), None)})
+        check_shapes({"input plane": ((FrontendConfig.n_mels, self.max_frames), None)})
 
     @property
     def max_frames(self) -> int:
@@ -71,27 +74,19 @@ class Window:
 @dataclass(frozen=True)
 class ModelConfig(Window):
     embed_dim: int = 768
-    patch_size: int = 16
-    patch_stride_time: int = 10
-    patch_stride_freq: int = 10
     n_layers: int = 12
     n_heads: int = 12
-    mlp_ratio: float = 4.0
 
     def __post_init__(self):
         super().__post_init__()
+        if self.embed_dim < 1:
+            raise ModelError("embed_dim must be >= 1")
         if self.n_heads < 1:
             raise ModelError("n_heads must be >= 1")
         if self.embed_dim % self.n_heads:
             raise ModelError("embed_dim must be divisible by n_heads")
-        if not (1 <= self.patch_stride_time <= self.patch_size):
-            raise ModelError("patch_stride_time must be in [1, patch_size]")
-        if not (1 <= self.patch_stride_freq <= self.patch_size):
-            raise ModelError("patch_stride_freq must be in [1, patch_size]")
-        if min(self.n_mels, self.max_frames) < self.patch_size:
+        if self.max_frames < PATCH:
             raise ModelError("spectrogram narrower than one patch")
-        if not 0 < self.mlp_ratio < math.inf or self.mlp_hidden < 1:
-            raise ModelError("mlp_ratio must give at least one hidden unit")
         if self.n_layers < 0:
             raise ModelError("n_layers must be >= 0")
         # Every layer has the shapes of the first, so a one-layer spec
@@ -105,29 +100,22 @@ class ModelConfig(Window):
                              f"more than this machine's {PHYSICAL_MEMORY / 2**30:.3g} GiB of memory")
 
     @property
-    def n_freq_patches(self) -> int:
-        return (self.n_mels - self.patch_size) // self.patch_stride_freq + 1
-
-    @property
     def n_time_patches(self) -> int:
-        return (self.max_frames - self.patch_size) // self.patch_stride_time + 1
+        return (self.max_frames - PATCH) // PATCH_STRIDE + 1
 
     @property
     def n_patches(self) -> int:
-        return self.n_freq_patches * self.n_time_patches
-
-    @property
-    def mlp_hidden(self) -> int:
-        return int(self.embed_dim * self.mlp_ratio)
+        return N_FREQ_PATCHES * self.n_time_patches
 
 
 def floor_pad(values: np.ndarray, config) -> np.ndarray:
-    """(frames, mels) features -> the (n_mels, max_frames) plane, cut or
+    """(frames, mels) features -> the (mels, max_frames) plane, cut or
     padded along time with the log floor, in the features' dtype."""
-    if values.shape[1] != config.n_mels:
-        raise ModelError(f"spectrogram has {values.shape[1]} mel bins, config expects {config.n_mels}")
+    n_mels = FrontendConfig.n_mels
+    if values.shape[1] != n_mels:
+        raise ModelError(f"spectrogram has {values.shape[1]} mel bins, the models read {n_mels}")
     n_real = min(values.shape[0], config.max_frames)
-    padded = np.full((config.n_mels, config.max_frames), PAD_LOG_VALUE, dtype=values.dtype)
+    padded = np.full((n_mels, config.max_frames), PAD_LOG_VALUE, dtype=values.dtype)
     padded[:, :n_real] = values[:n_real].T
     return padded
 
@@ -143,7 +131,7 @@ def desk_config(**overrides) -> ModelConfig:
 class PatchSequence:
     """Flattened overlapping patches plus per-patch validity flags."""
 
-    patches: np.ndarray  # (P, patch_size**2)
+    patches: np.ndarray  # (P, PATCH**2)
     valid: np.ndarray  # (P,) bool; False iff the patch is entirely padding
 
 
@@ -152,20 +140,16 @@ def extract_patches(spec: LogMelSpectrogram, config: ModelConfig) -> PatchSequen
 
     The time axis is floor-padded (or cut) to exactly config.max_frames
     before patching. Patch i = f * n_time + t covers mel rows
-    [f*stride_f, f*stride_f+patch) and frames [t*stride_t,
-    t*stride_t+patch); it is invalid iff every frame it covers is
+    [f*PATCH_STRIDE, f*PATCH_STRIDE+PATCH) and frames [t*PATCH_STRIDE,
+    t*PATCH_STRIDE+PATCH); it is invalid iff every frame it covers is
     padding.
     """
     padded = floor_pad(spec.values, config)
-    p = config.patch_size
-
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (p, p))[
-        :: config.patch_stride_freq, :: config.patch_stride_time
-    ]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (PATCH, PATCH))[::PATCH_STRIDE, ::PATCH_STRIDE]
     n_f, n_t = windows.shape[:2]
-    patches = np.ascontiguousarray(windows).reshape(n_f * n_t, p * p)
+    patches = np.ascontiguousarray(windows).reshape(n_f * n_t, PATCH**2)
 
-    time_starts = np.arange(n_t) * config.patch_stride_time
+    time_starts = np.arange(n_t) * PATCH_STRIDE
     valid = np.tile(time_starts < min(spec.n_frames, config.max_frames), n_f)
     return PatchSequence(patches=patches, valid=valid)
 
@@ -178,14 +162,14 @@ def param_spec(config: ModelConfig, n_layers: int | None = None) -> ParamSpec:
     positions and heads; zero biases and CLS token; unit layer-norm
     scales. n_layers, if given, replaces config.n_layers."""
     d = config.embed_dim
-    p2 = config.patch_size**2
-    hidden = config.mlp_hidden
+    p2 = PATCH**2
+    hidden = MLP_RATIO * d
     spec: ParamSpec = {
         "proj_w": ((p2, d), p2),
         "proj_b": ((d,), "zeros"),
         "cls": ((d,), "zeros"),
         "pos_cls": ((d,), d),
-        "pos_grid": ((config.n_freq_patches, config.n_time_patches, d), d),
+        "pos_grid": ((N_FREQ_PATCHES, config.n_time_patches, d), d),
     }
     for i in range(config.n_layers if n_layers is None else n_layers):
         pre = f"layer{i}_"
@@ -369,7 +353,7 @@ class SpectrogramTransformer(Scorer):
     def collate(self, inputs: list[tuple[np.ndarray, np.ndarray]]):
         """Pad a batch up to its longest clip; the mask hides the padding."""
         longest = max(len(pos) for _, pos in inputs)
-        patches = np.zeros((len(inputs), longest, self.config.patch_size**2), dtype=inputs[0][0].dtype)
+        patches = np.zeros((len(inputs), longest, PATCH**2), dtype=inputs[0][0].dtype)
         positions = np.zeros((len(inputs), longest), dtype=np.intp)
         valid = np.zeros((len(inputs), longest), dtype=bool)
         for i, (clip_patches, clip_positions) in enumerate(inputs):

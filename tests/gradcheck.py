@@ -161,7 +161,7 @@ def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4)
     batch = 2
     frames = rng.integers(30, config.max_frames, size=batch)
     packed = model.collate(
-        [model.prepare(rng.normal(-5.0, 2.0, size=(int(n), config.n_mels))) for n in frames]
+        [model.prepare(rng.normal(-5.0, 2.0, size=(int(n), 128))) for n in frames]
     )
     labels = {t: rng.uniform(1.0, 5.0, size=batch) for t in TASKS}
     mask = np.ones(batch, dtype=bool)
@@ -177,17 +177,20 @@ def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4)
     return check_function(build_loss, params, h=h, coords_per_tensor=coords_per_tensor, seed=seed)
 
 
-def full_cnn_check(seed: int = 0, h: float = 1e-4, coords_per_tensor: int = 4) -> float:
-    """FD check of the CNN baseline loss on a small input plane.
+def full_cnn_check(seed: int = 0, h: float = 1e-7, coords_per_tensor: int = 4) -> float:
+    """FD check of the CNN baseline loss on a short window of the 128-mel plane.
 
-    The network is piecewise linear (ReLU + max pool), so the step is
-    smaller than the transformer's to stay away from kink crossings.
+    The network is piecewise linear (ReLU + max pool), so central
+    differences are exact between kinks and the step is kept far below
+    the transformer's to stay away from kink crossings: at 1e-4 the
+    check failed on 25 of seeds 0-29, at 1e-7 on none (worst error
+    4.5e-5).
     Runs in float64, like full_model_check."""
-    config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), n_mels=32, max_duration_s=0.4)
+    config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), max_duration_s=0.4)
     params = float64(cnn_mod.ConvBaseline(config, seed=seed).params)
     rng = np.random.default_rng(seed + 1)
     batch = 2
-    x = rng.normal(-5.0, 2.0, size=(batch, 1, config.n_mels, config.max_frames))
+    x = rng.normal(-5.0, 2.0, size=(batch, 1, 128, config.max_frames))
     labels = {t: rng.uniform(1.0, 5.0, size=batch) for t in TASKS}
     mask = np.ones(batch, dtype=bool)
 

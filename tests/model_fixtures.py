@@ -39,7 +39,7 @@ def widen_max_duration(
     positional grid keeps existing (freq, time) entries and appends
     freshly initialised columns for the new time positions. Every
     parameter, the fresh columns included, keeps params' dtype."""
-    if new.n_time_patches < old.n_time_patches or new.n_freq_patches != old.n_freq_patches:
+    if new.n_time_patches < old.n_time_patches:
         raise tf.ModelError("target config must extend the time axis only")
     dtype = params["pos_grid"].data.dtype
     out = {}

@@ -166,7 +166,7 @@ def test_criterion_4_mask_invariance():
     dtype = params_short["proj_w"].data.dtype  # float32, the dtype a model computes in
     rng = np.random.default_rng(23)
     # clip content must end inside the patch coverage shared by both grids
-    max_frames = short_cfg.n_time_patches * short_cfg.patch_stride_time
+    max_frames = short_cfg.n_time_patches * tf.PATCH_STRIDE
 
     worst = 0.0
     for _ in range(20):
@@ -270,7 +270,7 @@ def test_criterion_7_calibration():
 
 
 def test_criterion_8_controller_semantics():
-    ctl = PatienceController(early_stop_patience=20, lr_patience=15)
+    ctl = PatienceController()
     halved_at, stopped_at = [], None
     for epoch in range(1, 200):
         stop, halve = ctl.update(0.5, epoch)  # frozen monitor from epoch 1
@@ -282,7 +282,7 @@ def test_criterion_8_controller_semantics():
     assert stopped_at == 21, "stop after exactly 20 non-improving epochs"
     assert halved_at == [16], "LR halves once patience 15 expires"
 
-    ctl = PatienceController(20, 15)
+    ctl = PatienceController()
     for epoch in range(1, 100):
         stop, _ = ctl.update(float(epoch), epoch)
         assert not stop  # strict improvement never stops

@@ -847,7 +847,7 @@ def _desk_forward_of_a_12s_clip():
     """A no-grad forward of a 12 s clip (1429 tokens, 4 heads) through
     the desk transformer, built outside the measured call."""
     model = tf.SpectrogramTransformer(tf.desk_config(max_duration_s=12.0), seed=0)
-    values = np.random.default_rng(0).normal(-5.0, 2.0, size=(1200, model.config.n_mels))
+    values = np.random.default_rng(0).normal(-5.0, 2.0, size=(1200, 128))
 
     def forward():
         with no_grad():

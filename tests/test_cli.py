@@ -267,11 +267,17 @@ def _predict_exit(ckpt, corpus, workdir, out):
 @pytest.mark.parametrize("kind", ["ast", "cnn"])
 def test_checkpoint_of_the_earlier_format_predicts_the_same_bytes(corpus, workdir, tmp_path, kind):
     """Checkpoints written while the model configs held the front end's
-    hop and the CNN's kernel size echo model.frame_hop_s=0.01 and
-    model.kernel=3; they load and score as today's checkpoints do."""
+    hop, the mel count, the CNN's kernel size and the AST's patch
+    geometry and MLP ratio echo those settings at the one value today's
+    models read; they load and score as today's checkpoints do."""
     ckpt = workdir / "ast.ckpt" if kind == "ast" else _cnn_checkpoint(tmp_path)
     _, echo, tensors = load_checkpoint(ckpt)
-    earlier_keys = {"model.frame_hop_s": "0.01", **({"model.kernel": "3"} if kind == "cnn" else {})}
+    earlier_keys = {"model.frame_hop_s": "0.01", "model.n_mels": "128"}
+    if kind == "ast":
+        earlier_keys.update({"model.patch_size": "16", "model.patch_stride_time": "10",
+                             "model.patch_stride_freq": "10", "model.mlp_ratio": "4.0"})
+    else:
+        earlier_keys["model.kernel"] = "3"
     assert not earlier_keys.keys() & echo.keys()
     earlier = tmp_path / "earlier.ckpt"
     save_checkpoint(earlier, kind, {**echo, **earlier_keys}, tensors)
@@ -280,13 +286,27 @@ def test_checkpoint_of_the_earlier_format_predicts_the_same_bytes(corpus, workdi
     assert (tmp_path / "earlier.csv").read_bytes() == (tmp_path / "now.csv").read_bytes()
 
 
-@pytest.mark.parametrize("key, value", [("model.frame_hop_s", "0.02"), ("model.kernel", "5")])
-def test_checkpoint_of_another_frame_geometry_is_a_typed_error(corpus, workdir, tmp_path, capsys, key, value):
-    """A CNN checkpoint that echoes a hop or kernel other than the one the
-    models read was trained on another window; it scored with exit 0."""
-    _, echo, tensors = load_checkpoint(_cnn_checkpoint(tmp_path))
+OTHER_GEOMETRY = [
+    ("cnn", "model.frame_hop_s", "0.02"),
+    ("cnn", "model.kernel", "5"),
+    ("cnn", "model.n_mels", "64"),
+    ("ast", "model.n_mels", "3"),
+    ("ast", "model.patch_stride_time", "16"),
+    ("ast", "model.mlp_ratio", "2.0"),
+    ("ast", "model.mlp_ratio", "-1"),
+    ("ast", "model.mlp_ratio", "1e300"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value", OTHER_GEOMETRY, ids=[f"{k}-{v}" for _, k, v in OTHER_GEOMETRY])
+def test_checkpoint_of_another_frame_geometry_is_a_typed_error(corpus, workdir, tmp_path, capsys, kind, key, value):
+    """A checkpoint that echoes a hop, mel count, kernel, patch geometry
+    or MLP ratio other than the one the models read was trained on
+    another geometry, so predict fails it with one error naming the key
+    rather than score it at today's geometry with exit 0."""
+    _, echo, tensors = load_checkpoint(workdir / "ast.ckpt" if kind == "ast" else _cnn_checkpoint(tmp_path))
     ckpt = tmp_path / "other.ckpt"
-    save_checkpoint(ckpt, "cnn", {**echo, key: value}, tensors)
+    save_checkpoint(ckpt, kind, {**echo, key: value}, tensors)
     assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: {key}={value}, but") and err.count("\n") == 1
@@ -632,8 +652,6 @@ def test_cnn_train_checkpoint_echoes_protocol(corpus, workdir, tmp_path):
     kind, echo, _ = load_checkpoint(ckpt)
     assert kind == "cnn"
     assert echo["train.learning_rate"] == "0.003"
-    assert echo["train.early_stop_patience"] == "20"
-    assert echo["train.lr_patience"] == "15"
     assert echo["train.batch_size"] == "100"
 
 
@@ -655,10 +673,8 @@ def test_cnn_default_protocol_echo(corpus, workdir, tmp_path):
     from sqatk.checkpoint import load_checkpoint
 
     _, echo, _ = load_checkpoint(ckpt)
-    # protocol defaults: lr 0.001, early stop 20, lr patience 15, batch 100
+    # protocol defaults: lr 0.001, batch 100; the patience counts are constants
     assert echo["train.learning_rate"] == "0.001"
-    assert echo["train.early_stop_patience"] == "20"
-    assert echo["train.lr_patience"] == "15"
     assert echo["train.batch_size"] == "100"
     assert echo["train.max_epochs"] == "1"
     assert echo["train.best_epoch"] == "1"
@@ -699,17 +715,15 @@ def test_cnn_window_that_pools_time_away_is_a_typed_error(corpus, workdir, tmp_p
     "kind, key, value",
     [
         ("ast", "n_heads", "0"),
+        ("ast", "embed_dim", "0"),
         ("ast", "max_duration_s", "nan"),
         ("cnn", "max_duration_s", "nan"),
         ("ast", "max_duration_s", "inf"),
         ("cnn", "max_duration_s", "inf"),
-        ("ast", "mlp_ratio", "-1"),
-        ("ast", "n_mels", "3"),
         ("ast", "max_duration_s", "1e12"),
         ("cnn", "max_duration_s", "1e12"),
         ("ast", "max_duration_s", "1e17"),
         ("cnn", "max_duration_s", "1e17"),
-        ("ast", "mlp_ratio", "1e300"),
         ("cnn", "channels", "8,4611686018427387904"),
         ("ast", "n_layers", "1000000000"),
     ],
@@ -772,6 +786,11 @@ def test_unknown_config_key_is_rejected(corpus, workdir, tmp_path, capsys):
     assert not ckpt.exists()
     config.write_text(CNN_CONFIG + "embed_dim=64\nn_layers=2\nn_heads=4\n")
     assert main(train) == 0
+    for key in ("n_mels", "patch_size", "patch_stride_time", "patch_stride_freq", "mlp_ratio",
+                "early_stop_patience", "lr_patience"):  # settings that became constants
+        config.write_text(f"{key}=1\n")
+        with pytest.raises(cli.CliError, match=f"unknown config key\\(s\\) {key}$"):
+            load_config_file(config)
 
 
 def test_readme_lists_every_config_field():
@@ -787,6 +806,7 @@ def test_readme_lists_every_config_field():
         label: sorted(f.name for f in fields(cls))
         for label, cls in (("Transformer", ModelConfig), ("CNN", CnnConfig), ("Training", TrainConfig))
     }
+    assert set(re.findall(r"`(\w+)`", section)) == cli._CONFIG_KEYS
 
 
 def test_unreadable_input_fails_cleanly(tmp_path, capsys):

@@ -80,11 +80,11 @@ def test_forward_rejects_wrong_plane(rng):
 
 
 def test_prepare_rejects_features_of_another_mel_count(rng):
-    """A 64-mel model on 128-mel features is a typed error, as for the
+    """64-mel features in the 128-mel model are a typed error, as for the
     transformer, not a broadcast ValueError traceback."""
-    model = cnn_mod.ConvBaseline(desk_cnn_config(n_mels=64), seed=0)
-    with pytest.raises(tf.ModelError, match="128 mel bins, config expects 64"):
-        model.prepare(rng.normal(size=(50, 128)))
+    model = cnn_mod.ConvBaseline(desk_cnn_config(), seed=0)
+    with pytest.raises(tf.ModelError, match="64 mel bins, the models read 128"):
+        model.prepare(rng.normal(size=(50, 64)))
 
 
 def test_time_shift_by_pooling_period_barely_moves_features(rng):
@@ -150,14 +150,14 @@ def test_identical_seeds_identical_checkpoints(tmp_path):
     from sqatk.quality import QualityScores
     from sqatk.training import TrainConfig, fit, make_sample
 
-    config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), n_mels=32, max_duration_s=0.3)
+    config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), max_duration_s=0.3)
 
     def run(path):
         rng = np.random.default_rng(0)
         model = cnn_mod.ConvBaseline(config, seed=8)
         samples = [
             make_sample(
-                in_memory(rng.normal(-5, 2, size=(25, 32))),
+                in_memory(rng.normal(-5, 2, size=(25, 128))),
                 QualityScores(**{t: float(rng.uniform(1, 5)) for t in TASKS}),
             )
             for _ in range(4)
@@ -189,11 +189,11 @@ def test_pool_then_relu_is_bit_equal_to_relu_then_pool(rng):
     """Outputs and every parameter gradient are equal, on conv outputs
     with all-negative windows (channel 1), all-zero windows that tie
     after ReLU (channel 0) and constant windows over the padding."""
-    config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), n_mels=32, max_duration_s=0.3)
+    config = cnn_mod.CnnConfig(channels=(4, 8), pool=(2, 2), max_duration_s=0.3)
     params = cnn_mod.ConvBaseline(config, seed=4).params
     params["conv0_w"].data[:2] = 0.0
     params["conv0_b"].data[:2] = (0.0, -1.0)
-    clips = [rng.normal(-5, 2, size=(n, 32)) for n in (30, 12)]
+    clips = [rng.normal(-5, 2, size=(n, 128)) for n in (30, 12)]
     x = np.stack([tf.floor_pad(values, config)[None] for values in clips])
     with no_grad():
         first = maxpool2d(conv2d(Tensor(x), params["conv0_w"], params["conv0_b"]), 2).data
@@ -235,7 +235,7 @@ def test_raw_score_of_a_short_clip_depends_on_the_window():
 def _desk_cnn_batch(model, rng, batch=8):
     """batch full 2 s training samples for the desk CNN."""
     return [
-        make_sample(in_memory(rng.normal(-5.0, 2.0, size=(200, model.config.n_mels))),
+        make_sample(in_memory(rng.normal(-5.0, 2.0, size=(200, 128))),
                     QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
         for _ in range(batch)
     ]
@@ -251,7 +251,7 @@ def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
     config = desk_cnn_config()
     model = cnn_mod.ConvBaseline(config, seed=0)
     samples = _desk_cnn_batch(model, np.random.default_rng(1))
-    conv0_bytes = len(samples) * config.channels[0] * config.n_mels * config.max_frames * 4
+    conv0_bytes = len(samples) * config.channels[0] * 128 * config.max_frames * 4
     optimizer = Adam(model.params)
 
     def step():
@@ -273,7 +273,7 @@ def test_recorded_cnn_forward_holds_no_conv_or_pool_output():
     config = desk_cnn_config()
     model = cnn_mod.ConvBaseline(config, seed=0)
     x = model.collate([model.prepare(s.load()) for s in _desk_cnn_batch(model, np.random.default_rng(1))])
-    batch, height, width = x.shape[0], config.n_mels, config.max_frames
+    batch, height, width = x.shape[0], 128, config.max_frames
     pooled_cells = []
     for channels, factor in zip(config.channels, config.pool):
         height, width = height // factor, width // factor

@@ -60,7 +60,7 @@ _MAPS = (
 # Keys of all three config classes.
 _CONFIG = (
     "# desk\n"
-    "embed_dim=32\nn_layers=2\nn_heads=2\nmlp_ratio=4.0\npatch_size=16\nmax_duration_s=1.0\nn_mels=128\n"
+    "embed_dim=32\nn_layers=2\nn_heads=2\nmax_duration_s=1.0\n"
     "channels=8,16\npool=2,2\n"
     "learning_rate=0.003\nmax_epochs=3\nbatch_size=100\nseed=7\n"
 ).encode()

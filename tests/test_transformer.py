@@ -32,37 +32,40 @@ def make_spec(n_frames, n_mels=128, rng=None, fill=None):
 def test_patch_grid_full_scale(rng):
     config = tf.ModelConfig(embed_dim=64, n_heads=4, n_layers=0, max_duration_s=12.0)
     seq = tf.extract_patches(make_spec(1200, rng=rng), config)
-    assert (config.n_freq_patches, config.n_time_patches) == (12, 119)
+    assert (tf.N_FREQ_PATCHES, config.n_time_patches) == (12, 119)
     assert seq.patches.shape == (12 * 119, 256)  # 1428 patches
     assert seq.valid.all()
 
 
 def test_single_patch_case(rng):
-    config = tf.ModelConfig(
-        embed_dim=8, n_heads=2, n_layers=0, n_mels=16, max_duration_s=0.16
-    )
+    """A one-patch window holds one patch along time in each of the 12
+    mel bands, and patch f is mel rows [10f, 10f + 16) of its 16 frames."""
+    config = tf.ModelConfig(embed_dim=8, n_heads=2, n_layers=0, max_duration_s=0.16)
     assert config.max_frames == 16
-    seq = tf.extract_patches(make_spec(16, n_mels=16, rng=rng), config)
-    assert (config.n_freq_patches, config.n_time_patches) == (1, 1)
-    assert seq.patches.shape == (1, 256)
+    spec = make_spec(16, rng=rng)
+    seq = tf.extract_patches(spec, config)
+    assert (tf.N_FREQ_PATCHES, config.n_time_patches) == (12, 1)
+    assert seq.patches.shape == (12, 256)
     assert seq.valid.all()
+    for f in range(12):
+        np.testing.assert_array_equal(seq.patches[f], spec.values[:, 10 * f : 10 * f + 16].T.reshape(-1))
 
 
 def test_validity_against_brute_force(rng):
     config = tf.desk_config(max_duration_s=12.0)
     n_real = 600
     seq = tf.extract_patches(make_spec(n_real, rng=rng), config)
-    n_f, n_t = config.n_freq_patches, config.n_time_patches
+    n_f, n_t = tf.N_FREQ_PATCHES, config.n_time_patches
     # brute force: a patch is valid iff any covered frame is real
     for f in range(n_f):
         for t in range(n_t):
-            start = t * config.patch_stride_time
-            covered = range(start, start + config.patch_size)
+            start = t * tf.PATCH_STRIDE
+            covered = range(start, start + tf.PATCH)
             expected = any(frame < n_real for frame in covered)
             assert seq.valid[f * n_t + t] == expected
     # patches straddling frame 599/600 stay valid, fully padded ones do not
-    straddle_t = (n_real - 1) // config.patch_stride_time
-    first_pad_t = -(-n_real // config.patch_stride_time)  # ceil
+    straddle_t = (n_real - 1) // tf.PATCH_STRIDE
+    first_pad_t = -(-n_real // tf.PATCH_STRIDE)  # ceil
     assert seq.valid[straddle_t]
     assert not seq.valid[first_pad_t]
 
@@ -70,7 +73,7 @@ def test_validity_against_brute_force(rng):
 def test_padding_uses_log_floor():
     config = tf.desk_config(max_duration_s=1.0)
     seq = tf.extract_patches(make_spec(10, fill=0.0), config)
-    n_f, n_t = config.n_freq_patches, config.n_time_patches
+    n_t = config.n_time_patches
     assert not seq.valid[n_t - 1]
     np.testing.assert_array_equal(seq.patches[n_t - 1], tf.PAD_LOG_VALUE)
 
@@ -79,16 +82,14 @@ def test_long_clip_truncated(rng):
     config = tf.desk_config(max_duration_s=1.0)
     seq = tf.extract_patches(make_spec(500, rng=rng), config)
     assert seq.valid.all()
-    assert (config.n_freq_patches, config.n_time_patches) == (12, (100 - 16) // 10 + 1)
+    assert (tf.N_FREQ_PATCHES, config.n_time_patches) == (12, (100 - 16) // 10 + 1)
 
 
 def test_patch_too_narrow_rejected():
-    """The config rejects a window or a mel count below one patch, which
-    gave numpy's negative-dimensions error at parameter init."""
+    """The config rejects a window below one patch, which gave numpy's
+    negative-dimensions error at parameter init."""
     with pytest.raises(tf.ModelError, match="narrower"):
-        tf.desk_config(max_duration_s=0.1)  # 10 frames < patch_size
-    with pytest.raises(tf.ModelError, match="narrower"):
-        tf.desk_config(n_mels=8)
+        tf.desk_config(max_duration_s=0.1)  # 10 frames < PATCH
 
 
 def test_mel_count_mismatch_rejected(rng):
@@ -97,29 +98,16 @@ def test_mel_count_mismatch_rejected(rng):
         tf.extract_patches(make_spec(100, n_mels=64, rng=rng), config)
 
 
-@given(
-    frames=st.integers(min_value=16, max_value=240),
-    stride_t=st.integers(min_value=1, max_value=16),
-    stride_f=st.integers(min_value=1, max_value=16),
-    n_mels=st.integers(min_value=16, max_value=64),
-)
-def test_patch_count_matches_floor_formula(frames, stride_t, stride_f, n_mels):
-    config = tf.ModelConfig(
-        embed_dim=8,
-        n_heads=2,
-        n_layers=0,
-        n_mels=n_mels,
-        max_duration_s=frames * HOP,
-        patch_stride_time=stride_t,
-        patch_stride_freq=stride_f,
-    )
-    spec = make_spec(frames, n_mels=n_mels, fill=-1.0)
-    seq = tf.extract_patches(spec, config)
-    expected_f = (n_mels - 16) // stride_f + 1
-    expected_t = (config.max_frames - 16) // stride_t + 1
+@given(frames=st.integers(min_value=16, max_value=240))
+def test_patch_count_matches_floor_formula(frames):
+    config = tf.ModelConfig(embed_dim=8, n_heads=2, n_layers=0, max_duration_s=frames * HOP)
+    seq = tf.extract_patches(make_spec(frames, fill=-1.0), config)
+    expected_f = (128 - 16) // 10 + 1
+    expected_t = (config.max_frames - 16) // 10 + 1
     # brute-force window enumeration
-    assert expected_t == len(range(0, config.max_frames - 16 + 1, stride_t))
-    assert seq.patches.shape[0] == expected_f * expected_t
+    assert expected_f == len(range(0, 128 - 16 + 1, 10)) == tf.N_FREQ_PATCHES
+    assert expected_t == len(range(0, config.max_frames - 16 + 1, 10)) == config.n_time_patches
+    assert seq.patches.shape == (expected_f * expected_t, 256) == (config.n_patches, 256)
 
 
 # -------------------------------------------------------------- embedding
@@ -393,7 +381,7 @@ def test_mask_invariance_under_extended_padding(rng):
     # content must end inside the patch coverage both grids share; a clip
     # reaching past n_time_short * stride would gain an extra valid patch
     # in the longer grid (real frames the short grid never covered)
-    max_real = short_cfg.n_time_patches * short_cfg.patch_stride_time
+    max_real = short_cfg.n_time_patches * tf.PATCH_STRIDE
     for trial in range(5):
         spec = make_spec(int(rng.integers(30, max_real + 1)), rng=rng)
         seq_s = tf.extract_patches(spec, short_cfg)
@@ -478,7 +466,7 @@ def test_desk_training_step_peaks_below_28_token_arrays_per_layer():
     model = tf.SpectrogramTransformer(config, seed=0)
     rng = np.random.default_rng(1)
     samples = [
-        make_sample(in_memory(rng.normal(-5.0, 2.0, size=(200, config.n_mels))),
+        make_sample(in_memory(rng.normal(-5.0, 2.0, size=(200, 128))),
                     QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
         for _ in range(8)
     ]
