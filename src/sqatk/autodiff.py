@@ -8,22 +8,23 @@ with requires_grad=True) are their own nodes. Each closure captures the
 arrays its backward reads and no Tensor, so an intermediate array lives
 only while a caller or a closure holds it. add, sum, indexing and
 broadcast_to keep shapes; relu takes its mask from its own output;
-layer_norm keeps its normalized input and sigma; linear and conv2d
-keep their inputs; attention keeps its inputs, its output and each
-query row's log-sum-exp, no score matrix; maxpool2d keeps a map of
-winning slots.
+layer_norm keeps its normalized input and sigma; linear keeps its
+inputs; conv2d keeps its inputs and, when it pools, a map of winning
+slots; attention keeps its inputs, its output and each query row's
+log-sum-exp, no score matrix; maxpool2d keeps a map of winning slots.
 
 backward() on a result walks the recorded nodes in reverse topological
 order, routing gradients through a per-call map; leaves accumulate into
 .grad (the first gradient is stored as a copy, signed zeros included),
 so backpropagating several losses that share a forward pass sums their
 gradients exactly. The op set is what the scoring models need:
-broadcast arithmetic, batched matmul, linear layers, shape ops, layer
-norm, GELU/ReLU, scaled dot-product attention (whose softmax is fused
-into it: five passes over each head's score matrix forward and nine
-backward, equal to the composed ops to rounding), 3x3 convolution and
-max pooling. GELU's erf is a rational approximation evaluated in the
-input's dtype, within 5e-7 of the exact erf in float32 and 1e-7 in
+broadcast arithmetic, linear layers, shape ops, layer norm, GELU/ReLU,
+scaled dot-product attention (whose softmax is fused into it: five
+passes over each head's score matrix forward and nine backward, equal
+to the composed ops to rounding), and 3x3 convolution, which max-pools
+each sample's output as it computes it; maxpool2d pools on its own by
+the same routing. GELU's erf is a rational approximation evaluated in
+the input's dtype, within 5e-7 of the exact erf in float32 and 1e-7 in
 float64, so the module needs NumPy alone.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
@@ -214,17 +215,6 @@ class Tensor:
         return self._make(a * b, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        other = self._lift(other)
-        a, b = self.data, other.data
-
-        def backward(g):
-            da = _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
-            db = _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
-            return da, db
-
-        return self._make(a @ b, (self, other), backward)
 
     # ---------------------------------------------------------- shape ops
 
@@ -506,27 +496,80 @@ def _im2col(src: np.ndarray, taps, cols: np.ndarray) -> np.ndarray:
     return cols.reshape(cols.shape[0] * cols.shape[1], -1)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
-    """2-D convolution, stride 1, via channel-major im2col + GEMM.
-    x: (B,C,H,W), w: (O,C,kh,kw), b: (O,).
+def _window_slots(factor: int, out_h: int, out_w: int) -> list[tuple]:
+    """Per slot of a factor x factor window, in scan order (row-major):
+    the index of that slot in every window of a (..., H, W) array."""
+    return [(..., slice(i, out_h * factor, factor), slice(j, out_w * factor, factor))
+            for i in range(factor) for j in range(factor)]
 
-    The forward builds one sample's (C*kh*kw, out_h*out_w) columns at a
-    time in one buffer; their GEMM with the weights writes that sample's
-    slice of the (O, B, out_h, out_w) output, which then takes the bias
-    in place. The NCHW result is a transposed view of that array, which
-    a following conv2d reads channel-major with no copy.
+
+def _slot_map(shape: tuple[int, ...], factor: int) -> np.ndarray:
+    """A map of each window's winning slot, unset: uint8 up to 16 x 16."""
+    return np.empty(shape, dtype=np.min_scalar_type(factor * factor - 1))
+
+
+def _max_pool(src: np.ndarray, factor: int, out: np.ndarray, win: np.ndarray | None) -> None:
+    """Max-pool the last two axes of src by `factor` into out, and set
+    win, if given, to each window's winning slot; trailing rows and
+    columns that fill no window are skipped. The max is a running
+    np.maximum over the slots, so a window of -0s pools to -0. Before
+    slot k joins it, the windows where k is strictly greater take k in
+    the map, so the first max in scan order wins: ties are common after
+    ReLU zeros and over the floor padding, and -0 ties +0."""
+    slots = _window_slots(factor, *out.shape[-2:])
+    np.copyto(out, src[slots[0]])
+    if win is not None:
+        win.fill(0)
+        hit = np.empty_like(win)
+    for k, slot in enumerate(slots[1:], 1):
+        if win is not None:  # k only grows, so a max with hit * k sets k where hit
+            np.greater(src[slot], out, out=hit)
+            np.maximum(win, np.multiply(hit, k, out=hit), out=win)
+        np.maximum(out, src[slot], out=out)
+
+
+def _unpool(g: np.ndarray, win: np.ndarray, factor: int, full: np.ndarray) -> np.ndarray:
+    """The gradient of _max_pool: route g through win into full, shaped
+    as the input, and return full. Each slot is written once, as g's
+    bits times the 0/1 mask win == k, so the winning slot gets g exactly,
+    -0 included, and the others +0 (a float product would give -0 under
+    a negative gradient). Rows and columns no window covers get +0."""
+    out_h, out_w = win.shape[-2:]
+    bits = np.dtype(f"u{full.dtype.itemsize}")
+    full[..., out_h * factor :, :] = 0.0
+    full[..., out_w * factor :] = 0.0
+    mask = np.empty_like(win, dtype=bool)
+    for k, slot in enumerate(_window_slots(factor, out_h, out_w)):
+        np.equal(win, k, out=mask)
+        np.multiply(g.view(bits), mask, out=full[slot].view(bits))
+    return full
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1, pool: int = 1) -> Tensor:
+    """2-D convolution, stride 1, via channel-major im2col + GEMM, then
+    max pooling by `pool`. x: (B,C,H,W), w: (O,C,kh,kw), b: (O,); the
+    output is (B, O, out_h // pool, out_w // pool).
+
+    The forward runs one sample at a time: the GEMM of the sample's
+    (C*kh*kw, out_h*out_w) columns, built in one buffer, writes its
+    (O, out_h*out_w) conv output into another, which takes the bias and
+    is pooled into the sample's slice of the output (and, recorded, of
+    one map of winning slots) while it is still in cache. So the batch's
+    full-resolution conv output is never made.
 
     The backward runs the same loop and keeps no columns between calls:
-    for each sample it rebuilds the columns into one buffer of its own,
-    adds g_n @ cols_n.T into dw, then writes w_mat.T @ g_n into that
-    buffer and adds its shifted slices (col2im) into the sample's slice
-    of an unpadded input gradient, in tap order. The closure holds the
-    input and weight arrays, the shapes and the taps.
+    for each sample it routes the pooled gradient through the map into
+    one full-resolution buffer, rebuilds the columns into a buffer of
+    its own, adds g_n @ cols_n.T into dw, then writes w_mat.T @ g_n into
+    that buffer and adds its shifted slices (col2im) into the sample's
+    slice of an unpadded input gradient, in tap order. db sums the
+    pooled gradient.
 
     So the output and dx take one GEMM per sample, and dw is the sum of
     the per-sample GEMMs in sample order. One GEMM over the whole batch's
     columns can round otherwise: the BLAS may pick another kernel, or sum
-    in another order, for a wider matrix."""
+    in another order, for a wider matrix. The output, dx and dw are
+    those of conv2d at pool 1 and then maxpool2d, bit for bit."""
     batch, in_ch, height, width = x.data.shape
     out_ch, w_in_ch, kh, kw = w.data.shape
     if w_in_ch != in_ch:
@@ -541,85 +584,51 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
     col_overlap = [_overlap(v - padding, width, out_w) for v in range(kw)]
     taps = [(*row_overlap[u], *col_overlap[v]) for u in range(kh) for v in range(kw)]
 
-    xd, wd = x.data, w.data
+    xd, wd, bias = x.data, w.data, b.data[:, None]
     need_dx, need_dw = x.requires_grad, w.requires_grad
     w_mat = wd.reshape(out_ch, in_ch * n_taps)
-    out_data = np.empty((out_ch, batch, out_h * out_w), dtype=dtype)
+    out_data = np.empty((batch, out_ch, out_h // pool, out_w // pool), dtype=dtype)
+    # one slot per window needs no map
+    win = _slot_map(out_data.shape, pool) if pool > 1 and _records((x, w, b)) else None
+    conv = np.empty((out_ch, out_h * out_w), dtype=dtype)
     cols = np.empty((in_ch, n_taps, out_h, out_w), dtype=dtype)
     for n in range(batch):
-        np.matmul(w_mat, _im2col(xd[n], taps, cols), out=out_data[:, n])
-    out_data += b.data[:, None, None]
+        np.matmul(w_mat, _im2col(xd[n], taps, cols), out=conv)
+        conv += bias
+        _max_pool(conv.reshape(out_ch, out_h, out_w), pool, out_data[n], None if win is None else win[n])
 
     def backward(g):
         dw = np.zeros_like(w_mat) if need_dw else None
-        dxt = np.zeros((in_ch, batch, height, width), dtype=dtype) if need_dx else None
+        dx = np.zeros((batch, in_ch, height, width), dtype=dtype) if need_dx else None
         cols = np.empty((in_ch, n_taps, out_h, out_w), dtype=dtype)
+        full = np.empty((out_ch, out_h, out_w), dtype=dtype) if pool > 1 else None
         for n in range(batch):
-            g_n = g[n].reshape(out_ch, out_h * out_w)
+            g_n = g[n] if full is None else _unpool(g[n], win[n], pool, full)
+            g_n = g_n.reshape(out_ch, out_h * out_w)
             if dw is not None:
                 dw += g_n @ _im2col(xd[n], taps, cols).T
-            if dxt is not None:
+            if dx is not None:
                 np.matmul(w_mat.T, g_n, out=cols.reshape(in_ch * n_taps, -1))
                 for j, (rows, src_rows, span, src_span) in enumerate(taps):
-                    dxt[:, n, src_rows, src_span] += cols[:, j, rows, span]
-        dx = None if dxt is None else dxt.transpose(1, 0, 2, 3)
+                    dx[n, :, src_rows, src_span] += cols[:, j, rows, span]
         dw = None if dw is None else dw.reshape(wd.shape)
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    out_data = out_data.reshape(out_ch, batch, out_h, out_w)
-    return x._make(out_data.transpose(1, 0, 2, 3), (x, w, b), backward)
+    return x._make(out_data, (x, w, b), backward)
 
 
 def maxpool2d(x: Tensor, factor: int) -> Tensor:
-    """Non-overlapping max pooling by `factor` along both spatial axes.
-
-    The max is a running np.maximum over the factor**2 strided slices,
-    one per window slot, so the output keeps the input's memory layout.
-    Trailing rows/columns that do not fill a full window are dropped and
-    get zero gradient. Ties (common after ReLU zeros, and -0 ties +0)
-    route the whole gradient to the first slot in window scan order
-    (row-major) that holds the max; the other slots get +0.
-
-    A recorded call keeps no copy of its input, only a map of each
-    window's winning slot (uint8 up to 16 x 16 windows): before slot k
-    joins the running max, the windows where it is strictly greater
-    take k, so the first max in scan order wins. Under no_grad no map
-    is made. The backward
-    writes each slot of an uninitialised buffer, laid out as the input,
-    once: it multiplies the gradient's bits with the 0/1 mask win == k,
-    so the winning slot gets the gradient exactly and the others +0 (a
-    float product would give -0 under a negative gradient). Only the
-    trailing rows and columns that no window covers are zeroed.
-    """
-    out_h, out_w = x.data.shape[2] // factor, x.data.shape[3] // factor
-    slots = [
-        (slice(None), slice(None), slice(i, out_h * factor, factor), slice(j, out_w * factor, factor))
-        for i in range(factor)
-        for j in range(factor)
-    ]
-    out_data = x.data[slots[0]].copy(order="K")
-    slot_dtype = np.min_scalar_type(len(slots) - 1)
-    win = np.zeros_like(out_data, dtype=slot_dtype) if _records((x,)) else None
-    hit = None if win is None else np.empty_like(win)
-    for k, slot in enumerate(slots[1:], 1):
-        if win is not None:  # k only grows, so a max with hit * k sets k where hit
-            np.greater(x.data[slot], out_data, out=hit)
-            np.maximum(win, np.multiply(hit, k, out=hit), out=win)
-        np.maximum(out_data, x.data[slot], out=out_data)
+    """Max pooling by `factor` along both spatial axes, routed as in
+    conv2d's pool stage. A recorded call keeps only the map of winning
+    slots; under no_grad none is made. The CNN pools inside conv2d; this
+    op stays for the tests and for bench/tracer.py, which wraps
+    sqatk.cnn.maxpool2d."""
+    batch, channels, height, width = x.data.shape
+    out_data = np.empty((batch, channels, height // factor, width // factor), dtype=x.data.dtype)
+    win = _slot_map(out_data.shape, factor) if _records((x,)) else None
+    _max_pool(x.data, factor, out_data, win)
     x_shape, dtype = x.data.shape, x.data.dtype
-
-    def backward(g):
-        bits = np.dtype(f"u{dtype.itemsize}")
-        full = np.empty_like(win, dtype=dtype, shape=x_shape)  # the input's layout
-        full[:, :, out_h * factor :] = 0.0
-        full[:, :, :, out_w * factor :] = 0.0
-        mask = np.empty_like(win, dtype=bool)
-        for k, slot in enumerate(slots):
-            np.equal(win, k, out=mask)
-            np.multiply(g.view(bits), mask, out=full[slot].view(bits))
-        return (full,)
-
-    return x._make(out_data, (x,), backward)
+    return x._make(out_data, (x,), lambda g: (_unpool(g, win, factor, np.empty(x_shape, dtype=dtype)),))
 
 
 def init_from_spec(spec: ParamSpec, seed: int) -> dict[str, Tensor]:

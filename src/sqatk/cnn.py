@@ -2,9 +2,10 @@
 
 Four conv(3x3) + max-pool + ReLU stages, global average pooling over
 time, and the same five affine heads as the transformer. Max pooling
-and ReLU commute, so each stage pools before its ReLU. This is a
-stand-in architecture for training-protocol experiments; it is not a
-reproduction of any published CNN scorer.
+and ReLU commute, so each stage pools before its ReLU, inside conv2d,
+one sample at a time. This is a stand-in architecture for
+training-protocol experiments; it is not a reproduction of any
+published CNN scorer.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSpec, Tensor, conv2d, maxpool2d
+# maxpool2d is not called here; bench/tracer.py wraps sqatk.cnn.maxpool2d.
+from .autodiff import ParamSpec, Tensor, conv2d, maxpool2d  # noqa: F401
 from .frontend import FrontendConfig
 from .training import Scorer
 from .transformer import (ModelError, NonFiniteError, Window, check_shapes, floor_pad, head_outputs,
@@ -76,8 +78,8 @@ def cnn_forward_batch(
         raise ModelError(f"input plane {x.shape[2:]} != ({FrontendConfig.n_mels}, {config.max_frames})")
     h = Tensor(x)
     for i, factor in enumerate(config.pool):
-        h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], padding=1)
-        h = maxpool2d(h, factor).relu()  # ReLU on 1/factor**2 of the cells
+        # ReLU on 1/factor**2 of the cells
+        h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], pool=factor).relu()
     pooled = h.mean(axis=3)  # global average over time
     if not np.isfinite(pooled.data).all():
         raise NonFiniteError("non-finite pooled CNN features")

@@ -99,12 +99,13 @@ def primitive_cases(seed: int = 0, dtype=np.float64) -> dict[str, tuple]:
     # Attention: q/k/v projections into one head, masked keys, fused op.
     att_x = leaf((2, 5, 8))
     wq, wk, wv = (leaf((8, 8)) for _ in range(3))
+    no_bias = Tensor(np.zeros(8, dtype=dtype))
     mask = np.array([[True, True, True, True, False], [True, True, True, False, False]])
     bias = np.where(mask, 0.0, -np.inf).astype(dtype)[:, None, None, :]
     att_probe = probe((2, 5, 8))
 
     def attention_loss():
-        q, k, v = ((att_x @ w).reshape((2, 1, 5, 8)) for w in (wq, wk, wv))
+        q, k, v = (linear(att_x, w, no_bias).reshape((2, 1, 5, 8)) for w in (wq, wk, wv))
         return (attention(q, k, v, bias).reshape((2, 5, 8)) * att_probe).sum()
 
     att_tensors = {"x": att_x, "wq": wq, "wk": wk, "wv": wv}
@@ -112,8 +113,8 @@ def primitive_cases(seed: int = 0, dtype=np.float64) -> dict[str, tuple]:
 
     # One query row, as in the CLS-only last encoder block, against the same masked keys.
     def attention_cls_loss():
-        q = (att_x[:, :1] @ wq).reshape((2, 1, 1, 8))
-        k, v = ((att_x @ w).reshape((2, 1, 5, 8)) for w in (wk, wv))
+        q = linear(att_x[:, :1], wq, no_bias).reshape((2, 1, 1, 8))
+        k, v = (linear(att_x, w, no_bias).reshape((2, 1, 5, 8)) for w in (wk, wv))
         return (attention(q, k, v, bias).reshape((2, 8)) * att_probe[:, 0]).sum()
 
     cases["attention_cls"] = (attention_cls_loss, att_tensors)
@@ -140,6 +141,32 @@ def primitive_cases(seed: int = 0, dtype=np.float64) -> dict[str, tuple]:
     rows = np.array([[1, 1, 2], [0, 2, 2]])
     gather_probe = probe((2, 3, 3))
     cases["gather"] = (lambda: (table[rows] * gather_probe).sum(), {"table": table})
+
+    # conv2d's pool stage away from ties, at pool 2 on an even plane and
+    # pool 3 on an odd one. With no padding, each output channel is its
+    # bias plus +-(the sum of its |weights|) times the shifted input ramp,
+    # plus its weights times the jitter, under 0.3 of that sum. A ramp step
+    # is 1, so a window's conv outputs lie at least 0.7 of that sum apart.
+    # The ramp runs up the rows in sample 0 and down them in sample 1, and
+    # the weights' sign alternates over output channels, so every slot of
+    # a 2 x 2 window wins somewhere.
+    signs = np.array([1.0, -1.0, 1.0])[:, None, None, None]
+    pw = Tensor((rng.uniform(0.5, 1.5, size=(3, 2, 3, 3)) * signs).astype(dtype), requires_grad=True)
+    pb = leaf((3,))
+
+    def ramp(height, width):
+        rows, cols = np.mgrid[:height, :width]
+        plane = np.stack([rows * width + cols, cols - rows * width])[:, None]
+        jitter = rng.uniform(0.0, 0.3, size=(2, 2, height, width))
+        return Tensor((plane + jitter).astype(dtype), requires_grad=True)
+
+    px2, px3 = ramp(8, 10), ramp(9, 13)  # conv outputs 6 x 8 and 7 x 11
+    p_probe2, p_probe3 = probe((2, 3, 3, 4)), probe((2, 3, 2, 3))
+    cases["conv2d_pool"] = (
+        lambda: (conv2d(px2, pw, pb, padding=0, pool=2) * p_probe2).sum()
+        + (conv2d(px3, pw, pb, padding=0, pool=3) * p_probe3).sum(),
+        {"x2": px2, "x3": px3, "w": pw, "b": pb},
+    )
 
     return cases
 

@@ -94,7 +94,7 @@ def test_criterion_2_gradient_suite():
     elapsed = time.monotonic() - start
     worst = max(results.values())
     print(f"criterion 2: worst relative error {worst:.3e} (< 1e-3), {elapsed:.1f}s (< 120s)")
-    assert {"linear", "softmax", "layer_norm", "gelu", "attention", "conv2d",
+    assert {"linear", "softmax", "layer_norm", "gelu", "attention", "conv2d", "conv2d_pool",
             "maxpool", "desk_transformer"} <= set(results)
     for name, err in results.items():
         assert err < 1e-3, f"{name}: {err:.3e}"

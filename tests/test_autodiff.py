@@ -19,7 +19,7 @@ def test_primitive_suite_passes():
     results = primitive_checks(seed=0)
     assert set(results) >= {
         "linear", "softmax", "layer_norm", "gelu", "relu", "attention",
-        "attention_cls", "conv2d", "maxpool", "mse", "gather",
+        "attention_cls", "conv2d", "conv2d_pool", "maxpool", "mse", "gather",
     }
     for name, err in results.items():
         assert err < TOL, f"{name}: {err:.3e}"
@@ -115,7 +115,7 @@ def test_tensor_keeps_float32_and_float64_and_casts_the_rest():
 
 def test_python_and_array_operands_take_the_tensor_dtype():
     x = Tensor(np.ones(3, dtype=np.float32))
-    for out in (x + 1.0, x - 1.0, x * np.float64(2.0), x * np.ones(3), x @ np.ones((3, 2)), x.mean()):
+    for out in (x + 1.0, x - 1.0, x * np.float64(2.0), x * np.ones(3), x.mean()):
         assert out.data.dtype == np.float32
 
 
@@ -134,17 +134,22 @@ def test_broadcast_add_reduces_grad():
 
 
 def test_matmul_batched_grad(rng):
+    """linear's GEMM with a batched weight and a zero bias."""
     a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3, 5, 6)), requires_grad=True)
+    no_bias = Tensor(np.zeros(6))
     probe = Tensor(rng.normal(size=(2, 3, 4, 6)))
-    err = check_function(lambda: ((a @ b) * probe).sum(), {"a": a, "b": b})
+    err = check_function(lambda: (linear(a, b, no_bias) * probe).sum(), {"a": a, "b": b})
     assert err < TOL
 
 
 def test_matmul_shared_weight_grad(rng):
+    """linear's GEMM, zero bias, with one weight shared over a batch and
+    used twice."""
     x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
     w = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-    err = check_function(lambda: ((x @ w) * (x @ w)).sum(), {"x": x, "w": w})
+    no_bias = Tensor(np.zeros(2))
+    err = check_function(lambda: (linear(x, w, no_bias) * linear(x, w, no_bias)).sum(), {"x": x, "w": w})
     assert err < TOL
 
 
@@ -175,6 +180,18 @@ def _softmax(x):
     return x._make(out_data, (x,), backward)
 
 
+def _matmul(a, b):
+    """a @ b as a recorded op, with the leading axes broadcast: the
+    reference for the GEMMs fused into attention."""
+    ad, bd = a.data, b.data
+
+    def backward(g):
+        return (autodiff._unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape),
+                autodiff._unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape))
+
+    return a._make(ad @ bd, (a, b), backward)
+
+
 def test_softmax_rows_sum_to_one(rng):
     x = Tensor(rng.normal(size=(4, 7)))
     np.testing.assert_allclose(_softmax(x).data.sum(axis=-1), 1.0, atol=1e-12)
@@ -192,9 +209,9 @@ def test_softmax_singleton_is_identity_weight():
     # attention over a single element returns exactly that value row
     q = Tensor(np.array([[[0.3]]]))
     v = Tensor(np.array([[[2.5, -1.0]]]))
-    attn = _softmax(q @ q.transpose((0, 2, 1)))
+    attn = _softmax(_matmul(q, q.transpose((0, 2, 1))))
     assert attn.data[0, 0, 0] == 1.0
-    out = attn @ v
+    out = _matmul(attn, v)
     np.testing.assert_array_equal(out.data, v.data)
 
 
@@ -297,24 +314,52 @@ def test_maxpool_values(rng):
     np.testing.assert_array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
 
 
+# The paths that pool: the maxpool2d op; conv2d's pool stage behind a 1x1
+# identity convolution, which passes every value through but makes each
+# zero +0; and the shared helpers run one sample at a time, as conv2d
+# runs them, which keep signed zeros.
+POOL_PATHS = ("maxpool2d", "conv2d", "helpers")
+
+
+def _pool_along(path, data, factor, g):
+    """data, (B,C,H,W), max-pooled by factor along the named path, and
+    the upstream gradient g routed back to data's shape: the op's own
+    gradient (conv2d's dx), or _unpool's."""
+    if path == "helpers":
+        out = np.empty(data.shape[:2] + (data.shape[2] // factor, data.shape[3] // factor), dtype=data.dtype)
+        grad = np.empty_like(data)
+        win = autodiff._slot_map(out.shape, factor)
+        for n in range(data.shape[0]):
+            autodiff._max_pool(data[n], factor, out[n], win[n])
+            autodiff._unpool(g[n], win[n], factor, grad[n])
+        return out, grad
+    x = Tensor(data, requires_grad=True)
+    if path == "maxpool2d":
+        out = maxpool2d(x, factor)
+    else:
+        channels = data.shape[1]
+        eye = Tensor(np.eye(channels, dtype=data.dtype).reshape(channels, channels, 1, 1))
+        out = conv2d(x, eye, Tensor(np.zeros(channels, dtype=data.dtype)), padding=0, pool=factor)
+    return out.data, out._node.backward(g)[0]
+
+
 def test_maxpool_ties_route_to_first_slot_in_scan_order():
     """Each window's gradient goes whole to the first slot, row-major,
-    that holds the max; the other slots get exactly 0."""
+    that holds the max; the other slots get exactly 0, on every path."""
     windows = np.array([
         [[1.5, 1.5], [1.5, 1.5]],  # all equal: slot 0
         np.maximum([[-1.0, -2.0], [-0.5, -3.0]], 0.0),  # ReLU zeros: slot 0
         [[0.2, 0.9], [0.4, 0.9]],  # tie at slots 1 and 3: slot 1
     ])
-    x = Tensor(windows[None], requires_grad=True)
-    out = maxpool2d(x, 2)
-    np.testing.assert_array_equal(out.data.reshape(-1), [1.5, 0.0, 0.9])
-    out.backward(np.array([2.0, -3.0, 0.5]).reshape(1, 3, 1, 1))
     expected = np.zeros((3, 2, 2))
     expected[0, 0, 0] = 2.0
     expected[1, 0, 0] = -3.0
     expected[2, 0, 1] = 0.5
-    np.testing.assert_array_equal(x.grad[0], expected)
-    assert not np.signbit(x.grad[0][expected == 0.0]).any()
+    for path in POOL_PATHS:
+        out, grad = _pool_along(path, windows[None], 2, np.array([2.0, -3.0, 0.5]).reshape(1, 3, 1, 1))
+        np.testing.assert_array_equal(out.reshape(-1), [1.5, 0.0, 0.9], err_msg=path)
+        np.testing.assert_array_equal(grad[0], expected, err_msg=path)
+        assert not np.signbit(grad[0][expected == 0.0]).any(), path
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -322,33 +367,38 @@ def test_maxpool_ties_route_to_first_slot_in_scan_order():
 def test_maxpool_window_of_equal_slots_routes_to_the_first(dtype, factor):
     """Windows whose factor**2 slots all hold the same value, +0 and -0
     in either order included, send the whole gradient to slot 0; every
-    other slot gets +0, also under a negative gradient."""
+    other slot gets +0, also under a negative gradient. Where signed
+    zeros survive (not behind conv2d's identity convolution), a window
+    of -0s pools to -0."""
     n = factor * factor
     signed_zeros = np.where(np.arange(n) % 2, -0.0, 0.0)
     windows = np.stack([np.full(n, 1.5), np.full(n, -2.0), signed_zeros, -signed_zeros, np.full(n, -0.0)])
-    x = Tensor(windows.reshape(1, 5, factor, factor).astype(dtype), requires_grad=True)
-    out = maxpool2d(x, factor)
-    np.testing.assert_array_equal(out.data.reshape(-1), [1.5, -2.0, 0.0, 0.0, 0.0])
     g = np.array([-1.0, 2.0, -3.0, -0.5, 4.0], dtype=dtype)
-    out.backward(g.reshape(1, 5, 1, 1))
     expected = np.zeros((5, factor, factor), dtype=dtype)
     expected[:, 0, 0] = g
-    np.testing.assert_array_equal(x.grad[0], expected)
-    assert not np.signbit(x.grad[0][expected == 0.0]).any()
+    for path in POOL_PATHS:
+        out, grad = _pool_along(path, windows.reshape(1, 5, factor, factor).astype(dtype), factor,
+                                g.reshape(1, 5, 1, 1))
+        np.testing.assert_array_equal(out.reshape(-1), [1.5, -2.0, 0.0, 0.0, 0.0], err_msg=path)
+        if path != "conv2d":
+            assert np.signbit(out.reshape(-1)[4]), path
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad[0], expected, err_msg=path)
+        assert not np.signbit(grad[0][expected == 0.0]).any(), path
 
 
 def test_maxpool_window_of_more_than_256_slots_routes_to_its_max(rng):
     """A 17 x 17 window has 289 slots, more than a uint8 map can name:
-    the gradient still goes whole to the max's slot."""
-    x = Tensor(rng.normal(size=(2, 1, 17, 18)), requires_grad=True)
-    out = maxpool2d(x, 17)
-    windows = x.data[:, 0, :, :17].reshape(2, -1)
-    np.testing.assert_array_equal(out.data.reshape(-1), windows.max(axis=1))
-    out.backward(np.array([2.0, -3.0]).reshape(2, 1, 1, 1))
+    the gradient still goes whole to the max's slot, on every path."""
+    data = rng.normal(size=(2, 1, 17, 18))
+    windows = data[:, 0, :, :17].reshape(2, -1)
     expected = np.zeros_like(windows)
     expected[[0, 1], windows.argmax(axis=1)] = [2.0, -3.0]
-    np.testing.assert_array_equal(x.grad[:, 0, :, :17].reshape(2, -1), expected)
-    assert not x.grad[:, :, :, 17].any()
+    for path in POOL_PATHS:
+        out, grad = _pool_along(path, data, 17, np.array([2.0, -3.0]).reshape(2, 1, 1, 1))
+        np.testing.assert_array_equal(out.reshape(-1), windows.max(axis=1), err_msg=path)
+        np.testing.assert_array_equal(grad[:, 0, :, :17].reshape(2, -1), expected, err_msg=path)
+        assert not grad[:, :, :, 17].any(), path
 
 
 def test_maxpool_under_no_grad_records_nothing(rng):
@@ -372,16 +422,18 @@ def test_maxpool_under_no_grad_records_nothing(rng):
 
 
 def test_maxpool_odd_plane_drops_trailing_row_and_column(rng):
-    x = Tensor(rng.normal(size=(2, 3, 5, 7)), requires_grad=True)
-    out = maxpool2d(x, 2)
-    assert out.shape == (2, 3, 2, 3)
-    windows = x.data[:, :, :4, :6].reshape(2, 3, 2, 2, 3, 2)
-    np.testing.assert_array_equal(out.data, windows.max(axis=(3, 5)))
-    out.backward(rng.normal(size=out.shape))
-    assert not x.grad[:, :, 4, :].any()
-    assert not x.grad[:, :, :, 6].any()
-    # one nonzero slot per window, holding that window's gradient
-    assert np.count_nonzero(x.grad) == out.data.size
+    data = rng.normal(size=(2, 3, 5, 7))
+    windows = data[:, :, :4, :6].reshape(2, 3, 2, 2, 3, 2)
+    g = rng.normal(size=(2, 3, 2, 3))
+    for path in POOL_PATHS:
+        out, grad = _pool_along(path, data, 2, g)
+        assert out.shape == (2, 3, 2, 3)
+        np.testing.assert_array_equal(out, windows.max(axis=(3, 5)), err_msg=path)
+        assert not grad[:, :, 4, :].any() and not np.signbit(grad[:, :, 4, :]).any(), path
+        assert not grad[:, :, :, 6].any() and not np.signbit(grad[:, :, :, 6]).any(), path
+        # one nonzero slot per window, holding that window's gradient
+        assert np.count_nonzero(grad) == out.size, path
+        np.testing.assert_array_equal(np.sort(grad[grad != 0.0]), np.sort(g.reshape(-1)), err_msg=path)
 
 
 def _maxpool_copyto_backward(x, out, g, factor):
@@ -407,20 +459,22 @@ def test_maxpool_backward_is_bit_equal_to_copyto_routing(rng, dtype, factor, hei
     """Every gradient bit, signed zeros included, equals the copyto
     routing's, on a channel-major conv-output layout with constant
     floor-padding windows (ties), ReLU zeros, odd planes and negative
-    and -0 upstream gradients."""
+    and -0 upstream gradients. Behind conv2d's identity convolution,
+    where every zero is +0, the values are equal."""
     data = rng.normal(size=(3, 2, height, width))
     data[:, :, :, width // 2 :] = -13.8  # constant padding windows: every slot ties
     data[0] = np.maximum(data[0], 0.0)  # ReLU zeros tie too
-    x = Tensor(data.astype(dtype).transpose(1, 0, 2, 3), requires_grad=True)
-    out = maxpool2d(x, factor)
-    g = rng.normal(size=out.shape).astype(dtype)
+    data = data.astype(dtype).transpose(1, 0, 2, 3)
+    g = rng.normal(size=(2, 3, height // factor, width // factor)).astype(dtype)
     g[:, :, ::2] = -np.abs(g[:, :, ::2])
     g[:, 1, 0] = -0.0
-    (got,) = out._node.backward(g)  # the op's own gradient
-    ref = _maxpool_copyto_backward(x.data, out.data, g, factor)
-    assert got.dtype == dtype
-    np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+    for path in POOL_PATHS:
+        out, got = _pool_along(path, data, factor, g)
+        ref = _maxpool_copyto_backward(data, out, g, factor)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, ref, err_msg=path)
+        if path != "conv2d":
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref), err_msg=path)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -497,8 +551,8 @@ def test_conv2d_matches_nested_loop_reference(rng, padding):
 
 
 def test_conv2d_non_contiguous_input_is_bit_equal(rng):
-    """A channel-major view, the layout conv2d itself returns, gives the
-    same bits as its contiguous copy, forward and backward."""
+    """A channel-major view gives the same bits as its contiguous copy,
+    forward and backward."""
     w = Tensor(rng.normal(size=(4, 3, 3, 3)))
     b = Tensor(rng.normal(size=4))
     view = rng.normal(size=(3, 2, 5, 7)).transpose(1, 0, 2, 3)
@@ -649,6 +703,67 @@ def test_conv2d_is_bit_equal_to_one_full_column_gemm(rng, in_ch, out_ch, height,
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.parametrize("pool", [2, 3])
+@pytest.mark.parametrize(
+    "in_ch,out_ch,height,width,batch",
+    FULL_COLUMN_SHAPES,
+    ids=["-".join(map(str, row[:4])) + ("" if row[4] == 8 else f"-batch{row[4]}") for row in FULL_COLUMN_SHAPES],
+)
+def test_conv2d_pool_is_bit_equal_to_full_columns_then_maxpool(rng, in_ch, out_ch, height, width, batch, pool):
+    """At pool 2 and 3, the output, dx and dw equal the bits of the
+    full-column reference at pool 1, pooled by a reshape max and with
+    the pooled gradient routed back by copyto, in float32. db is the
+    pooled gradient's sum: the reference sums the routed one, which
+    holds the same values and zeros, in another order."""
+    data = rng.normal(size=(in_ch, batch, height, width)).astype(np.float32).transpose(1, 0, 2, 3)
+    x = Tensor(data, requires_grad=True)
+    w = Tensor(rng.normal(size=(out_ch, in_ch, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=out_ch).astype(np.float32), requires_grad=True)
+    out_h, out_w = height // pool, width // pool
+    g = rng.normal(size=(batch, out_ch, out_h, out_w)).astype(np.float32)
+    out = conv2d(x, w, b, pool=pool)
+    out.backward(g)
+    zero_g = np.zeros((batch, out_ch, height, width), np.float32)
+    conv = _conv2d_full_columns(x.data, w.data, b.data, zero_g)[0]  # at pool 1
+    windows = conv[:, :, : out_h * pool, : out_w * pool].reshape(batch, out_ch, out_h, pool, out_w, pool)
+    ref_out = windows.max(axis=(3, 5))
+    routed = _maxpool_copyto_backward(conv, ref_out, g, pool)
+    _, ref_dx, ref_dw, ref_db = _conv2d_full_columns(x.data, w.data, b.data, routed)
+    for got, want in zip((out.data, x.grad, w.grad), (ref_out, ref_dx, ref_dw)):
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    np.testing.assert_array_equal(_bits(b.grad), _bits(g.sum(axis=(0, 2, 3))))
+    assert np.abs(b.grad - ref_db).max() <= 1e-6 * np.abs(ref_db).max()
+
+
+def test_conv2d_pool_makes_no_full_resolution_output_or_gradient(rng):
+    """The desk CNN's first stage (1 -> 16 channels, batch 8, 128 x 200,
+    float32, pool 2) never holds its 12.5 MiB full-resolution conv
+    output or its gradient: one sample's conv output (1.6 MB) is pooled
+    before the next sample's GEMM, and the backward routes one sample's
+    pooled gradient at a time. The recorded forward peaks at 6.5 MiB:
+    the 3.1 MiB pooled output, 0.8 MiB of maps and one sample's conv
+    output and columns. The backward peaks at 2.6 MiB; with the
+    pooled gradient spread over the whole batch's plane it would need
+    12.5 MiB."""
+    x = Tensor(rng.normal(size=(8, 1, 128, 200)).astype(np.float32))
+    w = Tensor(rng.normal(size=(16, 1, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+    g = rng.normal(size=(8, 16, 64, 100)).astype(np.float32)
+    full_bytes = 8 * 16 * 128 * 200 * 4
+    out = None
+
+    def forward():
+        nonlocal out
+        out = conv2d(x, w, b, pool=2)
+
+    forward_peak, _ = peak_traced_bytes(forward)
+    backward_peak, _ = peak_traced_bytes(lambda: out.backward(g))
+    assert out.shape == (8, 16, 64, 100) and w.grad is not None
+    assert forward_peak < 0.75 * full_bytes, f"forward peak {forward_peak / 2**20:.2f} MiB"
+    assert backward_peak < 0.25 * full_bytes, f"backward peak {backward_peak / 2**20:.2f} MiB"
+
+
 def test_conv2d_peaks_under_half_its_columns(rng):
     """On the desk CNN's second layer (16 -> 32 channels, batch 8,
     64 x 100, float32; 29.5 MB of im2col columns) the recorded forward
@@ -690,17 +805,18 @@ def test_conv2d_backward_of_the_first_layer_holds_one_samples_columns(rng):
 
 @pytest.mark.parametrize("shape", [(3, 5), (2, 7, 5)])
 def test_linear_is_bit_equal_to_matmul_plus_add(rng, shape):
-    """The output and the x, w and b gradients equal those of the matmul
-    and add ops, bit for bit, for one row block and a (B,N,D) batch."""
+    """The output and the x, w and b gradients equal NumPy's matmul and
+    add on the data, bit for bit, for one row block and a (B,N,D) batch."""
     data = [rng.normal(size=s).astype(np.float32) for s in (shape, (5, 4), (4,))]
     g = rng.normal(size=shape[:-1] + (4,)).astype(np.float32)
-    results = []
-    for op in (linear, lambda x, w, b: x @ w + b):
-        leaves = [Tensor(d, requires_grad=True) for d in data]
-        out = op(*leaves)
-        out.backward(g)
-        results.append([out.data] + [t.grad for t in leaves])
-    for got, want in zip(*results):
+    leaves = [Tensor(d, requires_grad=True) for d in data]
+    out = linear(*leaves)
+    out.backward(g)
+    x, w, b = data
+    lead = tuple(range(g.ndim - 1))  # the batch and row axes
+    dw = x.swapaxes(-1, -2) @ g  # one (5, 4) product per batch entry
+    refs = [x @ w + b, g @ w.swapaxes(-1, -2), dw.sum(axis=lead[:-1]), g.sum(axis=lead)]
+    for got, want in zip([out.data] + [t.grad for t in leaves], refs):
         assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
@@ -793,10 +909,10 @@ def test_no_grad_is_per_thread():
 def _attention_composed(q, k, v, bias):
     """The matmul/scale/bias/softmax/matmul chain the fused op replaced,
     kept as its reference."""
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[-1]))
+    scores = _matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[-1]))
     if bias is not None:
         scores = scores + Tensor(bias)
-    return _softmax(scores) @ v
+    return _matmul(_softmax(scores), v)
 
 
 def _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, dtype):

@@ -19,7 +19,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from sqatk import cli
+from sqatk import cnn as cnn_mod
 from sqatk import frontend as fe
+from sqatk.autodiff import conv2d, no_grad
+from sqatk.cnn import CnnConfig, ConvBaseline
 from sqatk.manifest import load_manifest
 from sqatk.synth import generate_corpus
 from sqatk.transformer import SpectrogramTransformer, desk_config
@@ -100,3 +103,29 @@ def test_the_bench_valid_token_share_is_the_share_src_scores(tmp_path, monkeypat
         total += 1 + model.config.n_patches
     assert valid < total
     assert share == valid / total
+
+
+def test_every_cnn_stage_calls_conv2d_through_the_cnn_modules_globals(monkeypatch):
+    """tracer.py's cnn.conv span wraps sqatk.cnn.conv2d, and pooling runs
+    inside that call, so the span covers every stage's conv and pool only
+    if cnn_forward_batch looks conv2d up in its module's globals once per
+    stage, recorded and under no_grad alike."""
+    config = CnnConfig(channels=(4, 8, 8), pool=(2, 2, 1), max_duration_s=0.4)
+    model = ConvBaseline(config, seed=0)
+    x = model.collate([model.prepare(np.random.default_rng(0).normal(-5.0, 2.0, size=(40, 128)))] * 2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("pool"))
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(cnn_mod, "conv2d", counting)
+    recorded = cnn_mod.cnn_forward_batch(x, model.params, config)
+    assert all(raw.requires_grad for raw in recorded.values())
+    assert calls == list(config.pool)
+    calls.clear()
+    with no_grad():
+        scored = cnn_mod.cnn_forward_batch(x, model.params, config)
+    assert calls == list(config.pool)
+    for task, raw in scored.items():
+        np.testing.assert_array_equal(raw.data, recorded[task].data)

@@ -9,7 +9,7 @@ import pytest
 from sqatk import cnn as cnn_mod
 from sqatk import frontend as fe
 from sqatk import transformer as tf
-from sqatk.autodiff import Tensor, conv2d, maxpool2d, no_grad
+from sqatk.autodiff import Tensor, conv2d, linear, maxpool2d, no_grad
 from sqatk.quality import TASKS, QualityScores, clip_score
 from sqatk.training import Adam, _batch_losses, make_sample
 
@@ -181,7 +181,7 @@ def _forward_relu_then_pool(x, params, config):
         h = maxpool2d(h, factor)
     batch = x.shape[0]
     feats = h.mean(axis=3).reshape((batch, config.derived_head_input))
-    heads = {t: feats @ params[f"head_{t}_w"] + params[f"head_{t}_b"] for t in TASKS}
+    heads = {t: linear(feats, params[f"head_{t}_w"], params[f"head_{t}_b"]) for t in TASKS}
     return {t: raw.reshape((batch,)) for t, raw in heads.items()}
 
 
@@ -241,13 +241,10 @@ def _desk_cnn_batch(model, rng, batch=8):
     ]
 
 
-def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
-    """One training step of the desk CNN (8 clips of 2 s, float32):
-    preparing the clips' planes, forward, backward and ADAM peak below
-    2.5 of the first layer's (8, 16, 128, 200) conv outputs, 31.3 MiB
-    (measured 24.6; 27.7 when conv2d's backward built each tap's
-    columns over the whole batch). The graph that kept every conv and
-    pool output peaked at 54.6 MiB, 4.4 such arrays."""
+def _desk_cnn_step_peak() -> tuple[int, int]:
+    """The traced peak of one desk CNN training step (8 clips of 2 s,
+    float32): preparing the clips' planes, forward, backward and ADAM;
+    and the bytes of the first layer's (8, 16, 128, 200) conv output."""
     config = desk_cnn_config()
     model = cnn_mod.ConvBaseline(config, seed=0)
     samples = _desk_cnn_batch(model, np.random.default_rng(1))
@@ -260,7 +257,27 @@ def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
         optimizer.step(1e-3)
 
     peak, _ = peak_traced_bytes(step)
+    return peak, conv0_bytes
+
+
+def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
+    """One training step of the desk CNN peaks below 2.5 of the first
+    layer's conv outputs, 31.3 MiB (measured 17.2; 24.6 with a separate
+    max-pool op, 27.7 when conv2d's backward built each tap's columns
+    over the whole batch). The graph that kept every conv and pool
+    output peaked at 54.6 MiB, 4.4 such arrays."""
+    peak, conv0_bytes = _desk_cnn_step_peak()
     assert peak < 2.5 * conv0_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_desk_cnn_training_step_makes_no_full_resolution_conv_output():
+    """The same step peaks below 1.6 of the first layer's conv outputs,
+    20.0 MiB (measured 17.2): each conv2d pools a sample's output while
+    it is in cache, so no stage makes its full-resolution conv output or
+    that output's gradient. With conv2d at pool 1 and a separate
+    maxpool2d, the step peaked at 24.6 MiB."""
+    peak, conv0_bytes = _desk_cnn_step_peak()
+    assert peak < 1.6 * conv0_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_recorded_cnn_forward_holds_no_conv_or_pool_output():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sqatk import cnn as cnn_mod
 from sqatk import training
 from sqatk import transformer as tf
-from sqatk.autodiff import Tensor
+from sqatk.autodiff import Tensor, linear
 from sqatk.evaluation import pearson, rmse
 from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS, QualityScores
@@ -89,7 +89,8 @@ def test_adam_bitwise_deterministic():
         p = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True)}
         opt = Adam(p)
         for step in range(25):
-            loss = ((p["w"] @ Tensor(np.ones((3, 1)))) * (p["w"] @ Tensor(np.ones((3, 1))))).sum()
+            row_sums = linear(p["w"], Tensor(np.ones((3, 1))), Tensor(np.zeros(1)))
+            loss = (row_sums * row_sums).sum()
             opt.zero_grad()
             loss.backward()
             opt.step(1e-2)
@@ -227,8 +228,8 @@ class TinyModel(Scorer):
         return np.stack(inputs)
 
     def forward_batch(self, batch):
-        x = Tensor(batch)
-        return {t: (x @ self.params[f"w_{t}"]).reshape((batch.shape[0],)) for t in TASKS}
+        x, no_bias = Tensor(batch), Tensor(np.zeros(1))
+        return {t: linear(x, self.params[f"w_{t}"], no_bias).reshape((batch.shape[0],)) for t in TASKS}
 
 
 def tiny_samples(n, rng, slope=1.0):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqatk import transformer as tf
-from sqatk.autodiff import Tensor, layer_norm, no_grad
+from sqatk.autodiff import Tensor, layer_norm, linear, no_grad
 from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS, QualityScores
 from sqatk.training import Adam, _batch_losses, make_sample, mse_loss
@@ -204,8 +204,8 @@ def _encoder_all_tokens(tokens, mask, params, config):
         h = layer_norm(x, params[pre + "ln1_gamma"], params[pre + "ln1_beta"])
         x = x + tf._attention(h, h, bias, params, pre, config)
         h = layer_norm(x, params[pre + "ln2_gamma"], params[pre + "ln2_beta"])
-        h = (h @ params[pre + "mlp_w1"] + params[pre + "mlp_b1"]).gelu()
-        x = x + (h @ params[pre + "mlp_w2"] + params[pre + "mlp_b2"])
+        h = linear(h, params[pre + "mlp_w1"], params[pre + "mlp_b1"]).gelu()
+        x = x + linear(h, params[pre + "mlp_w2"], params[pre + "mlp_b2"])
     return x[:, 0]
 
 
