@@ -14,10 +14,9 @@ slots; attention keeps its inputs, its output and each query row's
 log-sum-exp, no score matrix; maxpool2d keeps a map of winning slots.
 
 backward() on a result walks the recorded nodes in reverse topological
-order, routing gradients through a per-call map; leaves accumulate into
-.grad (the first gradient is stored as a copy, signed zeros included),
-so backpropagating several losses that share a forward pass sums their
-gradients exactly. The op set is what the scoring models need:
+order, routing gradients through a per-call map, and returns each leaf's
+gradient in a map keyed by the leaf that the caller owns; no gradient is
+stored on a Tensor. The op set is what the scoring models need:
 broadcast arithmetic, linear layers, shape ops, layer norm, GELU/ReLU,
 scaled dot-product attention (whose softmax is fused into it: five
 passes over each head's score matrix forward and nine backward, equal
@@ -141,14 +140,13 @@ def _graph_node(t: Tensor):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         if data.dtype != np.float32:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None  # set on a recorded op's output
 
@@ -245,24 +243,24 @@ class Tensor:
 
     # --------------------------------------------------------- reductions
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        out_data = self.data.sum(axis=axis)
         shape = self.data.shape
 
         def backward(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape).copy(),)
 
         return self._make(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
+    def mean(self, axis=None):
         if axis is None:
             count = self.data.size
         else:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis) * (1.0 / count)
 
     # ------------------------------------------------------ nonlinearities
 
@@ -287,7 +285,13 @@ class Tensor:
 
     # ------------------------------------------------------------ backward
 
-    def backward(self, grad=None):
+    def backward(self, grad=None) -> dict[Tensor, np.ndarray]:
+        """Backpropagate grad (ones by default) from this result and return
+        each leaf it reached, keyed by the leaf itself, mapped to the sum of
+        the gradients its consumers sent it; {} if nothing was recorded.
+        Two leaves can share one returned array (a + b hands both the same
+        g), and an entry can be a view of grad, so callers sum maps out of
+        place and never write into them."""
         if grad is None:
             grad = np.ones_like(self.data)
         else:
@@ -295,7 +299,7 @@ class Tensor:
 
         root = _graph_node(self)
         if root is None:
-            return
+            return {}
         # nodes are _Node for recorded ops and the leaf Tensors themselves
         order: list[_Node | Tensor] = []
         seen: set[int] = set()
@@ -313,16 +317,13 @@ class Tensor:
                 stack.extend((parent, False) for parent in node.parents if parent is not None)
 
         grad_map: dict[int, np.ndarray] = {id(root): grad}
+        leaf_grads: dict[Tensor, np.ndarray] = {}
         for node in reversed(order):
             g = grad_map.pop(id(node), None)
             if g is None:
                 continue
             if isinstance(node, Tensor):
-                if node.grad is None:  # a copy in the leaf's dtype and layout, -0 kept
-                    node.grad = np.empty_like(node.data)
-                    node.grad[...] = g
-                else:
-                    node.grad += g
+                leaf_grads[node] = g
                 continue
             for parent, pg in zip(node.parents, node.backward(g)):
                 if pg is None or parent is None:
@@ -332,6 +333,7 @@ class Tensor:
                     grad_map[key] = grad_map[key] + pg
                 else:
                     grad_map[key] = pg
+        return leaf_grads
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -360,7 +362,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     """Scaled dot-product attention of (B,H,Nq,dh) query heads over
     (B,H,N,dh) key and value heads: softmax(q @ k^T / sqrt(dh) + bias) @ v.
     Nq and N may differ; the encoder's last block passes one query row.
-    The leading axes broadcast as in matmul.
+    q, k and v must have equal leading axes.
 
     bias, if given, broadcasts against the (B,H,Nq,N) scores; -inf
     entries get exactly zero probability. The op runs one (batch, head)
@@ -375,11 +377,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     (FlashAttention-2, Dao 2023): nine passes over two buffers. The
     values equal the composed scale/softmax/matmul ops' to within 1e-14
     (float64) and 2e-6 (float32) of their largest magnitude."""
-    scale = 1.0 / math.sqrt(q.data.shape[-1])  # a Python float keeps float32 scores float32
-    lead = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2], v.data.shape[:-2])
-    n_q, n_k, d_v = q.data.shape[-2], k.data.shape[-2], v.data.shape[-1]
-    qs, ks, vs = (np.broadcast_to(t.data, lead + t.data.shape[-2:]) for t in (q, k, v))
-    score_dtype = np.result_type(q.data, k.data)
+    qs, ks, vs = q.data, k.data, v.data
+    lead = qs.shape[:-2]
+    if ks.shape[:-2] != lead or vs.shape[:-2] != lead:
+        raise ValueError(f"attention leading axes differ: q {qs.shape}, k {ks.shape}, v {vs.shape}")
+    scale = 1.0 / math.sqrt(qs.shape[-1])  # a Python float keeps float32 scores float32
+    n_q, n_k, d_v = qs.shape[-2], ks.shape[-2], vs.shape[-1]
+    score_dtype = np.result_type(qs, ks)
     if bias is not None:
         bias = np.broadcast_to(bias, lead + (n_q, n_k))
 
@@ -392,7 +396,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
 
     q_scaled = qs * scale
     v_ones = np.concatenate([vs, np.ones(lead + (n_k, 1), dtype=vs.dtype)], axis=-1)
-    out_sum = np.empty(lead + (n_q, d_v + 1), dtype=np.result_type(score_dtype, v.data))
+    out_sum = np.empty(lead + (n_q, d_v + 1), dtype=np.result_type(score_dtype, vs))
     lse = np.empty(lead + (n_q, 1), dtype=score_dtype)  # the row max, until the loop ends
     p = np.empty((n_q, n_k), dtype=score_dtype)
     for idx in np.ndindex(*lead):

@@ -14,7 +14,7 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -301,15 +301,12 @@ def cmd_evaluate(args) -> int:
             print(f"warning: no calibration map for {names}; left uncalibrated", file=sys.stderr)
         calibrated = []
         for row in rows:
-            pred = row.pred.as_dict()
+            changed = {}
             for dim in TASKS:
                 mapping = maps.get((row.language, dim))
-                if mapping is not None and pred.get(dim) is not None:
-                    pred[dim] = float(cal.apply_calibration(mapping, [pred[dim]])[0])
-            calibrated.append(
-                ev.PredictionRow(row.sample_id, row.language, row.provenance,
-                                 type(row.pred).from_dict(pred), row.label)
-            )
+                if mapping is not None and row.pred.present(dim):
+                    changed[dim] = float(cal.apply_calibration(mapping, [row.pred.get(dim)])[0])
+            calibrated.append(replace(row, pred=replace(row.pred, **changed)))
         rows = calibrated
 
     pcc_report, rmse_report = ev.evaluate(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 TASKS = ("mos", "col", "dis", "loud", "noi")
 TASK_DISPLAY = {"mos": "MOS", "col": "Col", "dis": "Dis", "loud": "Loud", "noi": "Noi"}
@@ -38,10 +38,3 @@ class QualityScores:
 
     def present(self, task: str) -> bool:
         return self.get(task) is not None
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, values: dict[str, float | None]) -> "QualityScores":
-        return cls(**{t: values.get(t) for t in TASKS})

@@ -79,19 +79,17 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
 
-    def step(self, lr: float) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
+        """One update from grads, a map like Tensor.backward returns; a
+        parameter missing from it takes a zero gradient."""
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            g = grads.get(p, 0.0)
             m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
 
 class PatienceController:
@@ -247,14 +245,12 @@ def fit(
         counts: dict[str, int] = {}
         for start in range(0, n, config.batch_size):
             chunk = [train_samples[i] for i in perm[start : start + config.batch_size]]
-            optimizer.zero_grad()
             total, per_task = _batch_losses(model, chunk)
             if total is None:
                 continue
             if not np.isfinite(total.data):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            total.backward()
-            optimizer.step(lr)
+            optimizer.step(total.backward(), lr)
             for task, value in per_task.items():
                 sums[task] = sums.get(task, 0.0) + value
                 counts[task] = counts.get(task, 0) + 1

@@ -50,7 +50,6 @@ def overfit_full_batch(forward, params, labels, lr=3e-3, max_steps=500):
     optimizer = Adam(params)
     mask = np.ones(labels.shape[0], dtype=bool)
     for step in range(1, max_steps + 1):
-        optimizer.zero_grad()
         preds = forward()
         per_task = {}
         total = None
@@ -61,8 +60,7 @@ def overfit_full_batch(forward, params, labels, lr=3e-3, max_steps=500):
         max_dev = max(np.abs(preds[t].data - labels[:, i]).max() for i, t in enumerate(TASKS))
         if max(per_task.values()) < 0.02 and max_dev < 0.29:
             return step, per_task, max_dev
-        total.backward()
-        optimizer.step(lr)
+        optimizer.step(total.backward(), lr)
     return max_steps, per_task, max_dev
 
 

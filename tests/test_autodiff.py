@@ -57,11 +57,11 @@ def test_primitive_keeps_its_input_dtype(name, dtype, monkeypatch):
     checks the float64 code."""
     build_loss, tensors = primitive_cases(seed=0, dtype=dtype)[name]
     forward, grads = _record_dtypes(monkeypatch)
-    build_loss().backward()
+    leaf_grads = build_loss().backward()
     assert forward == {np.dtype(dtype)}
     assert grads == {np.dtype(dtype)}
     for leaf in tensors.values():
-        assert leaf.grad.dtype == dtype
+        assert leaf_grads[leaf].dtype == dtype
 
 
 def _closure_values(fn, seen):
@@ -99,10 +99,10 @@ def test_backward_seed_follows_the_output_dtype(monkeypatch):
     x = Tensor(np.arange(3, dtype=np.float32), requires_grad=True)
     _, grads = _record_dtypes(monkeypatch)
     y = x * x
-    y.backward(grad=[1.0, 1.0, 1.0])
+    dx = y.backward(grad=[1.0, 1.0, 1.0])[x]
     assert grads == {np.dtype(np.float32)}
-    assert x.grad.dtype == np.float32
-    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
+    assert dx.dtype == np.float32
+    np.testing.assert_array_equal(dx, [0.0, 2.0, 4.0])
 
 
 def test_tensor_keeps_float32_and_float64_and_casts_the_rest():
@@ -121,16 +121,15 @@ def test_python_and_array_operands_take_the_tensor_dtype():
 
 def test_sum_of_params_gradient_all_ones():
     p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    p.sum().backward()
-    np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(p.sum().backward()[p], np.ones((2, 3)))
 
 
 def test_broadcast_add_reduces_grad():
     a = Tensor(np.zeros((3, 4)), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
-    (a + b).sum().backward()
-    np.testing.assert_array_equal(a.grad, np.ones((3, 4)))
-    np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
+    grads = (a + b).sum().backward()
+    np.testing.assert_array_equal(grads[a], np.ones((3, 4)))
+    np.testing.assert_array_equal(grads[b], np.full(4, 3.0))
 
 
 def test_matmul_batched_grad(rng):
@@ -201,8 +200,7 @@ def test_softmax_handles_minus_inf():
     x = Tensor(np.array([[1.0, -np.inf, 2.0]]), requires_grad=True)
     y = _softmax(x)
     assert y.data[0, 1] == 0.0
-    y.sum().backward()
-    assert np.isfinite(x.grad).all()
+    assert np.isfinite(y.sum().backward()[x]).all()
 
 
 def test_softmax_singleton_is_identity_weight():
@@ -236,13 +234,13 @@ def test_attention_with_one_unit_query_and_identity_values_is_softmax(rng):
     g = rng.normal(size=(4, 6))
     results = []
     for op in (
-        lambda s: attention(Tensor(np.ones((4, 1, 1, 1))), s.reshape((4, 1, 6, 1)), Tensor(np.eye(6))),
+        lambda s: attention(Tensor(np.ones((4, 1, 1, 1))), s.reshape((4, 1, 6, 1)),
+                            Tensor(np.broadcast_to(np.eye(6), (4, 1, 6, 6)).copy())),
         _softmax,
     ):
         s = Tensor(logits.copy(), requires_grad=True)
         out = op(s).reshape((4, 6))
-        out.backward(g)
-        results.append((out.data, s.grad))
+        results.append((out.data, out.backward(g)[s]))
     for got, ref in zip(*results):
         _assert_within_rounding(got, ref)
 
@@ -479,37 +477,34 @@ def test_maxpool_backward_is_bit_equal_to_copyto_routing(rng, dtype, factor, hei
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_leaf_gradient_keeps_the_ops_negative_zeros(rng, dtype):
-    """A leaf's first gradient is stored as given: after one backward
-    through maxpool2d, x.grad holds the op's own gradient bit for bit,
-    its -0 entries included."""
+    """A leaf's gradient is returned as the op gave it: after one
+    backward through maxpool2d, the map holds the op's own gradient bit
+    for bit, its -0 entries included."""
     x = Tensor(np.maximum(rng.normal(size=(2, 3, 8, 10)), 0.0).astype(dtype), requires_grad=True)
     out = maxpool2d(x, 2)
     g = rng.normal(size=out.shape).astype(dtype)
     g[:, :, ::2] = -0.0
-    out.backward(g)
+    dx = out.backward(g)[x]
     (ref,) = out._node.backward(g)
-    assert x.grad.dtype == dtype and np.signbit(x.grad[x.grad == 0.0]).any()
+    assert dx.dtype == dtype and np.signbit(dx[dx == 0.0]).any()
     bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
-    np.testing.assert_array_equal(x.grad.view(bits), ref.view(bits))
+    np.testing.assert_array_equal(dx.view(bits), ref.view(bits))
 
 
 def test_leaf_used_twice_accumulates_without_touching_the_upstream_gradient():
-    """A leaf used twice in one graph sums both uses, a second backward
-    adds to the first, and the array passed to backward stays as it
-    was."""
+    """A leaf used twice in one graph gets the sum of both uses, a leaf
+    as the root is handed g in its own dtype, and the array passed to
+    backward stays as it was, also when two maps are summed."""
     p = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
     g = np.array([1.0, 1.0, -0.0])
-    (p * p + p).backward(g)
-    np.testing.assert_array_equal(p.grad, [3.0, -3.0, 0.0])
-    p.backward(g)  # a leaf as the root is handed g itself
-    np.testing.assert_array_equal(p.grad, [4.0, -2.0, 0.0])
+    np.testing.assert_array_equal((p * p + p).backward(g)[p], [3.0, -3.0, 0.0])
+    assert p.backward(g)[p] is g
     np.testing.assert_array_equal(g, [1.0, 1.0, -0.0])
     for dtype in (np.float64, np.float32):
         q = Tensor(np.zeros(3, dtype=dtype), requires_grad=True)
-        q.backward(g)
-        q.backward(g)
-        assert q.grad.dtype == dtype
-        np.testing.assert_array_equal(q.grad, [2.0, 2.0, 0.0])
+        total = q.backward(g)[q] + q.backward(g)[q]
+        assert total.dtype == dtype
+        np.testing.assert_array_equal(total, [2.0, 2.0, 0.0])
         np.testing.assert_array_equal(g, [1.0, 1.0, -0.0])
 
 
@@ -542,12 +537,12 @@ def test_conv2d_matches_nested_loop_reference(rng, padding):
     b = Tensor(rng.normal(size=4), requires_grad=True)
     out = conv2d(x, w, b, padding=padding)
     g = rng.normal(size=out.shape)
-    out.backward(g)
+    grads = out.backward(g)
     ref_out, ref_dx, ref_dw, ref_db = _conv2d_loops(x.data, w.data, b.data, g, padding)
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(x.grad, ref_dx, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(w.grad, ref_dw, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(b.grad, ref_db, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[x], ref_dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[w], ref_dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[b], ref_db, rtol=0, atol=1e-12)
 
 
 def test_conv2d_non_contiguous_input_is_bit_equal(rng):
@@ -562,8 +557,7 @@ def test_conv2d_non_contiguous_input_is_bit_equal(rng):
     for data in (view, np.ascontiguousarray(view)):
         x = Tensor(data, requires_grad=True)
         out = conv2d(x, w, b)
-        out.backward(g)
-        results.append((out.data, x.grad))
+        results.append((out.data, out.backward(g)[x]))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     np.testing.assert_array_equal(results[0][1], results[1][1])
 
@@ -608,10 +602,10 @@ def test_conv2d_matches_batch_major_im2col_on_desk_layers(rng, in_ch, out_ch, he
     b = Tensor(rng.normal(size=out_ch), requires_grad=True)
     out = conv2d(x, w, b)
     g = rng.normal(size=out.shape)
-    out.backward(g)
+    grads = out.backward(g)
     ref_out, ref_dx, ref_dw, ref_db = _conv2d_batch_major(x.data, w.data, b.data, g, 1)
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
-    for got, ref in ((x.grad, ref_dx), (w.grad, ref_dw), (b.grad, ref_db)):
+    for got, ref in ((grads[x], ref_dx), (grads[w], ref_dw), (grads[b], ref_db)):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -696,9 +690,9 @@ def test_conv2d_is_bit_equal_to_one_full_column_gemm(rng, in_ch, out_ch, height,
     b = Tensor(rng.normal(size=out_ch).astype(np.float32), requires_grad=True)
     g = rng.normal(size=(out_ch, batch, height, width)).astype(np.float32).transpose(1, 0, 2, 3)
     out = conv2d(x, w, b)
-    out.backward(g)
+    grads = out.backward(g)
     ref = _conv2d_full_columns(x.data, w.data, b.data, g)
-    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+    for got, want in zip((out.data, grads[x], grads[w], grads[b]), ref):
         assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
@@ -722,18 +716,18 @@ def test_conv2d_pool_is_bit_equal_to_full_columns_then_maxpool(rng, in_ch, out_c
     out_h, out_w = height // pool, width // pool
     g = rng.normal(size=(batch, out_ch, out_h, out_w)).astype(np.float32)
     out = conv2d(x, w, b, pool=pool)
-    out.backward(g)
+    grads = out.backward(g)
     zero_g = np.zeros((batch, out_ch, height, width), np.float32)
     conv = _conv2d_full_columns(x.data, w.data, b.data, zero_g)[0]  # at pool 1
     windows = conv[:, :, : out_h * pool, : out_w * pool].reshape(batch, out_ch, out_h, pool, out_w, pool)
     ref_out = windows.max(axis=(3, 5))
     routed = _maxpool_copyto_backward(conv, ref_out, g, pool)
     _, ref_dx, ref_dw, ref_db = _conv2d_full_columns(x.data, w.data, b.data, routed)
-    for got, want in zip((out.data, x.grad, w.grad), (ref_out, ref_dx, ref_dw)):
+    for got, want in zip((out.data, grads[x], grads[w]), (ref_out, ref_dx, ref_dw)):
         assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_array_equal(_bits(got), _bits(want))
-    np.testing.assert_array_equal(_bits(b.grad), _bits(g.sum(axis=(0, 2, 3))))
-    assert np.abs(b.grad - ref_db).max() <= 1e-6 * np.abs(ref_db).max()
+    np.testing.assert_array_equal(_bits(grads[b]), _bits(g.sum(axis=(0, 2, 3))))
+    assert np.abs(grads[b] - ref_db).max() <= 1e-6 * np.abs(ref_db).max()
 
 
 def test_conv2d_pool_makes_no_full_resolution_output_or_gradient(rng):
@@ -758,8 +752,9 @@ def test_conv2d_pool_makes_no_full_resolution_output_or_gradient(rng):
         out = conv2d(x, w, b, pool=2)
 
     forward_peak, _ = peak_traced_bytes(forward)
-    backward_peak, _ = peak_traced_bytes(lambda: out.backward(g))
-    assert out.shape == (8, 16, 64, 100) and w.grad is not None
+    grads = {}
+    backward_peak, _ = peak_traced_bytes(lambda: grads.update(out.backward(g)))
+    assert out.shape == (8, 16, 64, 100) and w in grads
     assert forward_peak < 0.75 * full_bytes, f"forward peak {forward_peak / 2**20:.2f} MiB"
     assert backward_peak < 0.25 * full_bytes, f"backward peak {backward_peak / 2**20:.2f} MiB"
 
@@ -798,8 +793,9 @@ def test_conv2d_backward_of_the_first_layer_holds_one_samples_columns(rng):
     b = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
     out = conv2d(x, w, b)
     g = rng.normal(size=(16, 8, 128, 200)).astype(np.float32).transpose(1, 0, 2, 3)  # the output's layout
-    peak, _ = peak_traced_bytes(lambda: out.backward(g))
-    assert w.grad is not None and x.grad is None
+    grads = {}
+    peak, _ = peak_traced_bytes(lambda: grads.update(out.backward(g)))
+    assert w in grads and x not in grads
     assert peak < 2 * 2**20, f"backward peak {peak / 2**20:.2f} MiB"
 
 
@@ -811,12 +807,12 @@ def test_linear_is_bit_equal_to_matmul_plus_add(rng, shape):
     g = rng.normal(size=shape[:-1] + (4,)).astype(np.float32)
     leaves = [Tensor(d, requires_grad=True) for d in data]
     out = linear(*leaves)
-    out.backward(g)
+    grads = out.backward(g)
     x, w, b = data
     lead = tuple(range(g.ndim - 1))  # the batch and row axes
     dw = x.swapaxes(-1, -2) @ g  # one (5, 4) product per batch entry
     refs = [x @ w + b, g @ w.swapaxes(-1, -2), dw.sum(axis=lead[:-1]), g.sum(axis=lead)]
-    for got, want in zip([out.data] + [t.grad for t in leaves], refs):
+    for got, want in zip([out.data] + [grads[t] for t in leaves], refs):
         assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
@@ -854,11 +850,24 @@ def test_attention_backward_holds_two_score_buffers(rng):
 
 
 def test_double_backward_accumulates():
-    # backward on two separate losses accumulates into the same grads
+    """Two losses' maps sum out of place: the second backward leaves the
+    first map's arrays as they were."""
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    (p * p).sum().backward()
-    (p * 3.0).sum().backward()
-    np.testing.assert_allclose(p.grad, [2.0 + 3.0, 4.0 + 3.0])
+    first = (p * p).sum().backward()
+    second = (p * 3.0).sum().backward()
+    np.testing.assert_array_equal(first[p], [2.0, 4.0])
+    np.testing.assert_allclose(first[p] + second[p], [2.0 + 3.0, 4.0 + 3.0])
+
+
+def test_backward_maps_only_the_leaves_it_reached():
+    """A result that recorded nothing returns {}; an operand that needs
+    no gradient is absent."""
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    const = Tensor(np.array([4.0, 5.0]))
+    assert Tensor(np.array([1.0])).backward() == {}
+    with no_grad():
+        assert (p * p).sum().backward() == {}
+    assert list((p * const).sum().backward()) == [p]
 
 
 def test_relative_error_scales():
@@ -869,8 +878,7 @@ def test_relative_error_scales():
 
 def test_repeated_fancy_index_accumulates():
     p = Tensor(np.zeros(4), requires_grad=True)
-    p[np.array([1, 1, 2])].sum().backward()
-    np.testing.assert_array_equal(p.grad, [0.0, 2.0, 1.0, 0.0])
+    np.testing.assert_array_equal(p[np.array([1, 1, 2])].sum().backward()[p], [0.0, 2.0, 1.0, 0.0])
 
 
 def test_no_grad_records_no_graph():
@@ -891,8 +899,7 @@ def test_no_grad_restores_state_after_exception():
     with pytest.raises(RuntimeError):
         with no_grad():
             raise RuntimeError("boom")
-    (p * 3.0).sum().backward()
-    np.testing.assert_array_equal(p.grad, [3.0])
+    np.testing.assert_array_equal((p * 3.0).sum().backward()[p], [3.0])
 
 
 def test_no_grad_is_per_thread():
@@ -928,8 +935,8 @@ def _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, dtype):
         leaves = [Tensor(d, requires_grad=True) for d in data]
         q, k, v = (t.transpose((0, 2, 1, 3)) for t in leaves)
         out = op(q, k, v, bias)
-        out.backward(g)
-        results.append([out.data] + [t.grad for t in leaves])
+        grads = out.backward(g)
+        results.append([out.data] + [grads[t] for t in leaves])
     for got, ref in zip(*results):
         assert got.dtype == ref.dtype == dtype
         _assert_within_rounding(got, ref)
@@ -1033,15 +1040,13 @@ def _bits(a):
 def _run_attention(op, leaves, heads, bias, g, record):
     """op's output and, when recorded, the leaves' gradients for an
     upstream g, with heads split out of the leaves as the encoder does."""
-    for t in leaves:
-        t.grad = None
     q, k, v = (heads(t) for t in leaves)
     if not record:
         with no_grad():
             return [op(q, k, v, bias).data]
     out = op(q, k, v, bias)
-    out.backward(g)
-    return [out.data] + [t.grad for t in leaves]
+    grads = out.backward(g)
+    return [out.data] + [grads[t] for t in leaves]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1076,23 +1081,33 @@ def test_per_head_attention_is_bit_equal_to_the_batched_op(rng, dtype, masked, r
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("record", [True, False])
 def test_per_head_attention_broadcasts_as_the_batched_op(rng, dtype, record):
-    """The broadcast operands gradcheck and the softmax tests pass: a
-    (4,1,1,1) query, (4,1,6,1) keys and a 2-D identity value."""
+    """The operands gradcheck and the softmax tests pass: a (4,1,1,1)
+    query, (4,1,6,1) keys and the identity value copied out to their
+    (4,1) leading axes, which attention does not broadcast."""
     logits = Tensor(rng.normal(size=(4, 6)).astype(dtype), requires_grad=True)
     ones_q = Tensor(np.ones((4, 1, 1, 1), dtype=dtype))
-    eye_v = Tensor(np.eye(6, dtype=dtype))
+    eye_v = Tensor(np.broadcast_to(np.eye(6, dtype=dtype), (4, 1, 6, 6)).copy())
     g = rng.normal(size=(4, 1, 1, 6)).astype(dtype)
     results = []
     for op in (attention, _attention_batched):
-        logits.grad = None
         k = logits.reshape((4, 1, 6, 1))
         if record:
             out = op(ones_q, k, eye_v)
-            out.backward(g)
-            results.append([out.data, logits.grad])
+            results.append([out.data, out.backward(g)[logits]])
         else:
             with no_grad():
                 results.append([op(ones_q, k, eye_v).data])
     for a, b in zip(*results):
         assert a.dtype == b.dtype == dtype and a.shape == b.shape
         np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def test_attention_rejects_unequal_leading_axes(rng):
+    """q of (2, 3, 4) against k and v of (3, 4) raises at the call, as
+    does a v of (3, 4) against q and k of (2, 3, 4): a broadcast forward
+    would hand back gradients of the broadcast shape."""
+    q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    for args in ((q, k, k), (q, q, k)):
+        with pytest.raises(ValueError, match="leading axes"):
+            attention(*args)

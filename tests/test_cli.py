@@ -181,25 +181,30 @@ def test_loaded_model_holds_the_saved_float32_values(corpus, workdir, tmp_path, 
 @pytest.mark.parametrize("kind, config_text", [("ast", DESK_CONFIG), ("cnn", CNN_CONFIG)], ids=["ast", "cnn"])
 def test_training_step_keeps_float32(tmp_path, kind, config_text):
     """One step of train's loop on a build_model model, from float64
-    features as the front end gives them: every parameter, gradient and
-    ADAM moment, and the loss, stay float32."""
+    features of mixed lengths as the front end gives them, with no dis
+    label in the batch: every parameter and ADAM moment, and the loss,
+    stay float32. backward hands ADAM each gradient in its parameter's
+    shape and dtype, as nothing casts it on the way, and none for the
+    unlabeled head."""
     config = tmp_path / "model.cfg"
     config.write_text(config_text)
     model = build_model(kind, load_config_file(config), seed=7)
     rng = np.random.default_rng(1)
     samples = [
         make_sample(in_memory(rng.normal(-5.0, 2.0, size=(n, 128))),
-                    QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
+                    QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS if t != "dis"}))
         for n in (60, 100, 80)
     ]
     optimizer = Adam(model.params)
     total, _ = _batch_losses(model, samples)
-    total.backward()
-    optimizer.step(1e-3)
+    grads = total.backward()
+    expected = {p: (p.shape, p.data.dtype) for name, p in model.params.items()
+                if not name.startswith("head_dis_")}
+    assert {p: (g.shape, g.dtype) for p, g in grads.items()} == expected
+    optimizer.step(grads, 1e-3)
     assert total.data.dtype == np.float32
     for name, p in model.params.items():
         assert p.data.dtype == np.float32, name
-        assert p.grad is not None and p.grad.dtype == np.float32, name
         assert optimizer.m[name].dtype == np.float32, name
         assert optimizer.v[name].dtype == np.float32, name
 
@@ -459,7 +464,7 @@ def test_train_fault_in_the_val_split_fails_before_the_first_step(
     epoch's optimizer steps. Both now fail before the first step."""
     steps = []
     adam_step = Adam.step
-    monkeypatch.setattr(Adam, "step", lambda self, lr: steps.append(lr) or adam_step(self, lr))
+    monkeypatch.setattr(Adam, "step", lambda self, grads, lr: steps.append(lr) or adam_step(self, grads, lr))
     feats = tmp_path / "feats"
     shutil.copytree(workdir / "feats", feats)
     manifest = tmp_path / "manifest.csv"

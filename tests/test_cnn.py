@@ -201,15 +201,16 @@ def test_pool_then_relu_is_bit_equal_to_relu_then_pool(rng):
     labels = rng.uniform(1, 5, size=2)
 
     def run(forward):
-        for p in params.values():
-            p.grad = None
         preds = forward(x, params, config)
         total = None
         for t in TASKS:
             loss = ((preds[t] - labels) * (preds[t] - labels)).sum()
             total = loss if total is None else total + loss
-        total.backward()
-        return [preds[t].data for t in TASKS], {name: p.grad.copy() for name, p in params.items()}
+        leaf_grads = total.backward()
+        # float64 x makes float64 gradients; in the float32 parameters'
+        # dtype the two orders of db's sum round alike
+        return [preds[t].data for t in TASKS], {name: leaf_grads[p].astype(p.data.dtype)
+                                                for name, p in params.items()}
 
     preds, grads = run(cnn_mod.cnn_forward_batch)
     ref_preds, ref_grads = run(_forward_relu_then_pool)
@@ -253,8 +254,7 @@ def _desk_cnn_step_peak() -> tuple[int, int]:
 
     def step():
         total, _ = _batch_losses(model, samples)
-        total.backward()
-        optimizer.step(1e-3)
+        optimizer.step(total.backward(), 1e-3)
 
     peak, _ = peak_traced_bytes(step)
     return peak, conv0_bytes

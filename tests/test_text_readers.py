@@ -16,7 +16,7 @@ from sqatk.cli import ERRORS, CliError, load_config_file
 from sqatk.cnn import CnnConfig
 from sqatk.evaluation import PredictionRow, read_predictions, write_predictions
 from sqatk.manifest import PROVENANCES, SPLITS, ManifestEntry, load_manifest, write_manifest
-from sqatk.quality import QualityScores
+from sqatk.quality import TASKS, QualityScores
 from sqatk.training import TrainConfig
 from sqatk.transformer import ModelConfig
 
@@ -92,7 +92,7 @@ def test_damaged_manifest_loads_or_fails_with_an_error_main_reports(tmp_path_fac
         return
     for entry in manifest.entries:
         assert entry.split in SPLITS and entry.provenance in PROVENANCES
-        assert all(v is None or 1.0 <= v <= 5.0 for v in entry.scores.as_dict().values())
+        assert all(v is None or 1.0 <= v <= 5.0 for v in map(entry.scores.get, TASKS))
     assert len({e.sample_id for e in manifest.entries}) == len(manifest.entries)
 
 
@@ -109,7 +109,7 @@ def test_damaged_predictions_load_or_fail_with_an_error_main_reports(tmp_path_fa
     except ERRORS:
         return
     for row in rows:
-        assert all(v is None or 1.0 <= v <= 5.0 for s in (row.pred, row.label) for v in s.as_dict().values())
+        assert all(v is None or 1.0 <= v <= 5.0 for s in (row.pred, row.label) for v in map(s.get, TASKS))
     assert len({row.sample_id for row in rows}) == len(rows)
 
 
