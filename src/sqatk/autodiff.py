@@ -17,14 +17,15 @@ backward() on a result walks the recorded nodes in reverse topological
 order, routing gradients through a per-call map, and returns each leaf's
 gradient in a map keyed by the leaf that the caller owns; no gradient is
 stored on a Tensor. The op set is what the scoring models need:
-broadcast arithmetic, linear layers, shape ops, layer norm, GELU/ReLU,
-scaled dot-product attention (whose softmax is fused into it: five
-passes over each head's score matrix forward and nine backward, equal
-to the composed ops to rounding), and 3x3 convolution, which max-pools
-each sample's output as it computes it; maxpool2d pools on its own by
-the same routing. GELU's erf is a rational approximation evaluated in
-the input's dtype, within 5e-7 of the exact erf in float32 and 1e-7 in
-float64, so the module needs NumPy alone.
+broadcast addition and multiplication, sums, linear layers, shape ops,
+layer norm, GELU/ReLU, scaled dot-product attention (whose softmax is
+fused into it: five passes over each head's score matrix forward and
+nine backward, equal to the composed ops to rounding), and 3x3
+convolution, which max-pools each sample's output as it computes it;
+maxpool2d pools on its own by the same routing. The training loss,
+training.mse_loss, records its own node through _make. GELU's erf is a
+rational approximation in the input's dtype, within 5e-7 of the exact
+erf in float32 and 1e-7 in float64, so the module needs NumPy alone.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
@@ -156,10 +157,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -190,15 +187,6 @@ class Tensor:
 
         return self._make(self.data + other.data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._make(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             scale = float(other)
@@ -211,8 +199,6 @@ class Tensor:
             return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
         return self._make(a * b, (self, other), backward)
-
-    __rmul__ = __mul__
 
     # ---------------------------------------------------------- shape ops
 
@@ -253,14 +239,6 @@ class Tensor:
             return (np.broadcast_to(g, shape).copy(),)
 
         return self._make(out_data, (self,), backward)
-
-    def mean(self, axis=None):
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis) * (1.0 / count)
 
     # ------------------------------------------------------ nonlinearities
 

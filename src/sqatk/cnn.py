@@ -80,7 +80,7 @@ def cnn_forward_batch(
     for i, factor in enumerate(config.pool):
         # ReLU on 1/factor**2 of the cells
         h = conv2d(h, params[f"conv{i}_w"], params[f"conv{i}_b"], pool=factor).relu()
-    pooled = h.mean(axis=3)  # global average over time
+    pooled = h.sum(axis=3) * (1.0 / h.shape[3])  # global average over time
     if not np.isfinite(pooled.data).all():
         raise NonFiniteError("non-finite pooled CNN features")
     return head_outputs(pooled.reshape((x.shape[0], config.derived_head_input)), params, config)

@@ -6,12 +6,14 @@ with halving. The shuffle permutation for each epoch is derived from
 A sample holds its labels and a loader of its clip's (frames, mels)
 features, not the model's prepared input. A training batch loads and
 prepares its clips only when it is drawn, so memory follows batch_size
-and not the size of the split. Validation scores each clip alone
-through Scorer.predict_scores, as predict does.
+and not the size of the split. train_step is the one code that trains
+on a batch, and no batch's graph outlives it. Validation scores each
+clip alone through Scorer.predict_scores, as predict does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -53,7 +55,8 @@ class TrainConfig:
 
 
 def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared error over masked-in entries only."""
+    """Mean squared error over masked-in entries only, as one recorded
+    node with the arithmetic of the composed ops, bit for bit."""
     target = np.asarray(target, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if pred.shape != target.shape or pred.shape != mask.shape:
@@ -64,8 +67,15 @@ def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     if count == 0:
         raise TrainingError("mse_loss needs at least one masked-in entry")
     dtype = pred.data.dtype
-    diff = (pred - Tensor(np.where(mask, target, 0.0).astype(dtype))) * Tensor(mask.astype(dtype))
-    return (diff * diff).sum() * (1.0 / count)
+    m = mask.astype(dtype)
+    scale = 1.0 / count
+    diff = (pred.data - np.where(mask, target, 0.0).astype(dtype)) * m
+
+    def backward(g):
+        d = (g * scale) * diff
+        return ((d + d) * m,)
+
+    return pred._make((diff * diff).sum() * scale, (pred,), backward)
 
 
 class Adam:
@@ -127,14 +137,13 @@ Loader = Callable[[], np.ndarray]  # returns one clip's (frames, mels) features
 class TrainSample:
     load: Loader  # called each time the clip's batch is drawn
     labels: np.ndarray  # (5,) float, NaN where absent
-    label_mask: np.ndarray  # (5,) bool
 
 
 def make_sample(load: Loader, scores) -> TrainSample:
     labels = np.array(
         [scores.get(t) if scores.present(t) else np.nan for t in TASKS], dtype=np.float64
     )
-    return TrainSample(load=load, labels=labels, label_mask=~np.isnan(labels))
+    return TrainSample(load=load, labels=labels)
 
 
 @dataclass
@@ -159,19 +168,24 @@ class FitResult:
         return len(self.history)
 
 
-def _batch_losses(model, samples: list[TrainSample]) -> tuple[Tensor | None, dict[str, float]]:
-    preds = model.forward_batch(model.collate([model.prepare(s.load()) for s in samples]))
+def train_step(model, optimizer: Adam, samples: list[TrainSample], lr: float) -> dict[str, float]:
+    """Prepare and collate the batch's clips, run the forward, sum the
+    labelled tasks' losses, backpropagate and take one ADAM step. Returns
+    each labelled task's loss, or {} with no step. NumPy's overflow
+    warnings are off: the finite checks stop a divergence, typed."""
     labels = np.stack([s.labels for s in samples])
-    masks = np.stack([s.label_mask for s in samples])
-    total = None
-    per_task: dict[str, float] = {}
-    for i, task in enumerate(TASKS):
-        if not masks[:, i].any():
-            continue  # no labels for this task in the batch: skipped, no gradient
-        loss = mse_loss(preds[task], np.where(masks[:, i], labels[:, i], 0.0), masks[:, i])
-        per_task[task] = float(loss.data)
-        total = loss if total is None else total + loss
-    return total, per_task
+    mask = ~np.isnan(labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = model.forward_batch(model.collate([model.prepare(s.load()) for s in samples]))
+        losses = {task: mse_loss(preds[task], labels[:, i], mask[:, i])
+                  for i, task in enumerate(TASKS) if mask[:, i].any()}
+        if not losses:
+            return {}
+        total = functools.reduce(Tensor.__add__, losses.values())
+        if not np.isfinite(total.data):
+            raise TrainingError("non-finite loss")
+        optimizer.step(total.backward(), lr)
+    return {task: float(loss.data) for task, loss in losses.items()}
 
 
 class Scorer:
@@ -190,8 +204,9 @@ class Scorer:
         return next(iter(self.params.values())).data.dtype
 
     def predict_scores(self, values: np.ndarray) -> QualityScores:
-        """Score one (frames, mels) feature matrix under no_grad, clipped to [1, 5]."""
-        with no_grad():
+        """Score one (frames, mels) feature matrix under no_grad, clipped
+        to [1, 5]; an overflow is left to the finite checks, as in train_step."""
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             raw = self.forward_batch(self.collate([self.prepare(values)]))
         return QualityScores(**{t: clip_score(raw[t].data[0]) for t in self.config.tasks})
 
@@ -205,7 +220,7 @@ def _validation_mos(model, samples: list[TrainSample]) -> tuple[float, float, fl
     that label; returns (pcc, rmse, monitor). An undefined correlation
     is recorded as the worst monitor value."""
     mos_idx = TASKS.index("mos")
-    labeled = [s for s in samples if s.label_mask[mos_idx]]
+    labeled = [s for s in samples if not np.isnan(s.labels[mos_idx])]
     pred = np.array([model.predict_scores(s.load()).mos for s in labeled])
     ref = np.array([s.labels[mos_idx] for s in labeled])
     err = rmse(pred, ref)
@@ -229,7 +244,7 @@ def fit(
     initial ones."""
     if not train_samples or not val_samples:
         raise TrainingError("training and validation sets must be non-empty")
-    if not any(s.label_mask[TASKS.index("mos")] for s in val_samples):
+    if all(np.isnan(s.labels[TASKS.index("mos")]) for s in val_samples):
         raise TrainingError("validation set has no MOS labels")
 
     optimizer = Adam(model.params)
@@ -245,13 +260,11 @@ def fit(
         counts: dict[str, int] = {}
         for start in range(0, n, config.batch_size):
             chunk = [train_samples[i] for i in perm[start : start + config.batch_size]]
-            total, per_task = _batch_losses(model, chunk)
-            if total is None:
-                continue
-            if not np.isfinite(total.data):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            optimizer.step(total.backward(), lr)
-            for task, value in per_task.items():
+            try:
+                step_losses = train_step(model, optimizer, chunk, lr)
+            except TrainingError as exc:
+                raise TrainingError(f"{exc} at epoch {epoch}") from None
+            for task, value in step_losses.items():
                 sums[task] = sums.get(task, 0.0) + value
                 counts[task] = counts.get(task, 0) + 1
 

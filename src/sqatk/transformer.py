@@ -302,13 +302,11 @@ def encoder_forward(
 def head_outputs(cls_state: Tensor, params: dict[str, Tensor], config: ModelConfig) -> dict[str, Tensor]:
     """Apply the five independent affine heads to (B,D) features: the
     transformer's CLS states or the CNN's pooled features. A raw score
-    that overflows to inf or NaN raises NonFiniteError, not a NumPy
-    warning and a nan score."""
+    that overflows to inf or NaN raises NonFiniteError, not a nan score."""
     batch = cls_state.shape[0]
     out = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for task in config.tasks:
-            out[task] = linear(cls_state, params[f"head_{task}_w"], params[f"head_{task}_b"]).reshape((batch,))
+    for task in config.tasks:
+        out[task] = linear(cls_state, params[f"head_{task}_w"], params[f"head_{task}_b"]).reshape((batch,))
     if not all(np.isfinite(score.data).all() for score in out.values()):
         raise NonFiniteError("non-finite head outputs")
     return out

@@ -23,7 +23,8 @@ from sqatk.evaluation import parse_report, read_predictions
 from sqatk.manifest import load_manifest, write_manifest
 from sqatk.quality import TASKS, QualityScores
 from sqatk.synth import generate_corpus, write_wav_pcm16
-from sqatk.training import Adam, TrainConfig, _batch_losses, make_sample
+from sqatk import training
+from sqatk.training import Adam, TrainConfig, make_sample, train_step
 from sqatk.transformer import ModelConfig, SpectrogramTransformer, desk_config
 
 DESK_CONFIG = """
@@ -179,12 +180,12 @@ def test_loaded_model_holds_the_saved_float32_values(corpus, workdir, tmp_path, 
 
 
 @pytest.mark.parametrize("kind, config_text", [("ast", DESK_CONFIG), ("cnn", CNN_CONFIG)], ids=["ast", "cnn"])
-def test_training_step_keeps_float32(tmp_path, kind, config_text):
-    """One step of train's loop on a build_model model, from float64
-    features of mixed lengths as the front end gives them, with no dis
-    label in the batch: every parameter and ADAM moment, and the loss,
-    stay float32. backward hands ADAM each gradient in its parameter's
-    shape and dtype, as nothing casts it on the way, and none for the
+def test_training_step_keeps_float32(tmp_path, monkeypatch, kind, config_text):
+    """One train_step on a build_model model, from float64 features of
+    mixed lengths as the front end gives them, with no dis label in the
+    batch: every parameter and ADAM moment, and each task loss, stay
+    float32. backward hands ADAM each gradient in its parameter's shape
+    and dtype, as nothing casts it on the way, and none for the
     unlabeled head."""
     config = tmp_path / "model.cfg"
     config.write_text(config_text)
@@ -196,13 +197,15 @@ def test_training_step_keeps_float32(tmp_path, kind, config_text):
         for n in (60, 100, 80)
     ]
     optimizer = Adam(model.params)
-    total, _ = _batch_losses(model, samples)
-    grads = total.backward()
+    losses, stepped, real_loss, real_step = [], [], training.mse_loss, optimizer.step
+    monkeypatch.setattr(training, "mse_loss", lambda *args: losses.append(real_loss(*args)) or losses[-1])
+    optimizer.step = lambda grads, lr: stepped.append(grads) or real_step(grads, lr)
+    assert set(train_step(model, optimizer, samples, 1e-3)) == set(TASKS) - {"dis"}
+    (grads,) = stepped
     expected = {p: (p.shape, p.data.dtype) for name, p in model.params.items()
                 if not name.startswith("head_dis_")}
     assert {p: (g.shape, g.dtype) for p, g in grads.items()} == expected
-    optimizer.step(grads, 1e-3)
-    assert total.data.dtype == np.float32
+    assert len(losses) == 4 and all(loss.data.dtype == np.float32 for loss in losses)
     for name, p in model.params.items():
         assert p.data.dtype == np.float32, name
         assert optimizer.m[name].dtype == np.float32, name
@@ -510,13 +513,16 @@ def test_predict_requires_a_feature_cache(corpus, workdir, tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cnn_checkpoint_with_huge_finite_weights_is_a_typed_error(corpus, workdir, tmp_path, capsys):
     """1e30 in the first two conv weights overflows float32 to inf and nan
     in the conv stages; the CNN scored nan with exit 0, and now stops at
-    its pooled features as the AST stops at its encoder."""
+    its pooled features as the AST stops at its encoder, with no NumPy
+    overflow warning on the way."""
     ckpt = _cnn_checkpoint(tmp_path, conv0_w=1e30, conv1_w=1e30)
-    assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _predict_exit(ckpt, corpus, workdir, tmp_path / "p.csv") == 1
+    assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == "error: non-finite pooled CNN features\n"
     assert not (tmp_path / "p.csv").exists()
 
@@ -541,6 +547,27 @@ def test_head_output_that_overflows_is_a_typed_error(corpus, workdir, tmp_path, 
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == "error: non-finite head outputs\n"
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("kind, config_text", [("ast", DESK_CONFIG), ("cnn", CNN_CONFIG)], ids=["ast", "cnn"])
+def test_diverging_train_is_one_typed_error_without_numpy_warnings(corpus, workdir, tmp_path, capsys,
+                                                                    kind, config_text):
+    """At learning_rate=1e10 the first step sends the weights to about
+    1e10, and a later forward or loss overflows float32. train printed
+    NumPy's overflow warnings before its typed error; now the finite
+    checks stop it with the error alone and no checkpoint."""
+    config = tmp_path / "diverge.cfg"
+    config.write_text(config_text.replace("learning_rate=0.003", "learning_rate=1e10"))
+    ckpt = tmp_path / "model.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--model", kind, "--config", str(config), "--manifest", str(corpus),
+                     "--features", str(workdir / "feats"), "--out", str(ckpt)])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("head_mos_w, note", [

@@ -10,7 +10,7 @@ from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, layer_norm, linear, no_grad
 from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS, QualityScores
-from sqatk.training import Adam, _batch_losses, make_sample, mse_loss
+from sqatk.training import Adam, make_sample, mse_loss, train_step
 
 from memory import peak_traced_bytes
 from model_fixtures import float64, in_memory, widen_max_duration
@@ -470,10 +470,6 @@ def test_desk_training_step_peaks_below_28_token_arrays_per_layer():
     token_bytes = len(samples) * n_tokens * config.embed_dim * 4
     optimizer = Adam(model.params)
 
-    def step():
-        total, _ = _batch_losses(model, samples)
-        optimizer.step(total.backward(), 1e-3)
-
-    peak, _ = peak_traced_bytes(step)
+    peak, _ = peak_traced_bytes(lambda: train_step(model, optimizer, samples, 1e-3))
     assert n_tokens == 229
     assert peak < 28 * config.n_layers * token_bytes, f"peak {peak / 2**20:.1f} MiB"
