@@ -16,13 +16,14 @@ log-sum-exp, no score matrix; maxpool2d keeps a map of winning slots.
 backward() on a result walks the recorded nodes in reverse topological
 order, routing gradients through a per-call map, and returns each leaf's
 gradient in a map keyed by the leaf that the caller owns; no gradient is
-stored on a Tensor. The op set is what the scoring models need:
-broadcast addition and multiplication, sums, linear layers, shape ops,
-layer norm, GELU/ReLU, scaled dot-product attention (whose softmax is
-fused into it: five passes over each head's score matrix forward and
-nine backward, equal to the composed ops to rounding), and 3x3
-convolution, which max-pools each sample's output as it computes it;
-maxpool2d pools on its own by the same routing. The training loss,
+stored on a Tensor. The op set is what the scoring models need: the
+broadcast sum of two Tensors, scaling by a Python float, sums, linear
+layers, shape ops, layer norm, GELU/ReLU, scaled dot-product attention
+(whose softmax is fused into it: five passes over each head's score
+matrix forward and nine backward, equal to the composed ops to
+rounding), and convolution zero-padded to keep an odd kernel's plane,
+which max-pools each sample's output as it computes it; maxpool2d pools
+on its own by the same routing. The training loss,
 training.mse_loss, records its own node through _make. GELU's erf is a
 rational approximation in the input's dtype, within 5e-7 of the exact
 erf in float32 and 1e-7 in float64, so the module needs NumPy alone.
@@ -36,12 +37,11 @@ float64 parameters float64, on the same code. init_from_spec gives
 float32 parameters, the dtype a checkpoint stores, so training and
 scoring both run in float32; float64 runs only where a caller casts to
 it, as the finite-difference gradient checks do. A Tensor keeps float32
-and float64 arrays as given and casts any other input to float64; a
-non-Tensor operand takes the dtype of the Tensor it meets. Under NumPy
-2's promotion rules a Python float keeps an array's dtype but a NumPy
-float64 scalar or 0-d array promotes float32 to float64, so constants
-here are Python floats, and every buffer an op allocates takes its
-input's dtype.
+and float64 arrays as given and casts any other input to float64. Under
+NumPy 2's promotion rules a Python float keeps an array's dtype but a
+NumPy float64 scalar or 0-d array promotes float32 to float64, so
+constants here are Python floats, and every buffer an op allocates
+takes its input's dtype.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ _ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5
           -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02)
 _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
           -1.42647390514189e-02)
+_LN_EPS = 1e-5  # layer_norm's variance floor
 
 
 # Parameter name -> (shape, init): init is "zeros", "ones", or the fan-in of
@@ -160,12 +161,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def _lift(self, other) -> Tensor:
-        """other as a Tensor; a non-Tensor operand takes this dtype."""
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(np.asarray(other, dtype=self.data.dtype))
-
     def _make(self, data, parents, backward):
         """The Tensor of an op's output data. When recording, it points to
         a node of the parents' nodes and backward, which must capture the
@@ -178,8 +173,7 @@ class Tensor:
 
     # --------------------------------------------------------- arithmetic
 
-    def __add__(self, other):
-        other = self._lift(other)
+    def __add__(self, other: Tensor):
         shape_a, shape_b = self.data.shape, other.data.shape
 
         def backward(g):
@@ -187,18 +181,9 @@ class Tensor:
 
         return self._make(self.data + other.data, (self, other), backward)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            scale = float(other)
-            return self._make(self.data * scale, (self,), lambda g: (g * scale,))
-
-        other = self._lift(other)
-        a, b = self.data, other.data
-
-        def backward(g):
-            return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
-
-        return self._make(a * b, (self, other), backward)
+    def __mul__(self, scale: float):
+        scale = float(scale)
+        return self._make(self.data * scale, (self,), lambda g: (g * scale,))
 
     # ---------------------------------------------------------- shape ops
 
@@ -314,11 +299,11 @@ class Tensor:
         return leaf_grads
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer normalization over the last axis with learnable scale/shift."""
     mu = x.data.mean(axis=-1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(var + eps)
+    sigma = np.sqrt(var + _LN_EPS)
     xhat = (x.data - mu) / sigma
     gamma_data = gamma.data
 
@@ -527,10 +512,12 @@ def _unpool(g: np.ndarray, win: np.ndarray, factor: int, full: np.ndarray) -> np
     return full
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1, pool: int = 1) -> Tensor:
-    """2-D convolution, stride 1, via channel-major im2col + GEMM, then
-    max pooling by `pool`. x: (B,C,H,W), w: (O,C,kh,kw), b: (O,); the
-    output is (B, O, out_h // pool, out_w // pool).
+def conv2d(x: Tensor, w: Tensor, b: Tensor, pool: int = 1) -> Tensor:
+    """2-D convolution, stride 1, zero-padded by kh // 2 rows and kw // 2
+    columns, via channel-major im2col + GEMM, then max pooling by `pool`.
+    x: (B,C,H,W), w: (O,C,kh,kw), b: (O,); the output is
+    (B, O, out_h // pool, out_w // pool), and an odd kernel keeps
+    out_h, out_w = H, W.
 
     The forward runs one sample at a time: the GEMM of the sample's
     (C*kh*kw, out_h*out_w) columns, built in one buffer, writes its
@@ -556,14 +543,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 1, pool: int = 1) -> 
     out_ch, w_in_ch, kh, kw = w.data.shape
     if w_in_ch != in_ch:
         raise ValueError(f"conv2d channel mismatch: input {in_ch}, weight {w_in_ch}")
-    out_h = height + 2 * padding - kh + 1
-    out_w = width + 2 * padding - kw + 1
+    pad_h, pad_w = kh // 2, kw // 2
+    out_h = height + 2 * pad_h - kh + 1
+    out_w = width + 2 * pad_w - kw + 1
     n_taps = kh * kw
     dtype = x.data.dtype
     # per tap, in kernel order: the output rows (columns) it fills from x,
     # and the input rows (columns) it reads
-    row_overlap = [_overlap(u - padding, height, out_h) for u in range(kh)]
-    col_overlap = [_overlap(v - padding, width, out_w) for v in range(kw)]
+    row_overlap = [_overlap(u - pad_h, height, out_h) for u in range(kh)]
+    col_overlap = [_overlap(v - pad_w, width, out_w) for v in range(kw)]
     taps = [(*row_overlap[u], *col_overlap[v]) for u in range(kh) for v in range(kw)]
 
     xd, wd, bias = x.data, w.data, b.data[:, None]

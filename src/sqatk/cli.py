@@ -14,7 +14,7 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -259,25 +259,11 @@ def cmd_calibrate(args) -> int:
         if dim not in TASKS:
             raise CliError(f"unknown dimension {dim!r}; choose from {TASKS}")
 
-    groups: dict[str, list[ev.PredictionRow]] = {}
-    for row in rows:
-        groups.setdefault(row.language, []).append(row)
-
     maps: dict[tuple[str, str], cal.CalibrationMap] = {}
-    for group, members in sorted(groups.items()):
-        for dim in dims:
-            pairs = [
-                (r.pred.get(dim), r.label.get(dim))
-                for r in members
-                if r.pred.present(dim) and r.label.present(dim)
-            ]
-            if len(pairs) < 4:
-                raise CliError(
-                    f"group {group!r} dim {dim!r}: {len(pairs)} labeled samples, need >= 4"
-                )
-            pred = np.array([p for p, _ in pairs])
-            subj = np.array([s for _, s in pairs])
-            maps[(group, dim)] = cal.fit_calibration(pred, subj)
+    for (group, dim), (pred, subj) in ev.paired(rows, dims).items():
+        if len(pred) < 4:
+            raise CliError(f"group {group!r} dim {dim!r}: {len(pred)} labeled samples, need >= 4")
+        maps[(group, dim)] = cal.fit_calibration(pred, subj)
 
     cal.save_calibration_maps(args.out, maps)
     print(f"fit {len(maps)} calibration map(s) -> {args.out}")
@@ -291,30 +277,17 @@ def cmd_evaluate(args) -> int:
     if not rows:
         raise CliError("no samples left to evaluate")
 
+    pairs = ev.paired(rows, ev.DIM_ORDER)
     if args.calibration:
         maps = cal.load_calibration_maps(args.calibration)
-        unmapped = sorted(
-            {(r.language, dim) for r in rows for dim in TASKS if r.label.present(dim)} - set(maps)
-        )
+        unmapped = sorted(key for key, (pred, _) in pairs.items() if len(pred) and key not in maps)
         if unmapped:
             names = ", ".join(f"{language}/{dim}" for language, dim in unmapped)
             print(f"warning: no calibration map for {names}; left uncalibrated", file=sys.stderr)
-        calibrated = []
-        for row in rows:
-            changed = {}
-            for dim in TASKS:
-                mapping = maps.get((row.language, dim))
-                if mapping is not None and row.pred.present(dim):
-                    changed[dim] = float(cal.apply_calibration(mapping, [row.pred.get(dim)])[0])
-            calibrated.append(replace(row, pred=replace(row.pred, **changed)))
-        rows = calibrated
+        pairs = {key: (cal.apply_calibration(maps[key], pred) if key in maps else pred, label)
+                 for key, (pred, label) in pairs.items()}
 
-    pcc_report, rmse_report = ev.evaluate(
-        [r.pred for r in rows],
-        [r.label for r in rows],
-        [r.language for r in rows],
-        reference=args.reference,
-    )
+    pcc_report, rmse_report = ev.evaluate(pairs, reference=args.reference)
     text = ev.render_report(pcc_report, args.format) + "\n" + ev.render_report(rmse_report, args.format)
     if args.out == "-":
         sys.stdout.write(text)

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transformer
 # maxpool2d is not called here; bench/tracer.py wraps sqatk.cnn.maxpool2d.
 from .autodiff import ParamSpec, Tensor, conv2d, maxpool2d  # noqa: F401
 from .frontend import FrontendConfig
 from .training import Scorer
-from .transformer import (ModelError, NonFiniteError, Window, check_shapes, floor_pad, head_outputs,
-                          head_spec)
+from .transformer import ModelError, NonFiniteError, Window, check_shapes, floor_pad, head_spec
 
-KERNEL = 3  # 3x3 convolutions; padding=1 keeps each stage's plane
+KERNEL = 3  # 3x3 convolutions; conv2d pads one cell, so each stage keeps its plane
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,8 @@ def cnn_forward_batch(
     pooled = h.sum(axis=3) * (1.0 / h.shape[3])  # global average over time
     if not np.isfinite(pooled.data).all():
         raise NonFiniteError("non-finite pooled CNN features")
-    return head_outputs(pooled.reshape((x.shape[0], config.derived_head_input)), params, config)
+    # looked up on the module at each call, so bench/tracer.py's transformer.heads span sees it
+    return transformer.head_outputs(pooled.reshape((x.shape[0], config.derived_head_input)), params, config)
 
 
 class ConvBaseline(Scorer):

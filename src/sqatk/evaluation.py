@@ -101,52 +101,58 @@ class EvalReport:
         return out
 
 
-def evaluate(
-    predictions: list[QualityScores],
-    labels: list[QualityScores],
-    languages: list[str],
-    reference: str = "ENG",
-) -> tuple[EvalReport, EvalReport]:
-    """Per-language, per-dimension PCC and RMSE over aligned samples.
+@dataclass
+class PredictionRow:
+    sample_id: str
+    language: str
+    provenance: str
+    pred: QualityScores
+    label: QualityScores
 
-    A cell uses the samples whose label for that dimension is present.
-    PCC cells need at least 2 such samples and a non-constant pair of
-    vectors; cells that cannot be computed are absent. Pairs are sorted
-    within each cell, so the result is sample-order invariant.
+
+Pairs = dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
+
+
+def paired(rows: list[PredictionRow], dims) -> Pairs:
+    """(language, dim) -> the float64 (pred, label) vectors of the rows of
+    that language that hold both values, in row order. Keys run over the
+    sorted languages of rows and, within one, over dims as given; a cell
+    no row fills has empty vectors."""
+    groups: dict[str, list[PredictionRow]] = {}
+    for row in rows:
+        groups.setdefault(row.language, []).append(row)
+    pairs: Pairs = {}
+    for language, members in sorted(groups.items()):
+        for dim in dims:
+            both = [r for r in members if r.pred.present(dim) and r.label.present(dim)]
+            pairs[(language, dim)] = (np.array([r.pred.get(dim) for r in both], dtype=np.float64),
+                                      np.array([r.label.get(dim) for r in both], dtype=np.float64))
+    return pairs
+
+
+def evaluate(pairs: Pairs, reference: str = "ENG") -> tuple[EvalReport, EvalReport]:
+    """PCC and RMSE per (language, dim) cell of paired's output.
+
+    An empty cell is absent. PCC cells need at least 2 pairs and a
+    non-constant pair of vectors; cells that cannot be computed are
+    absent. Each cell's pairs are sorted by label, then prediction, so
+    the result does not depend on the rows' order.
     """
-    if not (len(predictions) == len(labels) == len(languages)):
-        raise MetricError("predictions, labels and languages must be aligned")
-
-    by_lang: dict[str, list[int]] = {}
-    for i, lang in enumerate(languages):
-        by_lang.setdefault(lang, []).append(i)
-
     pcc_rows: dict[str, dict[str, float | None]] = {}
     rmse_rows: dict[str, dict[str, float | None]] = {}
-    for lang, idx in by_lang.items():
-        pcc_cells: dict[str, float | None] = {}
-        rmse_cells: dict[str, float | None] = {}
-        for dim in DIM_ORDER:
-            pairs = sorted(
-                (labels[i].get(dim), predictions[i].get(dim))
-                for i in idx
-                if labels[i].present(dim) and predictions[i].present(dim)
-            )
-            if not pairs:
-                pcc_cells[dim] = rmse_cells[dim] = None
-                continue
-            ref = np.array([p[0] for p in pairs])
-            pred = np.array([p[1] for p in pairs])
-            rmse_cells[dim] = rmse(pred, ref)
-            if len(pairs) >= 2:
+    for (lang, dim), (pred, label) in pairs.items():
+        pcc_cells = pcc_rows.setdefault(lang, {})
+        rmse_cells = rmse_rows.setdefault(lang, {})
+        pcc_cells[dim] = rmse_cells[dim] = None
+        if len(pred):
+            order = np.lexsort((pred, label))
+            pred, label = pred[order], label[order]
+            rmse_cells[dim] = rmse(pred, label)
+            if len(pred) >= 2:
                 try:
-                    pcc_cells[dim] = pearson(pred, ref)
+                    pcc_cells[dim] = pearson(pred, label)
                 except UndefinedCorrelationError:
-                    pcc_cells[dim] = None
-            else:
-                pcc_cells[dim] = None
-        pcc_rows[lang] = pcc_cells
-        rmse_rows[lang] = rmse_cells
+                    pass
 
     return (
         EvalReport(metric="PCC", reference=reference, rows=pcc_rows),
@@ -194,15 +200,6 @@ def render_report(report: EvalReport, format: str = "markdown") -> str:
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines) + "\n"
     raise MetricError(f"unknown render format {format!r}")
-
-
-@dataclass
-class PredictionRow:
-    sample_id: str
-    language: str
-    provenance: str
-    pred: QualityScores
-    label: QualityScores
 
 
 # The predictions/labels CSV: sample_id, language, provenance, then the

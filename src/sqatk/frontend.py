@@ -341,14 +341,19 @@ def save_features(path: str | os.PathLike, values: np.ndarray) -> None:
 def load_features(path: str | os.PathLike) -> np.ndarray:
     """Read one clip's (frames, mels) feature matrix as the stored
     float32, with no upcast; the model casts it to its own dtype.
-    featurize writes only finite values of at least one frame, so a NaN,
-    an inf or no frames means the file is damaged."""
+    featurize writes only finite values of at least one frame, in
+    FrontendConfig.n_mels bins, so a NaN, an inf, no frames or another
+    mel count means the file is damaged or was not written by featurize."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise FeatureError(f"{path}: truncated feature file")
     frames, mels = struct.unpack("<II", raw[:8])
     if frames == 0:
         raise FeatureError(f"{path}: feature file holds no frames")
+    if mels != FrontendConfig.n_mels:
+        raise FeatureError(
+            f"{path}: feature file has {mels} mel bins, the models read {FrontendConfig.n_mels}"
+        )
     expected = 8 + 4 * frames * mels
     if len(raw) != expected:
         raise FeatureError(f"{path}: size {len(raw)} != expected {expected}")

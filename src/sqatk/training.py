@@ -236,12 +236,12 @@ def fit(
     train_samples: list[TrainSample],
     val_samples: list[TrainSample],
     config: TrainConfig,
-    history_path=None,
+    history_path,
 ) -> FitResult:
     """Train until early stopping or max_epochs; returns the checkpoint
-    with the best validation monitor and the per-epoch history. If no
-    epoch had a defined monitor, best_epoch is 0 and params are the
-    initial ones."""
+    with the best validation monitor and the per-epoch history, which
+    it also writes to history_path. If no epoch had a defined monitor,
+    best_epoch is 0 and params are the initial ones."""
     if not train_samples or not val_samples:
         raise TrainingError("training and validation sets must be non-empty")
     if all(np.isnan(s.labels[TASKS.index("mos")]) for s in val_samples):
@@ -287,8 +287,7 @@ def fit(
         if stop:
             break
 
-    if history_path is not None:
-        write_history(history_path, history)
+    write_history(history_path, history)
     return FitResult(params=best_params, best_epoch=controller.best_epoch, best_monitor=controller.best,
                      history=history)
 

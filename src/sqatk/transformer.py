@@ -110,12 +110,10 @@ class ModelConfig(Window):
 
 def floor_pad(values: np.ndarray, config) -> np.ndarray:
     """(frames, mels) features -> the (mels, max_frames) plane, cut or
-    padded along time with the log floor, in the features' dtype."""
-    n_mels = FrontendConfig.n_mels
-    if values.shape[1] != n_mels:
-        raise ModelError(f"spectrogram has {values.shape[1]} mel bins, the models read {n_mels}")
+    padded along time with the log floor, in the features' dtype. The
+    mel count is load_features' to check."""
     n_real = min(values.shape[0], config.max_frames)
-    padded = np.full((n_mels, config.max_frames), PAD_LOG_VALUE, dtype=values.dtype)
+    padded = np.full((FrontendConfig.n_mels, config.max_frames), PAD_LOG_VALUE, dtype=values.dtype)
     padded[:, :n_real] = values[:n_real].T
     return padded
 
@@ -210,28 +208,25 @@ def embed_batch(
     valid: np.ndarray,
     params: dict[str, Tensor],
     config: ModelConfig,
-    positions: np.ndarray | None = None,
+    positions: np.ndarray,
 ) -> tuple[Tensor, np.ndarray]:
     """Project patches, prepend CLS, add positions. Returns (B,N,D) tokens
     and the (B,N) token mask with the CLS position always valid.
 
     positions[b, i] is the flat (freq, time) grid index of patch i of
-    clip b, so a clip can carry only its valid patches; None means every
-    clip carries the full grid in order."""
+    clip b, so a clip can carry only its valid patches; a clip that
+    carries the full grid passes arange(config.n_patches)."""
     batch, n_patches, patch_dim = patches.shape
     if patch_dim != params["proj_w"].shape[0]:
         raise ModelError(
             f"patch width {patch_dim} does not match projection input {params['proj_w'].shape[0]}"
         )
-    if positions is None and n_patches != config.n_patches:
-        raise ModelError(f"{n_patches} patches, config expects {config.n_patches}")
-    if positions is not None and positions.shape != (batch, n_patches):
+    if positions.shape != (batch, n_patches):
         raise ModelError(f"positions shape {positions.shape} != patches {(batch, n_patches)}")
     d = config.embed_dim
 
     x = linear(Tensor(patches), params["proj_w"], params["proj_b"])
-    grid = params["pos_grid"].reshape((config.n_patches, d))
-    x = x + (grid if positions is None else grid[positions])
+    x = x + params["pos_grid"].reshape((config.n_patches, d))[positions]
     cls_tok = (params["cls"] + params["pos_cls"]).reshape((1, 1, d)).broadcast_to((batch, 1, d))
     tokens = concat([cls_tok, x], axis=1)
 
@@ -312,20 +307,6 @@ def head_outputs(cls_state: Tensor, params: dict[str, Tensor], config: ModelConf
     return out
 
 
-def forward_scores(
-    patches: np.ndarray,
-    valid: np.ndarray,
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    positions: np.ndarray | None = None,
-) -> dict[str, Tensor]:
-    """Full batched forward pass: (B,P,patch^2) patches to raw per-task
-    scores, unclipped so training gradients are unimpeded. positions is
-    as in embed_batch."""
-    tokens, mask = embed_batch(patches, valid, params, config, positions)
-    return head_outputs(encoder_forward(tokens, mask, params, config), params, config)
-
-
 # ------------------------------------------------------------ model facade
 
 
@@ -362,5 +343,8 @@ class SpectrogramTransformer(Scorer):
         return patches, positions, valid
 
     def forward_batch(self, batch) -> dict[str, Tensor]:
+        """A collated batch to raw per-task scores, unclipped so training
+        gradients are unimpeded."""
         patches, positions, valid = batch
-        return forward_scores(patches, valid, self.params, self.config, positions)
+        tokens, mask = embed_batch(patches, valid, self.params, self.config, positions)
+        return head_outputs(encoder_forward(tokens, mask, self.params, self.config), self.params, self.config)

@@ -5,7 +5,9 @@ tests that compare two code paths far below float32's resolution.
 in_memory is a sample loader for features built in memory.
 widen_max_duration carries a transformer's parameters to a longer
 window, for the mask-invariance tests. desk_cnn_config is the default
-CNN in a 2 s window.
+CNN in a 2 s window. grid_positions and dense_scores run the
+transformer on clips that carry their whole patch grid, padding
+included, as the reference for the packed valid patches it scores.
 """
 
 from __future__ import annotations
@@ -51,3 +53,16 @@ def widen_max_duration(
             data = params[name].data.copy()
         out[name] = Tensor(data, requires_grad=True)
     return out
+
+
+def grid_positions(config: tf.ModelConfig, batch: int) -> np.ndarray:
+    """Every clip's patch i at grid position i: a batch of whole grids."""
+    return np.broadcast_to(np.arange(config.n_patches), (batch, config.n_patches))
+
+
+def dense_scores(patches: np.ndarray, valid: np.ndarray, params: dict[str, Tensor],
+                 config: tf.ModelConfig) -> dict[str, Tensor]:
+    """Raw scores of (B, n_patches, patch^2) whole grids in grid order,
+    masked by their (B, n_patches) validity."""
+    positions = grid_positions(config, len(patches))
+    return tf.SpectrogramTransformer(config, params).forward_batch((patches, positions, valid))

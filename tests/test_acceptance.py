@@ -25,7 +25,7 @@ from sqatk.synth import generate_corpus
 from sqatk.training import Adam, PatienceController, mse_loss
 
 from gradcheck import run_suite
-from model_fixtures import desk_cnn_config, widen_max_duration
+from model_fixtures import dense_scores, desk_cnn_config, widen_max_duration
 from table_fixtures import ALL_TABLES, CNN_PCC
 from test_frontend import naive_log_mel
 
@@ -114,7 +114,7 @@ def test_criterion_3_overfit_transformer(overfit_corpus):
     valid = np.stack([s.valid for s in seqs])
 
     steps, per_task, max_dev = overfit_full_batch(
-        lambda: tf.forward_scores(patches, valid, params, config), params, labels
+        lambda: dense_scores(patches, valid, params, config), params, labels
     )
     elapsed = time.monotonic() - start
     print(
@@ -174,8 +174,8 @@ def test_criterion_4_mask_invariance():
         spec = fe.log_mel_spectrogram(clip)
         seq_s = tf.extract_patches(spec, short_cfg)
         seq_l = tf.extract_patches(spec, long_cfg)
-        out_s = tf.forward_scores(seq_s.patches[None].astype(dtype), seq_s.valid[None], params_short, short_cfg)
-        out_l = tf.forward_scores(seq_l.patches[None].astype(dtype), seq_l.valid[None], params_long, long_cfg)
+        out_s = dense_scores(seq_s.patches[None].astype(dtype), seq_s.valid[None], params_short, short_cfg)
+        out_l = dense_scores(seq_l.patches[None].astype(dtype), seq_l.valid[None], params_long, long_cfg)
         for t in TASKS:
             assert out_s[t].data.dtype == out_l[t].data.dtype == dtype
             worst = max(worst, abs(float(out_s[t].data[0]) - float(out_l[t].data[0])))
@@ -300,7 +300,9 @@ def run_pipeline(root, corpus_manifest):
     feats = root / "feats"
     ckpt = root / "model.ckpt"
     pred = root / "pred.csv"
+    maps = root / "maps.csv"
     report = root / "report.md"
+    calibrated = root / "calibrated.md"
     assert main(["featurize", "--manifest", str(corpus_manifest), "--out", str(feats),
                  "--jobs", "1"]) == 0
     assert main(["train", "--model", "ast", "--config", str(config),
@@ -310,7 +312,11 @@ def run_pipeline(root, corpus_manifest):
                  "--features", str(feats), "--out", str(pred), "--jobs", "1"]) == 0
     assert main(["evaluate", "--pred", str(pred), "--labels", str(corpus_manifest),
                  "--reference", "ENG", "--out", str(report)]) == 0
-    return pred.read_bytes(), report.read_bytes()
+    assert main(["calibrate", "--pred", str(pred), "--labels", str(corpus_manifest),
+                 "--dims", "mos,col,dis,loud,noi", "--out", str(maps)]) == 0
+    assert main(["evaluate", "--pred", str(pred), "--labels", str(corpus_manifest),
+                 "--calibration", str(maps), "--reference", "ENG", "--out", str(calibrated)]) == 0
+    return pred.read_bytes(), report.read_bytes(), maps.read_bytes(), calibrated.read_bytes()
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):
@@ -318,8 +324,13 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         tmp_path / "corpus", n_clips=8, seed=5, languages=("ENG", "DE"),
         duration_s=0.8, n_val=2,
     )
-    pred_a, report_a = run_pipeline(tmp_path / "run_a", corpus)
-    pred_b, report_b = run_pipeline(tmp_path / "run_b", corpus)
+    pred_a, report_a, maps_a, calibrated_a = run_pipeline(tmp_path / "run_a", corpus)
+    pred_b, report_b, maps_b, calibrated_b = run_pipeline(tmp_path / "run_b", corpus)
     assert pred_a == pred_b, "prediction CSVs must be byte-identical"
     assert report_a == report_b
-    print(f"criterion 9: two pipeline runs byte-identical ({len(pred_a)} bytes of predictions)")
+    assert maps_a == maps_b, "calibration maps must be byte-identical"
+    assert len(maps_a.decode().splitlines()) == 1 + 2 * 5  # a map per language and dim
+    assert calibrated_a == calibrated_b
+    assert calibrated_a != report_a
+    print(f"criterion 9: two pipeline runs byte-identical ({len(pred_a)} bytes of predictions, "
+          f"{len(maps_a)} bytes of calibration maps)")

@@ -17,6 +17,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from sqatk import cli
 from sqatk import cnn as cnn_mod
@@ -129,3 +130,47 @@ def test_every_cnn_stage_calls_conv2d_through_the_cnn_modules_globals(monkeypatc
     assert calls == list(config.pool)
     for task, raw in scored.items():
         np.testing.assert_array_equal(raw.data, recorded[task].data)
+
+
+# Spans a model kind never runs: the other model's layers, and cnn.pool,
+# which wraps maxpool2d while the CNN pools inside conv2d.
+_AST_SPANS = {"transformer.prepare_s", "transformer.embed_s", "transformer.encoder_s"}
+_CNN_SPANS = {"cnn.prepare_s", "cnn.conv_s"}
+_EXPECTED_ZERO = {"ast": _CNN_SPANS | {"cnn.pool_s"}, "cnn": _AST_SPANS | {"cnn.pool_s"}}
+
+
+@pytest.mark.parametrize("kind, config_text", [
+    ("ast", "embed_dim=16\nn_layers=1\nn_heads=2\nlearning_rate=0.03\n"),
+    ("cnn", "channels=4,8\npool=2,2\nlearning_rate=0.01\n"),
+], ids=["ast", "cnn"])
+def test_a_traced_toy_run_times_every_span_its_model_runs(tmp_path, monkeypatch, kind, config_text):
+    """bench/tracer.py over featurize, train, predict, calibrate and
+    evaluate --calibration of six 0.5 s clips: every time metric is above
+    0 except the spans the kind never runs, which read exactly 0. The
+    CNN's heads read 0 s when cnn.py bound head_outputs at import. Eight
+    epochs at batch 1 move the heads off the clip at 1, so validation and
+    calibrate see scores that vary."""
+    tracer_mod = _load_bench(monkeypatch, "tracer")
+    manifest = generate_corpus(tmp_path / "corpus", n_clips=6, seed=2, duration_s=0.5, n_val=2)
+    config = tmp_path / "model.cfg"
+    config.write_text(config_text + "max_duration_s=0.5\nmax_epochs=8\nbatch_size=1\n")
+    feats, ckpt, pred, maps = (tmp_path / name for name in ("feats", "model.ckpt", "pred.csv", "maps.csv"))
+    stages = [
+        ("featurize", ["featurize", "--manifest", str(manifest), "--out", str(feats)]),
+        ("train", ["train", "--model", kind, "--config", str(config), "--manifest", str(manifest),
+                   "--features", str(feats), "--out", str(ckpt)]),
+        ("predict", ["predict", "--ckpt", str(ckpt), "--manifest", str(manifest), "--features", str(feats),
+                     "--out", str(pred)]),
+        ("calibrate", ["calibrate", "--pred", str(pred), "--labels", str(manifest), "--out", str(maps)]),
+        ("evaluate", ["evaluate", "--pred", str(pred), "--labels", str(manifest), "--calibration", str(maps),
+                      "--out", str(tmp_path / "report.md")]),
+    ]
+    with tracer_mod.Tracer() as tracer:
+        for stage, argv in stages:
+            with tracer.stage(stage):
+                assert cli.main(argv) == 0, stage
+    metrics = tracer.layer_metrics()
+    zero = _EXPECTED_ZERO[kind]
+    assert zero < set(tracer_mod.TIME_METRICS)
+    assert {name: metrics[name] for name in zero} == dict.fromkeys(zero, 0.0)
+    assert [name for name in tracer_mod.TIME_METRICS if name not in zero and not metrics[name] > 0] == []

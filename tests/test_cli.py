@@ -381,6 +381,8 @@ def _damaged_features(corpus, workdir, tmp_path, damage):
         bad.write_bytes(bad.read_bytes()[:-4])
     elif damage == "no frames":
         bad.write_bytes(struct.pack("<II", 0, 128))
+    elif damage == "64 mels":
+        fe.save_features(bad, fe.load_features(bad)[:, :64])
     else:
         values = fe.load_features(bad).copy()
         values[3, 7] = float(damage)
@@ -439,6 +441,17 @@ def test_cache_with_no_frames_is_a_typed_error(corpus, workdir, tmp_path, capsys
     code, bad, out = _exit_on_damaged_cache(corpus, workdir, tmp_path, command, "no frames")
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}: feature file holds no frames\n"
+    assert not out.exists() and not (tmp_path / "out.history.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["predict-ast", "predict-cnn", "train"])
+def test_cache_of_another_mel_count_is_a_typed_error(corpus, workdir, tmp_path, capsys, command):
+    """A 64-mel cache made predict print "spectrogram has 64 mel bins, the
+    models read 128" with no path. load_features names the file, whether
+    predict reads it or train draws its batch, and nothing is written."""
+    code, bad, out = _exit_on_damaged_cache(corpus, workdir, tmp_path, command, "64 mels")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: feature file has 64 mel bins, the models read 128\n"
     assert not out.exists() and not (tmp_path / "out.history.csv").exists()
 
 
@@ -1201,3 +1214,47 @@ def test_evaluate_warns_once_about_every_unmapped_labeled_pair(corpus, tmp_path,
     maps.write_text(header + "".join(f"{lang},{dim},0.0,1.0,0.0,0.0,1.0,5.0\n" for lang, dim in sorted(labeled)))
     assert main(args) == 0
     assert "warning" not in capsys.readouterr().err
+
+
+def test_prediction_with_an_empty_field_is_left_out_of_its_cell(corpus, tmp_path, capsys):
+    """A hand-edited predictions CSV with an empty pred_col for clips whose
+    col is labelled: calibrate counts those clips out of the cell, evaluate
+    scores the cell without them, and the unmapped-cell warning names only
+    cells that have pairs (it named DE/col, whose every pred_col is empty)."""
+    from sqatk.evaluation import PredictionRow, pearson, rmse, write_predictions
+
+    entries = load_manifest(corpus).entries
+    eng_rows = [e.sample_id for e in entries if e.language == "ENG"]
+    blank = set(eng_rows[:2]) | {e.sample_id for e in entries if e.language == "DE"}
+    rows = []
+    for i, e in enumerate(entries):
+        shifted = {d: min(max(e.scores.get(d) + 0.1 * (i % 4) - 0.15, 1.0), 5.0) for d in TASKS}
+        if e.sample_id in blank:
+            shifted["col"] = None
+        rows.append(PredictionRow(e.sample_id, e.language, e.provenance, QualityScores(**shifted), e.scores))
+    pred = tmp_path / "pred.csv"
+    write_predictions(pred, rows)
+    assert all(",," in line for line in pred.read_text().splitlines() if line.split(",")[0] in blank)
+
+    maps = tmp_path / "maps.csv"
+    assert main(["calibrate", "--pred", str(pred), "--labels", str(corpus), "--dims", "mos,col",
+                 "--out", str(maps)]) == 1
+    assert capsys.readouterr().err == "error: group 'DE' dim 'col': 0 labeled samples, need >= 4\n"
+    assert not maps.exists()
+
+    assert main(["evaluate", "--pred", str(pred), "--labels", str(corpus), "--format", "csv",
+                 "--out", "-"]) == 0
+    pcc, err = (parse_report(table, "csv") for table in capsys.readouterr().out.split("\n\n"))
+    kept = [(r.pred.col, r.label.col) for r in read_predictions(pred) if r.language == "ENG" and r.pred.col]
+    assert len(kept) == len(eng_rows) - 2
+    assert pcc["rows"]["ENG"]["col"] == pytest.approx(pearson(*zip(*kept)), abs=5e-4)
+    assert err["rows"]["ENG"]["col"] == pytest.approx(rmse(*zip(*kept)), abs=5e-4)
+    assert pcc["rows"]["DE"]["col"] is None and err["rows"]["DE"]["col"] is None
+
+    maps.write_text("group,dim,a0,a1,a2,a3,domain_lo,domain_hi\nENG,mos,0.0,1.0,0.0,0.0,1.0,5.0\n")
+    assert main(["evaluate", "--pred", str(pred), "--labels", str(corpus), "--calibration", str(maps),
+                 "--out", "-"]) == 0
+    (warning,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    named = warning.split("no calibration map for ")[1].split(";")[0].split(", ")
+    assert named == sorted(f"{lang}/{dim}" for lang in ("DE", "ENG") for dim in TASKS
+                           if (lang, dim) not in {("ENG", "mos"), ("DE", "col")})

@@ -13,6 +13,7 @@ from sqatk.evaluation import (
     PredictionRow,
     UndefinedCorrelationError,
     evaluate,
+    paired,
     parse_report,
     pearson,
     read_predictions,
@@ -150,6 +151,14 @@ def correlated_pair(r, n, rng, mean=3.0, spread=0.6):
     return np.clip(pred, 1, 5), np.clip(label, 1, 5)
 
 
+def _evaluate(preds, labels, langs, reference="ENG"):
+    """evaluate over the pairs of rows holding these scores, as the
+    evaluate command runs it."""
+    rows = [PredictionRow(f"s{i}", lang, "subjective", pred, label)
+            for i, (pred, label, lang) in enumerate(zip(preds, labels, langs))]
+    return evaluate(paired(rows, DIM_ORDER), reference=reference)
+
+
 def build_eval_inputs(rng):
     langs, preds, labels = [], [], []
     targets = {"ENG": 0.9, "DE": 0.7, "MAN": 0.8}
@@ -164,7 +173,7 @@ def build_eval_inputs(rng):
 
 def test_evaluate_reproduces_target_correlations(rng):
     preds, labels, langs = build_eval_inputs(rng)
-    pcc, err = evaluate(preds, labels, langs, reference="ENG")
+    pcc, err = _evaluate(preds, labels, langs)
     assert pcc.rows["ENG"]["mos"] == pytest.approx(0.9, abs=1e-9)
     assert pcc.rows["DE"]["mos"] == pytest.approx(0.7, abs=1e-9)
     assert err.rows["DE"]["mos"] >= 0
@@ -172,11 +181,9 @@ def test_evaluate_reproduces_target_correlations(rng):
 
 def test_evaluate_permutation_invariant(rng):
     preds, labels, langs = build_eval_inputs(rng)
-    pcc_a, rmse_a = evaluate(preds, labels, langs, reference="ENG")
+    pcc_a, rmse_a = _evaluate(preds, labels, langs)
     perm = rng.permutation(len(preds))
-    pcc_b, rmse_b = evaluate(
-        [preds[i] for i in perm], [labels[i] for i in perm], [langs[i] for i in perm], "ENG"
-    )
+    pcc_b, rmse_b = _evaluate([preds[i] for i in perm], [labels[i] for i in perm], [langs[i] for i in perm])
     assert pcc_a.rows == pcc_b.rows
     assert rmse_a.rows == rmse_b.rows
 
@@ -188,7 +195,7 @@ def test_evaluate_absent_dimension_cells(rng):
         QualityScores(mos=3.2),
         QualityScores(mos=3.9, col=2.0),
     ]
-    pcc, err = evaluate(preds, labels, ["DE"] * 3, reference="ENG")
+    pcc, err = _evaluate(preds, labels, ["DE"] * 3)
     assert pcc.rows["DE"]["col"] is None  # one labeled sample: no PCC
     assert err.rows["DE"]["col"] is None  # prediction absent for col
     assert pcc.rows["DE"]["mos"] is not None
@@ -198,9 +205,41 @@ def test_evaluate_absent_dimension_cells(rng):
 def test_evaluate_constant_cell_is_absent():
     preds = [QualityScores(mos=3.0), QualityScores(mos=3.0)]
     labels = [QualityScores(mos=2.0), QualityScores(mos=4.0)]
-    pcc, err = evaluate(preds, labels, ["DE", "DE"], reference="ENG")
+    pcc, err = _evaluate(preds, labels, ["DE", "DE"])
     assert pcc.rows["DE"]["mos"] is None
     assert err.rows["DE"]["mos"] == pytest.approx(np.sqrt((1 + 1) / 2))
+
+
+def test_paired_keeps_the_rows_holding_both_values_in_row_order():
+    """Keys run over the sorted languages, then the dims as given; a cell
+    takes the rows that hold a prediction and a label, in row order, and
+    a cell no row fills has empty vectors."""
+    rows = [
+        PredictionRow("a", "MAN", "subjective", QualityScores(mos=4.0, col=2.0), QualityScores(mos=3.5)),
+        PredictionRow("b", "DE", "subjective", QualityScores(mos=2.0), QualityScores(mos=1.5, col=3.0)),
+        PredictionRow("c", "MAN", "objective", QualityScores(mos=1.0), QualityScores(mos=2.5, col=4.0)),
+        PredictionRow("d", "MAN", "subjective", QualityScores(mos=3.0, col=5.0), QualityScores(col=1.0)),
+    ]
+    pairs = paired(rows, ["mos", "col"])
+    assert list(pairs) == [("DE", "mos"), ("DE", "col"), ("MAN", "mos"), ("MAN", "col")]
+    expected = {("DE", "mos"): ([2.0], [1.5]), ("DE", "col"): ([], []),
+                ("MAN", "mos"): ([4.0, 1.0], [3.5, 2.5]), ("MAN", "col"): ([5.0], [1.0])}
+    for key, (pred, label) in pairs.items():
+        assert pred.dtype == label.dtype == np.float64
+        assert (pred.tolist(), label.tolist()) == expected[key]
+
+
+def test_evaluate_cells_are_those_of_the_pairs_sorted_as_tuples(rng):
+    """Each cell's pairs are ordered as sorted((label, pred)) orders them,
+    ties in the label broken by the prediction, so every PCC and RMSE is
+    the tuple-sorted reference's bit for bit."""
+    label = rng.integers(2, 10, size=60) / 2.0  # 1.0 .. 4.5 in halves: many ties
+    pred = np.round(rng.uniform(1.0, 5.0, size=60), 1)
+    pairs = {("DE", "mos"): (pred, label)}
+    pcc, err = evaluate(pairs)
+    ref_label, ref_pred = (np.array(v) for v in zip(*sorted(zip(label.tolist(), pred.tolist()))))
+    assert pcc.rows["DE"]["mos"] == pearson(ref_pred, ref_label)
+    assert err.rows["DE"]["mos"] == rmse(ref_pred, ref_label)
 
 
 # ------------------------------------------------------------- rendering

@@ -445,7 +445,7 @@ def test_feature_cache_rejects_truncated(tmp_path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_feature_cache_rejects_a_non_finite_value(tmp_path, value):
-    values = np.zeros((4, 3))
+    values = np.zeros((4, 128))
     values[2, 1] = value
     path = tmp_path / "bad.feat"
     fe.save_features(path, values)
@@ -453,9 +453,18 @@ def test_feature_cache_rejects_a_non_finite_value(tmp_path, value):
         fe.load_features(path)
 
 
-# A valid (6, 4) cache; its 104 bytes are short enough that mutations
-# often reach the header.
-_CACHE = struct.pack("<II", 6, 4) + np.random.default_rng(0).normal(size=(6, 4)).astype("<f4").tobytes()
+def test_feature_cache_of_another_mel_count_is_rejected(tmp_path, rng):
+    """featurize writes FrontendConfig.n_mels bins, so a 64-mel cache is a
+    FeatureError that names the file, raised before a model reads it."""
+    path = tmp_path / "clip.feat"
+    fe.save_features(path, rng.normal(size=(50, 64)))
+    with pytest.raises(fe.FeatureError) as exc:
+        fe.load_features(path)
+    assert str(exc.value) == f"{path}: feature file has 64 mel bins, the models read 128"
+
+
+# A valid one-frame cache, the shortest load_features accepts: 520 bytes.
+_CACHE = struct.pack("<II", 1, 128) + np.random.default_rng(0).normal(size=(1, 128)).astype("<f4").tobytes()
 
 
 @given(raw=damaged(_CACHE))

@@ -29,7 +29,7 @@ from sqatk.training import (
 )
 
 from memory import peak_traced_bytes
-from model_fixtures import desk_cnn_config, float64, in_memory
+from model_fixtures import dense_scores, desk_cnn_config, float64, in_memory
 
 # ------------------------------------------------------------------- loss
 
@@ -61,12 +61,20 @@ def test_mse_length_mismatch():
         mse_loss(Tensor(np.zeros(2)), np.zeros(3), np.ones(3, bool))
 
 
-def _composed_mse(pred, target, mask):
-    """The masked MSE as recorded ops, as mse_loss built it before it was
-    one node: subtract the target, mask, square, sum and scale."""
-    dtype = pred.data.dtype
-    diff = (pred + Tensor(-np.where(mask, target, 0.0).astype(dtype))) * Tensor(mask.astype(dtype))
-    return (diff * diff).sum() * (1.0 / int(mask.sum()))
+def _composed_mse(pred, target, mask, seed):
+    """The masked MSE as mse_loss built it from recorded ops before it was
+    one node, replayed in NumPy: the value and pred's gradient for the
+    backward seed. Forward: add the negated target, mask, square, sum,
+    scale. Backward, node by node: scale the seed, broadcast it over
+    the sum, send g * diff to each operand of the square and add the
+    two, then mask."""
+    dtype = pred.dtype
+    m = mask.astype(dtype)
+    scale = 1.0 / int(mask.sum())
+    diff = (pred + -np.where(mask, target, 0.0).astype(dtype)) * m
+    value = (diff * diff).sum() * scale
+    g = np.broadcast_to(seed * scale, pred.shape).copy()
+    return value, (g * diff + g * diff) * m
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -75,26 +83,27 @@ def test_mse_loss_keeps_the_bits_of_the_composed_ops(dtype, shared):
     """mse_loss's value and pred's gradient equal the composed ops' bit
     for bit, under a partial mask with NaN targets where it is off. In
     the shared case the loss is scaled and pred feeds a second consumer,
-    so the backward seed is not 1 and pred's gradient is a sum."""
+    so the backward seed is not 1 and pred's gradient is a sum; the
+    gradient under that seed is also compared alone, as adding the
+    second consumer's 2.0 rounds its last bits away."""
     rng = np.random.default_rng(5)
     mask = rng.uniform(size=40) < 0.7
     target = np.where(mask, rng.uniform(1.0, 5.0, size=40), np.nan)
     pred = Tensor(rng.normal(3.0, 1.0, size=40).astype(dtype), requires_grad=True)
-    probe = rng.normal(size=40)
+    seed = np.ones((), dtype) * 0.3 if shared else np.ones((), dtype)
 
-    def run(loss_fn):
-        loss = loss_fn(pred, target, mask)
-        if shared:
-            loss = loss * 0.3 + (pred * probe).sum()
-        return loss.data, loss.backward()[pred]
-
-    value, grad = run(mse_loss)
-    ref_value, ref_grad = run(_composed_mse)
+    loss = mse_loss(pred, target, mask)
+    value, grad = loss.data, loss.backward(seed)[pred]
+    ref_value, ref_grad = _composed_mse(pred.data, target, mask, seed)
     assert value.dtype == grad.dtype == dtype
     assert value.tobytes() == ref_value.tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
-    # masked-out entries get no loss gradient: only the probe's, if shared
-    np.testing.assert_array_equal(grad[~mask], probe[~mask].astype(dtype) if shared else 0.0)
+    # masked-out entries get no loss gradient
+    np.testing.assert_array_equal(grad[~mask], 0.0)
+    if shared:
+        total = loss * 0.3 + (pred * 2.0).sum()
+        assert total.data.tobytes() == (ref_value * 0.3 + (pred.data * 2.0).sum()).tobytes()
+        assert total.backward()[pred].tobytes() == (ref_grad + np.ones(40, dtype) * 2.0).tobytes()
 
 
 # ------------------------------------------------------------------- adam
@@ -126,8 +135,8 @@ def test_adam_bitwise_deterministic():
         p = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True)}
         opt = Adam(p)
         for step in range(25):
-            row_sums = linear(p["w"], Tensor(np.ones((3, 1))), Tensor(np.zeros(1)))
-            loss = (row_sums * row_sums).sum()
+            row_sums = linear(p["w"], Tensor(np.ones((3, 1))), Tensor(np.zeros(1))).reshape((4,))
+            loss = mse_loss(row_sums, np.zeros(4), np.ones(4, bool))
             opt.step(loss.backward(), 1e-2)
         return p["w"].data.copy()
 
@@ -151,7 +160,7 @@ def test_accumulated_task_gradients_equal_summed_loss(rng):
         return {k: leaf_grads.get(p, np.zeros_like(p.data)) for k, p in params.items()}
 
     def summed(params):
-        preds = tf.forward_scores(patches, valid, params, config)
+        preds = dense_scores(patches, valid, params, config)
         total = None
         for t in TASKS:
             loss = mse_loss(preds[t], labels[t], mask)
@@ -160,7 +169,7 @@ def test_accumulated_task_gradients_equal_summed_loss(rng):
 
     def per_task(params):
         # one backward per task loss, their maps summed out of place
-        preds = tf.forward_scores(patches, valid, params, config)
+        preds = dense_scores(patches, valid, params, config)
         total = {}
         for t in TASKS:
             for p, g in mse_loss(preds[t], labels[t], mask).backward().items():
@@ -178,7 +187,7 @@ def test_head_loss_gradient_is_zero_for_other_heads(rng):
     params = tf.init_params(config, seed=10)
     spec = LogMelSpectrogram(rng.normal(-4, 2, size=(30, 128)), 128, 0.010, 0.025)
     seq = tf.extract_patches(spec, config)
-    preds = tf.forward_scores(seq.patches[None], seq.valid[None], params, config)
+    preds = dense_scores(seq.patches[None], seq.valid[None], params, config)
     grads = mse_loss(preds["col"], np.array([3.0]), np.ones(1, bool)).backward()
     for other in ("mos", "dis", "loud", "noi"):
         for suffix in ("w", "b"):
@@ -295,10 +304,11 @@ def test_fit_zero_epochs_rejected():
             TrainConfig(max_epochs=epochs)
 
 
-def test_fit_runs_and_returns_best(rng):
+def test_fit_runs_and_returns_best(tmp_path, rng):
     model = TinyModel(seed=1)
     train = tiny_samples(12, rng)
-    result = fit(model, train, train, TrainConfig(learning_rate=0.05, max_epochs=30, batch_size=4, seed=7))
+    result = fit(model, train, train, TrainConfig(learning_rate=0.05, max_epochs=30, batch_size=4, seed=7),
+                 tmp_path / "history.csv")
     assert result.epochs_run <= 30
     assert result.best_epoch >= 1
     assert set(result.params) == set(model.params)
@@ -317,34 +327,37 @@ def test_fit_history_columns(tmp_path, rng):
     assert len(path.read_text().splitlines()) == 4
 
 
-def test_fit_constant_predictions_record_worst_monitor(rng):
+def test_fit_constant_predictions_record_worst_monitor(tmp_path, rng):
     # zero slope data with all-equal labels: validation PCC is undefined
     model = TinyModel(seed=3)
     for t in TASKS:
         model.params[f"w_{t}"].data[:] = 0.0
     samples = tiny_samples(6, rng, slope=0.0)
-    result = fit(model, samples, samples, TrainConfig(learning_rate=1e-9, max_epochs=2, batch_size=6))
+    result = fit(model, samples, samples, TrainConfig(learning_rate=1e-9, max_epochs=2, batch_size=6),
+                 tmp_path / "history.csv")
     assert result.history[0].monitor == -np.inf
     assert np.isnan(result.history[0].val_pcc_mos)
     assert result.epochs_run == 2  # training continued
 
 
-def test_fit_same_seed_same_history(rng):
+def test_fit_same_seed_same_history(tmp_path, rng):
     def run():
         model = TinyModel(seed=4)
         train = tiny_samples(10, np.random.default_rng(0))
-        result = fit(model, train, train, TrainConfig(learning_rate=0.03, max_epochs=8, batch_size=3, seed=11))
+        result = fit(model, train, train, TrainConfig(learning_rate=0.03, max_epochs=8, batch_size=3, seed=11),
+                     tmp_path / "history.csv")
         return [(rec.epoch, rec.monitor, tuple(sorted(rec.task_losses.items()))) for rec in result.history]
 
     assert run() == run()
 
 
-def test_missing_dimension_contributes_no_loss(rng):
+def test_missing_dimension_contributes_no_loss(tmp_path, rng):
     model = TinyModel(seed=5)
     scores = QualityScores(mos=3.0, col=None, dis=None, loud=None, noi=None)
     samples = [make_sample(in_memory(np.array([1.0])), scores),
                make_sample(in_memory(np.array([2.0])), QualityScores(mos=2.0))]
-    result = fit(model, samples, samples, TrainConfig(learning_rate=0.01, max_epochs=2, batch_size=2))
+    result = fit(model, samples, samples, TrainConfig(learning_rate=0.01, max_epochs=2, batch_size=2),
+                 tmp_path / "history.csv")
     assert set(result.history[0].task_losses) == {"mos"}
 
 
@@ -366,7 +379,7 @@ def test_loss_trend_non_increasing_over_50_steps():
         opt = Adam(params)
 
         def total_loss():
-            preds = tf.forward_scores(patches, valid, params, config)
+            preds = dense_scores(patches, valid, params, config)
             total = None
             for t in TASKS:
                 loss = mse_loss(preds[t], labels[t], mask)
@@ -382,7 +395,7 @@ def test_loss_trend_non_increasing_over_50_steps():
     assert passed / trials >= 0.95
 
 
-def test_training_step_after_predict_gets_gradients(rng, monkeypatch):
+def test_training_step_after_predict_gets_gradients(tmp_path, rng, monkeypatch):
     config = tf.desk_config(n_layers=1, max_duration_s=0.5)
     model = tf.SpectrogramTransformer(config, seed=12)
     clips = [rng.normal(-5, 2, size=(n, 128)) for n in (30, 45)]
@@ -394,13 +407,13 @@ def test_training_step_after_predict_gets_gradients(rng, monkeypatch):
     steps = []
     adam_step = Adam.step
     monkeypatch.setattr(Adam, "step", lambda self, grads, lr: steps.append(grads) or adam_step(self, grads, lr))
-    fit(model, samples, samples, TrainConfig(max_epochs=1, batch_size=2))
+    fit(model, samples, samples, TrainConfig(max_epochs=1, batch_size=2), tmp_path / "history.csv")
     (grads,) = steps
     for name, p in model.params.items():
         assert p in grads and np.abs(grads[p]).max() > 0, f"{name} got no gradient"
 
 
-def test_fit_keeps_no_batchs_graph_into_the_next_batch():
+def test_fit_keeps_no_batchs_graph_into_the_next_batch(tmp_path):
     """fit over three desk-AST batches of 8 clips of 2 s peaks within
     1.15x of one train_step on one such batch: no batch's graph or
     gradient map lives on through the next batch's forward (measured
@@ -416,7 +429,7 @@ def test_fit_keeps_no_batchs_graph_into_the_next_batch():
     step_peak, _ = peak_traced_bytes(lambda: train_step(model, optimizer, samples[:8], 1e-3))
     model = tf.SpectrogramTransformer(config, seed=0)
     fit_peak, _ = peak_traced_bytes(
-        lambda: fit(model, samples, samples[:4], TrainConfig(max_epochs=1, batch_size=8)))
+        lambda: fit(model, samples, samples[:4], TrainConfig(max_epochs=1, batch_size=8), tmp_path / "history.csv"))
     assert fit_peak < 1.15 * step_peak, f"fit {fit_peak / 2**20:.2f} MiB, step {step_peak / 2**20:.2f} MiB"
 
 
@@ -449,7 +462,7 @@ def test_validation_reads_the_scores_predict_writes(rng, kind):
 
 
 @pytest.mark.parametrize("batch_size", [1, 16])
-def test_validation_memory_does_not_follow_batch_size(rng, monkeypatch, batch_size):
+def test_validation_memory_does_not_follow_batch_size(tmp_path, rng, monkeypatch, batch_size):
     """fit's validation over 16 desk-AST 2 s clips peaks under 4 MiB at
     any batch_size. Scored batch_size clips at a time, it peaked at 1.6
     MiB at batch 1 and 25.1 MiB at batch 16."""
@@ -465,5 +478,5 @@ def test_validation_memory_does_not_follow_batch_size(rng, monkeypatch, batch_si
         return result[0]
 
     monkeypatch.setattr(training, "_validation_mos", measured)
-    fit(model, samples[:2], samples, TrainConfig(max_epochs=1, batch_size=batch_size))
+    fit(model, samples[:2], samples, TrainConfig(max_epochs=1, batch_size=batch_size), tmp_path / "history.csv")
     assert len(peaks) == 1 and peaks[0] < 4 * 2**20, peaks

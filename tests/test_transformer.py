@@ -13,7 +13,7 @@ from sqatk.quality import TASKS, QualityScores
 from sqatk.training import Adam, make_sample, mse_loss, train_step
 
 from memory import peak_traced_bytes
-from model_fixtures import float64, in_memory, widen_max_duration
+from model_fixtures import dense_scores, float64, grid_positions, in_memory, widen_max_duration
 
 HOP = 0.010
 
@@ -92,12 +92,6 @@ def test_patch_too_narrow_rejected():
         tf.desk_config(max_duration_s=0.1)  # 10 frames < PATCH
 
 
-def test_mel_count_mismatch_rejected(rng):
-    config = tf.desk_config()
-    with pytest.raises(tf.ModelError, match="mel"):
-        tf.extract_patches(make_spec(100, n_mels=64, rng=rng), config)
-
-
 @given(frames=st.integers(min_value=16, max_value=240))
 def test_patch_count_matches_floor_formula(frames):
     config = tf.ModelConfig(embed_dim=8, n_heads=2, n_layers=0, max_duration_s=frames * HOP)
@@ -117,7 +111,8 @@ def test_embed_zero_patches_equals_positions():
     config = tf.desk_config(max_duration_s=0.5)
     params = tf.init_params(config, seed=3)
     n = config.n_patches
-    tokens, mask = tf.embed_batch(np.zeros((1, n, 256)), np.ones((1, n), dtype=bool), params, config)
+    tokens, mask = tf.embed_batch(np.zeros((1, n, 256)), np.ones((1, n), dtype=bool), params, config,
+                                  grid_positions(config, 1))
     assert tokens.shape == (1, n + 1, config.embed_dim)
     assert mask[0, 0] and mask.all()
     pos = params["pos_grid"].data.reshape(n, config.embed_dim)
@@ -142,7 +137,7 @@ def test_embed_full_scale_shape(rng):
     config = tf.ModelConfig(embed_dim=768, n_heads=12, n_layers=0, max_duration_s=12.0)
     params = tf.init_params(config, seed=0)
     seq = tf.extract_patches(make_spec(1200, rng=rng), config)
-    tokens, mask = tf.embed_batch(seq.patches[None], seq.valid[None], params, config)
+    tokens, mask = tf.embed_batch(seq.patches[None], seq.valid[None], params, config, grid_positions(config, 1))
     assert tokens.shape == (1, 1429, 768)
     assert mask.shape == (1, 1429)
 
@@ -152,7 +147,7 @@ def test_embed_shape_mismatch_rejected(rng):
     params = tf.init_params(config, seed=0)
     bad = np.zeros((config.n_patches, 128))
     with pytest.raises(tf.ModelError, match="patch width"):
-        tf.embed_batch(bad[None], np.ones((1, config.n_patches), bool), params, config)
+        tf.embed_batch(bad[None], np.ones((1, config.n_patches), bool), params, config, grid_positions(config, 1))
 
 
 # ---------------------------------------------------------------- encoder
@@ -224,7 +219,7 @@ def test_cls_only_last_block_equals_full_token_stack(rng, n_layers, packed, fram
         patches, positions, valid = model.collate([model.prepare(s.values) for s in specs])
     else:
         seqs = [tf.extract_patches(s, config) for s in specs]
-        patches, positions = np.stack([s.patches for s in seqs]), None
+        patches, positions = np.stack([s.patches for s in seqs]), grid_positions(config, len(seqs))
         valid = np.stack([s.valid for s in seqs])
     assert len(frames) == 1 or not valid.all()  # the batch masks some keys
     labels = rng.uniform(1, 5, size=len(frames))
@@ -282,13 +277,13 @@ def test_invalid_patch_content_is_ignored(rng):
     seq = tf.extract_patches(make_spec(40, rng=rng), config)
     assert not seq.valid.all()
 
-    base = tf.forward_scores(seq.patches[None], seq.valid[None], params, config)
+    base = dense_scores(seq.patches[None], seq.valid[None], params, config)
     scrambled = seq.patches.copy()
     scrambled[~seq.valid] = rng.normal(size=scrambled[~seq.valid].shape)
     # also swap two invalid rows
     bad = np.where(~seq.valid)[0]
     scrambled[[bad[0], bad[1]]] = scrambled[[bad[1], bad[0]]]
-    other = tf.forward_scores(scrambled[None], seq.valid[None], params, config)
+    other = dense_scores(scrambled[None], seq.valid[None], params, config)
     for t in TASKS:
         assert abs(base[t].data[0] - other[t].data[0]) <= 1e-12
 
@@ -297,10 +292,10 @@ def test_permuting_valid_patches_changes_output(rng):
     config = tf.desk_config(max_duration_s=1.0)
     params = tf.init_params(config, seed=4)
     seq = tf.extract_patches(make_spec(100, rng=rng), config)
-    base = tf.forward_scores(seq.patches[None], seq.valid[None], params, config)
+    base = dense_scores(seq.patches[None], seq.valid[None], params, config)
     swapped = seq.patches.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    other = tf.forward_scores(swapped[None], seq.valid[None], params, config)
+    other = dense_scores(swapped[None], seq.valid[None], params, config)
     diffs = [abs(base[t].data[0] - other[t].data[0]) for t in TASKS]
     assert max(diffs) > 1e-8  # positional embeddings make order matter
 
@@ -314,7 +309,7 @@ def test_packed_scores_equal_dense_scores(rng, frames):
     model = tf.SpectrogramTransformer(config, float64(tf.init_params(config, seed=8)))
     values = make_spec(frames, rng=rng).values
     seq = tf.extract_patches(LogMelSpectrogram(values, 128, HOP, 0.025), config)
-    dense = tf.forward_scores(seq.patches[None], seq.valid[None], model.params, config)
+    dense = dense_scores(seq.patches[None], seq.valid[None], model.params, config)
 
     patches, positions, valid = model.collate([model.prepare(values)])
     assert valid.all() and patches.shape[1] == seq.valid.sum()  # no padding at all
@@ -355,7 +350,7 @@ def test_packed_batch_gradients_equal_dense(rng):
         return {name: leaf_grads[p] for name, p in params.items()}
 
     seqs = [tf.extract_patches(s, config) for s in specs]
-    dense = grads(tf.forward_scores(
+    dense = grads(dense_scores(
         np.stack([s.patches for s in seqs]), np.stack([s.valid for s in seqs]), params, config
     ))
     packed = grads(model.forward_batch(model.collate([model.prepare(s.values) for s in specs])))
@@ -382,8 +377,8 @@ def test_mask_invariance_under_extended_padding(rng):
         spec = make_spec(int(rng.integers(30, max_real + 1)), rng=rng)
         seq_s = tf.extract_patches(spec, short_cfg)
         seq_l = tf.extract_patches(spec, long_cfg)
-        out_s = tf.forward_scores(seq_s.patches[None].astype(dtype), seq_s.valid[None], params_short, short_cfg)
-        out_l = tf.forward_scores(seq_l.patches[None].astype(dtype), seq_l.valid[None], params_long, long_cfg)
+        out_s = dense_scores(seq_s.patches[None].astype(dtype), seq_s.valid[None], params_short, short_cfg)
+        out_l = dense_scores(seq_l.patches[None].astype(dtype), seq_l.valid[None], params_long, long_cfg)
         for t in TASKS:
             assert out_s[t].data.dtype == out_l[t].data.dtype == dtype
             assert abs(out_s[t].data[0] - out_l[t].data[0]) < 1e-5
@@ -420,7 +415,7 @@ def test_head_gradients_do_not_leak(rng):
     seq = tf.extract_patches(spec, config)
     patches, valid = seq.patches[None], seq.valid[None]
 
-    preds = tf.forward_scores(patches, valid, model_params, config)
+    preds = dense_scores(patches, valid, model_params, config)
     target = np.array([2.0])
     mask = np.array([True])
     grads = mse_loss(preds["mos"], target, mask).backward()
@@ -440,7 +435,7 @@ def test_all_parameters_receive_gradient_from_full_batch(rng):
     patches = np.stack([s.patches for s in seqs])
     valid = np.stack([s.valid for s in seqs])
 
-    preds = tf.forward_scores(patches, valid, params, config)
+    preds = dense_scores(patches, valid, params, config)
     total = None
     for t in TASKS:
         loss = mse_loss(preds[t], rng.uniform(1, 5, size=3), np.ones(3, bool))
