@@ -13,7 +13,6 @@ import argparse
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -30,6 +29,7 @@ from .checkpoint import (CheckpointError, decode_config, echo_config, encode_con
                          parse_config, save_checkpoint)
 from .cnn import KERNEL, ConvBaseline, CnnConfig
 from .manifest import Manifest, ManifestError, format_summary, load_manifest, summarize
+from .parallel import thread_map
 from .quality import SCORE_MAX, SCORE_MIN, TASKS
 from .training import TrainConfig, TrainingError, fit, make_sample
 from .transformer import MLP_RATIO, PATCH, PATCH_STRIDE, ModelConfig, ModelError, SpectrogramTransformer
@@ -94,14 +94,6 @@ def build_samples(entries, features_dir: Path) -> list[tr.TrainSample]:
     return samples
 
 
-def thread_map(jobs: int, fn, items) -> list:
-    """[fn(item) for item in items] in order, on jobs threads when jobs > 1."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # ------------------------------------------------------------ subcommands
 
 
@@ -128,7 +120,7 @@ def cmd_featurize(args) -> int:
         fe.save_features(feature_path(out_dir, entry.sample_id), values)
 
     if not args.normalize:
-        thread_map(args.jobs, lambda entry: save(entry, log_mel(entry)), manifest.entries)
+        list(thread_map(args.jobs, lambda entry: save(entry, log_mel(entry)), manifest.entries))
     else:
         spill_dir = Path(tempfile.mkdtemp(prefix=".spill-", dir=out_dir))
         try:
@@ -144,7 +136,7 @@ def cmd_featurize(args) -> int:
                 path.unlink()
 
             mean, std = fe.corpus_normalization(thread_map(args.jobs, spill, manifest.entries))
-            thread_map(args.jobs, normalize, manifest.entries)
+            list(thread_map(args.jobs, normalize, manifest.entries))
         finally:
             shutil.rmtree(spill_dir, ignore_errors=True)
         atomic_write(out_dir / "normalization.txt", encode_config({"mean": repr(mean), "std": repr(std)}))
@@ -227,7 +219,7 @@ def cmd_predict(args) -> int:
         pred = model.predict_scores(fe.load_features(feature_path(features_dir, entry.sample_id)))
         return ev.PredictionRow(entry.sample_id, entry.language, entry.provenance, pred, entry.scores)
 
-    rows = thread_map(args.jobs, score, manifest.entries)
+    rows = list(thread_map(args.jobs, score, manifest.entries))
     ev.write_predictions(args.out, rows)
     for task in TASKS:
         scores = [row.pred.get(task) for row in rows if row.pred.present(task)]

@@ -4,23 +4,34 @@ with halving. The shuffle permutation for each epoch is derived from
 (seed, epoch) only, so runs are reproducible batch for batch.
 
 A sample holds its labels and a loader of its clip's (frames, mels)
-features, not the model's prepared input. A training batch loads and
-prepares its clips only when it is drawn, so memory follows batch_size
-and not the size of the split. train_step is the one code that trains
-on a batch, and no batch's graph outlives it. Validation scores each
-clip alone through Scorer.predict_scores, as predict does.
+features, not the model's prepared input. train_step is the one code
+that trains on a batch, and it treats each clip as a shard: the shard
+loads and prepares its clip when the batch is drawn, runs the forward
+at batch 1, divides each task's squared error by the whole batch's
+label count for that task, and backpropagates alone. The shards run on
+parallel.thread_map's pool, their gradient maps and losses are summed
+in clip order, and ADAM steps once. So a step holds the graphs of as
+many clips as there are workers, not batch_size, no batch's graph
+outlives it, and its result does not depend on the worker count.
+fit runs cores() workers with NumPy's OpenBLAS pinned to one thread,
+or one worker at the BLAS default where the count cannot be set.
+Validation scores each clip alone through Scorer.predict_scores, as
+predict does, on the calling thread: its forwards are a small share of
+train's work, and bench/tracer.py's one span stack sees them in order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
+from . import parallel
 from .atomic import write_csv
 from .autodiff import Tensor, init_from_spec, no_grad
 from .checkpoint import echo_config
@@ -30,6 +41,14 @@ from .quality import TASKS, QualityScores, clip_score
 
 class TrainingError(ValueError):
     pass
+
+
+class ModelError(ValueError):
+    pass
+
+
+class NonFiniteError(ModelError):
+    """Non-finite activations, a divergence signal."""
 
 
 @dataclass(frozen=True)
@@ -54,21 +73,23 @@ class TrainConfig:
             raise TrainingError("batch_size must be >= 1")
 
 
-def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared error over masked-in entries only, as one recorded
-    node with the arithmetic of the composed ops, bit for bit."""
+def mse_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray, count: int) -> Tensor:
+    """Squared error over masked-in entries only, summed and divided by
+    count, as one recorded node with the arithmetic of the composed ops,
+    bit for bit. The mask's own count gives the mean over pred;
+    train_step passes the task's label count over the whole batch, of
+    which pred holds one clip."""
     target = np.asarray(target, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if pred.shape != target.shape or pred.shape != mask.shape:
         raise TrainingError(
             f"length mismatch: pred {pred.shape}, target {target.shape}, mask {mask.shape}"
         )
-    count = int(mask.sum())
-    if count == 0:
+    if not mask.any():
         raise TrainingError("mse_loss needs at least one masked-in entry")
     dtype = pred.data.dtype
     m = mask.astype(dtype)
-    scale = 1.0 / count
+    scale = 1.0 / int(count)  # a Python float, which keeps pred's dtype
     diff = (pred.data - np.where(mask, target, 0.0).astype(dtype)) * m
 
     def backward(g):
@@ -168,24 +189,44 @@ class FitResult:
         return len(self.history)
 
 
-def train_step(model, optimizer: Adam, samples: list[TrainSample], lr: float) -> dict[str, float]:
-    """Prepare and collate the batch's clips, run the forward, sum the
-    labelled tasks' losses, backpropagate and take one ADAM step. Returns
-    each labelled task's loss, or {} with no step. NumPy's overflow
-    warnings are off: the finite checks stop a divergence, typed."""
-    labels = np.stack([s.labels for s in samples])
-    mask = ~np.isnan(labels)
+def _shard_step(model, counts: dict[str, int], sample: TrainSample):
+    """One clip of a batch: load and prepare it, run the forward at batch
+    1, and backpropagate the sum of its labelled tasks' losses, each
+    divided by counts[task], the batch's label count for that task.
+    Returns the clip's loss per task and its leaf-gradient map. A pool
+    thread starts at NumPy's default error state, so the shard sets its
+    own: overflow warnings are off, as the finite checks stop a
+    divergence, typed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        preds = model.forward_batch(model.collate([model.prepare(s.load()) for s in samples]))
-        losses = {task: mse_loss(preds[task], labels[:, i], mask[:, i])
-                  for i, task in enumerate(TASKS) if mask[:, i].any()}
+        preds = model.forward_batch(model.collate([model.prepare(sample.load())]))
+        losses = {task: mse_loss(preds[task], sample.labels[i : i + 1], np.ones(1, bool), counts[task])
+                  for i, task in enumerate(TASKS) if not np.isnan(sample.labels[i])}
         if not losses:
-            return {}
+            return {}, {}
         total = functools.reduce(Tensor.__add__, losses.values())
         if not np.isfinite(total.data):
             raise TrainingError("non-finite loss")
-        optimizer.step(total.backward(), lr)
-    return {task: float(loss.data) for task, loss in losses.items()}
+        return {task: float(loss.data) for task, loss in losses.items()}, total.backward()
+
+
+def train_step(model, optimizer: Adam, samples: list[TrainSample], lr: float, workers: int) -> dict[str, float]:
+    """Run each clip of the batch as a shard on `workers` threads, sum
+    their losses and gradient maps in clip order, out of place, and take
+    one ADAM step. Returns each labelled task's batch loss, or {} with
+    no step."""
+    labelled = ~np.isnan(np.stack([s.labels for s in samples]))
+    counts = dict(zip(TASKS, labelled.sum(axis=0).tolist()))
+    losses = {task: 0.0 for task in TASKS if counts[task]}
+    grads: dict[Tensor, np.ndarray] = {}
+    for shard_losses, shard_grads in parallel.thread_map(
+            workers, functools.partial(_shard_step, model, counts), samples):
+        for task, value in shard_losses.items():
+            losses[task] += value
+        for p, g in shard_grads.items():
+            grads[p] = grads[p] + g if p in grads else g
+    if losses:
+        optimizer.step(grads, lr)
+    return losses
 
 
 class Scorer:
@@ -241,7 +282,10 @@ def fit(
     """Train until early stopping or max_epochs; returns the checkpoint
     with the best validation monitor and the per-epoch history, which
     it also writes to history_path. If no epoch had a defined monitor,
-    best_epoch is 0 and params are the initial ones."""
+    best_epoch is 0 and params are the initial ones. A divergence is
+    raised with its epoch. OpenBLAS runs at one thread until fit returns
+    or raises; where that cannot be set, fit says so on stderr and
+    trains on one worker."""
     if not train_samples or not val_samples:
         raise TrainingError("training and validation sets must be non-empty")
     if all(np.isnan(s.labels[TASKS.index("mos")]) for s in val_samples):
@@ -254,38 +298,41 @@ def fit(
     best_params = {k: p.data.copy() for k, p in model.params.items()}
     n = len(train_samples)
 
-    for epoch in range(1, config.max_epochs + 1):
-        perm = np.random.default_rng([config.seed, epoch]).permutation(n)
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for start in range(0, n, config.batch_size):
-            chunk = [train_samples[i] for i in perm[start : start + config.batch_size]]
+    with parallel.one_blas_thread() as pinned:
+        if not pinned:
+            print("note: cannot set the thread count of NumPy's BLAS; training on one thread", file=sys.stderr)
+        workers = parallel.cores() if pinned else 1
+        for epoch in range(1, config.max_epochs + 1):
+            perm = np.random.default_rng([config.seed, epoch]).permutation(n)
+            sums: dict[str, float] = {}
+            counts: dict[str, int] = {}
             try:
-                step_losses = train_step(model, optimizer, chunk, lr)
-            except TrainingError as exc:
-                raise TrainingError(f"{exc} at epoch {epoch}") from None
-            for task, value in step_losses.items():
-                sums[task] = sums.get(task, 0.0) + value
-                counts[task] = counts.get(task, 0) + 1
+                for start in range(0, n, config.batch_size):
+                    chunk = [train_samples[i] for i in perm[start : start + config.batch_size]]
+                    for task, value in train_step(model, optimizer, chunk, lr, workers).items():
+                        sums[task] = sums.get(task, 0.0) + value
+                        counts[task] = counts.get(task, 0) + 1
+                pcc, err, monitor = _validation_mos(model, val_samples)
+            except (TrainingError, NonFiniteError) as exc:
+                raise type(exc)(f"{exc} at epoch {epoch}") from None
 
-        pcc, err, monitor = _validation_mos(model, val_samples)
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                task_losses={t: sums[t] / counts[t] for t in sums},
-                val_pcc_mos=pcc,
-                val_rmse_mos=err,
-                lr=lr,
-                monitor=monitor,
+            history.append(
+                EpochRecord(
+                    epoch=epoch,
+                    task_losses={t: sums[t] / counts[t] for t in sums},
+                    val_pcc_mos=pcc,
+                    val_rmse_mos=err,
+                    lr=lr,
+                    monitor=monitor,
+                )
             )
-        )
-        stop, halve = controller.update(monitor, epoch)
-        if controller.best_epoch == epoch:
-            best_params = {k: p.data.copy() for k, p in model.params.items()}
-        if halve:
-            lr = max(lr * config.lr_factor, config.lr_floor)
-        if stop:
-            break
+            stop, halve = controller.update(monitor, epoch)
+            if controller.best_epoch == epoch:
+                best_params = {k: p.data.copy() for k, p in model.params.items()}
+            if halve:
+                lr = max(lr * config.lr_factor, config.lr_floor)
+            if stop:
+                break
 
     write_history(history_path, history)
     return FitResult(params=best_params, best_epoch=controller.best_epoch, best_monitor=controller.best,

@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import ParamSpec, Tensor, attention, concat, init_from_spec, layer_norm, linear
 from .frontend import FrontendConfig, LogMelSpectrogram
 from .quality import TASKS
-from .training import Scorer
+from .training import ModelError, NonFiniteError, Scorer
 
 PAD_LOG_VALUE = math.log(FrontendConfig.log_floor)
 PATCH = 16  # square patches, in mel bins and frames
@@ -31,14 +31,6 @@ PATCH_STRIDE = 10  # on both axes, so neighbouring patches overlap
 N_FREQ_PATCHES = (FrontendConfig.n_mels - PATCH) // PATCH_STRIDE + 1  # 12
 MLP_RATIO = 4  # each block's MLP is MLP_RATIO * embed_dim wide
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-class ModelError(ValueError):
-    pass
-
-
-class NonFiniteError(ModelError):
-    """Non-finite activations, a divergence signal."""
 
 
 def _count(spec: ParamSpec) -> int:

@@ -142,7 +142,7 @@ def primitive_cases(seed: int = 0, dtype=np.float64) -> dict[str, tuple]:
     mse_pred = leaf((6,))
     target = rng.normal(size=6)
     m = np.array([True, False, True, True, False, True])
-    cases["mse"] = (lambda: (mse_loss(mse_pred, target, m), 1.0), {"pred": mse_pred})
+    cases["mse"] = (lambda: (mse_loss(mse_pred, target, m, int(m.sum())), 1.0), {"pred": mse_pred})
 
     # Row gather with repeated indices, as in the packed positional lookup.
     table = leaf((4, 3))
@@ -206,7 +206,7 @@ def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4)
         preds = model.forward_batch(packed)
         total = None
         for t in TASKS:
-            loss = mse_loss(preds[t], labels[t], mask)
+            loss = mse_loss(preds[t], labels[t], mask, batch)
             total = loss if total is None else total + loss
         return total, 1.0
 
@@ -234,7 +234,7 @@ def full_cnn_check(seed: int = 0, h: float = 1e-7, coords_per_tensor: int = 4) -
         preds = cnn_mod.cnn_forward_batch(x, params, config)
         total = None
         for t in TASKS:
-            loss = mse_loss(preds[t], labels[t], mask)
+            loss = mse_loss(preds[t], labels[t], mask, batch)
             total = loss if total is None else total + loss
         return total, 1.0
 

@@ -54,7 +54,7 @@ def overfit_full_batch(forward, params, labels, lr=3e-3, max_steps=500):
         per_task = {}
         total = None
         for i, task in enumerate(TASKS):
-            loss = mse_loss(preds[task], labels[:, i], mask)
+            loss = mse_loss(preds[task], labels[:, i], mask, len(mask))
             per_task[task] = float(loss.data)
             total = loss if total is None else total + loss
         max_dev = max(np.abs(preds[t].data - labels[:, i]).max() for i, t in enumerate(TASKS))

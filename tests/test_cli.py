@@ -5,6 +5,7 @@ import importlib.util
 import re
 import shutil
 import struct
+import threading
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from sqatk.evaluation import parse_report, read_predictions
 from sqatk.manifest import load_manifest, write_manifest
 from sqatk.quality import TASKS, QualityScores
 from sqatk.synth import generate_corpus, write_wav_pcm16
-from sqatk import training
+from sqatk import parallel, training
 from sqatk.training import Adam, TrainConfig, make_sample, train_step
 from sqatk.transformer import ModelConfig, SpectrogramTransformer, desk_config
 
@@ -200,12 +201,12 @@ def test_training_step_keeps_float32(tmp_path, monkeypatch, kind, config_text):
     losses, stepped, real_loss, real_step = [], [], training.mse_loss, optimizer.step
     monkeypatch.setattr(training, "mse_loss", lambda *args: losses.append(real_loss(*args)) or losses[-1])
     optimizer.step = lambda grads, lr: stepped.append(grads) or real_step(grads, lr)
-    assert set(train_step(model, optimizer, samples, 1e-3)) == set(TASKS) - {"dis"}
+    assert set(train_step(model, optimizer, samples, 1e-3, 2)) == set(TASKS) - {"dis"}
     (grads,) = stepped
     expected = {p: (p.shape, p.data.dtype) for name, p in model.params.items()
                 if not name.startswith("head_dis_")}
     assert {p: (g.shape, g.dtype) for p, g in grads.items()} == expected
-    assert len(losses) == 4 and all(loss.data.dtype == np.float32 for loss in losses)
+    assert len(losses) == 4 * len(samples) and all(loss.data.dtype == np.float32 for loss in losses)
     for name, p in model.params.items():
         assert p.data.dtype == np.float32, name
         assert optimizer.m[name].dtype == np.float32, name
@@ -563,12 +564,16 @@ def test_head_output_that_overflows_is_a_typed_error(corpus, workdir, tmp_path, 
 
 
 @pytest.mark.parametrize("kind, config_text", [("ast", DESK_CONFIG), ("cnn", CNN_CONFIG)], ids=["ast", "cnn"])
-def test_diverging_train_is_one_typed_error_without_numpy_warnings(corpus, workdir, tmp_path, capsys,
+def test_diverging_train_is_one_typed_error_without_numpy_warnings(corpus, workdir, tmp_path, capsys, monkeypatch,
                                                                     kind, config_text):
     """At learning_rate=1e10 the first step sends the weights to about
     1e10, and a later forward or loss overflows float32. train printed
     NumPy's overflow warnings before its typed error; now the finite
-    checks stop it with the error alone and no checkpoint."""
+    checks stop it with the error alone, which names the epoch, and no
+    checkpoint. Two workers run the shards on pool threads, which start
+    at NumPy's default error state, also on a one-CPU host. The AST's
+    error ("non-finite encoder activations") named no epoch."""
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
     config = tmp_path / "diverge.cfg"
     config.write_text(config_text.replace("learning_rate=0.003", "learning_rate=1e10"))
     ckpt = tmp_path / "model.ckpt"
@@ -579,8 +584,29 @@ def test_diverging_train_is_one_typed_error_without_numpy_warnings(corpus, workd
     assert code == 1
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.fullmatch(r"error: non-finite [a-z ]+ at epoch \d+\n", err), err
     assert not ckpt.exists()
+
+
+def test_train_where_blas_threads_cannot_be_set_runs_serially_with_one_note(corpus, workdir, tmp_path, capsys,
+                                                                             monkeypatch):
+    """Where NumPy's OpenBLAS offers no thread-count calls (here the
+    lookup finds only libgfortran), train still trains, at the BLAS
+    default on the calling thread alone, and says so once on stderr."""
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
+    monkeypatch.setattr(parallel, "_OPENBLAS_GLOB", "libgfortran-*.so*")
+    assert parallel._openblas_thread_calls() is None
+    threads, forward = set(), SpectrogramTransformer.forward_batch
+    monkeypatch.setattr(SpectrogramTransformer, "forward_batch",
+                        lambda self, batch: threads.add(threading.get_ident()) or forward(self, batch))
+    config = tmp_path / "desk.cfg"
+    config.write_text(DESK_CONFIG)
+    capsys.readouterr()
+    assert main(["train", "--model", "ast", "--config", str(config), "--manifest", str(corpus),
+                 "--features", str(workdir / "feats"), "--out", str(tmp_path / "ast.ckpt")]) == 0
+    assert capsys.readouterr().err == "note: cannot set the thread count of NumPy's BLAS; training on one thread\n"
+    assert threads == {threading.get_ident()}
+    assert (tmp_path / "ast.ckpt").is_file()
 
 
 @pytest.mark.parametrize("head_mos_w, note", [

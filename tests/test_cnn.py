@@ -197,7 +197,7 @@ def test_pool_then_relu_is_bit_equal_to_relu_then_pool(rng):
         preds = forward(x, params, config)
         total = None
         for t in TASKS:
-            loss = mse_loss(preds[t], labels, np.ones(2, bool))
+            loss = mse_loss(preds[t], labels, np.ones(2, bool), 2)
             total = loss if total is None else total + loss
         leaf_grads = total.backward()
         # float64 x makes float64 gradients; in the float32 parameters'
@@ -237,7 +237,7 @@ def _desk_cnn_batch(model, rng, batch=8):
 
 def _desk_cnn_step_peak() -> tuple[int, int]:
     """The traced peak of one desk CNN training step (8 clips of 2 s,
-    float32): preparing the clips' planes, forward, backward and ADAM;
+    float32, two workers): preparing the clips' planes, forward, backward and ADAM;
     and the bytes of the first layer's (8, 16, 128, 200) conv output."""
     config = desk_cnn_config()
     model = cnn_mod.ConvBaseline(config, seed=0)
@@ -245,15 +245,16 @@ def _desk_cnn_step_peak() -> tuple[int, int]:
     conv0_bytes = len(samples) * config.channels[0] * 128 * config.max_frames * 4
     optimizer = Adam(model.params)
 
-    peak, _ = peak_traced_bytes(lambda: train_step(model, optimizer, samples, 1e-3))
+    peak, _ = peak_traced_bytes(lambda: train_step(model, optimizer, samples, 1e-3, 2))
     return peak, conv0_bytes
 
 
 def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
     """One training step of the desk CNN peaks below 2.5 of the first
-    layer's conv outputs, 31.3 MiB (measured 17.2; 24.6 with a separate
-    max-pool op, 27.7 when conv2d's backward built each tap's columns
-    over the whole batch). The graph that kept every conv and pool
+    layer's conv outputs, 31.3 MiB (measured 13.0; 17.2 when the step ran
+    the batch as one, 24.6 with a separate max-pool op, 27.7 when
+    conv2d's backward built each tap's columns over the whole batch).
+    The graph that kept every conv and pool
     output peaked at 54.6 MiB, 4.4 such arrays."""
     peak, conv0_bytes = _desk_cnn_step_peak()
     assert peak < 2.5 * conv0_bytes, f"peak {peak / 2**20:.1f} MiB"
@@ -261,9 +262,10 @@ def test_desk_cnn_training_step_peaks_below_2_5_first_conv_outputs():
 
 def test_desk_cnn_training_step_makes_no_full_resolution_conv_output():
     """The same step peaks below 1.6 of the first layer's conv outputs,
-    20.0 MiB (measured 17.2): each conv2d pools a sample's output while
-    it is in cache, so no stage makes its full-resolution conv output or
-    that output's gradient. With conv2d at pool 1 and a separate
+    20.0 MiB (measured 13.0; 17.2 when the step ran the batch as one):
+    each conv2d pools a sample's output while it is in cache, so no
+    stage makes its full-resolution conv output or that output's
+    gradient. With conv2d at pool 1 and a separate
     maxpool2d, the step peaked at 24.6 MiB."""
     peak, conv0_bytes = _desk_cnn_step_peak()
     assert peak < 1.6 * conv0_bytes, f"peak {peak / 2**20:.1f} MiB"

@@ -1,6 +1,7 @@
 """The package's runtime dependency is NumPy alone: src imports nothing
 else outside the standard library, and scoring a clip through the CLI
-loads no SciPy module."""
+loads no SciPy module. Training sets the thread count of the OpenBLAS
+that NumPy's wheel bundles, through the calls pinned here."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import sqatk
+from sqatk import parallel
 from sqatk.checkpoint import save_checkpoint
 from sqatk.cli import main
 from sqatk.synth import generate_corpus
@@ -61,3 +63,21 @@ def test_scoring_a_clip_loads_no_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "scipy modules: []"
     assert (tmp_path / "pred.csv").is_file()
+
+
+def test_numpy_bundles_an_openblas_whose_thread_count_can_be_set():
+    """fit pins OpenBLAS to one thread through the get and set calls of
+    numpy.libs/libscipy_openblas64_-*.so; without them it trains on one
+    worker. The calls reach the library NumPy's matmul runs on, the one
+    bench/run.py reads the thread count of."""
+    calls = parallel._openblas_thread_calls()
+    assert calls is not None
+    get, set_ = calls
+    previous = get()
+    try:
+        for count in (1, 2):
+            set_(count)
+            assert get() == count
+    finally:
+        set_(previous)
+    assert get() == previous

@@ -1,6 +1,7 @@
 """Trainer tests: masked MSE, ADAM, the patience controller, gradient
 accumulation equivalence, and the fit loop."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqatk import cnn as cnn_mod
-from sqatk import training
+from sqatk import parallel, training
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, linear
 from sqatk.evaluation import pearson, rmse
@@ -36,29 +37,32 @@ from model_fixtures import dense_scores, desk_cnn_config, float64, in_memory
 
 def test_mse_zero_residual():
     pred = Tensor(np.array([1.0, 2.0, 3.0]))
-    assert float(mse_loss(pred, np.array([1.0, 2.0, 3.0]), np.ones(3, bool)).data) == 0.0
+    assert float(mse_loss(pred, np.array([1.0, 2.0, 3.0]), np.ones(3, bool), 3).data) == 0.0
 
 
 def test_mse_hand_arithmetic():
     pred = Tensor(np.array([3.0, 3.0]))
-    loss = mse_loss(pred, np.array([1.0, 5.0]), np.ones(2, bool))
+    loss = mse_loss(pred, np.array([1.0, 5.0]), np.ones(2, bool), 2)
     assert float(loss.data) == pytest.approx(4.0)
 
 
 def test_mse_masked_hand_arithmetic():
     pred = Tensor(np.array([2.0, 9.0]))
-    loss = mse_loss(pred, np.array([3.0, 0.0]), np.array([True, False]))
+    loss = mse_loss(pred, np.array([3.0, 0.0]), np.array([True, False]), 1)
     assert float(loss.data) == pytest.approx(1.0)
+    # a shard of a batch with four labels divides by the batch's count
+    shard_loss = mse_loss(pred, np.array([3.0, 0.0]), np.array([True, False]), 4)
+    assert float(shard_loss.data) == pytest.approx(0.25)
 
 
 def test_mse_all_masked_raises():
     with pytest.raises(TrainingError, match="at least one"):
-        mse_loss(Tensor(np.zeros(2)), np.zeros(2), np.zeros(2, bool))
+        mse_loss(Tensor(np.zeros(2)), np.zeros(2), np.zeros(2, bool), 2)
 
 
 def test_mse_length_mismatch():
     with pytest.raises(TrainingError, match="mismatch"):
-        mse_loss(Tensor(np.zeros(2)), np.zeros(3), np.ones(3, bool))
+        mse_loss(Tensor(np.zeros(2)), np.zeros(3), np.ones(3, bool), 3)
 
 
 def _composed_mse(pred, target, mask, seed):
@@ -92,7 +96,7 @@ def test_mse_loss_keeps_the_bits_of_the_composed_ops(dtype, shared):
     pred = Tensor(rng.normal(3.0, 1.0, size=40).astype(dtype), requires_grad=True)
     seed = np.ones((), dtype) * 0.3 if shared else np.ones((), dtype)
 
-    loss = mse_loss(pred, target, mask)
+    loss = mse_loss(pred, target, mask, int(mask.sum()))
     value, grad = loss.data, loss.backward(seed)[pred]
     ref_value, ref_grad = _composed_mse(pred.data, target, mask, seed)
     assert value.dtype == grad.dtype == dtype
@@ -136,7 +140,7 @@ def test_adam_bitwise_deterministic():
         opt = Adam(p)
         for step in range(25):
             row_sums = linear(p["w"], Tensor(np.ones((3, 1))), Tensor(np.zeros(1))).reshape((4,))
-            loss = mse_loss(row_sums, np.zeros(4), np.ones(4, bool))
+            loss = mse_loss(row_sums, np.zeros(4), np.ones(4, bool), 4)
             opt.step(loss.backward(), 1e-2)
         return p["w"].data.copy()
 
@@ -163,7 +167,7 @@ def test_accumulated_task_gradients_equal_summed_loss(rng):
         preds = dense_scores(patches, valid, params, config)
         total = None
         for t in TASKS:
-            loss = mse_loss(preds[t], labels[t], mask)
+            loss = mse_loss(preds[t], labels[t], mask, len(mask))
             total = loss if total is None else total + loss
         return total.backward()
 
@@ -172,7 +176,7 @@ def test_accumulated_task_gradients_equal_summed_loss(rng):
         preds = dense_scores(patches, valid, params, config)
         total = {}
         for t in TASKS:
-            for p, g in mse_loss(preds[t], labels[t], mask).backward().items():
+            for p, g in mse_loss(preds[t], labels[t], mask, len(mask)).backward().items():
                 total[p] = total[p] + g if p in total else g
         return total
 
@@ -188,7 +192,7 @@ def test_head_loss_gradient_is_zero_for_other_heads(rng):
     spec = LogMelSpectrogram(rng.normal(-4, 2, size=(30, 128)), 128, 0.010, 0.025)
     seq = tf.extract_patches(spec, config)
     preds = dense_scores(seq.patches[None], seq.valid[None], params, config)
-    grads = mse_loss(preds["col"], np.array([3.0]), np.ones(1, bool)).backward()
+    grads = mse_loss(preds["col"], np.array([3.0]), np.ones(1, bool), 1).backward()
     for other in ("mos", "dis", "loud", "noi"):
         for suffix in ("w", "b"):
             grad = grads.get(params[f"head_{other}_{suffix}"])
@@ -382,7 +386,7 @@ def test_loss_trend_non_increasing_over_50_steps():
             preds = dense_scores(patches, valid, params, config)
             total = None
             for t in TASKS:
-                loss = mse_loss(preds[t], labels[t], mask)
+                loss = mse_loss(preds[t], labels[t], mask, len(mask))
                 total = loss if total is None else total + loss
             return total
 
@@ -413,24 +417,126 @@ def test_training_step_after_predict_gets_gradients(tmp_path, rng, monkeypatch):
         assert p in grads and np.abs(grads[p]).max() > 0, f"{name} got no gradient"
 
 
+def _desk_samples(n, seed=1, frames=(200,)):
+    """n samples of the given clip lengths in turn, every task labelled."""
+    rng = np.random.default_rng(seed)
+    return [make_sample(in_memory(rng.normal(-5.0, 2.0, size=(frames[i % len(frames)], 128))),
+                        QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
+            for i in range(n)]
+
+
+def _desk_model(kind):
+    if kind == "ast":
+        return tf.SpectrogramTransformer(tf.desk_config(), seed=0)
+    return cnn_mod.ConvBaseline(desk_cnn_config(), seed=0)
+
+
 def test_fit_keeps_no_batchs_graph_into_the_next_batch(tmp_path):
     """fit over three desk-AST batches of 8 clips of 2 s peaks within
-    1.15x of one train_step on one such batch: no batch's graph or
-    gradient map lives on through the next batch's forward (measured
-    20.7 against 19.2 MiB). When fit kept the last batch's loss, it
-    peaked at 1.58x (30.4 MiB)."""
-    config = tf.desk_config()
-    rng = np.random.default_rng(1)
-    samples = [make_sample(in_memory(rng.normal(-5.0, 2.0, size=(200, 128))),
-                           QualityScores(**{t: float(rng.uniform(1.0, 5.0)) for t in TASKS}))
-               for _ in range(24)]
-    model = tf.SpectrogramTransformer(config, seed=0)
-    optimizer = Adam(model.params)
-    step_peak, _ = peak_traced_bytes(lambda: train_step(model, optimizer, samples[:8], 1e-3))
-    model = tf.SpectrogramTransformer(config, seed=0)
-    fit_peak, _ = peak_traced_bytes(
-        lambda: fit(model, samples, samples[:4], TrainConfig(max_epochs=1, batch_size=8), tmp_path / "history.csv"))
-    assert fit_peak < 1.15 * step_peak, f"fit {fit_peak / 2**20:.2f} MiB, step {step_peak / 2**20:.2f} MiB"
+    1.15x of fit over one such batch: no batch's graph or gradient map
+    lives on through the next batch's forward (measured 8.34 against
+    8.33 MiB). Both fits hold ADAM's moments and the best parameters,
+    which one train_step does not. When fit kept the last batch's loss,
+    fit over three batches peaked at 1.58x one step."""
+    samples = _desk_samples(24)
+
+    def fit_peak(n):
+        model = _desk_model("ast")
+        config = TrainConfig(max_epochs=1, batch_size=8)
+        return peak_traced_bytes(lambda: fit(model, samples[:n], samples[:4], config, tmp_path / "history.csv"))[0]
+
+    one, three = fit_peak(8), fit_peak(24)
+    assert three < 1.15 * one, f"fit over three batches {three / 2**20:.2f} MiB, one {one / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("kind", ["ast", "cnn"])
+def test_step_memory_follows_the_workers_not_the_batch(kind):
+    """A train_step on two workers at batch 16 peaks within 1.15x of one
+    at batch 8: a step holds the graphs and gradient maps of the clips in
+    flight, not the batch's (desk AST 6.81 against 6.90 MiB, desk CNN
+    13.00 against 12.96 MiB)."""
+    samples = _desk_samples(16)
+
+    def step_peak(batch):
+        model = _desk_model(kind)
+        optimizer = Adam(model.params)
+        return peak_traced_bytes(lambda: train_step(model, optimizer, samples[:batch], 1e-3, 2))[0]
+
+    eight, sixteen = step_peak(8), step_peak(16)
+    assert sixteen < 1.15 * eight, f"batch 16 {sixteen / 2**20:.2f} MiB, batch 8 {eight / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("kind", ["ast", "cnn"])
+def test_sharded_gradients_match_one_whole_batch_backward(kind):
+    """At one BLAS thread, the gradient map train_step hands ADAM (one
+    backward per clip, each task's loss over the batch's label count,
+    summed in clip order) matches one backward of the whole collated
+    batch's summed losses to float32 rounding. The clips differ in
+    length, so the AST batch pads, and some tasks are unlabelled for
+    some clips. Largest difference, over the largest gradient entry:
+    4.0e-7 (AST) and 1.4e-7 (CNN)."""
+    rng = np.random.default_rng(3)
+    model = _desk_model(kind)
+    clips = [rng.normal(-5.0, 2.0, size=(n, 128)) for n in (200, 120, 170, 60, 200, 90)]
+    labels = [QualityScores(**{t: float(rng.uniform(1, 5)) for t in TASKS if t == "mos" or rng.uniform() < 0.6})
+              for _ in clips]
+    samples = [make_sample(in_memory(v), scores) for v, scores in zip(clips, labels)]
+    optimizer, stepped = Adam(model.params), []
+    optimizer.step = lambda grads, lr: stepped.append(grads)
+    with parallel.one_blas_thread() as pinned:
+        assert pinned
+        train_step(model, optimizer, samples, 1e-3, 2)
+        target = np.stack([s.labels for s in samples])
+        mask = ~np.isnan(target)
+        preds = model.forward_batch(model.collate([model.prepare(v) for v in clips]))
+        whole = functools.reduce(Tensor.__add__, [
+            mse_loss(preds[t], target[:, i], mask[:, i], int(mask[:, i].sum())) for i, t in enumerate(TASKS)
+        ]).backward()
+    (sharded,) = stepped
+    assert mask.all(axis=0).sum() < len(TASKS) and sharded.keys() == whole.keys()
+    scale = max(np.abs(g).max() for g in whole.values())
+    worst = max(np.abs(sharded[p] - g).max() for p, g in whole.items()) / scale
+    assert worst < 1e-5, worst
+
+
+@pytest.mark.parametrize("kind", ["ast", "cnn"])
+def test_fit_is_byte_equal_on_one_and_two_workers(tmp_path, monkeypatch, kind):
+    """fit's parameters and history file are the same bytes whether the
+    pool runs one worker or two: each shard's arithmetic does not depend
+    on the thread it runs on, and its results are summed in clip order."""
+    samples = _desk_samples(12, frames=(200, 140, 90))
+
+    def run(workers):
+        monkeypatch.setattr(parallel, "cores", lambda: workers)
+        history = tmp_path / f"history{workers}.csv"
+        result = fit(_desk_model(kind), samples[:9], samples[9:], TrainConfig(max_epochs=2, batch_size=4), history)
+        return {k: v.tobytes() for k, v in result.params.items()}, history.read_bytes()
+
+    one, two = run(1), run(2)
+    assert one[0] == two[0]
+    assert one[1] == two[1]
+
+
+def test_fit_restores_the_blas_thread_count(tmp_path, monkeypatch):
+    """fit runs its steps with OpenBLAS at one thread, and the count it
+    found is back when fit returns and when a diverging run raises."""
+    get, set_ = parallel._openblas_thread_calls()
+    seen, real_step = [], training.train_step
+    monkeypatch.setattr(training, "train_step", lambda *args: seen.append(get()) or real_step(*args))
+    samples = tiny_samples(6, np.random.default_rng(0))
+    previous = get()
+    set_(3)
+    try:
+        fit(TinyModel(seed=1), samples, samples, TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=3),
+            tmp_path / "history.csv")
+        assert get() == 3
+        with pytest.raises(TrainingError, match="non-finite loss at epoch"):
+            fit(TinyModel(seed=1), samples, samples, TrainConfig(learning_rate=1e300, max_epochs=2, batch_size=3),
+                tmp_path / "history.csv")
+        assert get() == 3
+    finally:
+        set_(previous)
+    assert seen and set(seen) == {1}
 
 
 @pytest.mark.parametrize("kind", ["ast", "cnn"])

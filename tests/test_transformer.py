@@ -230,7 +230,7 @@ def test_cls_only_last_block_equals_full_token_stack(rng, n_layers, packed, fram
         preds = tf.head_outputs(cls_state, model.params, config)
         total = None
         for t in TASKS:
-            loss = mse_loss(preds[t], labels, np.ones(len(frames), bool))
+            loss = mse_loss(preds[t], labels, np.ones(len(frames), bool), len(frames))
             total = loss if total is None else total + loss
         leaf_grads = total.backward()
         return cls_state.data, {name: leaf_grads[p] for name, p in model.params.items()}
@@ -344,7 +344,7 @@ def test_packed_batch_gradients_equal_dense(rng):
     def grads(preds):
         total = None
         for t in TASKS:
-            loss = mse_loss(preds[t], labels, np.ones(3, bool))
+            loss = mse_loss(preds[t], labels, np.ones(3, bool), 3)
             total = loss if total is None else total + loss
         leaf_grads = total.backward()
         return {name: leaf_grads[p] for name, p in params.items()}
@@ -418,7 +418,7 @@ def test_head_gradients_do_not_leak(rng):
     preds = dense_scores(patches, valid, model_params, config)
     target = np.array([2.0])
     mask = np.array([True])
-    grads = mse_loss(preds["mos"], target, mask).backward()
+    grads = mse_loss(preds["mos"], target, mask, 1).backward()
 
     assert np.abs(grads[model_params["head_mos_w"]]).max() > 0
     for other in ("col", "dis", "loud", "noi"):
@@ -438,7 +438,7 @@ def test_all_parameters_receive_gradient_from_full_batch(rng):
     preds = dense_scores(patches, valid, params, config)
     total = None
     for t in TASKS:
-        loss = mse_loss(preds[t], rng.uniform(1, 5, size=3), np.ones(3, bool))
+        loss = mse_loss(preds[t], rng.uniform(1, 5, size=3), np.ones(3, bool), 3)
         total = loss if total is None else total + loss
     grads = total.backward()
     for name, p in params.items():
@@ -449,8 +449,8 @@ def test_desk_training_step_peaks_below_28_token_arrays_per_layer():
     """One training step of the desk AST (8 clips of 2 s: N = 229 tokens,
     D = 64, H = 4, 2 layers, float32): preparing the clips' patches,
     forward, backward and ADAM peak below 28 (B,N,D) arrays per layer,
-    25.0 MiB (measured 18.7, as when the patches were prepared before
-    the step). A layer's (B,H,N,N) probabilities alone are N*H/D = 14.3
+    25.0 MiB (measured 6.9 on two workers; 18.7 when the step ran the
+    batch as one). A layer's (B,H,N,N) probabilities alone are N*H/D = 14.3
     such arrays; the step that kept them, and two arrays per linear
     layer, peaked at 43.0 MiB."""
     config = tf.desk_config()
@@ -465,6 +465,6 @@ def test_desk_training_step_peaks_below_28_token_arrays_per_layer():
     token_bytes = len(samples) * n_tokens * config.embed_dim * 4
     optimizer = Adam(model.params)
 
-    peak, _ = peak_traced_bytes(lambda: train_step(model, optimizer, samples, 1e-3))
+    peak, _ = peak_traced_bytes(lambda: train_step(model, optimizer, samples, 1e-3, 2))
     assert n_tokens == 229
     assert peak < 28 * config.n_layers * token_bytes, f"peak {peak / 2**20:.1f} MiB"
