@@ -19,14 +19,15 @@ gradient in a map keyed by the leaf that the caller owns; no gradient is
 stored on a Tensor. The op set is what the scoring models need: the
 broadcast sum of two Tensors, scaling by a Python float, sums, linear
 layers, shape ops, layer norm, GELU/ReLU, scaled dot-product attention
-(whose softmax is fused into it: five passes over each head's score
-matrix forward and nine backward, equal to the composed ops to
-rounding), and convolution zero-padded to keep an odd kernel's plane,
-which max-pools each sample's output as it computes it; maxpool2d pools
-on its own by the same routing. The training loss,
-training.mse_loss, records its own node through _make. GELU's erf is a
-rational approximation in the input's dtype, within 5e-7 of the exact
-erf in float32 and 1e-7 in float64, so the module needs NumPy alone.
+(whose softmax is fused into it: five passes over each block of query
+rows' scores forward and nine over each head's score matrix backward,
+equal to the composed ops to rounding), and convolution zero-padded to
+keep an odd kernel's plane, which max-pools each sample's output as it
+computes it; maxpool2d pools on its own by the same routing. The
+training loss, training.mse_loss, records its own node through _make.
+GELU's erf is a rational approximation in the input's dtype, within
+5e-7 of the exact erf in float32 and 1e-7 in float64, so the module
+needs NumPy alone.
 
 Inside a no_grad() block ops record nothing, so scoring passes hold
 only the activations they are still using.
@@ -63,6 +64,21 @@ _ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5
 _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
           -1.42647390514189e-02)
 _LN_EPS = 1e-5  # layer_norm's variance floor
+# attention's forward scores query rows in blocks of ROW_BLOCK or more;
+# as with frontend.FRAME_BLOCK, the last block takes the remainder, so
+# every block has ROW_BLOCK to 2 * ROW_BLOCK - 1 rows and a slice of
+# fewer than 2 * ROW_BLOCK queries runs as one block. On OpenBLAS a
+# float32 row block's scores have the bits of the whole slice's (checked
+# for N of 255 to 3000 at one and two threads), but float64's GEMM sums
+# the last N mod 16 key columns in an edge kernel whose bits depend on
+# where the block ends. So float64 keys are zero-padded to a multiple of
+# KEY_PAD, the padding scored -inf, and no real column reaches that
+# kernel; float32's are not, as the padding would slow the scoring
+# path's attention about 5%. Nor is one query row, the encoder's last
+# block, which is never split: NumPy hands it to gemv. The backward runs
+# over the whole slice and pads nothing.
+ROW_BLOCK = 256
+KEY_PAD = 16
 
 
 # Parameter name -> (shape, init): init is "zeros", "ones", or the fan-in of
@@ -328,18 +344,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     q, k and v must have equal leading axes.
 
     bias, if given, broadcasts against the (B,H,Nq,N) scores; -inf
-    entries get exactly zero probability. The op runs one (batch, head)
-    slice at a time in one reused Nq x N buffer, in five passes: the GEMM
-    of the scaled queries q / sqrt(dh) with k^T (plus the bias), the row
-    max, its subtraction, exp, and one GEMM with [v | 1], whose last
-    column gives the row sums that divide the Nq x dh output (Rabe &
-    Staats 2021). A recorded call keeps its inputs, its output and each
-    row's log-sum-exp lse, no Nq x N data. The backward recomputes
-    P = exp(scores - lse), takes dv = P^T @ g and dP = g @ v^T, and
-    forms P * (dP - delta) in place, with delta = rowsum(g * out)
-    (FlashAttention-2, Dao 2023): nine passes over two buffers. The
-    values equal the composed scale/softmax/matmul ops' to within 1e-14
-    (float64) and 2e-6 (float32) of their largest magnitude."""
+    entries get exactly zero probability. The forward runs one (batch,
+    head) slice at a time and, within it, one block of ROW_BLOCK to
+    2 * ROW_BLOCK - 1 query rows at a time in one reused buffer, in five
+    passes: the GEMM of the scaled queries q / sqrt(dh) with k^T (plus
+    the bias), the row max, its subtraction, exp, and one GEMM with
+    [v | 1], whose last column gives the row sums that divide the Nq x
+    dh output (Rabe & Staats 2021). So its scores take one block's
+    memory, not Nq x N, and every value has the bits of one whole-slice
+    pass. A recorded call keeps its inputs, its output and each row's
+    log-sum-exp lse, no Nq x N data. The backward recomputes
+    P = exp(scores - lse) over the whole slice, takes dv = P^T @ g and
+    dP = g @ v^T, and forms P * (dP - delta) in place, with
+    delta = rowsum(g * out) (FlashAttention-2, Dao 2023): nine passes
+    over two Nq x N buffers. The values equal the composed
+    scale/softmax/matmul ops' to within 1e-14 (float64) and 2e-6
+    (float32) of their largest magnitude."""
     qs, ks, vs = q.data, k.data, v.data
     lead = qs.shape[:-2]
     if ks.shape[:-2] != lead or vs.shape[:-2] != lead:
@@ -347,6 +367,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     scale = 1.0 / math.sqrt(qs.shape[-1])  # a Python float keeps float32 scores float32
     n_q, n_k, d_v = qs.shape[-2], ks.shape[-2], vs.shape[-1]
     score_dtype = np.result_type(qs, ks)
+    n_pad = -(-n_k // KEY_PAD) * KEY_PAD if score_dtype == np.float64 and n_q > 1 else n_k  # see KEY_PAD
     if bias is not None:
         bias = np.broadcast_to(bias, lead + (n_q, n_k))
 
@@ -359,14 +380,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
 
     q_scaled = qs * scale
     v_ones = np.concatenate([vs, np.ones(lead + (n_k, 1), dtype=vs.dtype)], axis=-1)
+    pad = np.zeros(lead + (n_pad - n_k, ks.shape[-1]), dtype=ks.dtype)
+    keys = ks if n_pad == n_k else np.concatenate([ks, pad], axis=-2)  # zero keys up to n_pad
     out_sum = np.empty(lead + (n_q, d_v + 1), dtype=np.result_type(score_dtype, vs))
     lse = np.empty(lead + (n_q, 1), dtype=score_dtype)  # the row max, until the loop ends
-    p = np.empty((n_q, n_k), dtype=score_dtype)
+    bounds = [*range(0, max(n_q - ROW_BLOCK, 0) + 1, ROW_BLOCK), n_q]
+    buffer = np.empty((bounds[-1] - bounds[-2], n_pad), dtype=score_dtype)  # the last block is the widest
     for idx in np.ndindex(*lead):
-        scores(q_scaled, idx, p)
-        p -= np.max(p, axis=-1, keepdims=True, out=lse[idx])
-        np.exp(p, out=p)
-        np.matmul(p, v_ones[idx], out=out_sum[idx])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            p = buffer[: hi - lo]
+            np.matmul(q_scaled[idx][lo:hi], keys[idx].swapaxes(-1, -2), out=p)
+            p[:, n_k:] = -np.inf  # a padded key's probability is 0
+            if bias is not None:
+                p[:, :n_k] += bias[idx][lo:hi]
+            p -= np.max(p, axis=-1, keepdims=True, out=lse[idx][lo:hi])
+            np.exp(p, out=p)
+            np.matmul(p[:, :n_k], v_ones[idx], out=out_sum[idx][lo:hi])
     row_sum = out_sum[..., d_v:]
     out = out_sum[..., :d_v] / row_sum
     lse += np.log(row_sum)

@@ -39,12 +39,11 @@ class CalibrationMap:
         return a0 + x * (a1 + x * (a2 + x * a3))
 
 
-def _monotone(a1, a2, a3, grid: np.ndarray) -> np.ndarray:
+def _monotone(a1, a2, a3, grid: np.ndarray) -> bool:
     """Whether the derivative a1 + 2*a2*x + 3*a3*x^2 is >= 0 at every
-    grid point; one answer per row when the coefficients are (k, 1)
-    columns of candidates."""
+    grid point."""
     deriv = a1 + 2.0 * a2 * grid + 3.0 * a3 * grid * grid
-    return (deriv >= -1e-12).all(axis=-1)
+    return bool((deriv >= -1e-12).all())
 
 
 def _fit_poly(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
@@ -86,19 +85,16 @@ def fit_calibration(pred, subj) -> CalibrationMap:
         return CalibrationMap(tuple(float(c) for c in full), domain)
 
     # The intercept and slope refit is linear in its target, so refitting
-    # subj minus the shrunk cubic terms gives base - s * shift. Every
-    # shrink step is tested at once, one candidate per row.
+    # subj minus the shrunk cubic terms gives base - s * shift. The shrink
+    # steps are tested one at a time against the one grid, so the scan
+    # holds one candidate's derivative and stops at the first monotone one.
     base = _fit_poly(pred, subj, 1)
     shift = _fit_poly(pred, full[2] * pred**2 + full[3] * pred**3, 1)
-    s = np.linspace(1.0, 0.0, SHRINK_STEPS)[1:, None]
-    lines = base - s * shift
-    a2, a3 = s * full[2], s * full[3]
-    ok = _monotone(lines[:, 1:], a2, a3, grid)
-    if ok.any():
-        i = int(ok.argmax())
-        return CalibrationMap(
-            (float(lines[i, 0]), float(lines[i, 1]), float(a2[i, 0]), float(a3[i, 0])), domain
-        )
+    for s in np.linspace(1.0, 0.0, SHRINK_STEPS)[1:]:
+        a0, a1 = base - s * shift
+        a2, a3 = s * full[2], s * full[3]
+        if _monotone(a1, a2, a3, grid):
+            return CalibrationMap((float(a0), float(a1), float(a2), float(a3)), domain)
 
     # Even the plain linear fit slopes downward: fall back to a constant.
     return CalibrationMap((float(subj.mean()), 0.0, 0.0, 0.0), domain)

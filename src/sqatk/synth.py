@@ -15,16 +15,25 @@ from .manifest import ManifestEntry, write_manifest
 from .quality import QualityScores
 
 SNR_GRID_DB = (0, 5, 10, 15, 20, 30)
+SAMPLE_BLOCK = 1 << 16  # samples per block of synthesis and of quantization
 
 
 def write_wav_pcm16(path, samples: np.ndarray, sample_rate: int = FrontendConfig.sample_rate) -> None:
-    quantized = np.clip(np.asarray(samples), -1.0, 1.0)
-    ints = (quantized * 32767.0).round().astype("<i2")
+    """Write samples in [-1, 1] as 16-bit PCM, clipping any beyond. They
+    are quantized one block of SAMPLE_BLOCK at a time, so the memory
+    beyond the samples is one block's."""
+    samples = np.asarray(samples)
+    block = np.empty(min(len(samples), SAMPLE_BLOCK), dtype=np.result_type(samples, 1.0))
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(sample_rate)
-        fh.writeframes(ints.tobytes())
+        fh.setnframes(len(samples))
+        for lo in range(0, len(samples), SAMPLE_BLOCK):
+            chunk = samples[lo : lo + SAMPLE_BLOCK]
+            part = np.clip(chunk, -1.0, 1.0, out=block[: len(chunk)])
+            part *= 32767.0
+            fh.writeframes(part.round(out=part).astype("<i2").tobytes())
 
 
 def _pseudo_labels(freq_hz: float, amplitude: float, snr_db: float, dropouts: int) -> QualityScores:
@@ -59,7 +68,8 @@ def generate_corpus(
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     n_samples = int(round(duration_s * FrontendConfig.sample_rate))
-    t = np.arange(n_samples) / FrontendConfig.sample_rate
+    bounds = [*range(0, n_samples, SAMPLE_BLOCK), n_samples]
+    wave_data = np.empty(n_samples)  # each clip is built in place here
 
     entries = []
     for i in range(n_clips):
@@ -68,16 +78,23 @@ def generate_corpus(
         snr_db = float(rng.choice(SNR_GRID_DB))
         dropouts = int(rng.integers(0, 3))
 
-        signal = amplitude * np.sin(2.0 * np.pi * freq * t)
+        # amplitude * sin(2 pi freq t) plus Gaussian noise, one block at a
+        # time: the noise drawn in blocks is the stream of one draw.
         noise_std = math.sqrt((amplitude**2 / 2.0) / (10.0 ** (snr_db / 10.0)))
-        wave_data = signal + rng.normal(0.0, noise_std, size=n_samples)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            part = wave_data[lo:hi]
+            np.divide(np.arange(lo, hi), FrontendConfig.sample_rate, out=part)
+            part *= 2.0 * np.pi * freq
+            np.sin(part, out=part)
+            part *= amplitude
+            part += rng.normal(0.0, noise_std, size=hi - lo)
         drop_len = int(0.030 * FrontendConfig.sample_rate)
         for _ in range(dropouts):
             start = int(rng.integers(0, max(1, n_samples - drop_len)))
             wave_data[start : start + drop_len] = 0.0
-        peak = float(np.abs(wave_data).max())
+        peak = max(float(wave_data.max()), -float(wave_data.min()))  # |x|'s max, with no |x| array
         if peak > 1.0:
-            wave_data = wave_data / peak
+            wave_data /= peak
 
         sample_id = f"syn{i:04d}"
         wav_path = out_dir / f"{sample_id}.wav"

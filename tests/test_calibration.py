@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from memory import peak_traced_bytes
 
 from sqatk.calibration import (
     MONOTONE_GRID_POINTS,
@@ -34,8 +35,8 @@ def _is_monotone(mapping: CalibrationMap) -> bool:
 
 
 def _fit_one_step_at_a_time(pred, subj) -> CalibrationMap:
-    """fit_calibration testing one shrink step per pass, with a fresh
-    grid each time, as it did before it tested them all at once."""
+    """fit_calibration as first written: one shrink step per pass, its
+    candidate cast to floats and tested on a fresh grid."""
     domain = (float(pred.min()), float(pred.max()))
     full = _fit_poly(pred, subj, 3)
     if _monotone_on(full, domain):
@@ -191,10 +192,10 @@ def test_too_few_distinct_predictions_rejected():
         fit_calibration([1.0, 1.0, 2.0, 2.0, 3.0, 3.0], [1.0, 2.0, 2.0, 3.0, 3.0, 4.0])
 
 
-def test_all_shrink_steps_at_once_pick_the_map_of_one_at_a_time():
-    """Testing every shrink step in one array gives, bit for bit, the
-    map of testing them one by one, on unconstrained, shrunk and
-    constant fits alike."""
+def test_the_shrink_scan_picks_the_map_of_one_step_at_a_time():
+    """The shrink scan over the one grid gives, bit for bit, the map of
+    testing each step on a grid of its own, on unconstrained, shrunk
+    and constant fits alike."""
     rng = np.random.default_rng(5)
     kinds = {"kept": 0, "shrunk": 0, "constant": 0}
     for i in range(300):
@@ -216,3 +217,15 @@ def test_all_shrink_steps_at_once_pick_the_map_of_one_at_a_time():
         else:
             kinds["shrunk"] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_a_shrunk_fit_holds_one_candidate_at_a_time():
+    """A fit that shrinks tests one step's 1001-point derivative at a
+    time and stops at the first monotone step: it traces 0.03 MiB;
+    all 200 steps at once, in (200, 1001) arrays, traced 4.66 MiB."""
+    pred = np.linspace(1.0, 5.0, 60)
+    subj = 3.0 + 0.8 * (pred - 3.0) - 0.1 * (pred - 3.0) ** 3
+    mapping = fit_calibration(pred, subj)
+    assert 0.0 < mapping.coefficients[3] / _fit_poly(pred, subj, 3)[3] < 1.0  # shrunk, not constant
+    peak, _ = peak_traced_bytes(lambda: fit_calibration(pred, subj))
+    assert peak < 0.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"
