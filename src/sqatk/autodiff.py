@@ -337,22 +337,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return x._make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention of (B,H,Nq,dh) query heads over
-    (B,H,N,dh) key and value heads: softmax(q @ k^T / sqrt(dh) + bias) @ v.
+    (B,H,N,dh) key and value heads: softmax(q @ k^T / sqrt(dh)) @ v.
     Nq and N may differ; the encoder's last block passes one query row.
     q, k and v must have equal leading axes.
 
-    bias, if given, broadcasts against the (B,H,Nq,N) scores; -inf
-    entries get exactly zero probability. The forward runs one (batch,
-    head) slice at a time and, within it, one block of ROW_BLOCK to
-    2 * ROW_BLOCK - 1 query rows at a time in one reused buffer, in five
-    passes: the GEMM of the scaled queries q / sqrt(dh) with k^T (plus
-    the bias), the row max, its subtraction, exp, and one GEMM with
-    [v | 1], whose last column gives the row sums that divide the Nq x
-    dh output (Rabe & Staats 2021). So its scores take one block's
-    memory, not Nq x N, and every value has the bits of one whole-slice
-    pass. A recorded call keeps its inputs, its output and each row's
+    The forward runs one (batch, head) slice at a time and, within it,
+    one block of ROW_BLOCK to 2 * ROW_BLOCK - 1 query rows at a time in
+    one reused buffer, in five passes: the GEMM of the scaled queries
+    q / sqrt(dh) with k^T, the row max, its subtraction, exp, and one
+    GEMM with [v | 1], whose last column gives the row sums that divide
+    the Nq x dh output (Rabe & Staats 2021). So its scores take one
+    block's memory, not Nq x N, and every value has the bits of one
+    whole-slice pass. A recorded call keeps its inputs, its output and each row's
     log-sum-exp lse, no Nq x N data. The backward recomputes
     P = exp(scores - lse) over the whole slice, takes dv = P^T @ g and
     dP = g @ v^T, and forms P * (dP - delta) in place, with
@@ -368,15 +366,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
     n_q, n_k, d_v = qs.shape[-2], ks.shape[-2], vs.shape[-1]
     score_dtype = np.result_type(qs, ks)
     n_pad = -(-n_k // KEY_PAD) * KEY_PAD if score_dtype == np.float64 and n_q > 1 else n_k  # see KEY_PAD
-    if bias is not None:
-        bias = np.broadcast_to(bias, lead + (n_q, n_k))
-
-    def scores(q_scaled, idx, p):
-        """Slice idx's scores q / sqrt(dh) @ k^T + bias, written into the
-        Nq x N buffer p."""
-        np.matmul(q_scaled[idx], ks[idx].swapaxes(-1, -2), out=p)
-        if bias is not None:
-            p += bias[idx]
 
     q_scaled = qs * scale
     v_ones = np.concatenate([vs, np.ones(lead + (n_k, 1), dtype=vs.dtype)], axis=-1)
@@ -391,8 +380,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
             p = buffer[: hi - lo]
             np.matmul(q_scaled[idx][lo:hi], keys[idx].swapaxes(-1, -2), out=p)
             p[:, n_k:] = -np.inf  # a padded key's probability is 0
-            if bias is not None:
-                p[:, :n_k] += bias[idx][lo:hi]
             p -= np.max(p, axis=-1, keepdims=True, out=lse[idx][lo:hi])
             np.exp(p, out=p)
             np.matmul(p[:, :n_k], v_ones[idx], out=out_sum[idx][lo:hi])
@@ -412,7 +399,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -
         dkt = np.empty(lead + (ks.shape[-1], n_k), dtype=ds.dtype) if need_dk else None
         dv = np.empty(vs.shape, dtype=ds.dtype) if need_dv else None
         for idx in np.ndindex(*lead):
-            scores(q_scaled, idx, p)
+            np.matmul(q_scaled[idx], ks[idx].swapaxes(-1, -2), out=p)
             p -= lse[idx]
             np.exp(p, out=p)
             if dv is not None:

@@ -350,6 +350,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise CliError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,11 +94,8 @@ class ConvBaseline(Scorer):
     param_spec = staticmethod(cnn_param_spec)
 
     def prepare(self, values: np.ndarray) -> np.ndarray:
-        """(frames, mels) features -> the floor-padded (1, mels, max_frames) plane."""
-        return floor_pad(np.asarray(values, dtype=self.dtype), self.config)[None]
-
-    def collate(self, inputs: list[np.ndarray]) -> np.ndarray:
-        return np.stack(inputs)
+        """(frames, mels) features -> the floor-padded (1, 1, mels, max_frames) plane."""
+        return floor_pad(np.asarray(values, dtype=self.dtype), self.config)[None, None]
 
     def forward_batch(self, batch: np.ndarray) -> dict[str, Tensor]:
         return cnn_forward_batch(batch, self.params, self.config)

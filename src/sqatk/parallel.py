@@ -41,10 +41,11 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 def thread_map(jobs: int, fn, items):
     """fn(item) for each item, yielded in item order. With jobs > 1 and
-    more than one item, the calling thread and jobs - 1 pool threads
-    take the items one at a time from one shared iterator, so no thread
-    waits for another's slow item while the window has room: the caller
-    takes the next item whenever the result it yields next is not ready.
+    more than one item, the calling thread and min(jobs, len(items)) - 1
+    pool threads take the items one at a time from one shared iterator,
+    so no thread waits for another's slow item while the window has
+    room: the caller takes the next item whenever the result it yields
+    next is not ready.
     The window is jobs items taken and not yet yielded, so at most jobs
     results are held at a time, whatever the items' costs; with the
     window full a pool thread waits, and the caller waits for the result
@@ -82,7 +83,7 @@ def thread_map(jobs: int, fn, items):
         while take(wait=True):
             pass
 
-    helpers = [_pool(jobs - 1).submit(drain) for _ in range(jobs - 1)]
+    helpers = [_pool(jobs - 1).submit(drain) for _ in range(min(jobs, len(items)) - 1)]
     try:
         for i in range(len(items)):
             while not futures[i].done() and take(wait=False):

@@ -6,13 +6,14 @@ with halving. The shuffle permutation for each epoch is derived from
 A sample holds its labels and a loader of its clip's (frames, mels)
 features, not the model's prepared input. train_step is the one code
 that trains on a batch, and it treats each clip as a shard: the shard
-loads and prepares its clip when the batch is drawn, runs the forward
-at batch 1, divides each task's squared error by the whole batch's
-label count for that task, and backpropagates alone. The shards run on
-parallel.thread_map's pool, their gradient maps and losses are summed
-in clip order, and ADAM steps once. So a step holds the graphs of as
-many clips as there are workers, not batch_size, no batch's graph
-outlives it, and its result does not depend on the worker count.
+loads its clip when the batch is drawn, prepares it as the batch of one
+that forward_batch scores, divides each task's squared error by the
+whole batch's label count for that task, and backpropagates alone. The
+shards run on parallel.thread_map's pool, their gradient maps and
+losses are summed in clip order, and ADAM steps once. So a step holds
+the graphs of as many clips as there are workers, not batch_size, no
+batch's graph outlives it, and its result does not depend on the
+worker count.
 fit runs cores() workers with NumPy's OpenBLAS pinned to one thread,
 or one worker at the BLAS default where the count cannot be set.
 Validation scores each clip alone through Scorer.predict_scores, as
@@ -198,7 +199,7 @@ def _shard_step(model, counts: dict[str, int], sample: TrainSample):
     own: overflow warnings are off, as the finite checks stop a
     divergence, typed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        preds = model.forward_batch(model.collate([model.prepare(sample.load())]))
+        preds = model.forward_batch(model.prepare(sample.load()))
         losses = {task: mse_loss(preds[task], sample.labels[i : i + 1], np.ones(1, bool), counts[task])
                   for i, task in enumerate(TASKS) if not np.isnan(sample.labels[i])}
         if not losses:
@@ -231,9 +232,10 @@ def train_step(model, optimizer: Adam, samples: list[TrainSample], lr: float, wo
 
 class Scorer:
     """Construction, clip scoring and the config echo shared by the model
-    adapters, which provide kind, param_spec, prepare, collate and
-    forward_batch. prepare casts its input to dtype once, so the model
-    computes in its parameters' dtype: float32, whether freshly
+    adapters, which provide kind, param_spec, prepare and forward_batch.
+    prepare turns one clip's (frames, mels) features into the batch of
+    one that forward_batch scores; it casts them to dtype once, so the
+    model computes in its parameters' dtype: float32, whether freshly
     initialised for training or loaded from a checkpoint."""
 
     def __init__(self, config, params: dict[str, Tensor] | None = None, seed: int = 0):
@@ -248,7 +250,7 @@ class Scorer:
         """Score one (frames, mels) feature matrix under no_grad, clipped
         to [1, 5]; an overflow is left to the finite checks, as in train_step."""
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            raw = self.forward_batch(self.collate([self.prepare(values)]))
+            raw = self.forward_batch(self.prepare(values))
         return QualityScores(**{t: clip_score(raw[t].data[0]) for t in self.config.tasks})
 
     def config_echo(self) -> dict[str, str]:

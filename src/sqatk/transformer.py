@@ -1,9 +1,10 @@
 """Spectrogram transformer scorer: 16x16 patches 10 apart on both axes
 of the log-mel plane, a CLS token, learned positional embeddings, pre-norm
-encoder blocks with attention masking for padded frames, and five
-affine heads (mos, col, dis, loud, noi) reading the CLS state. Since
-nothing else reads the encoder's output, its last block computes only
-the CLS state: the CLS token is its one query, over every valid key.
+encoder blocks, and five affine heads (mos, col, dis, loud, noi) reading
+the CLS state. A forward scores the patches of one clip that carry real
+frames; a patch of padding alone never becomes a token. Since nothing
+else reads the encoder's output, its last block computes only the CLS
+state: the CLS token is its one query, over every key.
 
 Positional embeddings are stored as a (freq, time) grid plus a CLS
 vector, so a model configured for a longer maximum duration extends the
@@ -196,14 +197,10 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
 
 def embed_batch(
-    patches: np.ndarray,
-    valid: np.ndarray,
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    positions: np.ndarray,
+    patches: np.ndarray, params: dict[str, Tensor], config: ModelConfig, positions: np.ndarray
 ) -> tuple[Tensor, np.ndarray]:
     """Project patches, prepend CLS, add positions. Returns (B,N,D) tokens
-    and the (B,N) token mask with the CLS position always valid.
+    and a (B,N) all-True mask, which bench/tracer.py counts tokens from.
 
     positions[b, i] is the flat (freq, time) grid index of patch i of
     clip b, so a clip can carry only its valid patches; a clip that
@@ -221,16 +218,12 @@ def embed_batch(
     x = x + params["pos_grid"].reshape((config.n_patches, d))[positions]
     cls_tok = (params["cls"] + params["pos_cls"]).reshape((1, 1, d)).broadcast_to((batch, 1, d))
     tokens = concat([cls_tok, x], axis=1)
-
-    mask = np.concatenate([np.ones((batch, 1), dtype=bool), valid], axis=1)
-    return tokens, mask
+    return tokens, np.ones(tokens.shape[:2], dtype=bool)
 
 
-def _attention(
-    queries: Tensor, tokens: Tensor, bias: np.ndarray | None, params, prefix: str, config: ModelConfig
-) -> Tensor:
+def _attention(queries: Tensor, tokens: Tensor, params, prefix: str, config: ModelConfig) -> Tensor:
     """Multi-head attention of (B,Nq,D) query tokens over (B,N,D) key and
-    value tokens; bias broadcasts against the (B,H,Nq,N) scores."""
+    value tokens."""
     batch, _, d = tokens.shape
     n_queries = queries.shape[1]
     heads = config.n_heads
@@ -243,31 +236,19 @@ def _attention(
     k = split(linear(tokens, params[prefix + "wk"], params[prefix + "bk"]))
     v = split(linear(tokens, params[prefix + "wv"], params[prefix + "bv"]))
 
-    ctx = attention(q, k, v, bias).transpose((0, 2, 1, 3)).reshape((batch, n_queries, d))
+    ctx = attention(q, k, v).transpose((0, 2, 1, 3)).reshape((batch, n_queries, d))
     return linear(ctx, params[prefix + "wo"], params[prefix + "bo"])
 
 
-def encoder_forward(
-    tokens: Tensor, mask: np.ndarray, params: dict[str, Tensor], config: ModelConfig
-) -> Tensor:
+def encoder_forward(tokens: Tensor, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
     """Pre-norm transformer stack over (B,N,D) tokens, returning the (B,D)
-    CLS state the heads read.
-    Masked positions contribute -inf attention logits as keys, so no
-    valid token attends to padding; a fully valid mask needs no bias.
+    CLS state the heads read. Every token is a key.
 
     Nothing after the stack reads any other token, so the last block
     runs its queries, output projection, residual, LN2 and MLP on the
     CLS token alone; its LN1, keys and values still cover every token,
     which leaves the CLS state unchanged. n_layers == 0 returns the CLS
     token as given."""
-    if mask.shape != tokens.shape[:2]:
-        raise ModelError(f"mask shape {mask.shape} does not match tokens {tokens.shape[:2]}")
-    if not mask[:, 0].all():
-        raise ModelError("CLS position must be valid in the attention mask")
-
-    bias = None  # (B,1,1,N) over the keys, in the tokens' dtype
-    if not mask.all():
-        bias = np.where(mask, 0.0, -np.inf).astype(tokens.data.dtype)[:, None, None, :]
     x = tokens
     for i in range(config.n_layers):
         pre = f"layer{i}_"
@@ -275,7 +256,7 @@ def encoder_forward(
         queries = h
         if i == config.n_layers - 1:
             x, queries = x[:, :1], h[:, :1]
-        x = x + _attention(queries, h, bias, params, pre, config)
+        x = x + _attention(queries, h, params, pre, config)
         h = layer_norm(x, params[pre + "ln2_gamma"], params[pre + "ln2_beta"])
         h = linear(h, params[pre + "mlp_w1"], params[pre + "mlp_b1"]).gelu()
         x = x + linear(h, params[pre + "mlp_w2"], params[pre + "mlp_b2"])
@@ -305,38 +286,26 @@ def head_outputs(cls_state: Tensor, params: dict[str, Tensor], config: ModelConf
 class SpectrogramTransformer(Scorer):
     """Bundles config + parameters and adapts them to the training loop.
 
-    Only valid patches enter the encoder. All-padding patches are masked
-    out as keys, so they never reach the CLS state and dropping them
-    leaves every score unchanged."""
+    Only valid patches enter the encoder, so padding never reaches the
+    CLS state and a longer window leaves every score unchanged."""
 
     kind = "ast"
     param_spec = staticmethod(param_spec)
 
     def prepare(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Turn a (frames, mels) feature matrix into the clip's valid
-        patches, in the parameters' dtype, and their flat grid positions."""
+        patches, in the parameters' dtype, and their flat grid positions,
+        each with a batch axis of one."""
         values = np.asarray(values, dtype=self.dtype)
         fc = FrontendConfig
         spec = LogMelSpectrogram(values, values.shape[1], fc.frame_hop_s, fc.frame_len_s)
         seq = extract_patches(spec, self.config)
-        return seq.patches[seq.valid], np.flatnonzero(seq.valid)
-
-    def collate(self, inputs: list[tuple[np.ndarray, np.ndarray]]):
-        """Pad a batch up to its longest clip; the mask hides the padding."""
-        longest = max(len(pos) for _, pos in inputs)
-        patches = np.zeros((len(inputs), longest, PATCH**2), dtype=inputs[0][0].dtype)
-        positions = np.zeros((len(inputs), longest), dtype=np.intp)
-        valid = np.zeros((len(inputs), longest), dtype=bool)
-        for i, (clip_patches, clip_positions) in enumerate(inputs):
-            n = len(clip_positions)
-            patches[i, :n] = clip_patches
-            positions[i, :n] = clip_positions
-            valid[i, :n] = True
-        return patches, positions, valid
+        return seq.patches[seq.valid][None], np.flatnonzero(seq.valid)[None]
 
     def forward_batch(self, batch) -> dict[str, Tensor]:
-        """A collated batch to raw per-task scores, unclipped so training
-        gradients are unimpeded."""
-        patches, positions, valid = batch
-        tokens, mask = embed_batch(patches, valid, self.params, self.config, positions)
-        return head_outputs(encoder_forward(tokens, mask, self.params, self.config), self.params, self.config)
+        """(patches, positions) of equal-length clips, as prepare returns
+        one, to raw per-task scores, unclipped so training gradients are
+        unimpeded."""
+        patches, positions = batch
+        tokens, _ = embed_batch(patches, self.params, self.config, positions)
+        return head_outputs(encoder_forward(tokens, self.params, self.config), self.params, self.config)

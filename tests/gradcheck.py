@@ -104,26 +104,24 @@ def primitive_cases(seed: int = 0, dtype=np.float64) -> dict[str, tuple]:
     r_probe = probe((5, 5))
     cases["relu"] = (lambda: (r.relu(), r_probe), {"r": r})
 
-    # Attention: q/k/v projections into one head, masked keys, fused op.
+    # Attention: q/k/v projections into one head, fused op.
     att_x = leaf((2, 5, 8))
     wq, wk, wv = (leaf((8, 8)) for _ in range(3))
     no_bias = Tensor(np.zeros(8, dtype=dtype))
-    mask = np.array([[True, True, True, True, False], [True, True, True, False, False]])
-    bias = np.where(mask, 0.0, -np.inf).astype(dtype)[:, None, None, :]
     att_probe = probe((2, 5, 8))
 
     def attention_loss():
         q, k, v = (linear(att_x, w, no_bias).reshape((2, 1, 5, 8)) for w in (wq, wk, wv))
-        return attention(q, k, v, bias).reshape((2, 5, 8)), att_probe
+        return attention(q, k, v).reshape((2, 5, 8)), att_probe
 
     att_tensors = {"x": att_x, "wq": wq, "wk": wk, "wv": wv}
     cases["attention"] = (attention_loss, att_tensors)
 
-    # One query row, as in the CLS-only last encoder block, against the same masked keys.
+    # One query row, as in the CLS-only last encoder block, against the same keys.
     def attention_cls_loss():
         q = linear(att_x[:, :1], wq, no_bias).reshape((2, 1, 1, 8))
         k, v = (linear(att_x, w, no_bias).reshape((2, 1, 5, 8)) for w in (wk, wv))
-        return attention(q, k, v, bias).reshape((2, 8)), att_probe[:, 0]
+        return attention(q, k, v).reshape((2, 8)), att_probe[:, 0]
 
     cases["attention_cls"] = (attention_cls_loss, att_tensors)
 
@@ -186,9 +184,11 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
 
 
 def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4) -> float:
-    """FD check of the complete 2-layer desk transformer loss on a packed
-    batch of two clips of different lengths, in float64: central
-    differences with these steps need float64's resolution."""
+    """FD check of the complete 2-layer desk transformer loss on two
+    clips of different lengths, in float64: central differences with
+    these steps need float64's resolution. Each clip runs a forward of
+    its own and their losses sum, as train_step's shards do, so the
+    pos_grid rows both clips use take both clips' gradients."""
     config = tf_mod.desk_config(max_duration_s=0.6)
     params = float64(tf_mod.init_params(config, seed=seed))
     rng = np.random.default_rng(seed + 1)
@@ -196,18 +196,17 @@ def full_model_check(seed: int = 0, h: float = 1e-3, coords_per_tensor: int = 4)
     model = tf_mod.SpectrogramTransformer(config, params)
     batch = 2
     frames = rng.integers(30, config.max_frames, size=batch)
-    packed = model.collate(
-        [model.prepare(rng.normal(-5.0, 2.0, size=(int(n), 128))) for n in frames]
-    )
+    clips = [model.prepare(rng.normal(-5.0, 2.0, size=(int(n), 128))) for n in frames]
     labels = {t: rng.uniform(1.0, 5.0, size=batch) for t in TASKS}
-    mask = np.ones(batch, dtype=bool)
+    mask = np.ones(1, dtype=bool)
 
     def build_loss():
-        preds = model.forward_batch(packed)
         total = None
-        for t in TASKS:
-            loss = mse_loss(preds[t], labels[t], mask, batch)
-            total = loss if total is None else total + loss
+        for i, clip in enumerate(clips):
+            preds = model.forward_batch(clip)
+            for t in TASKS:
+                loss = mse_loss(preds[t], labels[t][i : i + 1], mask, batch)
+                total = loss if total is None else total + loss
         return total, 1.0
 
     return check_function(build_loss, params, h=h, coords_per_tensor=coords_per_tensor, seed=seed)

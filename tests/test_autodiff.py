@@ -175,8 +175,7 @@ def test_getitem_and_concat_grads(rng):
 
 def _softmax(x):
     """Numerically stable softmax over the last axis, as a composed op:
-    the reference for the softmax fused into attention. -inf logits
-    yield exactly zero probability."""
+    the reference for the softmax fused into attention."""
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     out_data = exp / exp.sum(axis=-1, keepdims=True)
@@ -926,28 +925,24 @@ def test_no_grad_is_per_thread():
     assert seen == [True]
 
 
-def _attention_composed(q, k, v, bias):
-    """The matmul/scale/bias/softmax/matmul chain the fused op replaced,
-    kept as its reference."""
+def _attention_composed(q, k, v):
+    """The matmul/scale/softmax/matmul chain the fused op replaced, kept
+    as its reference."""
     scores = _matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[-1]))
-    if bias is not None:
-        scores = scores + Tensor(bias)
     return _matmul(_softmax(scores), v)
 
 
-def _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, dtype):
+def _assert_attention_bit_equal_to_composed_ops(rng, dh, one_query, dtype):
     batch, n, heads = 3, 23, 4
     data = [rng.normal(size=(batch, n, heads, dh)).astype(dtype) for _ in range(3)]
-    bias = None
-    if masked:
-        valid = np.arange(n)[None, :] < np.array([[n], [9], [17]])
-        bias = np.where(valid, 0.0, -np.inf).astype(dtype)[:, None, None, :]
-    g = rng.normal(size=(batch, heads, n, dh)).astype(dtype)
+    if one_query:  # the CLS query of the encoder's last block
+        data[0] = data[0][:, :1]
+    g = rng.normal(size=(batch, heads, data[0].shape[1], dh)).astype(dtype)
     results = []
     for op in (attention, _attention_composed):
         leaves = [Tensor(d, requires_grad=True) for d in data]
         q, k, v = (t.transpose((0, 2, 1, 3)) for t in leaves)
-        out = op(q, k, v, bias)
+        out = op(q, k, v)
         grads = out.backward(g)
         results.append([out.data] + [grads[t] for t in leaves])
     for got, ref in zip(*results):
@@ -956,20 +951,20 @@ def _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, dtype):
 
 
 @pytest.mark.parametrize("dh", [16, 12])
-@pytest.mark.parametrize("masked", [False, True])
-def test_attention_bit_equal_to_composed_ops(rng, dh, masked):
+@pytest.mark.parametrize("one_query", [False, True])
+def test_attention_bit_equal_to_composed_ops(rng, dh, one_query):
     """Output, dq, dk and dv equal the composed ops' to rounding, on
-    heads split out of (B,N,H,dh) as the encoder does, with and without
-    -inf key bias."""
-    _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, np.float64)
+    heads split out of (B,N,H,dh) as the encoder does, for every query
+    row or for the first alone."""
+    _assert_attention_bit_equal_to_composed_ops(rng, dh, one_query, np.float64)
 
 
 @pytest.mark.parametrize("dh", [16, 12])
-@pytest.mark.parametrize("masked", [False, True])
-def test_attention_bit_equal_to_composed_ops_in_float32(rng, dh, masked):
+@pytest.mark.parametrize("one_query", [False, True])
+def test_attention_bit_equal_to_composed_ops_in_float32(rng, dh, one_query):
     """The same in float32: the scale is a Python float in both, so
     neither computes a step in float64."""
-    _assert_attention_bit_equal_to_composed_ops(rng, dh, masked, np.float32)
+    _assert_attention_bit_equal_to_composed_ops(rng, dh, one_query, np.float32)
 
 
 def test_attention_under_no_grad_records_no_parents(rng):
@@ -987,7 +982,7 @@ def _desk_forward_of_a_12s_clip():
 
     def forward():
         with no_grad():
-            model.forward_batch(model.collate([model.prepare(values)]))
+            model.forward_batch(model.prepare(values))
 
     return forward
 
@@ -1027,24 +1022,23 @@ _R = autodiff.ROW_BLOCK
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("fewer_keys", [False, True])
 @pytest.mark.parametrize("n", [_R - 1, _R, 2 * _R - 1, 2 * _R, 1429])
-def test_attention_in_row_blocks_is_bit_equal_to_one_block(rng, monkeypatch, n, dtype, masked):
+def test_attention_in_row_blocks_is_bit_equal_to_one_block(rng, monkeypatch, n, dtype, fewer_keys):
     """The output, the kept lse and dq, dk and dv of a forward in row
     blocks equal those of one block over all N query rows, bit for bit:
     a slice of fewer than 2 * ROW_BLOCK rows is one block, and 2 *
     ROW_BLOCK and a 12 s clip's 1429 tokens are more, in float32 and
-    float64, with and without a -inf key bias."""
+    float64, over N keys or over the first 2N/3 alone."""
     data = [rng.normal(size=(1, 2, n, 16)).astype(dtype) for _ in range(3)]
-    bias = None
-    if masked:
-        bias = np.where(np.arange(n) < 2 * n // 3, 0.0, -np.inf).astype(dtype)[None, None, None, :]
+    if fewer_keys:
+        data[1:] = [d[:, :, : 2 * n // 3] for d in data[1:]]
     g = rng.normal(size=(1, 2, n, 16)).astype(dtype)
     results = []
     for rows in (_R, n):
         monkeypatch.setattr(autodiff, "ROW_BLOCK", rows)
         leaves = [Tensor(d, requires_grad=True) for d in data]
-        out = attention(*leaves, bias)
+        out = attention(*leaves)
         lse = _kept_lse(out).copy()
         grads = out.backward(g)
         results.append([out.data, lse] + [grads[t] for t in leaves])
@@ -1053,7 +1047,7 @@ def test_attention_in_row_blocks_is_bit_equal_to_one_block(rng, monkeypatch, n, 
         np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
-def _attention_batched(q, k, v, bias=None):
+def _attention_batched(q, k, v):
     """attention's arithmetic over every (batch, head) slice at once, in
     (B,H,Nq,N) buffers, under no_grad too: the reference its per-slice
     loop must match bit for bit."""
@@ -1062,10 +1056,7 @@ def _attention_batched(q, k, v, bias=None):
     v_ones = np.concatenate([v.data, np.ones_like(v.data[..., :1])], axis=-1)
 
     def scores():
-        s = q_scaled @ k.data.swapaxes(-1, -2)
-        if bias is not None:
-            s += bias
-        return s
+        return q_scaled @ k.data.swapaxes(-1, -2)
 
     probs = scores()
     row_max = probs.max(axis=-1, keepdims=True)
@@ -1096,41 +1087,38 @@ def _bits(a):
     return a.view(np.dtype(f"u{a.dtype.itemsize}"))
 
 
-def _run_attention(op, leaves, heads, bias, g, record):
+def _run_attention(op, leaves, heads, g, record):
     """op's output and, when recorded, the leaves' gradients for an
     upstream g, with heads split out of the leaves as the encoder does."""
     q, k, v = (heads(t) for t in leaves)
     if not record:
         with no_grad():
-            return [op(q, k, v, bias).data]
-    out = op(q, k, v, bias)
+            return [op(q, k, v).data]
+    out = op(q, k, v)
     grads = out.backward(g)
     return [out.data] + [grads[t] for t in leaves]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("one_clip", [False, True])
 @pytest.mark.parametrize("record", [True, False])
 @pytest.mark.parametrize("n_q", [29, 1])
-def test_per_head_attention_is_bit_equal_to_the_batched_op(rng, dtype, masked, record, n_q):
+def test_per_head_attention_is_bit_equal_to_the_batched_op(rng, dtype, one_clip, record, n_q):
     """Output and dq, dk, dv equal the batched op's bit for bit: float32
-    and float64, with and without a -inf key bias, recorded and under
-    no_grad, all queries and the last block's one CLS query."""
-    batch, n, heads, dh = 3, 29, 4, 16
+    and float64, a batch of three clips and of one, as every forward
+    scores, recorded and under no_grad, all queries and the last
+    block's one CLS query."""
+    batch, n, heads, dh = 1 if one_clip else 3, 29, 4, 16
     data = [rng.normal(size=(batch, n, heads * dh)).astype(dtype) for _ in range(3)]
     data[0] = data[0][:, :n_q]
-    bias = None
-    if masked:
-        valid = np.arange(n)[None, :] < np.array([[n], [11], [20]])
-        bias = np.where(valid, 0.0, -np.inf).astype(dtype)[:, None, None, :]
     g = rng.normal(size=(batch, heads, n_q, dh)).astype(dtype)
 
     def split(t):
         return t.reshape((batch, t.shape[1], heads, dh)).transpose((0, 2, 1, 3))
 
     leaves = [Tensor(d, requires_grad=True) for d in data]
-    got = _run_attention(attention, leaves, split, bias, g, record)
-    ref = _run_attention(_attention_batched, leaves, split, bias, g, record)
+    got = _run_attention(attention, leaves, split, g, record)
+    ref = _run_attention(_attention_batched, leaves, split, g, record)
     assert len(got) == (4 if record else 1)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype == dtype and a.shape == b.shape

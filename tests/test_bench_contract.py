@@ -13,6 +13,7 @@ import ast
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from sqatk.autodiff import conv2d, no_grad
 from sqatk.cnn import CnnConfig, ConvBaseline
 from sqatk.manifest import load_manifest
 from sqatk.synth import generate_corpus
-from sqatk.transformer import SpectrogramTransformer, desk_config
+from sqatk.transformer import SpectrogramTransformer, desk_config, embed_batch
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -100,10 +101,26 @@ def test_the_bench_valid_token_share_is_the_share_src_scores(tmp_path, monkeypat
     valid = total = 0
     for entry in load_manifest(manifest).entries:
         values = fe.log_mel_spectrogram(fe.decode_wav(entry.audio)).values
-        valid += 1 + len(model.prepare(values)[1])
+        valid += 1 + model.prepare(values)[1].shape[1]
         total += 1 + model.config.n_patches
     assert valid < total
     assert share == valid / total
+
+
+def test_the_embedding_mask_the_tracer_counts_covers_every_token_of_a_prepared_clip(monkeypatch):
+    """tracer.py's _count_tokens reads embed_batch's second result, its
+    size as the tokens and its sum as the valid ones. On a prepared clip
+    it is a (1, P + 1) all-True bool array: the CLS token and each of
+    the clip's P valid patches."""
+    model = SpectrogramTransformer(desk_config(max_duration_s=1.0))
+    patches, positions = model.prepare(np.random.default_rng(0).normal(-5.0, 2.0, size=(50, 128)))
+    _, mask = embed_batch(patches, model.params, model.config, positions)
+    n_tokens = positions.shape[1] + 1
+    assert n_tokens - 1 < model.config.n_patches  # the clip does not fill the window
+    assert mask.dtype == bool and mask.shape == (1, n_tokens) and mask.all()
+    counts = Counter()
+    _load_bench(monkeypatch, "tracer")._count_tokens(counts, (None, mask), (), {})
+    assert counts == {"transformer.tokens": n_tokens, "transformer.valid_tokens": n_tokens}
 
 
 def test_every_cnn_stage_calls_conv2d_through_the_cnn_modules_globals(monkeypatch):
@@ -113,7 +130,7 @@ def test_every_cnn_stage_calls_conv2d_through_the_cnn_modules_globals(monkeypatc
     stage, recorded and under no_grad alike."""
     config = CnnConfig(channels=(4, 8, 8), pool=(2, 2, 1), max_duration_s=0.4)
     model = ConvBaseline(config, seed=0)
-    x = model.collate([model.prepare(np.random.default_rng(0).normal(-5.0, 2.0, size=(40, 128)))] * 2)
+    x = np.concatenate([model.prepare(np.random.default_rng(0).normal(-5.0, 2.0, size=(40, 128)))] * 2)
     calls = []
 
     def counting(*args, **kwargs):

@@ -908,6 +908,19 @@ def test_help_lists_exactly_the_pipeline_subcommands(capsys):
     assert importlib.util.find_spec("sqatk.gradcheck") is None
 
 
+@pytest.mark.parametrize("command, jobs", [("featurize", "0"), ("predict", "0"), ("predict", "-2")])
+def test_jobs_below_one_is_a_typed_error(corpus, workdir, tmp_path, capsys, command, jobs):
+    """--jobs 0 and below used to run serially without a word; they exit
+    1 with one error line, and write nothing."""
+    out = tmp_path / "out"
+    argv = {"featurize": ["featurize", "--manifest", str(corpus), "--out", str(out)],
+            "predict": ["predict", "--ckpt", str(workdir / "ast.ckpt"), "--manifest", str(corpus),
+                        "--features", str(workdir / "feats"), "--out", str(out)]}[command]
+    assert main(argv + ["--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--bogus"])

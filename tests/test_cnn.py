@@ -132,7 +132,7 @@ def test_predict_scores_matches_cnn_forward(rng):
     model = cnn_mod.ConvBaseline(config, seed=3)
     values = rng.normal(-5, 2, size=(80, 128))
     scores = model.predict_scores(values)
-    raw = cnn_mod.cnn_forward_batch(model.prepare(values)[None], model.params, config)
+    raw = cnn_mod.cnn_forward_batch(model.prepare(values), model.params, config)
     for t in TASKS:
         assert scores.get(t) == clip_score(raw[t].data[0])
 
@@ -222,7 +222,7 @@ def test_raw_score_of_a_short_clip_depends_on_the_window():
     for seconds in (2.0, 4.0):
         model = cnn_mod.ConvBaseline(desk_cnn_config(max_duration_s=seconds), seed=0)
         with no_grad():
-            raw.append(model.forward_batch(model.collate([model.prepare(values)]))["mos"].data[0])
+            raw.append(model.forward_batch(model.prepare(values))["mos"].data[0])
     assert raw == [pytest.approx(-0.4954, abs=1e-4), pytest.approx(-0.5471, abs=1e-4)]
 
 
@@ -280,7 +280,7 @@ def test_recorded_cnn_forward_holds_no_conv_or_pool_output():
     conv or pool output is held; keeping them all held 34.0 MiB."""
     config = desk_cnn_config()
     model = cnn_mod.ConvBaseline(config, seed=0)
-    x = model.collate([model.prepare(s.load()) for s in _desk_cnn_batch(model, np.random.default_rng(1))])
+    x = np.concatenate([model.prepare(s.load()) for s in _desk_cnn_batch(model, np.random.default_rng(1))])
     batch, height, width = x.shape[0], 128, config.max_frames
     pooled_cells = []
     for channels, factor in zip(config.channels, config.pool):

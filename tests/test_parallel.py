@@ -5,9 +5,11 @@ raised in the caller."""
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
+from sqatk import parallel
 from sqatk.parallel import thread_map
 
 
@@ -117,3 +119,21 @@ def test_one_job_or_one_item_runs_on_the_calling_thread():
     caller = threading.get_ident()
     assert list(thread_map(1, lambda i: threading.get_ident(), range(3))) == [caller] * 3
     assert list(thread_map(4, lambda i: threading.get_ident(), [0])) == [caller]
+
+
+@pytest.mark.parametrize("jobs, n_items, helpers", [(64, 3, 2), (3, 10, 2), (2, 2, 1)])
+def test_no_more_helpers_than_items_are_submitted(monkeypatch, jobs, n_items, helpers):
+    """thread_map submits min(jobs, len(items)) - 1 helpers to the pool:
+    64 jobs over 3 items submitted 63, each of which could start a
+    thread that lives as long as the process. The fake pool runs no
+    helper and starts no thread, so the caller computes every item."""
+    submitted = []
+
+    class RecordingPool:
+        def submit(self, fn):
+            submitted.append(fn)
+            return Future()  # pending, so the caller's cancel succeeds
+
+    monkeypatch.setattr(parallel, "_pool", lambda threads: RecordingPool())
+    assert list(thread_map(jobs, lambda i: i * i, range(n_items))) == [i * i for i in range(n_items)]
+    assert len(submitted) == helpers

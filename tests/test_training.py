@@ -14,7 +14,6 @@ from sqatk import parallel, training
 from sqatk import transformer as tf
 from sqatk.autodiff import Tensor, linear
 from sqatk.evaluation import pearson, rmse
-from sqatk.frontend import LogMelSpectrogram
 from sqatk.quality import TASKS, QualityScores
 from sqatk.training import (
     Adam,
@@ -30,7 +29,7 @@ from sqatk.training import (
 )
 
 from memory import peak_traced_bytes
-from model_fixtures import dense_scores, desk_cnn_config, float64, in_memory
+from model_fixtures import desk_cnn_config, float64, in_memory, stack
 
 # ------------------------------------------------------------------- loss
 
@@ -152,9 +151,7 @@ def test_adam_bitwise_deterministic():
 
 def test_accumulated_task_gradients_equal_summed_loss(rng):
     config = tf.desk_config(n_layers=1, max_duration_s=0.4)
-    spec = LogMelSpectrogram(rng.normal(-4, 2, size=(config.max_frames, 128)), 128, 0.010, 0.025)
-    seq = tf.extract_patches(spec, config)
-    patches, valid = seq.patches[None], seq.valid[None]
+    values = rng.normal(-4, 2, size=(config.max_frames, 128))
     labels = {t: rng.uniform(1, 5, size=1) for t in TASKS}
     mask = np.ones(1, bool)
 
@@ -163,8 +160,12 @@ def test_accumulated_task_gradients_equal_summed_loss(rng):
         leaf_grads = run(params)
         return {k: leaf_grads.get(p, np.zeros_like(p.data)) for k, p in params.items()}
 
+    def forward(params):
+        model = tf.SpectrogramTransformer(config, params)
+        return model.forward_batch(model.prepare(values))
+
     def summed(params):
-        preds = dense_scores(patches, valid, params, config)
+        preds = forward(params)
         total = None
         for t in TASKS:
             loss = mse_loss(preds[t], labels[t], mask, len(mask))
@@ -173,7 +174,7 @@ def test_accumulated_task_gradients_equal_summed_loss(rng):
 
     def per_task(params):
         # one backward per task loss, their maps summed out of place
-        preds = dense_scores(patches, valid, params, config)
+        preds = forward(params)
         total = {}
         for t in TASKS:
             for p, g in mse_loss(preds[t], labels[t], mask, len(mask)).backward().items():
@@ -187,11 +188,9 @@ def test_accumulated_task_gradients_equal_summed_loss(rng):
 
 
 def test_head_loss_gradient_is_zero_for_other_heads(rng):
-    config = tf.desk_config(n_layers=1, max_duration_s=0.4)
-    params = tf.init_params(config, seed=10)
-    spec = LogMelSpectrogram(rng.normal(-4, 2, size=(30, 128)), 128, 0.010, 0.025)
-    seq = tf.extract_patches(spec, config)
-    preds = dense_scores(seq.patches[None], seq.valid[None], params, config)
+    model = tf.SpectrogramTransformer(tf.desk_config(n_layers=1, max_duration_s=0.4), seed=10)
+    params = model.params
+    preds = model.forward_batch(model.prepare(rng.normal(-4, 2, size=(30, 128))))
     grads = mse_loss(preds["col"], np.array([3.0]), np.ones(1, bool), 1).backward()
     for other in ("mos", "dis", "loud", "noi"):
         for suffix in ("w", "b"):
@@ -273,10 +272,7 @@ class TinyModel(Scorer):
         super().__init__(SimpleNamespace(tasks=TASKS), params)
 
     def prepare(self, value):
-        return np.atleast_1d(value)
-
-    def collate(self, inputs):
-        return np.stack(inputs)
+        return np.atleast_1d(value)[None]
 
     def forward_batch(self, batch):
         x, no_bias = Tensor(batch), Tensor(np.zeros(1))
@@ -373,17 +369,16 @@ def test_loss_trend_non_increasing_over_50_steps():
     trials = 20
     for seed in range(trials):
         rng = np.random.default_rng(seed)
-        params = tf.init_params(config, seed=seed)
+        model = tf.SpectrogramTransformer(config, seed=seed)
+        params = model.params
         specs = [rng.normal(-5, 2, size=(config.max_frames, 128)) for _ in range(6)]
-        seqs = [tf.extract_patches(LogMelSpectrogram(s, 128, 0.010, 0.025), config) for s in specs]
-        patches = np.stack([s.patches for s in seqs])
-        valid = np.stack([s.valid for s in seqs])
+        batch = stack([model.prepare(s) for s in specs])
         labels = {t: rng.uniform(1, 5, size=6) for t in TASKS}
         mask = np.ones(6, bool)
         opt = Adam(params)
 
         def total_loss():
-            preds = dense_scores(patches, valid, params, config)
+            preds = model.forward_batch(batch)
             total = None
             for t in TASKS:
                 loss = mse_loss(preds[t], labels[t], mask, len(mask))
@@ -470,14 +465,17 @@ def test_step_memory_follows_the_workers_not_the_batch(kind):
 def test_sharded_gradients_match_one_whole_batch_backward(kind):
     """At one BLAS thread, the gradient map train_step hands ADAM (one
     backward per clip, each task's loss over the batch's label count,
-    summed in clip order) matches one backward of the whole collated
+    summed in clip order) matches one backward of the whole stacked
     batch's summed losses to float32 rounding. The clips differ in
-    length, so the AST batch pads, and some tasks are unlabelled for
-    some clips. Largest difference, over the largest gradient entry:
-    4.0e-7 (AST) and 1.4e-7 (CNN)."""
+    length; the AST's all fill the window's 19 time patches, so their
+    patches stack, and the CNN's floor-padded planes stack whatever
+    their length. Some tasks are unlabelled for some clips. Largest
+    difference, over the largest gradient entry: 2.3e-7 (AST) and
+    1.3e-7 (CNN)."""
     rng = np.random.default_rng(3)
     model = _desk_model(kind)
-    clips = [rng.normal(-5.0, 2.0, size=(n, 128)) for n in (200, 120, 170, 60, 200, 90)]
+    frames = (200, 190, 185, 181, 200, 195) if kind == "ast" else (200, 120, 170, 60, 200, 90)
+    clips = [rng.normal(-5.0, 2.0, size=(n, 128)) for n in frames]
     labels = [QualityScores(**{t: float(rng.uniform(1, 5)) for t in TASKS if t == "mos" or rng.uniform() < 0.6})
               for _ in clips]
     samples = [make_sample(in_memory(v), scores) for v, scores in zip(clips, labels)]
@@ -488,7 +486,7 @@ def test_sharded_gradients_match_one_whole_batch_backward(kind):
         train_step(model, optimizer, samples, 1e-3, 2)
         target = np.stack([s.labels for s in samples])
         mask = ~np.isnan(target)
-        preds = model.forward_batch(model.collate([model.prepare(v) for v in clips]))
+        preds = model.forward_batch(stack([model.prepare(v) for v in clips]))
         whole = functools.reduce(Tensor.__add__, [
             mse_loss(preds[t], target[:, i], mask[:, i], int(mask[:, i].sum())) for i, t in enumerate(TASKS)
         ]).backward()
@@ -543,8 +541,7 @@ def test_fit_restores_the_blas_thread_count(tmp_path, monkeypatch):
 def test_validation_reads_the_scores_predict_writes(rng, kind):
     """Validation's PCC and RMSE are those of the MOS that predict_scores,
     and so predict, gives each clip with a MOS label, bit for bit. A
-    clip with no MOS label is not read. Scoring in padded batches of 8
-    moved the AST's scores by rounding. Head biases of 3.0 put the
+    clip with no MOS label is not read. Head biases of 3.0 put the
     untrained scores inside [1, 5]."""
     if kind == "ast":
         model = tf.SpectrogramTransformer(tf.desk_config(), seed=13)
